@@ -154,13 +154,10 @@ impl RoccModel {
     /// drain the pipes (admitting parked samples and resuming blocked
     /// writers), then put the batch on the network.
     pub(crate) fn pd_collect_done(&mut self, ctx: &mut Ctx<Ev>, pd: PdId, token: Token) {
-        let mut drain_apps = std::mem::take(
-            &mut self
-                .tokens
-                .get_mut(token)
-                .expect("collect token live")
-                .drain_apps,
-        );
+        let (mut drain_apps, count) = {
+            let b = self.tokens.get_mut(token).expect("collect token live");
+            (std::mem::take(&mut b.drain_apps), b.count)
+        };
         for &app in &drain_apps {
             self.drain_one(ctx, app);
         }
@@ -176,25 +173,21 @@ impl RoccModel {
             // pipe slots were still freed above — the samples are gone,
             // not stuck.
             self.daemons.hot[pd as usize].doomed = false;
-            let batch = self.tokens.remove(token).expect("collect token live");
-            self.accs[self.cell].lost_crash += batch.count as u64;
+            self.tokens.remove(token);
+            self.accs[self.cell].lost_crash += count as u64;
             self.daemons.cold[pd as usize]
                 .fault_mon
-                .add_lost(batch.count as u64);
+                .add_lost(count as u64);
             if !self.daemons.hot[pd as usize].down {
                 self.maybe_collect(ctx, pd);
             }
             return;
         }
-        let count = {
-            let count = self.tokens.get(token).expect("collect token live").count;
-            let d = &mut self.daemons.hot[pd as usize];
-            d.forwarded_batches += 1;
-            d.forwarded_samples += count as u64;
-            count
-        };
+        let d = &mut self.daemons.hot[pd as usize];
+        d.forwarded_batches += 1;
+        d.forwarded_samples += count as u64;
         let p = &self.cfg.params;
-        let demand = p.pd.net_req.sample(&mut self.daemons.hot[pd as usize].net_rng)
+        let demand = p.pd.net_req.sample(&mut d.net_rng)
             + p.pd_net_per_extra_sample_us * (count as f64 - 1.0);
         self.submit_forward(ctx, pd, token, demand);
         // The daemon is free again; more samples may already be buffered.

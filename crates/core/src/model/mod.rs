@@ -594,6 +594,47 @@ impl RoccModel {
         let in_batches: u64 = self.tokens.values().map(|b| b.count as u64).sum();
         parked + buffered + in_batches
     }
+
+    /// Pipe-slot accounting: each app's pipe occupancy must equal its
+    /// samples buffered in the daemon FIFO plus its entries in the
+    /// `drain_apps` of live batches (slots a collect cycle holds until it
+    /// drains), and only a collecting daemon's current batch may hold such
+    /// slots — a roster on any other live batch is never drained. Describes
+    /// the first leaked or double-freed slot found, or returns `None`.
+    pub fn pipe_slot_violation(&self) -> Option<String> {
+        let mut held = vec![0usize; self.apps.len()];
+        let mut rosters = vec![0usize; self.daemons.len()];
+        for &(_, app) in self.daemons.fifo.iter().flatten() {
+            held[app as usize] += 1;
+        }
+        for b in self.tokens.values() {
+            if let Some(&app) = b.drain_apps.first() {
+                rosters[self.apps.hot[app as usize].pd as usize] += 1;
+            }
+            for &app in &b.drain_apps {
+                held[app as usize] += 1;
+            }
+        }
+        if let Some((pd, n)) = rosters
+            .iter()
+            .enumerate()
+            .find(|&(pd, &n)| n > usize::from(self.daemons.hot[pd].collecting))
+        {
+            return Some(format!("daemon {pd}: {n} live batches hold undrained pipe slots"));
+        }
+        self.apps
+            .pipe
+            .iter()
+            .zip(held)
+            .enumerate()
+            .find(|(_, (pipe, h))| pipe.occupied() != *h)
+            .map(|(app, (pipe, h))| {
+                format!(
+                    "app {app}: pipe occupancy {} but FIFO + live batches hold {h}",
+                    pipe.occupied()
+                )
+            })
+    }
 }
 
 impl Model for RoccModel {

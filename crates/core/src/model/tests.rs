@@ -74,7 +74,44 @@ fn tokens_do_not_leak() {
             in_flight <= 2 * model.daemons.len(),
             "{arch:?}: {in_flight} tokens still live"
         );
+        assert_eq!(model.pipe_slot_violation(), None, "{arch:?}");
     }
+}
+
+#[test]
+fn saturated_main_keeps_pipe_books_past_4096_live_batches() {
+    // CF NOW with a 100 µs sampling period: seven remote daemons each
+    // forward far more batches than the main process consumes, so their
+    // live-batch backlogs grow linearly with time (the saturated queue of
+    // Table 4's 50-node, 2 ms CF cells, compressed onto eight nodes). A
+    // 12-bit token counter would wrap onto live batches here, aliasing two
+    // of them and leaking the younger one's pipe slots.
+    let cfg = SimConfig {
+        nodes: 8,
+        sampling_period_us: 100.0,
+        app: paradyn_workload::compute_intensive(),
+        duration_s: 2.0,
+        ..Default::default()
+    };
+    let mut sim = build(&cfg);
+    let mut peak = 0;
+    for step in 1..=8 {
+        let t = 0.25 * step as f64;
+        sim.run_until(SimTime::from_secs_f64(t));
+        let tokens = &sim.model.tokens;
+        peak = (0..cfg.nodes)
+            .map(|pd| tokens.live_on(pd))
+            .max()
+            .unwrap_or(0)
+            .max(peak);
+        if let Some(v) = sim.model.pipe_slot_violation() {
+            panic!("pipe slots at {t} s: {v}");
+        }
+    }
+    assert!(
+        peak > 4096,
+        "one daemon's backlog peaked at {peak} live batches"
+    );
 }
 
 #[test]

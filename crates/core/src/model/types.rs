@@ -2,6 +2,7 @@
 
 use paradyn_des::SimTime;
 use paradyn_workload::ProcessClass;
+use std::collections::VecDeque;
 
 /// Global application-process index.
 pub type AppId = u32;
@@ -10,116 +11,159 @@ pub type AppId = u32;
 pub type PdId = u32;
 
 /// Token identifying an in-flight batch of samples. Shard-stable encoding:
-/// the high bits name the allocating daemon, the low [`TOKEN_CTR_BITS`]
-/// bits are that daemon's private wrapping counter — so a token value is a
-/// pure function of the allocator's own history, identical whether the run
-/// is serial or sharded (DESIGN.md §11).
-pub type Token = u32;
+/// the high 32 bits name the allocating daemon, the low [`TOKEN_CTR_BITS`]
+/// bits are that daemon's private allocation counter — so a token value is
+/// a pure function of the allocator's own history, identical whether the
+/// run is serial or sharded (DESIGN.md §11). The counter never wraps, so no
+/// two batches a daemon allocates ever share a token.
+pub type Token = u64;
 
-/// Low bits of a [`Token`] carrying the allocator's wrapping counter.
-pub const TOKEN_CTR_BITS: u32 = 12;
+/// Low bits of a [`Token`] carrying the allocator's counter.
+pub const TOKEN_CTR_BITS: u32 = 32;
 
-/// Mask of the counter bits of a [`Token`].
-pub const TOKEN_CTR_MASK: u32 = (1 << TOKEN_CTR_BITS) - 1;
-
-/// Wrap-aware "allocated before" order on 12-bit token counters; a strict
-/// total order as long as the live window spans less than half the
-/// counter space (live batches per daemon are a handful).
+/// Split a token into `(allocating daemon, counter)`.
 #[inline]
-fn ctr_before(a: u16, b: u16) -> bool {
-    let d = b.wrapping_sub(a) & TOKEN_CTR_MASK as u16;
-    d != 0 && d < (1 << (TOKEN_CTR_BITS - 1))
+fn split(t: Token) -> (usize, u32) {
+    ((t >> TOKEN_CTR_BITS) as usize, t as u32)
 }
 
-/// Arena of in-flight batches keyed by `(allocating daemon, counter)`,
-/// replacing per-event `HashMap` lookups with short per-daemon vectors.
-/// Each daemon's vector holds its live batches in allocation order (a few
-/// at a time), so lookups are tiny scans and iteration order — daemon
-/// index major, allocation order minor — is deterministic and independent
-/// of how shards interleave.
+/// One daemon's live batches, indexed directly by counter offset: slot `i`
+/// holds the batch with counter `base + i`, or `None` once it has retired.
+/// Batches retire out of order, so holes open anywhere, but the front slot
+/// is always live (holes there are popped), which bounds memory by the
+/// span from the oldest live batch to the newest, not by the live count.
+#[derive(Default)]
+struct Window {
+    /// Counter of `slots[0]` (meaningless while `slots` is empty).
+    base: u32,
+    slots: VecDeque<Option<Batch>>,
+}
+
+impl Window {
+    #[inline]
+    fn slot(&self, ctr: u32) -> Option<&Option<Batch>> {
+        self.slots.get(ctr.wrapping_sub(self.base) as usize)
+    }
+
+    #[inline]
+    fn slot_mut(&mut self, ctr: u32) -> Option<&mut Option<Batch>> {
+        self.slots.get_mut(ctr.wrapping_sub(self.base) as usize)
+    }
+
+    /// Store `batch` under `ctr`, growing the window at either end.
+    ///
+    /// # Panics
+    /// Panics if `ctr` is already live: two batches never share a token.
+    fn put(&mut self, ctr: u32, batch: Batch) {
+        if self.slots.is_empty() {
+            self.base = ctr;
+        } else if ctr < self.base {
+            for _ in ctr..self.base {
+                self.slots.push_front(None);
+            }
+            self.base = ctr;
+        }
+        let i = (ctr - self.base) as usize;
+        if i >= self.slots.len() {
+            self.slots.resize_with(i + 1, || None);
+        }
+        let slot = &mut self.slots[i];
+        assert!(slot.is_none(), "token inserted while already live");
+        *slot = Some(batch);
+    }
+
+    /// Retire `ctr`, popping any holes this opens at the front.
+    #[inline]
+    fn take(&mut self, ctr: u32) -> Option<Batch> {
+        let batch = self.slot_mut(ctr)?.take()?;
+        while let Some(None) = self.slots.front() {
+            self.slots.pop_front();
+            self.base += 1;
+        }
+        Some(batch)
+    }
+
+    /// Live batches with their counters, in counter order.
+    fn iter(&self) -> impl Iterator<Item = (u32, &Batch)> {
+        let base = self.base;
+        self.slots
+            .iter()
+            .enumerate()
+            .filter_map(move |(i, b)| Some((base + i as u32, b.as_ref()?)))
+    }
+}
+
+/// Arena of in-flight batches keyed by `(allocating daemon, counter)`: one
+/// [`Window`] per daemon, so `get`/`get_mut`/`remove` are O(1) however
+/// large a saturated consumer lets the backlog grow. Iteration order —
+/// daemon index major, counter order minor — is deterministic and
+/// independent of how shards interleave.
 #[derive(Default)]
 pub struct TokenTable {
-    /// Live batches per allocating daemon, in wrap-aware counter order.
-    slots: Vec<Vec<(u16, Batch)>>,
-    /// Next counter per daemon (wrapping 12-bit).
-    ctrs: Vec<u16>,
-    // lint:allow(snapshot-exempt): recomputed as the sum of slot lengths while load rebuilds the slots
+    /// Live batches per allocating daemon.
+    windows: Vec<Window>,
+    /// Next counter each daemon allocates.
+    next: Vec<u32>,
+    // lint:allow(snapshot-exempt): recomputed as the number of live slots while load rebuilds the windows
     live: usize,
 }
 
 impl TokenTable {
-    /// One table slot per daemon, pre-sized for the steady-state handful
-    /// of concurrently live batches each daemon keeps in flight.
+    /// One empty window per daemon.
     pub fn with_pds(pds: usize) -> TokenTable {
         TokenTable {
-            slots: (0..pds).map(|_| Vec::with_capacity(8)).collect(),
-            ctrs: vec![0; pds],
+            windows: (0..pds).map(|_| Window::default()).collect(),
+            next: vec![0; pds],
             live: 0,
         }
     }
 
-    /// Number of daemon slots (fixed by the configuration).
+    /// Number of daemon windows (fixed by the configuration).
     pub fn pds(&self) -> usize {
-        self.slots.len()
+        self.windows.len()
     }
 
     /// Store a batch allocated by daemon `pd`, returning its token.
+    ///
+    /// # Panics
+    /// Panics if `pd` has exhausted its 2^32 counters.
     pub fn insert(&mut self, pd: PdId, batch: Batch) -> Token {
-        let ctr = self.ctrs[pd as usize];
-        self.ctrs[pd as usize] = ctr.wrapping_add(1) & TOKEN_CTR_MASK as u16;
-        debug_assert!(
-            !self.slots[pd as usize].iter().any(|&(c, _)| c == ctr),
-            "token counter wrapped onto a live batch"
-        );
-        self.slots[pd as usize].push((ctr, batch));
+        let ctr = self.next[pd as usize];
+        self.next[pd as usize] = ctr.checked_add(1).expect("token counter exhausted");
+        self.windows[pd as usize].put(ctr, batch);
         self.live += 1;
-        ((pd as u32) << TOKEN_CTR_BITS) | ctr as u32
+        ((pd as Token) << TOKEN_CTR_BITS) | ctr as Token
     }
 
     /// Re-insert a batch under a token allocated elsewhere (a cross-shard
-    /// arrival), preserving the per-daemon allocation order.
+    /// arrival) at its counter's place in the allocator's window.
     pub fn insert_at(&mut self, t: Token, batch: Batch) {
-        let pd = (t >> TOKEN_CTR_BITS) as usize;
-        let ctr = (t & TOKEN_CTR_MASK) as u16;
-        let v = &mut self.slots[pd];
-        debug_assert!(!v.iter().any(|&(c, _)| c == ctr), "token re-inserted while live");
-        let pos = v
-            .iter()
-            .position(|&(c, _)| ctr_before(ctr, c))
-            .unwrap_or(v.len());
-        v.insert(pos, (ctr, batch));
+        let (pd, ctr) = split(t);
+        self.windows[pd].put(ctr, batch);
         self.live += 1;
     }
 
     /// Shared access to a live batch (`None` if the token was consumed).
     #[inline]
     pub fn get(&self, t: Token) -> Option<&Batch> {
-        let ctr = (t & TOKEN_CTR_MASK) as u16;
-        self.slots
-            .get((t >> TOKEN_CTR_BITS) as usize)?
-            .iter()
-            .find(|&&(c, _)| c == ctr)
-            .map(|(_, b)| b)
+        let (pd, ctr) = split(t);
+        self.windows.get(pd)?.slot(ctr)?.as_ref()
     }
 
     /// Mutable access to a live batch.
     #[inline]
     pub fn get_mut(&mut self, t: Token) -> Option<&mut Batch> {
-        let ctr = (t & TOKEN_CTR_MASK) as u16;
-        self.slots
-            .get_mut((t >> TOKEN_CTR_BITS) as usize)?
-            .iter_mut()
-            .find(|&&mut (c, _)| c == ctr)
-            .map(|(_, b)| b)
+        let (pd, ctr) = split(t);
+        self.windows.get_mut(pd)?.slot_mut(ctr)?.as_mut()
     }
 
     /// Remove and return a live batch.
+    #[inline]
     pub fn remove(&mut self, t: Token) -> Option<Batch> {
-        let ctr = (t & TOKEN_CTR_MASK) as u16;
-        let v = self.slots.get_mut((t >> TOKEN_CTR_BITS) as usize)?;
-        let pos = v.iter().position(|&(c, _)| c == ctr)?;
+        let (pd, ctr) = split(t);
+        let batch = self.windows.get_mut(pd)?.take(ctr)?;
         self.live -= 1;
-        Some(v.remove(pos).1)
+        Some(batch)
     }
 
     /// Number of live batches.
@@ -134,41 +178,38 @@ impl TokenTable {
         self.live == 0
     }
 
+    /// Number of live batches allocated by daemon `pd`.
+    #[cfg(test)]
+    pub(crate) fn live_on(&self, pd: usize) -> usize {
+        self.windows[pd].iter().count()
+    }
+
     /// Iterate over live batches (daemon-major, allocation order —
     /// deterministic and shard-independent).
     pub fn values(&self) -> impl Iterator<Item = &Batch> {
-        self.slots.iter().flat_map(|v| v.iter().map(|(_, b)| b))
+        self.windows.iter().flat_map(|w| w.iter().map(|(_, b)| b))
     }
 
     /// Combine per-shard tables back into the serial table: each daemon's
     /// next counter comes from the daemon's owning shard (the only place
     /// it allocates), and the live batches — scattered across whichever
-    /// shards currently hold them — are unioned back into allocation
-    /// order.
+    /// shards currently hold them — are put back at their counters.
     pub fn absorb(tables: Vec<TokenTable>, owner_of_pd: impl Fn(usize) -> usize) -> TokenTable {
         let pds = tables.first().map_or(0, TokenTable::pds);
         let mut out = TokenTable::with_pds(pds);
         for pd in 0..pds {
-            out.ctrs[pd] = tables[owner_of_pd(pd)].ctrs[pd];
+            out.next[pd] = tables[owner_of_pd(pd)].next[pd];
         }
-        for mut t in tables {
+        for t in tables {
             debug_assert_eq!(t.pds(), pds);
             out.live += t.live;
-            for (pd, v) in t.slots.iter_mut().enumerate() {
-                out.slots[pd].append(v);
-            }
-        }
-        for v in &mut out.slots {
-            v.sort_unstable_by(|&(a, _), &(b, _)| {
-                if a == b {
-                    std::cmp::Ordering::Equal
-                } else if ctr_before(a, b) {
-                    std::cmp::Ordering::Less
-                } else {
-                    std::cmp::Ordering::Greater
+            for (pd, w) in t.windows.into_iter().enumerate() {
+                for (i, b) in w.slots.into_iter().enumerate() {
+                    if let Some(b) = b {
+                        out.windows[pd].put(w.base + i as u32, b);
+                    }
                 }
-            });
-            debug_assert!(v.windows(2).all(|p| p[0].0 != p[1].0), "duplicate live token");
+            }
         }
         out
     }
@@ -459,54 +500,66 @@ impl Persist for Batch {
     }
 }
 
-impl Persist for TokenTable {
+/// A window encodes canonically — `base` and the slots up to its newest
+/// live batch, `0` and no slots when empty — so tables holding the same
+/// batches encode identically whatever holes their histories left (a
+/// sharded run's reunited table and the serial one). Every slot costs an
+/// input byte, so a decoded window never allocates beyond its input.
+impl Persist for Window {
     fn save(&self, w: &mut Enc) {
-        w.put_u32(self.slots.len() as u32);
-        for v in &self.slots {
-            w.put_u32(v.len() as u32);
-            for (c, b) in v {
-                w.put_u32(*c as u32);
-                b.save(w);
-            }
-        }
-        for &c in &self.ctrs {
-            w.put_u32(c as u32);
+        let len = self
+            .slots
+            .iter()
+            .rposition(Option::is_some)
+            .map_or(0, |i| i + 1);
+        w.put_u32(if len == 0 { 0 } else { self.base });
+        w.put_usize(len);
+        for slot in self.slots.range(..len) {
+            slot.save(w);
         }
     }
     fn load(r: &mut Dec<'_>) -> Result<Self, SnapError> {
-        let pds = r.take_u32()? as usize;
-        let mut slots = Vec::with_capacity(pds);
-        let mut live = 0usize;
-        for _ in 0..pds {
-            let n = r.take_u32()? as usize;
-            let mut v: Vec<(u16, Batch)> = Vec::with_capacity(n.max(8));
-            for _ in 0..n {
-                let c = r.take_u32()?;
-                if c > TOKEN_CTR_MASK {
-                    return Err(SnapError::Malformed("token counter out of range"));
-                }
-                v.push((c as u16, Persist::load(r)?));
-            }
-            // Allocation order (wrap-aware, strictly increasing) is part of
-            // the format: iteration order feeds deterministic drains.
-            if !v
-                .windows(2)
-                .all(|p| ctr_before(p[0].0, p[1].0))
-            {
-                return Err(SnapError::Malformed("token table slot order"));
-            }
-            live += v.len();
-            slots.push(v);
+        let base = r.take_u32()?;
+        let slots: VecDeque<Option<Batch>> = Persist::load(r)?;
+        let canonical = match (slots.front(), slots.back()) {
+            (Some(front), Some(back)) => front.is_some() && back.is_some(),
+            _ => base == 0,
+        };
+        if !canonical {
+            return Err(SnapError::Malformed("token window not canonical"));
         }
-        let mut ctrs = Vec::with_capacity(pds);
-        for _ in 0..pds {
-            let c = r.take_u32()?;
-            if c > TOKEN_CTR_MASK {
-                return Err(SnapError::Malformed("token table counter"));
-            }
-            ctrs.push(c as u16);
+        Ok(Window { base, slots })
+    }
+}
+
+impl Persist for TokenTable {
+    fn save(&self, w: &mut Enc) {
+        self.windows.save(w);
+        self.next.save(w);
+    }
+    fn load(r: &mut Dec<'_>) -> Result<Self, SnapError> {
+        let windows: Vec<Window> = Persist::load(r)?;
+        let next: Vec<u32> = Persist::load(r)?;
+        if next.len() != windows.len() {
+            return Err(SnapError::Malformed("token table shape"));
         }
-        Ok(TokenTable { slots, ctrs, live })
+        // Every live batch was allocated before its daemon's next one.
+        if windows
+            .iter()
+            .zip(&next)
+            .any(|(w, &n)| w.base as u64 + w.slots.len() as u64 > n as u64)
+        {
+            return Err(SnapError::Malformed("token table counter"));
+        }
+        let live = windows
+            .iter()
+            .map(|w| w.slots.iter().flatten().count())
+            .sum();
+        Ok(TokenTable {
+            windows,
+            next,
+            live,
+        })
     }
 }
 
@@ -520,16 +573,16 @@ impl Persist for CpuKind {
             CpuKind::PdCollect { pd, token } => {
                 w.put_u8(1);
                 w.put_u32(pd);
-                w.put_u32(token);
+                w.put_u64(token);
             }
             CpuKind::PdMerge { node, token } => {
                 w.put_u8(2);
                 w.put_u32(node);
-                w.put_u32(token);
+                w.put_u64(token);
             }
             CpuKind::MainRecv { token } => {
                 w.put_u8(3);
-                w.put_u32(token);
+                w.put_u64(token);
             }
             CpuKind::PvmdCpu { node } => {
                 w.put_u8(4);
@@ -543,13 +596,13 @@ impl Persist for CpuKind {
             0 => CpuKind::AppCompute { app: r.take_u32()? },
             1 => CpuKind::PdCollect {
                 pd: r.take_u32()?,
-                token: r.take_u32()?,
+                token: r.take_u64()?,
             },
             2 => CpuKind::PdMerge {
                 node: r.take_u32()?,
-                token: r.take_u32()?,
+                token: r.take_u64()?,
             },
-            3 => CpuKind::MainRecv { token: r.take_u32()? },
+            3 => CpuKind::MainRecv { token: r.take_u64()? },
             4 => CpuKind::PvmdCpu { node: r.take_u32()? },
             5 => CpuKind::OtherCpu,
             _ => return Err(SnapError::Malformed("CpuKind tag")),
@@ -598,7 +651,7 @@ impl Persist for NetJob {
             }
             NetJob::Forward { token, dest } => {
                 w.put_u8(1);
-                w.put_u32(token);
+                w.put_u64(token);
                 dest.save(w);
             }
             NetJob::PvmdNet { node } => {
@@ -615,7 +668,7 @@ impl Persist for NetJob {
         Ok(match r.take_u8()? {
             0 => NetJob::AppComm { app: r.take_u32()? },
             1 => NetJob::Forward {
-                token: r.take_u32()?,
+                token: r.take_u64()?,
                 dest: Persist::load(r)?,
             },
             2 => NetJob::PvmdNet { node: r.take_u32()? },
@@ -679,7 +732,7 @@ impl Persist for Ev {
             } => {
                 w.put_u8(12);
                 w.put_u32(pd);
-                w.put_u32(token);
+                w.put_u64(token);
                 w.put_f64(demand_us);
             }
             Ev::MainStall => w.put_u8(13),
@@ -717,7 +770,7 @@ impl Persist for Ev {
             11 => Ev::DaemonRecover { pd: r.take_u32()? },
             12 => Ev::RetryForward {
                 pd: r.take_u32()?,
-                token: r.take_u32()?,
+                token: r.take_u64()?,
                 demand_us: r.take_f64()?,
             },
             13 => Ev::MainStall,
@@ -807,6 +860,39 @@ mod tests {
         let mut merged = merged;
         let mut serial = serial;
         assert_eq!(merged.insert(0, batch(30)), serial.insert(0, batch(30)));
+    }
+
+    #[test]
+    fn token_table_decode_rejects_non_canonical_windows() {
+        // One window at base 5: [hole, live] has a leading hole, [live,
+        // hole] a trailing one; [live, live] is fine only below `next`.
+        let encode = |slots: &[bool], next: u32| {
+            let mut w = Enc::new();
+            w.put_usize(1);
+            w.put_u32(5);
+            w.put_usize(slots.len());
+            for &live in slots {
+                let slot = live.then(|| batch(1));
+                slot.save(&mut w);
+            }
+            w.put_usize(1);
+            w.put_u32(next);
+            w.into_bytes()
+        };
+        let decode = |bytes: Vec<u8>| TokenTable::load(&mut Dec::new(&bytes));
+        assert!(decode(encode(&[false, true], 9)).is_err());
+        assert!(decode(encode(&[true, false], 9)).is_err());
+        assert!(decode(encode(&[true, true], 6)).is_err());
+        let tab = decode(encode(&[true, true], 7)).expect("canonical window");
+        assert_eq!(tab.len(), 2);
+        assert!(tab.get(6).is_some() && tab.get(7).is_none());
+    }
+
+    #[test]
+    fn event_and_job_sizes() {
+        // Widening `Token` to 64 bits must not grow the calendar's entries.
+        assert_eq!(std::mem::size_of::<Ev>(), 24);
+        assert!(std::mem::size_of::<CpuJob>() <= 24);
     }
 
     #[test]

@@ -38,7 +38,8 @@ echo "== paradyn-lint mutation self-checks (seeded violations must go red) =="
 mut_dir="$(mktemp -d)"
 chaos_dir="$(mktemp -d)"
 ratchet_dir="$(mktemp -d)"
-trap 'rm -rf "$mut_dir" "$chaos_dir" "$ratchet_dir"' EXIT
+token_dir="$(mktemp -d)"
+trap 'rm -rf "$mut_dir" "$chaos_dir" "$ratchet_dir" "$token_dir"' EXIT
 # The workspace passes read the whole tree (Acc lives in crates/core, the
 # conservation identity in src/chaos.rs), so the scratch copy carries the
 # root package sources too.
@@ -182,6 +183,32 @@ grep -q "shrunk input tape" "$chaos_out" || {
   exit 1
 }
 echo "chaos mutation self-check: seeded bug found and shrunk"
+
+echo "== token-counter mutation self-check (a 12-bit counter must go red) =="
+# Scratch copy with the per-daemon batch counter masked back to 12 bits:
+# the overloaded CF regression drives one daemon past 4096 live batches,
+# so the counter wraps onto a live one and that test must fail by name.
+token_test="saturated_main_keeps_pipe_books_past_4096_live_batches"
+cp Cargo.toml Cargo.lock "$token_dir"/
+cp -r crates src tests examples "$token_dir"/
+sed -i 's/ctr\.checked_add(1)\.expect("token counter exhausted")/(ctr + 1) \& 0xfff/' \
+  "$token_dir/crates/core/src/model/types.rs"
+grep -q '(ctr + 1) & 0xfff' "$token_dir/crates/core/src/model/types.rs" || {
+  echo "verify: FAIL — could not mask the token counter" >&2
+  exit 1
+}
+token_out="$token_dir/token-out.txt"
+set +e
+( cd "$token_dir" && CARGO_TARGET_DIR="$token_dir/target" \
+    cargo test -q --offline -p paradyn-core --lib "$token_test" ) > "$token_out" 2>&1
+token_rc=$?
+set -e
+if [ "$token_rc" -eq 0 ] || ! grep -q "^    model::tests::$token_test\$" "$token_out"; then
+  echo "verify: FAIL — $token_test did not go red with a 12-bit counter:" >&2
+  tail -n 40 "$token_out" >&2
+  exit 1
+fi
+echo "token-counter mutation self-check: $token_test correctly failed"
 
 echo "== fault-sweep smoke (repro faults, quick scale) =="
 cargo run --release --offline -p paradyn-bench --bin repro -- --scale quick faults
