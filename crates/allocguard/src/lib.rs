@@ -2,8 +2,8 @@
 //!
 //! The DES hot path is budgeted to **zero heap allocations per delivered
 //! event** in the steady state (DESIGN.md §10): every buffer the delivery
-//! loop touches — wheel buckets, the staged queue, the engine's batch
-//! buffer, the slot slab — reaches a stable capacity during warmup and is
+//! loop touches — the calendar's entry arena and bucket array, the engine's
+//! batch buffer, the slot slab — reaches a stable capacity during warmup and is
 //! reused thereafter. Wall-clock benchmarks can only show the *symptom* of
 //! a regression (throughput loss, often hidden inside machine noise); this
 //! crate makes the *cause* directly observable by counting every heap
@@ -21,45 +21,61 @@
 //! assert_eq!(mark.allocations_since(), 0);
 //! ```
 //!
-//! The counters are process-global relaxed atomics: cheap enough to leave
-//! enabled for a whole test binary, exact as long as the measured window
-//! runs on a single thread (the DES kernel is single-threaded by design;
-//! replication-level parallelism uses one `Sim` per thread, so a per-`Sim`
-//! measurement must simply not overlap other allocating threads).
+//! The counters are **per thread**: each counts only the heap operations
+//! made by the thread reading it, so tests that the harness runs on
+//! parallel threads cannot count each other's allocations. A window
+//! measured on the thread that drives the `Sim` is exact whatever else the
+//! process is doing (the DES kernel is single-threaded by design;
+//! replication-level parallelism uses one `Sim` per thread).
 //!
 //! Zero dependencies: delegation goes straight to [`std::alloc::System`],
-//! so the accounting adds two relaxed atomic increments per heap operation
-//! and changes no allocation behavior.
+//! so the accounting adds two thread-local increments per heap operation
+//! and changes no allocation behavior. The thread-locals are
+//! const-initialized with no destructor, so touching them from inside the
+//! allocator never allocates and never fails.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::cell::Cell;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static DEALLOCS: AtomicU64 = AtomicU64::new(0);
-static REALLOCS: AtomicU64 = AtomicU64::new(0);
-static BYTES: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static DEALLOCS: Cell<u64> = const { Cell::new(0) };
+    static REALLOCS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Add `n` to this thread's counter `c`.
+#[inline]
+fn bump(c: &'static std::thread::LocalKey<Cell<u64>>, n: u64) {
+    c.with(|v| v.set(v.get() + n));
+}
+
+/// Read this thread's counter `c`.
+fn read(c: &'static std::thread::LocalKey<Cell<u64>>) -> u64 {
+    c.with(Cell::get)
+}
 
 /// A `#[global_allocator]` that counts every heap operation, then delegates
 /// to [`System`].
 pub struct CountingAlloc;
 
 // SAFETY: pure delegation to `System`, which upholds the `GlobalAlloc`
-// contract; the added atomic increments touch no allocator state.
+// contract; the added thread-local increments touch no allocator state.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Relaxed);
-        BYTES.fetch_add(layout.size() as u64, Relaxed);
+        bump(&ALLOCS, 1);
+        bump(&BYTES, layout.size() as u64);
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Relaxed);
-        BYTES.fetch_add(layout.size() as u64, Relaxed);
+        bump(&ALLOCS, 1);
+        bump(&BYTES, layout.size() as u64);
         System.alloc_zeroed(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        DEALLOCS.fetch_add(1, Relaxed);
+        bump(&DEALLOCS, 1);
         System.dealloc(ptr, layout)
     }
 
@@ -67,33 +83,34 @@ unsafe impl GlobalAlloc for CountingAlloc {
         // A realloc is heap traffic just like a fresh allocation (it may
         // move the block); a hot path that grows a buffer every event
         // must not pass the zero-alloc gate on a technicality.
-        REALLOCS.fetch_add(1, Relaxed);
-        BYTES.fetch_add(new_size as u64, Relaxed);
+        bump(&REALLOCS, 1);
+        bump(&BYTES, new_size as u64);
         System.realloc(ptr, layout, new_size)
     }
 }
 
-/// Heap allocations (incl. zeroed) since process start.
+/// Heap allocations (incl. zeroed) made by this thread so far.
 pub fn allocations() -> u64 {
-    ALLOCS.load(Relaxed)
+    read(&ALLOCS)
 }
 
-/// Heap deallocations since process start.
+/// Heap deallocations made by this thread so far.
 pub fn deallocations() -> u64 {
-    DEALLOCS.load(Relaxed)
+    read(&DEALLOCS)
 }
 
-/// Heap reallocations since process start.
+/// Heap reallocations made by this thread so far.
 pub fn reallocations() -> u64 {
-    REALLOCS.load(Relaxed)
+    read(&REALLOCS)
 }
 
-/// Total bytes requested (alloc + realloc) since process start.
+/// Total bytes requested (alloc + realloc) by this thread so far.
 pub fn bytes_requested() -> u64 {
-    BYTES.load(Relaxed)
+    read(&BYTES)
 }
 
-/// A point-in-time snapshot of the counters, for windowed measurements.
+/// A point-in-time snapshot of this thread's counters, for windowed
+/// measurements. Read it back on the same thread.
 #[derive(Clone, Copy, Debug)]
 pub struct Checkpoint {
     allocs: u64,
@@ -102,7 +119,7 @@ pub struct Checkpoint {
     bytes: u64,
 }
 
-/// Snapshot the counters now.
+/// Snapshot this thread's counters now.
 pub fn checkpoint() -> Checkpoint {
     Checkpoint {
         allocs: allocations(),

@@ -40,3 +40,39 @@ fn in_place_mutation_is_free() {
     assert_eq!(mark.heap_traffic_since(), 0);
     assert_eq!(mark.deallocations_since(), 0);
 }
+
+#[test]
+fn counters_are_scoped_to_the_calling_thread() {
+    // The harness runs tests on parallel threads; a window measured here
+    // must not see another thread's heap traffic, while that thread still
+    // sees its own. Spawning allocates on this thread, so the window opens
+    // after the spawn and the two threads meet at a barrier around the
+    // other thread's allocation.
+    use std::sync::{Arc, Barrier};
+    let gate = Arc::new(Barrier::new(2));
+    let other = {
+        let gate = Arc::clone(&gate);
+        std::thread::spawn(move || {
+            gate.wait();
+            let mark = checkpoint();
+            let v: Vec<u64> = Vec::with_capacity(4096);
+            drop(v);
+            let seen = mark.allocations_since();
+            gate.wait();
+            seen
+        })
+    };
+    let mark = checkpoint();
+    gate.wait();
+    gate.wait();
+    let here = mark.allocations_since();
+    let there = other.join().unwrap();
+    assert!(
+        there >= 1,
+        "the allocating thread must count its own allocation"
+    );
+    assert_eq!(
+        here, 0,
+        "another thread's allocations leaked into this thread's window"
+    );
+}

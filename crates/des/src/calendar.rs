@@ -1,58 +1,56 @@
-//! Event calendars: the hierarchical timing wheel (default) and the legacy
+//! Event calendars: a one-level hashed timing wheel (the default) and the
 //! binary-heap fallback, behind one interface with generation-stamped O(1)
 //! cancellation.
 //!
-//! ## Why a wheel
+//! ## Why a hashed wheel
 //!
 //! The original calendar was a `BinaryHeap` ordered by `(time, seq)` with a
 //! `HashSet<u64>` of cancelled sequence numbers probed on every pop: O(log n)
 //! per operation, a hash probe per pop, and unbounded growth of the cancelled
-//! set when handles were cancelled after firing. The wheel replaces all three
-//! costs: amortized O(1) enqueue/dequeue keyed on the integer-nanosecond
-//! clock, and cancellation through a slot slab whose generation stamps make
-//! stale handles (fired or already-cancelled) exact no-ops with no residue.
+//! set when handles were cancelled after firing. The wheel is Brown's
+//! calendar queue (CACM 1988), scheme 5 of Varghese & Lauck (1987): amortized
+//! O(1) enqueue/dequeue keyed on the integer-nanosecond clock. Cancellation
+//! goes through a slot slab whose generation stamps make stale handles
+//! (fired or already-cancelled) exact no-ops with no residue.
 //!
-//! ## Wheel geometry (see DESIGN.md §5.7)
+//! ## Geometry (see DESIGN.md §5.7)
 //!
-//! All placement math runs in the **key domain**: `key(t) = t >> RES_BITS`.
-//! A level-0 bucket spans 2^[`RES_BITS`] = 64 ns. The resolution trades
-//! cascade depth against staged-queue sorting: events closer together than
-//! one bucket share a key and must be kept `(time, seq)`-sorted when the
-//! bucket is staged, which degenerates into an O(n) insertion sort once
-//! typical inter-event gaps fall below the bucket span (a 4 µs bucket
-//! turned the dense timer-bank benchmark into exactly that). 64 ns sits
-//! under the gaps of every measured workload while still shaving one
-//! cascade level off the model's millisecond-scale delays relative to
-//! full 1 ns resolution.
-//!
-//! * [`LEVELS`] levels of [`SLOTS`] = 2^[`LEVEL_BITS`] buckets each; level
-//!   *l* spans 64^*l* keys. 10 levels × 6 bits = 60 bits ≥ the 58 key bits
-//!   of the full `u64` nanosecond clock. (A wider 256-bucket geometry was
-//!   measured and rejected: the op mix is identical but the 4× larger,
-//!   scattered bucket array loses on cache locality.)
-//! * An event with key `k` lives at the level of the highest bit in which
-//!   `k` differs from the cursor's key (the cursor is the time of the last
-//!   delivered event), in bucket `(k >> 6·l) & 63`. Every bucket therefore
-//!   sits inside the cursor's parent bucket at the level above — no ring
-//!   wraparound.
-//! * A one-word occupancy bitmap per level makes "earliest non-empty
-//!   bucket" a single `trailing_zeros` instruction, and a cached minimal
-//!   candidate (kept exact by `place`) skips even that scan on most pops.
+//! * `nb` buckets (a power of two), each `2^shift` ns wide. The *virtual
+//!   bucket* of a time is `at >> shift`; its bucket is `(at >> shift) &
+//!   (nb - 1)`. One lap of the buckets is a "year" of `nb · 2^shift` ns.
+//! * Entries live in one arena `Vec` with a free list. Each bucket is an
+//!   intrusive singly linked list sorted by `(at, seq)`; linking an entry
+//!   into its bucket is the only move it makes per event (a resize
+//!   relinks everything at once).
+//! * The cursor is a bucket index plus the last nanosecond of its window in
+//!   the current year, i.e. a virtual bucket `vb`. **Invariant:** every
+//!   stored entry has `at >> shift >= vb`. A bucket's head is its minimum,
+//!   so a head inside the cursor's window is the global minimum.
+//!   A pop walks forward until a head falls inside the window; a full year
+//!   with no hit falls back to a direct O(nb) search of the heads.
 //!
 //! ## Determinism argument
 //!
 //! Events must fire in `(time, seq)` order with ties in schedule order, bit
-//! for bit identical to the heap. The wheel guarantees this structurally:
+//! for bit identical to the heap. Here that order is structural: every
+//! bucket list is kept sorted by `(at, seq)` on insertion, and the invariant
+//! above makes the head in the cursor's window the global minimum. No
+//! delivery decision depends on bucket count, width or resize history, so a
+//! same-timestamp run is contiguous at the head of its bucket and drains in
+//! `seq` order.
 //!
-//! 1. the earliest candidate bucket is chosen by *bucket base key*, and on a
-//!    base-key tie a higher level is promoted (cascaded) before a level-0
-//!    bucket is delivered, so no event can hide above a bucket being drained;
-//! 2. a level-0 bucket holds exactly one key (entries within 2^RES_BITS ns
-//!    of each other), and is **sorted by `(time, seq)`** when staged for
-//!    delivery, so order never depends on cascade history;
-//! 3. `seq` is globally monotone and the staged queue is kept sorted: an
-//!    event scheduled *into the staged key* after staging is inserted at its
-//!    `(time, seq)` position (almost always the back).
+//! **Cursor rewind.** A horizon-bounded pop may advance the cursor past the
+//! horizon (it walked there looking for the next event). An entry scheduled
+//! afterwards, before the cursor's window, rewinds the cursor to its own
+//! virtual bucket; without the rewind it would sit behind the cursor until
+//! the walk came round a year later and fire out of order.
+//!
+//! **Resize.** The bucket count doubles above 2·nb stored entries and halves
+//! below nb/2, so a population must change by 2× to resize twice. Each
+//! resize re-estimates the width as about 3× the mean gap of the earliest
+//! [`WIDTH_SAMPLE`] entries and relinks every entry in `(at, seq)` order.
+//! The walk path also re-estimates a width that leaves walks crossing
+//! many empty buckets, which no population change would otherwise fix.
 //!
 //! The differential property test (`tests/calendar_diff.rs`) drives random
 //! schedule/cancel/run sequences through both backends and asserts identical
@@ -61,27 +59,22 @@
 use crate::time::SimTime;
 
 use std::cmp::{Ordering, Reverse};
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
-/// Bits per wheel level (64 buckets per level).
-pub const LEVEL_BITS: u32 = 6;
-/// Buckets per wheel level.
-pub const SLOTS: usize = 1 << LEVEL_BITS;
-/// 64-bit words per level-occupancy bitmap.
-const WORDS: usize = SLOTS / 64;
-/// Resolution shift: a level-0 bucket spans `2^RES_BITS` nanoseconds.
-/// Placement keys are `at >> RES_BITS`; full-resolution order within a
-/// bucket is restored by the `(time, seq)` sort at staging time.
-pub const RES_BITS: u32 = 6;
-/// Wheel levels; `LEVELS * LEVEL_BITS >= 64 - RES_BITS` covers the whole
-/// key space.
-pub const LEVELS: usize = 10;
-
-/// Placement key of an absolute time: the wheel's unit of geometry.
-#[inline]
-fn key(at: u64) -> u64 {
-    at >> RES_BITS
-}
+/// Null link: the end of a bucket list or of the free list.
+const NIL: u32 = u32::MAX;
+/// The hashed wheel never shrinks below this many buckets.
+const MIN_BUCKETS: usize = 2;
+/// Bucket width (log2 ns) of a fresh wheel, before the first resize has
+/// measured the event spacing: 4 µs.
+const INITIAL_SHIFT: u32 = 12;
+/// Entries from the front of the queue whose mean gap sets the bucket width
+/// at a resize.
+const WIDTH_SAMPLE: usize = 64;
+/// Cursor walks between checks of the bucket width.
+const RETUNE_WALKS: u64 = 64;
+/// Mean empty buckets per walk above which the width is re-estimated.
+const RETUNE_STEPS: u64 = 2;
 
 /// Handle to a scheduled event, usable for cancellation.
 ///
@@ -97,8 +90,8 @@ pub struct EventHandle {
 /// Which calendar implementation a [`crate::Sim`] uses.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum CalendarKind {
-    /// Hierarchical timing wheel: amortized O(1) schedule/pop/cancel.
-    /// The default.
+    /// One-level hashed timing wheel (calendar queue): amortized O(1)
+    /// schedule/pop/cancel. The default.
     Wheel,
     /// The legacy binary heap: O(log n) schedule/pop (kept as a fallback
     /// and as the differential-testing oracle).
@@ -224,7 +217,7 @@ impl Slab {
     }
 }
 
-/// A pending event as stored by either backend.
+/// A pending event as stored by the heap backend.
 struct Entry<E> {
     at: u64,
     seq: u64,
@@ -250,553 +243,323 @@ impl<E> Ord for Entry<E> {
     }
 }
 
-/// The hierarchical timing wheel.
+/// One arena slot of the hashed wheel.
+struct Node<E> {
+    at: u64,
+    seq: u64,
+    slot: u32,
+    /// Next node of the same bucket (in `(at, seq)` order), or of the free
+    /// list.
+    next: u32,
+    /// `None` exactly while the node is on the free list.
+    ev: Option<E>,
+}
+
+/// The one-level hashed timing wheel (see the module docs).
 struct Wheel<E> {
-    /// Time of the last delivered event (placement reference point).
-    cursor: u64,
-    /// Per-level bucket-occupancy bitmaps, [`WORDS`] words per level.
-    occupied: [[u64; WORDS]; LEVELS],
-    /// Which levels have a non-zero `occupied` bitmap: the candidate scan
-    /// only visits set bits instead of all [`LEVELS`] levels.
-    level_summary: u16,
-    /// `LEVELS * SLOTS` flat bucket array; buckets keep their capacity
-    /// across drains, so the steady-state hot path allocates nothing.
-    buckets: Vec<Vec<Entry<E>>>,
-    /// Staged level-0 bucket: entries sharing one placement key, sorted by
-    /// `(at, seq)`, delivered from the front.
-    due: VecDeque<Entry<E>>,
-    /// Placement key of the staged entries (meaningful iff `due` is
-    /// non-empty).
-    due_key: u64,
-    /// Set when an event whose bucket precedes or spans `due_key` was
-    /// placed into the wheel while `due` was staged (only possible after a
-    /// horizon stop). While clear, the staged front is provably the global
-    /// minimum and pops skip the candidate scan entirely.
-    due_dirty: bool,
-    /// Cached minimal candidate bucket `(base, level, index)`. When `Some`,
-    /// it is the provably earliest occupied bucket: scans and cascades seed
-    /// it (a scan also records the runner-up, which becomes the cache when
-    /// the minimum is consumed), and [`Wheel::place`] keeps it exact by
-    /// replacing it with any placement that lands earlier. Pops consume it
-    /// instead of rescanning; `None` means "unknown — scan".
-    saved: Option<(u64, usize, usize)>,
-}
-
-/// Width of a level's bucket, in keys.
-#[inline]
-fn level_width(level: usize) -> u64 {
-    1u64 << (LEVEL_BITS * level as u32)
-}
-
-/// Bucket index of key `k` at `level`.
-#[inline]
-fn bucket_index(k: u64, level: usize) -> usize {
-    ((k >> (LEVEL_BITS * level as u32)) & (SLOTS as u64 - 1)) as usize
-}
-
-/// Level of the highest bit in which key `k` differs from key `ck` (0 when
-/// equal): the unique level whose bucket for `k` lies inside the cursor's
-/// parent bucket.
-#[inline]
-fn level_for(k: u64, ck: u64) -> usize {
-    let x = k ^ ck;
-    if x == 0 {
-        0
-    } else {
-        (63 - x.leading_zeros()) as usize / LEVEL_BITS as usize
-    }
+    /// Entry arena; grows only when the free list is empty, i.e. at a new
+    /// peak of stored entries.
+    nodes: Vec<Node<E>>,
+    /// Head of the free list threaded through `Node::next`.
+    free: u32,
+    /// Head node of each bucket; `heads.len()` is the bucket count `nb`.
+    heads: Vec<u32>,
+    /// Bucket width is `2^shift` ns.
+    shift: u32,
+    /// Cursor: the bucket being drained and the last nanosecond of its
+    /// current window (virtual bucket `cur_last >> shift`). No stored entry
+    /// lies before that window.
+    cur: usize,
+    cur_last: u64,
+    /// Stored entries, cancelled leftovers included.
+    len: usize,
+    /// Resize scratch, `(at, seq, node)` per stored entry. Kept across
+    /// resizes, so a steady population allocates nothing.
+    scratch: Vec<(u64, u64, u32)>,
+    /// Walks taken by [`Wheel::advance`] since the width was last checked,
+    /// and the empty buckets they crossed (a full year plus the direct
+    /// search count as 2·nb).
+    walks: u64,
+    steps: u64,
 }
 
 impl<E> Wheel<E> {
     fn new() -> Wheel<E> {
         Wheel {
-            cursor: 0,
-            occupied: [[0; WORDS]; LEVELS],
-            level_summary: 0,
-            // lint:allow(hot-path-alloc): construction-time bucket array
-            buckets: (0..LEVELS * SLOTS).map(|_| Vec::new()).collect(),
-            due: VecDeque::new(),
-            due_key: 0,
-            due_dirty: false,
-            saved: None,
+            // lint:allow(hot-path-alloc): construction-time; starts empty
+            nodes: Vec::new(),
+            free: NIL,
+            heads: vec![NIL; MIN_BUCKETS],
+            shift: INITIAL_SHIFT,
+            cur: 0,
+            cur_last: (1 << INITIAL_SHIFT) - 1,
+            len: 0,
+            // lint:allow(hot-path-alloc): construction-time; starts empty
+            scratch: Vec::new(),
+            walks: 0,
+            steps: 0,
         }
     }
 
-    /// Start key of bucket `i` at `level`, relative to the cursor's parent
-    /// at that level.
     #[inline]
-    fn bucket_base(&self, level: usize, i: usize) -> u64 {
-        let shift = LEVEL_BITS * (level as u32 + 1);
-        let ck = key(self.cursor);
-        let parent = if shift >= 64 { 0 } else { (ck >> shift) << shift };
-        parent + ((i as u64) << (LEVEL_BITS * level as u32))
+    fn mask(&self) -> usize {
+        self.heads.len() - 1
     }
 
-    /// Insert an entry. When the wheel is completely empty (no staged
-    /// entries, no occupied buckets — `no_live` tells us no live event is
-    /// pending), the entry is staged directly instead of placed: the
-    /// self-rescheduling pattern (one live event at a time, the dominant
-    /// shape in the ROCC model's timer chains) then never touches a bucket
-    /// or pays a cascade or scan.
+    /// The cursor's virtual bucket.
     #[inline]
-    fn insert(&mut self, e: Entry<E>, no_live: bool) {
-        if no_live && self.due.is_empty() && self.level_summary == 0 {
-            self.due_key = key(e.at);
-            self.due_dirty = false;
-            self.due.push_back(e);
-        } else {
-            self.place(e);
+    fn vb(&self) -> u64 {
+        self.cur_last >> self.shift
+    }
+
+    /// Put the cursor on virtual bucket `v`.
+    #[inline]
+    fn set_cursor(&mut self, v: u64) {
+        self.cur = v as usize & self.mask();
+        self.cur_last = (v << self.shift) | ((1 << self.shift) - 1);
+    }
+
+    /// Whether bucket head `h` lies inside the window ending at `last`
+    /// (given the cursor invariant, inside means in that very window).
+    #[inline]
+    fn in_window(&self, h: u32, last: u64) -> bool {
+        h != NIL && self.nodes[h as usize].at <= last
+    }
+
+    /// Link a new entry into its bucket after every entry that orders
+    /// before it, so equal keys keep insertion order.
+    #[inline]
+    fn insert(&mut self, at: u64, seq: u64, slot: u32, ev: E) {
+        let v = at >> self.shift;
+        if v < self.vb() {
+            self.set_cursor(v); // cursor rewind
         }
-    }
-
-    /// Splice an entry into the staged queue at its `(at, seq)` position.
-    /// New entries carry the globally maximal `seq` and almost always the
-    /// largest `(at, seq)` too, so the scan from the back is O(1) in
-    /// practice.
-    #[inline(never)]
-    fn splice_into_due(&mut self, e: Entry<E>) {
-        let k = (e.at, e.seq);
-        let mut pos = self.due.len();
-        while pos > 0 {
-            let p = &self.due[pos - 1];
-            if (p.at, p.seq) <= k {
+        let b = v as usize & self.mask();
+        let mut prev = NIL;
+        let mut next = self.heads[b];
+        while next != NIL {
+            let c = &self.nodes[next as usize];
+            if (c.at, c.seq) > (at, seq) {
                 break;
             }
-            pos -= 1;
+            prev = next;
+            next = c.next;
         }
-        self.due.insert(pos, e);
-    }
-
-    /// Insert an entry. Returns the `(base, level, index)` — all in the key
-    /// domain — of the bucket it landed in, or `None` when it joined the
-    /// staged `due` queue.
-    fn place(&mut self, e: Entry<E>) -> Option<(u64, usize, usize)> {
-        let k = key(e.at);
-        if !self.due.is_empty() && k == self.due_key {
-            // Same placement key as the staged bucket: splice at the
-            // `(at, seq)` position (the back, unless the staged bucket
-            // spans several timestamps and this one lands mid-queue).
-            self.splice_into_due(e);
-            return None;
-        }
-        let level = level_for(k, key(self.cursor));
-        let i = bucket_index(k, level);
-        // The bucket is width-aligned and contains `k`.
-        let base = k & !(level_width(level) - 1);
-        if !self.due.is_empty() && base <= self.due_key {
-            // The entry's bucket precedes the staged key, or its range
-            // spans it. The spanning case matters too: delivering `due`
-            // would rest the cursor inside this bucket's range, and later
-            // placements could then nest buckets inside it — breaking the
-            // range disjointness that `cascade`'s returned candidate and
-            // the single-entry delivery rely on. Either way the next pop
-            // rescans, cascading this bucket before the staged front fires.
-            self.due_dirty = true;
-        }
-        self.set_bucket_bit(level, i);
-        self.buckets[level * SLOTS + i].push(e);
-        // Keep the cached minimal candidate exact: a placement that lands
-        // earlier (base order, ties to the higher level) becomes the cache.
-        if let Some((sb, sl, _)) = self.saved {
-            if base < sb || (base == sb && level >= sl) {
-                self.saved = Some((base, level, i));
+        let node = Node {
+            at,
+            seq,
+            slot,
+            next,
+            ev: Some(ev),
+        };
+        let i = match self.free {
+            NIL => {
+                self.nodes.push(node);
+                (self.nodes.len() - 1) as u32
             }
+            i => {
+                self.free = self.nodes[i as usize].next;
+                self.nodes[i as usize] = node;
+                i
+            }
+        };
+        match prev {
+            NIL => self.heads[b] = i,
+            p => self.nodes[p as usize].next = i,
         }
-        Some((base, level, i))
+        self.len += 1;
+        if self.len > 2 * self.heads.len() {
+            self.resize(2 * self.heads.len());
+        }
     }
 
-    /// Mark bucket `i` at `level` occupied in the occupancy bitmaps.
+    /// Remove the head of bucket `b`, returning its `(at, slot, event)` and
+    /// putting the node on the free list.
     #[inline]
-    fn set_bucket_bit(&mut self, level: usize, i: usize) {
-        self.occupied[level][i >> 6] |= 1 << (i & 63);
-        self.level_summary |= 1 << level;
-    }
-
-    /// Mark bucket `i` at `level` empty in the occupancy bitmaps.
-    #[inline]
-    fn clear_bucket_bit(&mut self, level: usize, i: usize) {
-        self.occupied[level][i >> 6] &= !(1 << (i & 63));
-        if self.occupied[level] == [0; WORDS] {
-            self.level_summary &= !(1 << level);
-        }
-    }
-
-    /// Lowest-index occupied bucket at `level`, if any.
-    #[inline]
-    fn first_occupied(&self, level: usize) -> Option<usize> {
-        for (w, &word) in self.occupied[level].iter().enumerate() {
-            if word != 0 {
-                return Some(w * 64 + word.trailing_zeros() as usize);
-            }
-        }
-        None
-    }
-
-    /// Lowest occupied bucket at `level` with index strictly greater than
-    /// `after`, if any.
-    #[inline]
-    fn next_occupied(&self, level: usize, after: usize) -> Option<usize> {
-        let mut w = after >> 6;
-        let mut word = self.occupied[level][w] & (u64::MAX.checked_shl(1 + (after & 63) as u32).unwrap_or(0));
-        loop {
-            if word != 0 {
-                return Some(w * 64 + word.trailing_zeros() as usize);
-            }
-            w += 1;
-            if w >= WORDS {
-                return None;
-            }
-            word = self.occupied[level][w];
-        }
-    }
-
-    /// Earliest candidate bucket: `(base, level, index)` with minimal base;
-    /// on a base tie the *highest* level wins so it cascades before any
-    /// same-base level-0 bucket is delivered. Buckets wholly behind the
-    /// cursor hold only cancelled leftovers and are collected on sight.
-    fn min_candidate(
-        &mut self,
-        slab: &mut Slab,
-    ) -> (Option<(u64, usize, usize)>, Option<(u64, usize, usize)>) {
-        // Candidate order: base ascending, ties to the *higher* level (the
-        // wider bucket must cascade before a same-base narrower one fires).
-        #[inline]
-        fn earlier(a: (u64, usize, usize), b: (u64, usize, usize)) -> bool {
-            a.0 < b.0 || (a.0 == b.0 && a.1 > b.1)
-        }
-        #[inline]
-        fn consider(
-            best: &mut Option<(u64, usize, usize)>,
-            second: &mut Option<(u64, usize, usize)>,
-            cand: (u64, usize, usize),
-        ) {
-            match *best {
-                None => *best = Some(cand),
-                Some(b) if earlier(cand, b) => {
-                    *second = Some(b);
-                    *best = Some(cand);
-                }
-                Some(_) => match *second {
-                    Some(s) if !earlier(cand, s) => {}
-                    _ => *second = Some(cand),
-                },
-            }
-        }
-        let mut best: Option<(u64, usize, usize)> = None;
-        let mut second: Option<(u64, usize, usize)> = None;
-        let mut levels = self.level_summary;
-        while levels != 0 {
-            let level = levels.trailing_zeros() as usize;
-            levels &= levels - 1;
-            loop {
-                let i = match self.first_occupied(level) {
-                    Some(i) => i,
-                    None => {
-                        self.level_summary &= !(1 << level);
-                        break;
-                    }
-                };
-                let base = self.bucket_base(level, i);
-                if base.saturating_add(level_width(level)) <= key(self.cursor) {
-                    // Stale bucket: every live event is at or after the
-                    // cursor, so anything here was cancelled. Collect it.
-                    for e in self.buckets[level * SLOTS + i].drain(..) {
-                        debug_assert!(slab.is_cancelled(e.slot));
-                        slab.release(e.slot);
-                    }
-                    self.occupied[level][i >> 6] &= !(1 << (i & 63));
-                    continue;
-                }
-                consider(&mut best, &mut second, (base, level, i));
-                // The level's runner-up (if any) so the global runner-up is
-                // exact: within a level later indexes mean later bases, so
-                // only the next occupied bucket can contend.
-                if let Some(j) = self.next_occupied(level, i) {
-                    consider(&mut best, &mut second, (self.bucket_base(level, j), level, j));
-                }
-                break;
-            }
-        }
-        (best, second)
-    }
-
-    /// Redistribute one level>0 bucket to lower levels, first advancing the
-    /// cursor to the bucket base (safe: the base was the minimal candidate,
-    /// so no live event precedes it). Cancelled entries are collected here
-    /// instead of being re-placed.
-    ///
-    /// Returns the minimal bucket the live entries were re-placed into
-    /// (base order, ties to the higher level). Because bucket ranges are
-    /// disjoint and this bucket was the minimal candidate, every *other*
-    /// bucket starts at or after `base + width` — so the returned bucket is
-    /// the next global candidate and the caller can skip a full scan.
-    fn cascade(
-        &mut self,
-        slab: &mut Slab,
-        base: u64,
-        level: usize,
-        i: usize,
-    ) -> Option<(u64, usize, usize)> {
-        debug_assert!(level > 0);
-        self.cursor = self.cursor.max(base << RES_BITS);
-        self.clear_bucket_bit(level, i);
-        let mut bucket = std::mem::take(&mut self.buckets[level * SLOTS + i]);
-        let mut best: Option<(u64, usize, usize)> = None;
-        for e in bucket.drain(..) {
-            if slab.is_cancelled(e.slot) {
-                slab.release(e.slot);
-            } else {
-                debug_assert!(
-                    level_for(key(e.at), key(self.cursor)) < level,
-                    "cascade non-descent: at={} seq={} slot={} cursor={} base={} level={} i={}",
-                    e.at,
-                    e.seq,
-                    e.slot,
-                    self.cursor,
-                    base,
-                    level,
-                    i
-                );
-                if let Some((b, l, j)) = self.place(e) {
-                    match best {
-                        Some((bb, bl, _)) if bb < b || (bb == b && bl >= l) => {}
-                        _ => best = Some((b, l, j)),
-                    }
-                }
-            }
-        }
-        // Swap the (now empty) spare back to keep its capacity.
-        std::mem::swap(&mut self.buckets[level * SLOTS + i], &mut bucket);
-        best
-    }
-
-    /// Stage a level-0 bucket for delivery: drain it, sort by `(at, seq)`
-    /// (one placement key per bucket, so this is the full delivery order),
-    /// and expose it as the `due` queue.
-    fn stage(&mut self, base: u64, i: usize) {
-        debug_assert!(self.due.is_empty());
-        self.clear_bucket_bit(0, i);
-        let mut bucket = std::mem::take(&mut self.buckets[i]);
-        bucket.sort_unstable_by_key(|e| (e.at, e.seq));
-        self.due.extend(bucket.drain(..));
-        std::mem::swap(&mut self.buckets[i], &mut bucket);
-        self.due_key = base;
-        self.due_dirty = false;
-    }
-
-    /// Push staged entries back into the wheel. Needed when an event is
-    /// scheduled *earlier* than the staged key after a horizon stop —
-    /// rare, and re-staging re-sorts, so order is unaffected. Cancelled
-    /// entries (including pre-fast-forward leftovers staged from a reused
-    /// bucket) are collected here rather than re-placed.
-    fn unstage(&mut self, slab: &mut Slab) {
-        while let Some(e) = self.due.pop_front() {
-            if slab.is_cancelled(e.slot) {
-                slab.release(e.slot);
-                continue;
-            }
-            debug_assert_eq!(key(e.at), self.due_key);
-            let level = level_for(key(e.at), key(self.cursor));
-            let i = bucket_index(key(e.at), level);
-            self.set_bucket_bit(level, i);
-            self.buckets[level * SLOTS + i].push(e);
-        }
+    fn unlink_head(&mut self, b: usize) -> (u64, u32, E) {
+        let i = self.heads[b];
+        let n = &mut self.nodes[i as usize];
+        self.heads[b] = n.next;
+        n.next = self.free;
+        self.free = i;
+        self.len -= 1;
+        // lint:allow(panic-path): a linked node always holds its event; only free-list nodes are None
+        let ev = n.ev.take().expect("linked node holds an event");
+        (n.at, n.slot, ev)
     }
 
     /// Deliver the earliest live event with `at <= horizon`, collecting any
-    /// cancelled entries encountered on the way.
-    ///
-    /// While `due_dirty` is clear the staged front is the global minimum
-    /// (placements since staging were either spliced into the staged queue
-    /// or landed in buckets whose ranges lie strictly after `due_key`), so the
-    /// common self-rescheduling shape is a queue pop with no scan;
-    /// everything else is the outlined slow path.
+    /// cancelled entries met at the front on the way.
     #[inline(always)]
     fn pop_next_before(&mut self, slab: &mut Slab, horizon: u64) -> Option<(u64, E)> {
-        if !self.due_dirty {
-            if let Some(f) = self.due.front() {
-                if !slab.is_cancelled(f.slot) {
-                    if f.at > horizon {
-                        return None;
-                    }
-                    // lint:allow(panic-path): front() returned Some above; pop_front cannot fail
-                    let e = self.due.pop_front().expect("front checked live");
-                    slab.release(e.slot);
-                    self.cursor = self.cursor.max(e.at);
-                    return Some((e.at, e.ev));
-                }
-            }
-        }
-        self.pop_slow(slab, horizon)
-    }
-
-    #[inline(never)]
-    fn pop_slow(&mut self, slab: &mut Slab, horizon: u64) -> Option<(u64, E)> {
         loop {
-            // Collect cancelled entries at the staged front.
-            while let Some(f) = self.due.front() {
-                if slab.is_cancelled(f.slot) {
-                    slab.release(f.slot);
-                    self.due.pop_front();
-                } else {
-                    break;
+            let b = self.cur;
+            let h = self.heads[b];
+            if self.in_window(h, self.cur_last) {
+                let n = &self.nodes[h as usize];
+                if slab.is_cancelled(n.slot) {
+                    let (_, slot, _) = self.unlink_head(b);
+                    slab.release(slot);
+                    continue;
                 }
+                if n.at > horizon {
+                    return None;
+                }
+                let (at, slot, ev) = self.unlink_head(b);
+                slab.release(slot);
+                return Some((at, ev));
             }
-            if let Some(f) = self.due.front() {
-                // Fast path: while `due_dirty` is clear the staged front is
-                // the global minimum (placements since staging were either
-                // spliced in here or landed in buckets wholly after
-                // `due_key`), so no candidate scan is needed at all.
-                if !self.due_dirty {
-                    if f.at > horizon {
-                        return None;
-                    }
-                    // lint:allow(panic-path): front() returned Some above; pop_front cannot fail
-                    let e = self.due.pop_front().expect("front checked live");
-                    slab.release(e.slot);
-                    self.cursor = self.cursor.max(e.at);
-                    return Some((e.at, e.ev));
-                }
-            }
-            let due_t = self.due.front().map(|f| f.at);
-            // The cached candidate (seeded by a previous scan, a cascade,
-            // or a runner-up promotion, and kept exact by `place`) saves
-            // the bitmap scan entirely; `second` is only populated by a
-            // fresh scan and becomes the cache when the best is consumed.
-            let (candidate, second) = match self.saved.take() {
-                Some(c) => (Some(c), None),
-                None => self.min_candidate(slab),
-            };
-            match (due_t, candidate) {
-                // The staged front fires only when every bucket starts
-                // *strictly* after its key. A bucket base equal to the
-                // staged key is a wider aligned bucket whose range contains
-                // it (its entries may interleave with the staged run) — it
-                // must cascade first so the cursor never comes to rest
-                // inside an occupied bucket's range.
-                (Some(t), c) if c.map_or(true, |(base, _, _)| self.due_key < base) => {
-                    // The scan proved nothing in the wheel precedes or
-                    // spans the staged front (whatever set the dirty flag
-                    // was cancelled, collected, or cascaded away).
-                    self.due_dirty = false;
-                    // The candidate was not consumed: it stays the minimal
-                    // bucket while the staged (strictly earlier) run drains.
-                    self.saved = c;
-                    if t > horizon {
-                        return None;
-                    }
-                    // lint:allow(panic-path): due_t is Some, so the staged queue is non-empty
-                    let e = self.due.pop_front().expect("front checked live");
-                    slab.release(e.slot);
-                    self.cursor = self.cursor.max(e.at);
-                    return Some((e.at, e.ev));
-                }
-                (Some(_), None) => unreachable!("guarded above: due wins when no candidate"),
-                (_, Some((base, level, i))) => {
-                    // `base` is a key; its bucket starts at full-resolution
-                    // time `base << RES_BITS`. Conservative horizon check —
-                    // a bucket that *starts* past the horizon cannot hold
-                    // anything due.
-                    if (base << RES_BITS) > horizon {
-                        // Unconsumed: still the minimal bucket next call.
-                        self.saved = Some((base, level, i));
-                        return None;
-                    }
-                    let bi = level * SLOTS + i;
-                    if self.due.is_empty() && self.buckets[bi].len() == 1 {
-                        // Single-entry minimal bucket: occupied bucket
-                        // ranges are pairwise disjoint, so every other
-                        // pending event lies at or after `base + width` —
-                        // the lone entry is the global minimum whatever its
-                        // level, and is delivered in place with no cascade
-                        // chain and no stage/due round-trip. This is the
-                        // common shape on sparse calendars (the ROCC
-                        // model's timer field).
-                        if slab.is_cancelled(self.buckets[bi][0].slot) {
-                            // lint:allow(panic-path): bucket len == 1 checked by the branch guard
-                            let e = self.buckets[bi].pop().expect("len checked");
-                            slab.release(e.slot);
-                            self.clear_bucket_bit(level, i);
-                            // Bucket consumed: promote the runner-up.
-                            self.saved = second;
-                            continue;
-                        }
-                        if self.buckets[bi][0].at > horizon {
-                            self.saved = Some((base, level, i));
-                            return None;
-                        }
-                        // lint:allow(panic-path): bucket len == 1 checked by the branch guard
-                        let e = self.buckets[bi].pop().expect("len checked");
-                        self.clear_bucket_bit(level, i);
-                        self.saved = second;
-                        slab.release(e.slot);
-                        self.cursor = self.cursor.max(e.at);
-                        return Some((e.at, e.ev));
-                    }
-                    if level > 0 {
-                        // Cascade re-places this bucket's entries, all of
-                        // which precede every other bucket (disjoint ranges)
-                        // including the runner-up: its minimum is the next
-                        // global candidate, falling back to the runner-up
-                        // when every entry was cancelled.
-                        self.saved = self.cascade(slab, base, level, i).or(second);
-                    } else if self.due.is_empty() {
-                        self.stage(base, i);
-                        // The staged run is the minimum; the runner-up is
-                        // the minimal *bucket* once it drains.
-                        self.saved = second;
-                    } else {
-                        // An earlier bucket outranks the staged timestamp;
-                        // put the staged entries back first. Re-placing the
-                        // old staged entries invalidates the runner-up
-                        // (they may precede it), so the cache stays cold.
-                        self.unstage(slab);
-                        self.stage(base, i);
-                    }
-                }
-                (None, None) => return None,
+            if !self.advance(horizon) {
+                return None;
             }
         }
     }
 
-    /// Read-only lower bound on the earliest live entry's time (see
-    /// [`Calendar::next_lower_bound`]): min over the first live staged
-    /// entry and each level's first occupied bucket — a single-entry
-    /// bucket contributes its entry's exact time, a multi-entry bucket its
-    /// base time. Within a level the first occupied bucket's range ends at
-    /// or before every later bucket's base, so one bucket per level
-    /// suffices; cancelled leftovers can only lower the bound (safe).
-    fn next_lower_bound(&self, slab: &Slab) -> u64 {
-        let mut lb = u64::MAX;
-        for e in &self.due {
-            if !slab.is_cancelled(e.slot) {
-                lb = e.at;
-                break;
+    /// Unlink the in-window heads of the cursor's bucket that fire exactly
+    /// at `at` (see [`Calendar::drain_batch_at`]), collecting cancelled
+    /// ones on the way.
+    fn drain_at(&mut self, slab: &mut Slab, at: u64, out: &mut Vec<(u32, E)>) {
+        let b = self.cur;
+        loop {
+            let h = self.heads[b];
+            if !self.in_window(h, self.cur_last) {
+                return;
+            }
+            let n = &self.nodes[h as usize];
+            if slab.is_cancelled(n.slot) {
+                let (_, slot, _) = self.unlink_head(b);
+                slab.release(slot);
+                continue;
+            }
+            if n.at != at {
+                return;
+            }
+            let (_, slot, ev) = self.unlink_head(b);
+            out.push((slot, ev));
+        }
+    }
+
+    /// Move the cursor to the first virtual bucket whose head falls inside
+    /// its window. Returns `false`, leaving the cursor past the horizon, when
+    /// every window up to the horizon is empty (or nothing is stored).
+    ///
+    /// This slow path also keeps the geometry in trim, off the per-event
+    /// path: it halves the bucket count once the population is below nb/2,
+    /// and re-estimates the width when the last [`RETUNE_WALKS`] walks
+    /// averaged more than [`RETUNE_STEPS`] empty buckets each — a width
+    /// measured on an unrepresentative front (a fill of near-ties, say)
+    /// that no population change would ever correct.
+    #[inline(never)]
+    fn advance(&mut self, horizon: u64) -> bool {
+        if self.len == 0 {
+            return false;
+        }
+        let nb = self.heads.len();
+        if self.len < nb / 2 && nb > MIN_BUCKETS {
+            self.resize(nb / 2);
+        } else if self.walks >= RETUNE_WALKS {
+            if self.steps > RETUNE_STEPS * self.walks {
+                self.resize(nb);
+            }
+            (self.walks, self.steps) = (0, 0);
+        }
+        let (v, hit) = self.first_window(horizon >> self.shift);
+        self.walks += 1;
+        self.steps += match v.checked_sub(self.vb()) {
+            Some(d) if d < nb as u64 => d,
+            _ => 2 * nb as u64,
+        };
+        self.set_cursor(v);
+        hit
+    }
+
+    /// Walk forward from the cursor to the first virtual bucket whose head
+    /// is inside its window, stopping early once the window passes virtual
+    /// bucket `limit`: `(v, true)` on a hit, `(v, false)` with `v > limit`
+    /// on a stop. A full year with no hit jumps straight to the earliest
+    /// head. Requires a non-empty wheel.
+    fn first_window(&self, limit: u64) -> (u64, bool) {
+        let mask = self.mask();
+        let first = self.vb();
+        let last = first.saturating_add(mask as u64).min(u64::MAX >> self.shift);
+        for v in first..=last {
+            if v > limit {
+                return (v, false);
+            }
+            let h = self.heads[v as usize & mask];
+            if h != NIL && self.nodes[h as usize].at >> self.shift <= v {
+                return (v, true);
             }
         }
-        let mut levels = self.level_summary;
-        while levels != 0 {
-            let level = levels.trailing_zeros() as usize;
-            levels &= levels - 1;
-            if let Some(i) = self.first_occupied(level) {
-                let b = &self.buckets[level * SLOTS + i];
-                let cand = if b.len() == 1 {
-                    b[0].at
-                } else {
-                    self.bucket_base(level, i) << RES_BITS
-                };
-                lb = lb.min(cand);
+        let min_at = self
+            .heads
+            .iter()
+            .filter(|&&h| h != NIL)
+            .map(|&h| self.nodes[h as usize].at)
+            .min()
+            .unwrap_or(u64::MAX);
+        let v = min_at >> self.shift;
+        (v, v <= limit)
+    }
+
+    /// Rebuild with `nb` buckets and a re-estimated width: about 3× the mean
+    /// gap of the earliest [`WIDTH_SAMPLE`] entries (over all entries when
+    /// those all tie; unchanged when everything ties). Every entry is
+    /// relinked in `(at, seq)` order, so bucket lists stay sorted.
+    #[cold]
+    #[inline(never)]
+    fn resize(&mut self, nb: usize) {
+        let mut scratch = std::mem::take(&mut self.scratch);
+        scratch.clear();
+        for &head in &self.heads {
+            let mut i = head;
+            while i != NIL {
+                let n = &self.nodes[i as usize];
+                scratch.push((n.at, n.seq, i));
+                i = n.next;
             }
         }
-        lb
+        scratch.sort_unstable();
+        let mut v = self.vb();
+        if let (Some(&(first, _, _)), Some(&(last, _, _))) = (scratch.first(), scratch.last()) {
+            let k = (scratch.len() - 1).min(WIDTH_SAMPLE);
+            let (span, gaps) = match scratch[k].0 - first {
+                0 => (last - first, scratch.len() - 1),
+                s => (s, k),
+            };
+            if span > 0 {
+                let width = (span / gaps as u64).saturating_mul(3).max(1);
+                self.shift = 63 - width.leading_zeros();
+            }
+            v = first >> self.shift;
+        }
+        self.heads.clear();
+        self.heads.resize(nb, NIL);
+        self.set_cursor(v);
+        (self.walks, self.steps) = (0, 0);
+        // Prepend in descending order: each bucket ends up ascending.
+        let mask = nb - 1;
+        for &(at, _, i) in scratch.iter().rev() {
+            let b = (at >> self.shift) as usize & mask;
+            self.nodes[i as usize].next = self.heads[b];
+            self.heads[b] = i;
+        }
+        self.scratch = scratch;
+    }
+
+    /// Read-only lower bound on the earliest live entry's time: the exact
+    /// earliest stored entry, which a cancelled leftover can only make
+    /// smaller.
+    fn next_lower_bound(&self) -> u64 {
+        if self.len == 0 {
+            return u64::MAX;
+        }
+        let (v, _) = self.first_window(u64::MAX);
+        self.nodes[self.heads[v as usize & self.mask()] as usize].at
     }
 
     fn occupied_buckets(&self) -> usize {
-        self.occupied
-            .iter()
-            .flatten()
-            .map(|bm| bm.count_ones() as usize)
-            .sum()
+        self.heads.iter().filter(|&&h| h != NIL).count()
     }
 }
 
@@ -871,20 +634,18 @@ impl<E> Calendar<E> {
     }
 
     #[inline]
-    pub(crate) fn schedule(&mut self, at: SimTime, seq: u64, ev: E) -> EventHandle {
-        let was_empty = self.live == 0;
-        let h = self.slab.alloc();
+    fn insert(&mut self, at: u64, seq: u64, slot: u32, ev: E) {
         self.live += 1;
-        let e = Entry {
-            at: at.as_nanos(),
-            seq,
-            slot: h.idx,
-            ev,
-        };
         match &mut self.backend {
-            Backend::Wheel(w) => w.insert(e, was_empty),
-            Backend::Heap(hc) => hc.heap.push(Reverse(e)),
+            Backend::Wheel(w) => w.insert(at, seq, slot, ev),
+            Backend::Heap(hc) => hc.heap.push(Reverse(Entry { at, seq, slot, ev })),
         }
+    }
+
+    #[inline]
+    pub(crate) fn schedule(&mut self, at: SimTime, seq: u64, ev: E) -> EventHandle {
+        let h = self.slab.alloc();
+        self.insert(at.as_nanos(), seq, h.idx, ev);
         h
     }
 
@@ -893,18 +654,7 @@ impl<E> Calendar<E> {
     /// zero slab traffic per event.
     #[inline]
     pub(crate) fn schedule_nocancel(&mut self, at: SimTime, seq: u64, ev: E) {
-        let was_empty = self.live == 0;
-        self.live += 1;
-        let e = Entry {
-            at: at.as_nanos(),
-            seq,
-            slot: NO_SLOT,
-            ev,
-        };
-        match &mut self.backend {
-            Backend::Wheel(w) => w.insert(e, was_empty),
-            Backend::Heap(hc) => hc.heap.push(Reverse(e)),
-        }
+        self.insert(at.as_nanos(), seq, NO_SLOT, ev);
     }
 
     /// O(1) cancel. Stale handles (already fired, already cancelled) are
@@ -935,24 +685,20 @@ impl<E> Calendar<E> {
     }
 
     /// A **lower bound** on the time of the earliest live event, computed
-    /// read-only in O(levels) — the shard driver's per-window "local next"
-    /// query (DESIGN.md §11). Never larger than the true minimum;
-    /// `u64::MAX` when no live event is pending.
+    /// read-only — the shard driver's per-window "local next" query
+    /// (DESIGN.md §11). Never larger than the true minimum; `u64::MAX` when
+    /// no live event is pending.
     ///
-    /// For the heap it is the root's time (exact up to lazily-deleted
-    /// cancelled entries, which only make it smaller). For the wheel it is
-    /// the minimum over the staged front and, per occupied level, the
-    /// first occupied bucket's *base time* — or its entry's exact time for
-    /// a single-entry bucket. A loose (wide-bucket) bound tightens as the
-    /// driver's bounded `run_until` probes cascade the bucket; the driver
-    /// falls back to the exact O(live) [`Calendar::peek_min`] if a bound
-    /// ever stalls without progress.
+    /// Both backends report the earliest *stored* entry: the heap's root,
+    /// the wheel's first head inside its window (a walk of at most one
+    /// year, then a direct search of the heads). A cancelled entry awaiting
+    /// lazy collection can only make it smaller.
     pub(crate) fn next_lower_bound(&self) -> u64 {
         if self.live == 0 {
             return u64::MAX;
         }
         match &self.backend {
-            Backend::Wheel(w) => w.next_lower_bound(&self.slab),
+            Backend::Wheel(w) => w.next_lower_bound(),
             Backend::Heap(h) => h.heap.peek().map_or(u64::MAX, |r| r.0.at),
         }
     }
@@ -967,35 +713,15 @@ impl<E> Calendar<E> {
     /// one-at-a-time delivery.
     ///
     /// Only entries that are provably next in delivery order are drained:
-    /// for the wheel that is the staged `due` run while `due_dirty` is
-    /// clear; for the heap it is the top run. Same-timestamp events that
-    /// are *not* at the front (dirty staging after a horizon stop, or
-    /// events scheduled mid-batch) are left in place — the driver falls
-    /// back to [`Calendar::pop_next_before`] and re-drains, so nothing is
-    /// missed.
+    /// for the wheel, heads of the cursor's bucket inside its window; for
+    /// the heap, the top run. Same-timestamp entries anywhere else stay
+    /// put — the driver falls back to [`Calendar::pop_next_before`] and
+    /// re-drains, so nothing is missed.
     #[inline(never)]
     pub(crate) fn drain_batch_at(&mut self, at: SimTime, out: &mut Vec<(u32, E)>) {
         let at = at.as_nanos();
         match &mut self.backend {
-            Backend::Wheel(w) => {
-                if w.due_dirty {
-                    return;
-                }
-                while let Some(f) = w.due.front() {
-                    if self.slab.is_cancelled(f.slot) {
-                        // lint:allow(panic-path): front() returned Some above; pop_front cannot fail
-                        let e = w.due.pop_front().expect("front checked");
-                        self.slab.release(e.slot);
-                        continue;
-                    }
-                    if f.at != at {
-                        break;
-                    }
-                    // lint:allow(panic-path): front() returned Some above; pop_front cannot fail
-                    let e = w.due.pop_front().expect("front checked");
-                    out.push((e.slot, e.ev));
-                }
-            }
+            Backend::Wheel(w) => w.drain_at(&mut self.slab, at, out),
             Backend::Heap(h) => loop {
                 match h.heap.peek() {
                     Some(Reverse(f)) if self.slab.is_cancelled(f.slot) => {
@@ -1031,19 +757,15 @@ impl<E> Calendar<E> {
         }
     }
 
-    /// Visit every live (non-cancelled) entry in storage order.
-    fn for_each_live<'a>(&'a self, mut f: impl FnMut(&'a Entry<E>)) {
+    /// Visit every live (non-cancelled) entry as `(at_ns, seq, event)`, in
+    /// storage order.
+    fn for_each_live<'a>(&'a self, mut f: impl FnMut(u64, u64, &'a E)) {
         match &self.backend {
             Backend::Wheel(w) => {
-                for e in &w.due {
-                    if !self.slab.is_cancelled(e.slot) {
-                        f(e);
-                    }
-                }
-                for b in &w.buckets {
-                    for e in b {
-                        if !self.slab.is_cancelled(e.slot) {
-                            f(e);
+                for n in &w.nodes {
+                    if let Some(ev) = &n.ev {
+                        if !self.slab.is_cancelled(n.slot) {
+                            f(n.at, n.seq, ev);
                         }
                     }
                 }
@@ -1051,7 +773,7 @@ impl<E> Calendar<E> {
             Backend::Heap(h) => {
                 for Reverse(e) in h.heap.iter() {
                     if !self.slab.is_cancelled(e.slot) {
-                        f(e);
+                        f(e.at, e.seq, &e.ev);
                     }
                 }
             }
@@ -1061,14 +783,14 @@ impl<E> Calendar<E> {
     /// Canonical capture of every live entry as `(at_ns, seq, event)`,
     /// sorted by `(at, seq)`. Cancelled leftovers awaiting lazy collection
     /// are excluded, so the result is identical across backends and across
-    /// cascade/staging history — the form snapshots serialize.
+    /// bucket/resize history — the form snapshots serialize.
     pub(crate) fn live_entries(&self) -> Vec<(u64, u64, E)>
     where
         E: Clone,
     {
         let mut out = Vec::with_capacity(self.live);
         // lint:allow(hot-path-alloc): snapshot canonicalization clones each pending event once; runs only on snapshot/persist, never in the delivery loop
-        self.for_each_live(|e| out.push((e.at, e.seq, e.ev.clone())));
+        self.for_each_live(|at, seq, ev| out.push((at, seq, ev.clone())));
         out.sort_unstable_by_key(|&(at, seq, _)| (at, seq));
         debug_assert_eq!(out.len(), self.live);
         out
@@ -1079,9 +801,9 @@ impl<E> Calendar<E> {
     /// path, not the delivery path.
     pub(crate) fn peek_min(&self) -> Option<(u64, u64, &E)> {
         let mut best: Option<(u64, u64, &E)> = None;
-        self.for_each_live(|e| match best {
-            Some((at, seq, _)) if (at, seq) <= (e.at, e.seq) => {}
-            _ => best = Some((e.at, e.seq, &e.ev)),
+        self.for_each_live(|at, seq, ev| match best {
+            Some((bat, bseq, _)) if (bat, bseq) <= (at, seq) => {}
+            _ => best = Some((at, seq, ev)),
         });
         best
     }
@@ -1119,39 +841,86 @@ mod tests {
         ]
     }
 
-    #[test]
-    fn placement_levels() {
-        // `level_for` runs in the key domain: two times within one
-        // 2^RES_BITS-ns bucket share a key and a level-0 bucket.
-        assert_eq!(key(0), 0);
-        assert_eq!(key((1 << RES_BITS) - 1), 0);
-        assert_eq!(key(1 << RES_BITS), 1);
-        let s = SLOTS as u64;
-        assert_eq!(level_for(0, 0), 0);
-        assert_eq!(level_for(s - 1, 0), 0);
-        assert_eq!(level_for(s, 0), 1);
-        assert_eq!(level_for(s, s - 1), 1);
-        assert_eq!(level_for(s * s - 1, s), 1);
-        assert_eq!(level_for(s * s, 0), 2);
-        // The largest representable key still fits in the wheel.
-        assert_eq!(level_for(key(u64::MAX), 0), LEVELS - 1);
-        // The model's dominant delays at 64 ns resolution: a 2.2 ms mean
-        // burst has its highest set key bit at 15 (level 2) and a 40 ms
-        // sampling timer at key bit 19 (level 3) — one level shallower
-        // than full 1 ns resolution would place them.
-        assert_eq!(level_for(key(2_200_000), 0), 2);
-        assert_eq!(level_for(key(40_000_000), 0), 3);
+    fn wheel(c: &Calendar<u32>) -> &Wheel<u32> {
+        match &c.backend {
+            Backend::Wheel(w) => w,
+            Backend::Heap(_) => unreachable!("wheel calendar expected"),
+        }
     }
 
     #[test]
-    fn due_delivery_inside_an_occupied_bucket_range_does_not_reorder() {
-        // Regression: the first schedule into an empty wheel is staged
-        // directly into `due`; a later placement can then open a wide
-        // bucket whose range spans the staged timestamp. Delivering the
-        // staged event moves the cursor inside that bucket's range, and
-        // without the `advance_to` sweep subsequent placements would nest
-        // inside it, letting the single-entry fast path fire the wide
-        // bucket's entry ahead of an earlier nested one.
+    fn resize_tracks_population_and_spacing() {
+        // 1000 entries 1 µs apart: the bucket count doubles past 2·nb and
+        // the width settles near 3× the 1 µs gap (2^11 ns ≤ 3 µs < 2^12).
+        let mut c: Calendar<u32> = Calendar::new(CalendarKind::Wheel);
+        for i in 0..1_000u64 {
+            c.schedule_nocancel(SimTime::from_nanos(i * 1_000), i, i as u32);
+        }
+        let w = wheel(&c);
+        assert_eq!(w.heads.len(), 512);
+        assert_eq!(w.shift, 11);
+        assert_eq!(w.len, 1_000);
+        // Draining halves it on the walks below nb/2 (the last walk
+        // happens with one entry left), and every entry still fires in
+        // order.
+        let got = drain(&mut c);
+        assert_eq!(got.len(), 1_000);
+        assert!(got.windows(2).all(|p| p[0].0 < p[1].0));
+        let w = wheel(&c);
+        assert!(w.heads.len() <= 4, "{} buckets left", w.heads.len());
+        assert_eq!(w.len, 0);
+        // Arena nodes are all back on the free list: a refill to the same
+        // peak reuses them.
+        let peak = w.nodes.len();
+        for i in 0..1_000u64 {
+            c.schedule_nocancel(SimTime::from_nanos(2_000_000 + i), i, 0);
+        }
+        assert_eq!(wheel(&c).nodes.len(), peak);
+    }
+
+    #[test]
+    fn long_walks_retune_a_width_set_by_near_ties() {
+        // Filling with 64 timers 1 ns apart sets a 2 ns width; once they
+        // run with ~550 ns periods every pop would walk empty buckets, and
+        // the steady population never triggers a resize. The walk check
+        // re-estimates the width from the running front instead.
+        let mut c: Calendar<u32> = Calendar::new(CalendarKind::Wheel);
+        for id in 0..64u32 {
+            c.schedule_nocancel(SimTime::from_nanos(id as u64), id as u64, id);
+        }
+        assert_eq!(wheel(&c).shift, 1);
+        let mut seq = 64;
+        while seq < 20_000 {
+            let Some((t, id)) = c.pop_next_before(SimTime::MAX) else {
+                break;
+            };
+            let gap = 50 + (id as u64).wrapping_mul(2_654_435_761) % 1_000;
+            c.schedule_nocancel(SimTime::from_nanos(t.as_nanos() + gap), seq, id);
+            seq += 1;
+        }
+        let w = wheel(&c);
+        assert_eq!((w.heads.len(), w.len), (32, 64));
+        assert!(w.shift >= 4, "width still 2^{} ns", w.shift);
+    }
+
+    #[test]
+    fn all_ties_keep_the_width() {
+        // A resize whose sample is one instant has no gap to measure; the
+        // width stays as it was and the run still drains in seq order.
+        let mut c: Calendar<u32> = Calendar::new(CalendarKind::Wheel);
+        for i in 0..100u64 {
+            c.schedule_nocancel(SimTime::from_nanos(7), i, i as u32);
+        }
+        assert_eq!(wheel(&c).shift, INITIAL_SHIFT);
+        let got = drain(&mut c);
+        assert_eq!(got, (0..100).map(|i| (7, i)).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn delivery_between_nearby_entries_does_not_reorder() {
+        // Regression from the hierarchical wheel this calendar replaced:
+        // after a horizon-bounded delivery, an entry scheduled between the
+        // delivered one and a pending later one must still fire first.
         for mut c in both() {
             c.schedule(SimTime::from_nanos(262_338), 0, 1);
             c.schedule(SimTime::from_nanos(286_912), 1, 2); // level-3: [262144, 524288)
@@ -1161,8 +930,6 @@ mod tests {
                 "{:?}",
                 c.kind()
             );
-            // The cursor now rests at 262_338; this placement used to nest
-            // a level-1 bucket inside the wide level-3 one.
             c.schedule(SimTime::from_nanos(262_528), 2, 3);
             assert_eq!(
                 drain(&mut c),
@@ -1192,7 +959,7 @@ mod tests {
     }
 
     #[test]
-    fn far_apart_times_cascade_correctly() {
+    fn far_apart_times_fire_in_order() {
         for mut c in both() {
             let times = [
                 1u64,
@@ -1284,10 +1051,11 @@ mod tests {
     }
 
     #[test]
-    fn schedule_earlier_than_staged_after_horizon_stop() {
+    fn schedule_before_the_cursor_after_horizon_stop() {
         for mut c in both() {
             c.schedule(SimTime::from_nanos(1_000), 0, 9);
-            // A horizon probe may internally stage the 1000 ns bucket.
+            // A horizon probe may move the wheel's cursor to the 1000 ns
+            // window; the earlier schedules below must rewind it.
             assert_eq!(c.pop_next_before(SimTime::from_nanos(500)), None);
             // Now schedule earlier events, including one at the staged time.
             c.schedule(SimTime::from_nanos(600), 1, 6);
@@ -1304,9 +1072,9 @@ mod tests {
 
     #[test]
     fn same_time_entries_across_levels_keep_seq_order() {
-        // seq 0 lands at a high level (scheduled far ahead), then after the
-        // cursor advances, seq 2 at the same instant lands at level 0. The
-        // cascade-then-sort path must still fire 0 before 2.
+        // seq 0 is scheduled ahead, then after the clock advances seq 2
+        // joins it at the same instant: the sorted bucket list must still
+        // fire 0 before 2.
         for mut c in both() {
             c.schedule(SimTime::from_nanos(200), 0, 20);
             c.schedule(SimTime::from_nanos(190), 1, 19);

@@ -2,7 +2,7 @@
 //!
 //! The kernel is deliberately monomorphic: a model defines a plain `enum` of
 //! events and implements [`Model::handle`]. Events are never boxed, the
-//! calendar (a hierarchical timing wheel by default, with the legacy binary
+//! calendar (a one-level hashed timing wheel by default, with the legacy binary
 //! heap as a fallback — see [`crate::calendar`]) delivers them in
 //! `(time, sequence)` order with ties broken in schedule order, so a given
 //! model + seed is fully deterministic regardless of the backend.

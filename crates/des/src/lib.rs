@@ -3,7 +3,7 @@
 //!
 //! The simulation substrate for the Paradyn instrumentation-system study:
 //! a deterministic, monomorphic event calendar ([`engine`], backed by the
-//! hierarchical timing wheel in [`calendar`]), an integer nanosecond clock
+//! one-level hashed timing wheel in [`calendar`]), an integer nanosecond clock
 //! ([`time`]), reproducible independent random streams ([`rng`]),
 //! statistics monitors ([`monitor`]), and reusable resource state machines
 //! — an FCFS single server ([`fcfs`]) and a round-robin quantum CPU bank

@@ -22,12 +22,12 @@
 //! anywhere, and lets every shard run `run_until(gmin + L - 1)`: no event
 //! executed in that window can cause a cross-shard arrival inside it, so
 //! every shard sees exactly the event prefix the serial engine would.
-//! `gmin` uses the calendars' O(levels) read-only bound — never a pop, so
-//! no wheel cursor ever advances past a future arrival time — and falls
-//! back to the exact O(pending) scan if a loose (wide-bucket) bound stalls
-//! for [`STALL_ROUNDS`] rounds without any event executing, any message
-//! moving, or the bound improving; the bounded `run_until` probes cascade
-//! wide buckets as a side effect, so the fallback is rarely taken.
+//! `gmin` uses the calendars' read-only bound — never a pop, so computing
+//! it moves no wheel cursor — and falls back to the exact O(pending) scan
+//! if the bound stalls for [`STALL_ROUNDS`] rounds without any event
+//! executing, any message moving, or the bound improving. Both backends'
+//! bounds are the earliest stored entry's time (loose only by cancelled
+//! leftovers), so the fallback is rarely taken.
 //!
 //! ## Bit-identical merge
 //!

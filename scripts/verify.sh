@@ -39,7 +39,8 @@ mut_dir="$(mktemp -d)"
 chaos_dir="$(mktemp -d)"
 ratchet_dir="$(mktemp -d)"
 token_dir="$(mktemp -d)"
-trap 'rm -rf "$mut_dir" "$chaos_dir" "$ratchet_dir" "$token_dir"' EXIT
+rewind_dir="$(mktemp -d)"
+trap 'rm -rf "$mut_dir" "$chaos_dir" "$ratchet_dir" "$token_dir" "$rewind_dir"' EXIT
 # The workspace passes read the whole tree (Acc lives in crates/core, the
 # conservation identity in src/chaos.rs), so the scratch copy carries the
 # root package sources too.
@@ -209,6 +210,37 @@ if [ "$token_rc" -eq 0 ] || ! grep -q "^    model::tests::$token_test\$" "$token
   exit 1
 fi
 echo "token-counter mutation self-check: $token_test correctly failed"
+
+echo "== zero-allocation gate (debug and release, default test threads) =="
+# The allocation counters are per thread, so the two windows stay exact
+# while the harness runs them in parallel; both profiles must pass.
+cargo test -q --offline -p paradyn-des --test zero_alloc
+cargo test -q --offline --release -p paradyn-des --test zero_alloc
+
+echo "== calendar cursor-rewind mutation self-check (deleted rewind must go red) =="
+# Scratch copy with the hashed wheel's cursor rewind deleted: an entry
+# scheduled before the cursor's window after a horizon stop then fires a
+# year late, and the named regression must fail against the heap oracle.
+rewind_test="horizon_stop_a_year_short_then_post_at_now"
+cp Cargo.toml Cargo.lock "$rewind_dir"/
+cp -r crates src tests examples "$rewind_dir"/
+sed -i '/self\.set_cursor(v); \/\/ cursor rewind/d' "$rewind_dir/crates/des/src/calendar.rs"
+if grep -q "cursor rewind" "$rewind_dir/crates/des/src/calendar.rs"; then
+  echo "verify: FAIL — could not delete the cursor rewind" >&2
+  exit 1
+fi
+rewind_out="$rewind_dir/rewind-out.txt"
+set +e
+( cd "$rewind_dir" && CARGO_TARGET_DIR="$rewind_dir/target" \
+    cargo test -q --offline --release --test calendar_diff "$rewind_test" ) > "$rewind_out" 2>&1
+rewind_rc=$?
+set -e
+if [ "$rewind_rc" -eq 0 ] || ! grep -q "^    $rewind_test\$" "$rewind_out"; then
+  echo "verify: FAIL — $rewind_test did not go red without the cursor rewind:" >&2
+  tail -n 40 "$rewind_out" >&2
+  exit 1
+fi
+echo "calendar rewind mutation self-check: $rewind_test correctly failed"
 
 echo "== fault-sweep smoke (repro faults, quick scale) =="
 cargo run --release --offline -p paradyn-bench --bin repro -- --scale quick faults

@@ -176,3 +176,181 @@ fn pending_count_matches_reference() {
         Ok(())
     });
 }
+
+/// Build a fresh `M` on each calendar kind, run it through `horizons` and
+/// then to completion, and return both traces (wheel, heap).
+fn both_traces<M, F>(build: F, horizons: &[u64]) -> [Vec<(u64, u32)>; 2]
+where
+    M: Model<Event = u32> + Traced,
+    F: Fn(&mut Sim<M>),
+{
+    [CalendarKind::Wheel, CalendarKind::Heap].map(|kind| {
+        let mut sim = Sim::with_calendar(M::fresh(), kind);
+        build(&mut sim);
+        for &h in horizons {
+            sim.run_until(SimTime::from_nanos(h));
+        }
+        sim.run_until(SimTime::MAX);
+        sim.model.trace().clone()
+    })
+}
+
+/// A model that records `(time, event)` like [`Recorder`], built fresh for
+/// each calendar kind by [`both_traces`].
+trait Traced {
+    fn fresh() -> Self;
+    fn trace(&self) -> &Vec<(u64, u32)>;
+}
+
+/// Regression: a horizon-bounded run whose next event lies more than a full
+/// wheel year ahead leaves the cursor on that event's window; a post at
+/// `now` afterwards must rewind the cursor and fire first.
+#[test]
+fn horizon_stop_a_year_short_then_post_at_now() {
+    const FAR: u64 = 10_000_000_000;
+    const STOP: u64 = 5_000_000_000;
+    let [wheel, heap] = [CalendarKind::Wheel, CalendarKind::Heap].map(|kind| {
+        let mut sim = Sim::with_calendar(Recorder { trace: vec![] }, kind);
+        // 200 events 1 µs apart, 10 s out: sizes the wheel to ~128
+        // buckets of ~2 µs, a year of well under a millisecond.
+        for i in 0..200u64 {
+            sim.ctx()
+                .post_at(SimTime::from_nanos(FAR + i * 1_000), i as u32);
+        }
+        // Nothing fires before the horizon; the wheel's search walks a
+        // full year, then jumps to the 10 s cluster and stops there.
+        sim.run_until(SimTime::from_nanos(STOP));
+        assert!(
+            sim.model.trace.is_empty(),
+            "{kind:?}: fired before the horizon"
+        );
+        // Posts at `now`, just after it, and a second later: all before
+        // the cluster.
+        sim.ctx().post_in(SimDur::ZERO, 1_000);
+        sim.ctx().post_in(SimDur::from_nanos(1), 1_001);
+        sim.ctx().post_in(SimDur::from_nanos(1_000_000_000), 1_002);
+        sim.run_until(SimTime::MAX);
+        sim.model.trace
+    });
+    assert_eq!(
+        &heap[..3],
+        &[
+            (STOP, 1_000),
+            (STOP + 1, 1_001),
+            (STOP + 1_000_000_000, 1_002)
+        ]
+    );
+    assert_eq!(wheel, heap);
+}
+
+/// Posts a burst of same-instant (and next-instant) children from inside a
+/// same-timestamp run, so the wheel resizes while the run is being drained.
+struct Burst {
+    trace: Vec<(u64, u32)>,
+}
+
+impl Traced for Burst {
+    fn fresh() -> Self {
+        Burst { trace: vec![] }
+    }
+    fn trace(&self) -> &Vec<(u64, u32)> {
+        &self.trace
+    }
+}
+
+impl Model for Burst {
+    type Event = u32;
+    fn handle(&mut self, ctx: &mut Ctx<u32>, ev: u32) {
+        self.trace.push((ctx.now().as_nanos(), ev));
+        if ev < 100 {
+            for j in 0..(ev % 5) * 12 {
+                let delay = [0, 0, 1, 64][(j % 4) as usize];
+                ctx.post_in(SimDur::from_nanos(delay), 1_000 + ev * 100 + j);
+            }
+        }
+    }
+}
+
+/// Regression: a resize in the middle of a same-timestamp run (shrinks as
+/// the batch drains, growth from same-instant posts) keeps the run's order.
+#[test]
+fn resize_mid_same_timestamp_run_keeps_order() {
+    let [wheel, heap] = both_traces::<Burst, _>(
+        |sim| {
+            // 40 ties at one instant grow the wheel to 16 buckets; draining
+            // them shrinks it mid-run, and their children grow it again.
+            for ev in 0..40u32 {
+                sim.ctx().post_at(SimTime::from_nanos(1_000), ev);
+            }
+            for ev in 40..100u32 {
+                sim.ctx()
+                    .post_at(SimTime::from_nanos(1_000 + (ev as u64 % 3)), ev);
+            }
+        },
+        &[999, 1_000],
+    );
+    assert!(
+        heap.len() > 1_000,
+        "the bursts must fire ({} events)",
+        heap.len()
+    );
+    assert_eq!(wheel, heap);
+}
+
+/// 400 ms timers beside bursts of ties at one nanosecond every 50 µs.
+struct Mixed {
+    trace: Vec<(u64, u32)>,
+}
+
+const TIMER: u32 = 1 << 20;
+const TICK: u32 = 1 << 21;
+
+impl Traced for Mixed {
+    fn fresh() -> Self {
+        Mixed { trace: vec![] }
+    }
+    fn trace(&self) -> &Vec<(u64, u32)> {
+        &self.trace
+    }
+}
+
+impl Model for Mixed {
+    type Event = u32;
+    fn handle(&mut self, ctx: &mut Ctx<u32>, ev: u32) {
+        let now = ctx.now().as_nanos();
+        self.trace.push((now, ev));
+        if now >= 2_000_000_000 {
+            return;
+        }
+        if ev & TIMER != 0 {
+            ctx.post_in(SimDur::from_nanos(400_000_000), ev);
+        } else if ev & TICK != 0 {
+            let k = ev & !TICK;
+            for j in 0..20 {
+                ctx.post_in(SimDur::from_nanos(10_000), j);
+            }
+            ctx.post_in(
+                SimDur::from_nanos(50_000 + (k as u64 % 3) * 7),
+                TICK | (k + 1),
+            );
+        }
+    }
+}
+
+/// Mixed time scales: ties at the same nanosecond next to 400 ms timers,
+/// with horizon stops between them.
+#[test]
+fn ties_beside_slow_timers_match_the_oracle() {
+    let [wheel, heap] = both_traces::<Mixed, _>(
+        |sim| {
+            for id in 0..16u32 {
+                sim.ctx()
+                    .post_at(SimTime::from_nanos(id as u64 * 25_000_000), TIMER | id);
+            }
+            sim.ctx().post_at(SimTime::ZERO, TICK);
+        },
+        &[123_456, 400_000_000, 1_000_000_001],
+    );
+    assert!(heap.len() > 100_000, "too few events ({})", heap.len());
+    assert_eq!(wheel, heap);
+}
