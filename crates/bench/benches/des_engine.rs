@@ -2,8 +2,9 @@
 //! 1–2: integer time + typed events), run against **both** calendar
 //! backends — the O(1) timing wheel and the legacy binary heap — plus the
 //! `model_path` group: the full ROCC model (NOW contention-free sweep) at
-//! three sizes, so end-to-end throughput is a first-class ratchet artifact
-//! and not just the calendar microbenches.
+//! three sizes plus a 1023-node MPP binary tree, so end-to-end throughput
+//! is a first-class ratchet artifact and not just the calendar
+//! microbenches.
 //!
 //! Besides the human-readable table, the run emits a machine-readable
 //! `BENCH_des.json` (path overridable via `PARADYN_BENCH_JSON`) with
@@ -14,7 +15,7 @@
 
 use paradyn_bench::json::Json;
 use paradyn_bench::timing::{Group, Stats};
-use paradyn_core::{build_with_calendar, run_sharded, Arch, Forwarding, SimConfig};
+use paradyn_core::{build_with_calendar, Arch, Forwarding, SimConfig};
 use paradyn_des::{CalendarKind, CalendarStats, Ctx, Model, Sim, SimDur, SimTime};
 
 /// Self-rescheduling single event: pure calendar overhead.
@@ -228,86 +229,37 @@ fn main() {
         }
     }
 
-    // `sharded_run` group: the conservative sharded driver on an MPP
-    // binary tree of >=1k daemons (DESIGN.md §11), wheel calendar, merge
-    // included — end-to-end cost of the exact bit-identical run. The
-    // driver runs with `threads = 1` (all shards round-robin on one OS
-    // thread, bit-identical to any thread count): that isolates the window
-    // protocol's overhead from scheduler noise, and on a single-core host
-    // it is also simply faster — per-round cross-thread synchronization
-    // costs far more than the work in a 5 µs window when every thread
-    // shares one core. The separate `sharded` JSON array adds a
-    // speedup-vs-serial column per shard count; on a single-core host it
-    // is bounded above by 1 by construction and reads as protocol
-    // overhead — EXPERIMENTS.md discusses both readings.
-    let mut g = Group::new("sharded_run");
-    if !smoke {
-        g.pin(15, 2).warmup_time_ms(200);
-    }
-    let sh_nodes = if smoke { 63 } else { 1023 };
-    let sh_cfg = SimConfig {
+    // The largest committed tree: a 1023-node MPP binary tree (the
+    // simbench `mpp_tree_1023` size), wheel calendar only, with its own
+    // ratchet floor.
+    let tree_nodes = if smoke { 63 } else { 1023 };
+    let tree_cfg = SimConfig {
         arch: Arch::Mpp {
             forwarding: Forwarding::BinaryTree,
         },
-        nodes: sh_nodes,
+        nodes: tree_nodes,
         batch: 16,
         duration_s: if smoke { 0.01 } else { 0.05 },
         ..Default::default()
     };
-    let sh_horizon = SimTime::from_secs_f64(sh_cfg.duration_s);
-    let sh_events = {
-        let mut sim = build_with_calendar(&sh_cfg, CalendarKind::Wheel);
-        sim.run_until(sh_horizon);
-        sim.executed_events()
+    let tree_horizon = SimTime::from_secs_f64(tree_cfg.duration_s);
+    let (tree_events, tree_occ) = {
+        let mut sim = build_with_calendar(&tree_cfg, CalendarKind::Wheel);
+        let occ = sim.ctx().calendar_stats();
+        sim.run_until(tree_horizon);
+        (sim.executed_events(), occ)
     };
-    let sh_occ = build_with_calendar(&sh_cfg, CalendarKind::Wheel)
-        .ctx()
-        .calendar_stats();
-    let serial_case = format!("sharded_mpp_{sh_nodes}n_serial");
-    g.throughput(sh_events);
-    let serial_stats = g.bench_with_setup(
-        &format!("{serial_case}/wheel"),
-        || build_with_calendar(&sh_cfg, CalendarKind::Wheel),
+    let tree_case = format!("mpp_tree_{tree_nodes}n");
+    g.throughput(tree_events);
+    let stats = g.bench_with_setup(
+        &format!("{tree_case}/wheel"),
+        || build_with_calendar(&tree_cfg, CalendarKind::Wheel),
         |mut sim| {
-            sim.run_until(sh_horizon);
+            sim.run_until(tree_horizon);
             sim.executed_events()
         },
     );
-    record(
-        &mut results,
-        &serial_case,
-        CalendarKind::Wheel,
-        sh_events,
-        serial_stats,
-        sh_occ,
-    );
-    let mut sharded: Vec<Json> = vec![Json::Obj(vec![
-        ("name".into(), Json::str(serial_case.clone())),
-        ("shards".into(), Json::num(0.0)),
-        (
-            "events_per_sec".into(),
-            Json::num(sh_events as f64 / (serial_stats.median_ns as f64 * 1e-9)),
-        ),
-        ("speedup_vs_serial".into(), Json::num(1.0)),
-    ])];
-    for shards in [1u16, 2, 4] {
-        let case = format!("sharded_mpp_{sh_nodes}n_s{shards}");
-        g.throughput(sh_events);
-        let stats = g.bench_function(&format!("{case}/wheel"), || {
-            let sim = run_sharded(&sh_cfg, CalendarKind::Wheel, shards, 1);
-            sim.executed_events()
-        });
-        record(&mut results, &case, CalendarKind::Wheel, sh_events, stats, sh_occ);
-        let eps = sh_events as f64 / (stats.median_ns as f64 * 1e-9);
-        let speedup = serial_stats.median_ns as f64 / stats.median_ns as f64;
-        println!("sharded {case:<28} vs serial: {speedup:.2}x");
-        sharded.push(Json::Obj(vec![
-            ("name".into(), Json::str(case)),
-            ("shards".into(), Json::num(shards as f64)),
-            ("events_per_sec".into(), Json::num(eps)),
-            ("speedup_vs_serial".into(), Json::num(speedup)),
-        ]));
-    }
+    record(&mut results, &tree_case, CalendarKind::Wheel, tree_events, stats, tree_occ);
 
     let mut speedups: Vec<Json> = vec![];
     for case in &case_names {
@@ -330,7 +282,6 @@ fn main() {
         ("smoke".into(), Json::Bool(smoke)),
         ("results".into(), Json::Arr(results)),
         ("speedups".into(), Json::Arr(speedups)),
-        ("sharded".into(), Json::Arr(sharded)),
     ]);
     let path =
         std::env::var("PARADYN_BENCH_JSON").unwrap_or_else(|_| "BENCH_des.json".to_string());

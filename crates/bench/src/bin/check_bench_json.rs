@@ -163,38 +163,10 @@ fn main() {
             fail(format!("{ctx}: `wheel_over_heap` must be > 0"));
         }
     }
-    // The `sharded` array (emitted by the `sharded_run` bench group) adds
-    // a speedup-vs-serial column per shard count; every row must point at
-    // a real result. Older bench files without the array still validate —
-    // the sharded floors in BENCH_floor.json are what force the group to
-    // actually run (a floor with no matching result is fatal above).
-    let sharded = doc.get("sharded").and_then(Json::as_arr);
-    if let Some(rows) = sharded {
-        for (i, s) in rows.iter().enumerate() {
-            let ctx = format!("{path} sharded[{i}]");
-            let name = require_str(s, "name", &ctx);
-            if !names.iter().any(|n| n == name) {
-                fail(format!("{ctx}: sharded row for unknown case `{name}`"));
-            }
-            let shards = require_num(s, "shards", &ctx);
-            if !(shards >= 0.0 && shards.fract() == 0.0) {
-                fail(format!("{ctx}: `shards` must be a whole number >= 0"));
-            }
-            let eps = require_num(s, "events_per_sec", &ctx);
-            if !(eps > 0.0) {
-                fail(format!("{ctx}: `events_per_sec` must be > 0"));
-            }
-            let sp = require_num(s, "speedup_vs_serial", &ctx);
-            if !(sp > 0.0) {
-                fail(format!("{ctx}: `speedup_vs_serial` must be > 0"));
-            }
-        }
-    }
     println!(
-        "check_bench_json: {path} ok ({} results, {} speedups, {} sharded rows)",
+        "check_bench_json: {path} ok ({} results, {} speedups)",
         results.len(),
-        speedups.len(),
-        sharded.map_or(0, |r| r.len())
+        speedups.len()
     );
     // The throughput ratchet only applies to full (non-smoke) runs; smoke
     // runs use a single unwarmed iteration and would trip any honest floor.

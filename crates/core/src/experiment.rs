@@ -19,51 +19,14 @@ use paradyn_stats::{mean_ci, MeanCi};
 
 /// Run one simulation to its configured horizon.
 ///
-/// When `PARADYN_SHARDS` is set above 1 and the configuration is
-/// [`crate::shard::shardable`], the run executes on the sharded driver
-/// ([`crate::shard::run_sharded`]) with `PARADYN_SHARD_THREADS` OS
-/// threads (default 1) — the metrics are bit-identical to the serial
-/// engine either way.
-///
 /// # Panics
 /// Panics on an invalid configuration.
 pub fn run(cfg: &SimConfig) -> SimMetrics {
     let horizon = SimTime::from_secs_f64(cfg.duration_s);
-    let shards = default_shards();
-    let sim = if shards > 1 && crate::shard::shardable(cfg) {
-        crate::shard::run_sharded(
-            cfg,
-            CalendarKind::default_from_env(),
-            shards,
-            default_shard_threads(),
-        )
-    } else {
-        let mut sim = build(cfg);
-        sim.run_until(horizon);
-        sim
-    };
+    let mut sim = build(cfg);
+    sim.run_until(horizon);
     let events = sim.executed_events();
     sim.model.metrics(horizon - SimTime::ZERO, events)
-}
-
-/// Shard count for [`run`]: `PARADYN_SHARDS` if set, else 1 (serial).
-pub fn default_shards() -> u16 {
-    std::env::var("PARADYN_SHARDS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n: &u16| n >= 1)
-        .unwrap_or(1)
-}
-
-/// OS threads driving a sharded [`run`]: `PARADYN_SHARD_THREADS` if set,
-/// else 1 (the window protocol runs the shards round-robin on the calling
-/// thread — bit-identical to any other thread count).
-pub fn default_shard_threads() -> usize {
-    std::env::var("PARADYN_SHARD_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n: &usize| n >= 1)
-        .unwrap_or(1)
 }
 
 /// Metrics of a replicated experiment: per-replication values plus the

@@ -36,7 +36,6 @@ pub mod experiment;
 pub mod metrics;
 pub mod model;
 pub mod pipe;
-pub mod shard;
 pub mod validate;
 
 pub use config::{
@@ -49,10 +48,6 @@ pub use experiment::{
 };
 pub use metrics::SimMetrics;
 pub use model::snapshot::{fork_n, warm_snapshot};
-pub use model::{build, build_with_calendar, RoccModel};
+pub use model::{build, build_with_calendar, exec_cell, shardable, RoccModel};
 pub use pipe::{Deposit, OverflowPolicy, Pipe};
-pub use shard::{
-    exec_cell, lookahead_ns, partition, run_sharded, run_sharded_with_lookahead, shardable,
-    smoke_seed,
-};
 pub use validate::{validate, validation_config, ValidationResult, TABLE3};

@@ -135,7 +135,7 @@ impl SimMetrics {
     /// Build from a finished model.
     pub(crate) fn from_model(m: &RoccModel, horizon: SimDur, events: u64) -> SimMetrics {
         let dur = horizon.as_secs_f64();
-        let acc = m.acc_total();
+        let acc = &m.acc;
         let nodes = m.cfg.nodes;
         let n = nodes as f64;
         let mut cpu = [0.0; 5];

@@ -96,7 +96,7 @@ impl RoccModel {
             self.deposit_sample(ctx, app);
         }
         if self.barrier_waiting.len() == self.apps.len() {
-            self.accs[self.cell].barrier_ops += 1;
+            self.acc.barrier_ops += 1;
             // Swap the roster into recycled scratch storage so the release
             // cycle (and the refilling roster) reuse their capacity.
             let mut released = std::mem::take(&mut self.barrier_scratch);
@@ -129,11 +129,11 @@ impl RoccModel {
     /// (emitted == received + lost + shed + in-flight) is anchored here.
     pub(crate) fn deposit_sample(&mut self, ctx: &mut Ctx<Ev>, app: AppId) {
         let now = ctx.now();
-        self.accs[self.cell].emitted_samples += 1;
+        self.acc.emitted_samples += 1;
         if self.apps.pipe[app as usize].writer_blocked() {
             // Already blocked on an earlier sample; drop this event record
             // (the writer is stuck inside the earlier write).
-            self.accs[self.cell].lost_blocked += 1;
+            self.acc.lost_blocked += 1;
             return;
         }
         let pd = self.apps.hot[app as usize].pd;
@@ -142,13 +142,13 @@ impl RoccModel {
         if let Some(deg) = self.cfg.degradation {
             let tier = super::degrade::app_tier(app, &deg);
             if self.daemon_pressure(pd) && super::degrade::tier_sheddable(tier, &deg) {
-                self.accs[self.cell].shed_by_tier[tier] += 1;
+                self.acc.shed_by_tier[tier] += 1;
                 return;
             }
         }
         match self.apps.pipe[app as usize].deposit(now) {
             Deposit::Accepted => {
-                self.accs[self.cell].generated_samples += 1;
+                self.acc.generated_samples += 1;
                 self.daemons.fifo[pd as usize].push_back((now, app));
                 if self.cfg.degradation.is_some() {
                     // Occupancy and FIFO length both rose; check watermarks
@@ -167,7 +167,7 @@ impl RoccModel {
                 // Unreachable — guarded above — but keep the books straight
                 // if the guard ever regresses.
                 debug_assert!(false, "deposit raced a blocked writer");
-                self.accs[self.cell].lost_blocked += 1;
+                self.acc.lost_blocked += 1;
             }
             Deposit::DroppedNewest => {
                 // Lost on the floor; the pipe counted it.
@@ -182,7 +182,7 @@ impl RoccModel {
                 if let Some(idx) = fifo.iter().position(|&(_, who)| who == app) {
                     fifo.remove(idx);
                     fifo.push_back((now, app));
-                    self.accs[self.cell].generated_samples += 1;
+                    self.acc.generated_samples += 1;
                     self.maybe_collect(ctx, pd);
                 }
             }

@@ -174,7 +174,7 @@ impl RoccModel {
             // not stuck.
             self.daemons.hot[pd as usize].doomed = false;
             self.tokens.remove(token);
-            self.accs[self.cell].lost_crash += count as u64;
+            self.acc.lost_crash += count as u64;
             self.daemons.cold[pd as usize]
                 .fault_mon
                 .add_lost(count as u64);
@@ -216,7 +216,7 @@ impl RoccModel {
                 };
                 if attempts > link.max_retries {
                     let batch = self.tokens.remove(token).expect("forward token live");
-                    self.accs[self.cell].lost_link += batch.count as u64;
+                    self.acc.lost_link += batch.count as u64;
                     self.daemons.cold[pd as usize]
                         .fault_mon
                         .add_lost(batch.count as u64);
@@ -265,7 +265,7 @@ impl RoccModel {
             std::mem::take(&mut self.daemons.fifo[pd as usize])
         };
         let n = entries.len() as u64;
-        self.accs[self.cell].lost_crash += n;
+        self.acc.lost_crash += n;
         self.daemons.cold[pd as usize].fault_mon.add_lost(n);
         for (_gen, app) in entries {
             self.drain_one(ctx, app);
@@ -316,10 +316,10 @@ impl RoccModel {
     pub(crate) fn drain_one(&mut self, ctx: &mut Ctx<Ev>, app: u32) {
         let pd = self.apps.hot[app as usize].pd;
         if let Some(gen) = self.apps.pipe[app as usize].drain() {
-            self.accs[self.cell].generated_samples += 1;
+            self.acc.generated_samples += 1;
             let c = &mut self.apps.cold[app as usize];
             if let Some(since) = c.blocked_since.take() {
-                self.accs[self.cell].writer_block_us += (ctx.now() - since).as_micros_f64();
+                self.acc.writer_block_us += (ctx.now() - since).as_micros_f64();
             }
             let resume = c.paused.take();
             let restart_timer = !c.sampling_active;

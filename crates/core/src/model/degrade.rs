@@ -76,7 +76,7 @@ impl RoccModel {
             c.pressured = true;
             c.pressure_cleared_at = None;
             c.throttle_mult = (c.throttle_mult * deg.md_factor).min(deg.max_slowdown);
-            self.accs[self.cell].throttle_events += 1;
+            self.acc.throttle_events += 1;
             self.arm_throttle_tick(ctx, app);
         } else if c.pressured && fill <= deg.pipe_lo {
             c.pressured = false;
@@ -190,7 +190,7 @@ impl RoccModel {
             let tier = app_tier(app, &deg);
             if tier_sheddable(tier, &deg) {
                 fifo.remove(i);
-                self.accs[self.cell].shed_by_tier[tier] += 1;
+                self.acc.shed_by_tier[tier] += 1;
                 // Free the pipe slot the shed sample held; this can admit a
                 // parked sample, resume a blocked writer, and clear the
                 // pipe's pressure condition.
@@ -221,7 +221,7 @@ impl RoccModel {
         for child in [2 * node + 1, 2 * node + 2] {
             if child < nodes {
                 let jitter_us = self.daemons.cold[pd as usize].shed_rng.next_f64() * 1_000.0;
-                self.accs[self.cell].backpressure_events += 1;
+                self.acc.backpressure_events += 1;
                 ctx.post_in(
                     SimDur::from_micros_f64(jitter_us),
                     Ev::Backpressure { pd: child, on },

@@ -34,7 +34,6 @@ use paradyn_des::{
 };
 use paradyn_workload::ProcessClass;
 use std::collections::VecDeque;
-use std::sync::Arc;
 use types::{class_idx, AppId, Batch, CpuJob, CpuKind, Dest, Ev, NetJob, PdId, Token, TokenTable};
 
 /// Stream-id kinds for reproducible per-element randomness.
@@ -42,8 +41,7 @@ use types::{class_idx, AppId, Batch, CpuJob, CpuKind, Dest, Ev, NetJob, PdId, To
 /// Documented allocation (enforced by `paradyn-lint`'s `rng-stream-id`
 /// rule): ids 11–13 are reserved for `FAULT_*` fault-injection streams,
 /// 14–15 for `CTRL_*` degradation-controller streams, 16 for the
-/// `CHAOS_*` chaos-scenario derivation stream, and 17 for the `SHARD_*`
-/// sharded-run case-derivation stream, so an inert fault plan or
+/// `CHAOS_*` chaos-scenario derivation stream, so an inert fault plan or
 /// degradation config leaves every other stream untouched.
 pub mod stream_kind {
     /// Application CPU-burst demands.
@@ -80,9 +78,6 @@ pub mod stream_kind {
     pub const CTRL_SHED: u64 = 15;
     /// Chaos-search scenario derivation (one sub-seed per scenario index).
     pub const CHAOS_SCENARIO: u64 = 16;
-    /// Sharded-run smoke/differential case derivation (one sub-seed per
-    /// case index; see [`crate::shard::smoke_seed`]).
-    pub const SHARD_SMOKE: u64 = 17;
 }
 
 /// What an application process does next.
@@ -95,13 +90,7 @@ pub(crate) enum Step {
 }
 
 /// Internal metric accumulators.
-///
-/// With scheduling cells enabled (shardable configurations, see
-/// [`crate::shard`]) the model keeps one `Acc` per cell and folds them in
-/// cell order at reporting time ([`RoccModel::acc_total`]), so per-cell
-/// floating-point sums — and therefore the folded totals — are bitwise
-/// identical between a serial run and any sharded run.
-#[derive(Clone, Default)]
+#[derive(Default)]
 pub(crate) struct Acc {
     /// CPU busy time by class (µs).
     pub cpu_busy_us: [f64; 5],
@@ -143,44 +132,6 @@ pub(crate) struct Acc {
     pub backpressure_events: u64,
 }
 
-impl Acc {
-    /// Fold `o` into `self` (field-wise sums; used by
-    /// [`RoccModel::acc_total`] in ascending cell order).
-    pub(crate) fn add(&mut self, o: &Acc) {
-        for i in 0..5 {
-            self.cpu_busy_us[i] += o.cpu_busy_us[i];
-            self.net_busy_us[i] += o.net_busy_us[i];
-        }
-        self.latency_sum_s += o.latency_sum_s;
-        self.fwd_latency_sum_s += o.fwd_latency_sum_s;
-        self.received_samples += o.received_samples;
-        self.received_msgs += o.received_msgs;
-        self.generated_samples += o.generated_samples;
-        self.barrier_ops += o.barrier_ops;
-        self.emitted_samples += o.emitted_samples;
-        self.lost_blocked += o.lost_blocked;
-        self.lost_crash += o.lost_crash;
-        self.lost_link += o.lost_link;
-        self.writer_block_us += o.writer_block_us;
-        self.stall_injected_us += o.stall_injected_us;
-        for i in 0..crate::metrics::MAX_TIERS {
-            self.shed_by_tier[i] += o.shed_by_tier[i];
-        }
-        self.throttle_events += o.throttle_events;
-        self.backpressure_events += o.backpressure_events;
-    }
-}
-
-/// The slice of a sharded run this model instance executes: used by the
-/// boot path to seed only owned cells (every shard replays the same boot
-/// code and self-filters; see DESIGN.md §11).
-pub(crate) struct ShardSlice {
-    /// This shard's id.
-    pub me: u16,
-    /// Owning shard per cell (cell = node index).
-    pub shard_of: Arc<Vec<u16>>,
-}
-
 /// The full system model.
 pub struct RoccModel {
     // lint:allow(snapshot-exempt): immutable for a run; fork/rewind restore into a model built from the same config
@@ -208,19 +159,11 @@ pub struct RoccModel {
     /// Whether the configured overload ramp has fired (offered load is
     /// multiplied from that point on).
     pub(crate) overload_on: bool,
-    /// Metric accumulators: one per scheduling cell when cells are enabled
-    /// (shardable configurations), a single slot otherwise.
-    pub(crate) accs: Vec<Acc>,
-    /// Cell of the event currently being handled (always 0 when
-    /// `cells_on` is false).
-    // lint:allow(snapshot-exempt): transient cursor, only meaningful mid-event; snapshots are taken between events
-    pub(crate) cell: usize,
-    /// Whether scheduling cells are enabled (see [`crate::shard`]).
+    /// Metric accumulators.
+    pub(crate) acc: Acc,
+    /// Whether scheduling cells are enabled (see [`shardable`]).
     // lint:allow(snapshot-exempt): derived from the config the restored model is rebuilt from
     pub(crate) cells_on: bool,
-    /// Present only on the workers of a sharded run.
-    // lint:allow(snapshot-exempt): worker-only scaffold; snapshots are taken on the merged serial model where it is None
-    pub(crate) shard: Option<ShardSlice>,
 }
 
 impl RoccModel {
@@ -233,11 +176,7 @@ impl RoccModel {
         if let Err(e) = cfg.validate() {
             panic!("invalid SimConfig: {e}");
         }
-        // Shardable configurations run with scheduling cells (cell = node)
-        // whether or not the run is actually sharded, so serial runs are
-        // the bit-exact oracle for sharded ones at any shard count.
-        let cells_on = crate::shard::shardable(&cfg);
-        let cells = cfg.nodes;
+        let cells_on = shardable(&cfg);
         let streams = Streams::new(cfg.seed);
         let quantum = SimDur::from_micros_f64(cfg.params.quantum_us);
         let banks = match cfg.arch {
@@ -369,43 +308,19 @@ impl RoccModel {
             barrier_scratch: Vec::with_capacity(total_apps),
             drain_pool: Vec::with_capacity(total_pds),
             overload_on: false,
-            accs: vec![Acc::default(); if cells_on { cells } else { 1 }],
-            cell: 0,
+            acc: Acc::default(),
             cells_on,
-            shard: None,
         }
     }
 
-    /// True when this instance owns `cell` (trivially true outside a
-    /// sharded run).
-    #[inline]
-    pub(crate) fn owns_cell(&self, cell: u32) -> bool {
-        match &self.shard {
-            Some(s) => s.shard_of[cell as usize] == s.me,
-            None => true,
-        }
-    }
-
-    /// Attribute subsequent metric writes and event-sequence allocations
-    /// to `cell` (the boot path calls this per seeded entity so per-cell
-    /// sequence counters advance identically in serial and sharded runs).
+    /// Attribute subsequent event-sequence allocations to `cell` (the boot
+    /// path calls this per seeded entity, so each entity's first events
+    /// take their numbers from its own cell's counter).
     #[inline]
     pub(crate) fn enter_cell(&mut self, ctx: &mut Ctx<Ev>, cell: u32) {
         if self.cells_on {
-            self.cell = cell as usize;
             ctx.set_cell(cell);
         }
-    }
-
-    /// Fold the per-cell accumulators in ascending cell order. With cells
-    /// off this is exactly the single accumulator, so non-cell runs report
-    /// bit-identical metrics to the historical single-`Acc` model.
-    pub(crate) fn acc_total(&self) -> Acc {
-        let mut total = self.accs[0].clone();
-        for a in &self.accs[1..] {
-            total.add(a);
-        }
-        total
     }
 
     /// Which CPU bank serves a node.
@@ -445,13 +360,12 @@ impl RoccModel {
             _ => demand_us,
         };
         // On contention-free interconnects a forwarding hop takes at least
-        // `min_forward_us` of wire time — the lookahead lower bound the
-        // sharded driver's conservative windows rest on (DESIGN.md §11).
+        // `min_forward_us` of wire time.
         let demand_us = match (&self.shared_net, &job) {
             (None, NetJob::Forward { .. }) => demand_us.max(self.cfg.params.min_forward_us),
             _ => demand_us,
         };
-        self.accs[self.cell].net_busy_us[class_idx(job.class())] += demand_us;
+        self.acc.net_busy_us[class_idx(job.class())] += demand_us;
         let demand = SimDur::from_micros_f64(demand_us);
         match &mut self.shared_net {
             Some(server) => {
@@ -466,8 +380,7 @@ impl RoccModel {
     }
 
     /// Allocate a batch token for collecting daemon `pd` (the token value
-    /// is a pure function of `pd`'s own allocation history, so it is
-    /// identical in serial and sharded runs).
+    /// is a pure function of `pd`'s own allocation history).
     pub(crate) fn alloc_token(&mut self, pd: PdId, batch: Batch) -> Token {
         self.tokens.insert(pd, batch)
     }
@@ -525,10 +438,10 @@ impl RoccModel {
             .tokens
             .remove(token)
             .expect("consumed token must be live");
-        self.accs[self.cell].latency_sum_s += batch.mean_latency_s(ctx.now()) * batch.count as f64;
-        self.accs[self.cell].fwd_latency_sum_s += batch.forwarding_latency_s(ctx.now());
-        self.accs[self.cell].received_samples += batch.count as u64;
-        self.accs[self.cell].received_msgs += 1;
+        self.acc.latency_sum_s += batch.mean_latency_s(ctx.now()) * batch.count as f64;
+        self.acc.fwd_latency_sum_s += batch.forwarding_latency_s(ctx.now());
+        self.acc.received_samples += batch.count as u64;
+        self.acc.received_msgs += 1;
     }
 
     /// Extract end-of-run metrics. `horizon` is the simulated duration the
@@ -642,19 +555,15 @@ impl Model for RoccModel {
 
     fn handle(&mut self, ctx: &mut Ctx<Ev>, ev: Ev) {
         if self.cells_on {
-            // Attribute this event's metric writes — and the sequence
-            // numbers of everything it schedules — to its execution cell,
-            // making both independent of how cells are packed onto shards.
-            let c = crate::shard::exec_cell(&ev, self.cfg.apps_per_node as u32);
-            self.cell = c as usize;
-            ctx.set_cell(c);
+            // Number everything this event schedules from its execution
+            // cell's own counter.
+            ctx.set_cell(exec_cell(&ev, self.cfg.apps_per_node as u32));
         }
         match ev {
             Ev::Init => self.init(ctx),
             Ev::Slice { bank, cpu } => {
                 let end = self.banks[bank as usize].slice_end(cpu as usize);
-                self.accs[self.cell].cpu_busy_us[class_idx(end.job.class)] +=
-                    end.ran.as_micros_f64();
+                self.acc.cpu_busy_us[class_idx(end.job.class)] += end.ran.as_micros_f64();
                 // Per-daemon attribution for adaptive regulation.
                 match end.job.kind {
                     CpuKind::PdCollect { pd, .. } => {
@@ -704,21 +613,11 @@ impl Model for RoccModel {
 
 impl RoccModel {
     /// Seed the time-zero activity: application loops, sampling timers,
-    /// and background sources.
-    ///
-    /// In a sharded run every shard replays this same boot code and
-    /// self-filters to the cells it owns; each per-entity seed enters its
-    /// entity's cell first, so per-cell sequence counters (and therefore
-    /// event identities) come out identical to a serial boot. Skipping an
-    /// unowned entity skips only that entity's own stream draws —
-    /// construction gives every entity its own stream, so the remaining
-    /// draws are unperturbed.
+    /// and background sources. Each per-entity seed enters its entity's
+    /// cell first.
     fn init(&mut self, ctx: &mut Ctx<Ev>) {
         for app in 0..self.apps.len() as u32 {
             let cell = self.apps.hot[app as usize].node;
-            if !self.owns_cell(cell) {
-                continue;
-            }
             self.enter_cell(ctx, cell);
             self.app_start_step(ctx, app, Step::Compute);
             if self.cfg.instrumented {
@@ -730,9 +629,6 @@ impl RoccModel {
                 let interval = SimDur::from_micros_f64(a.interval_us);
                 for pd in 0..self.daemons.len() as u32 {
                     let cell = self.daemons.hot[pd as usize].node;
-                    if !self.owns_cell(cell) {
-                        continue;
-                    }
                     self.enter_cell(ctx, cell);
                     ctx.post_in(interval, Ev::AdaptTick { pd });
                 }
@@ -742,16 +638,13 @@ impl RoccModel {
             // so fault-free runs are bit-identical to the fault-free model.
             for pd in 0..self.daemons.len() as u32 {
                 let cell = self.daemons.hot[pd as usize].node;
-                if !self.owns_cell(cell) {
-                    continue;
-                }
                 if let Some(crash) = &mut self.daemons.cold[pd as usize].crash {
                     let ttf = crash.time_to_failure();
                     self.enter_cell(ctx, cell);
                     ctx.post_in(ttf, Ev::DaemonCrash { pd });
                 }
             }
-            if self.cfg.faults.stall.is_some() && self.owns_cell(0) {
+            if self.cfg.faults.stall.is_some() {
                 self.enter_cell(ctx, 0);
                 let gap = self.draw_stall_gap();
                 ctx.post_in(gap, Ev::MainStall);
@@ -759,7 +652,7 @@ impl RoccModel {
             // Like fault injection, an overload ramp schedules nothing when
             // it is inert (factor 1), so such configs stay bit-identical.
             if let Some(o) = self.cfg.overload {
-                if o.factor > 1.0 && self.owns_cell(0) {
+                if o.factor > 1.0 {
                     self.enter_cell(ctx, 0);
                     ctx.post_at(SimTime::from_secs_f64(o.at_s), Ev::OverloadRamp);
                 }
@@ -767,9 +660,6 @@ impl RoccModel {
         }
         if self.cfg.background {
             for node in 0..self.pvmd_rngs.len() as u32 {
-                if !self.owns_cell(node) {
-                    continue;
-                }
                 self.enter_cell(ctx, node);
                 let d = self.draw_interarrival(node, BgKind::Pvmd);
                 ctx.post_in(d, Ev::PvmdArrival { node });
@@ -828,7 +718,7 @@ impl RoccModel {
     /// processing through round-robin sharing.
     fn main_stall(&mut self, ctx: &mut Ctx<Ev>) {
         let s = self.cfg.faults.stall.expect("MainStall only scheduled with stalls on");
-        self.accs[self.cell].stall_injected_us += s.stall_us;
+        self.acc.stall_injected_us += s.stall_us;
         self.submit_cpu(
             ctx,
             self.bank_of(0),
@@ -868,14 +758,65 @@ pub fn build(cfg: &SimConfig) -> Sim<RoccModel> {
 /// to compare the timing wheel against the legacy heap on the full model).
 pub fn build_with_calendar(cfg: &SimConfig, kind: paradyn_des::CalendarKind) -> Sim<RoccModel> {
     let mut sim = Sim::with_calendar(RoccModel::new(cfg.clone()), kind);
-    // Shardable configurations use per-cell sequence counters even when
-    // run serially, so the serial run is the bit-exact oracle for sharded
-    // runs (see `crate::shard`). Other configurations keep the historical
-    // single global counter and are untouched by sharding.
+    // Shardable configurations number events per cell; the rest keep the
+    // single global counter (see [`shardable`]).
     if sim.model.cells_on {
         let cells = sim.model.cfg.nodes as u32;
         sim.ctx().enable_cells(cells);
     }
     sim.ctx().post_at(SimTime::ZERO, Ev::Init);
     sim
+}
+
+/// Whether `cfg` numbers its events per scheduling cell (cell = node; see
+/// [`Ctx::enable_cells`]) instead of with one global counter.
+///
+/// These are the configurations whose nodes interact only through
+/// forwarding links: per-node CPU banks and a contention-free interconnect,
+/// no global barrier, no degradation controller, and an inert overload
+/// ramp. The numbering decides the `(at, seq)` order of same-time ties, so
+/// it is part of every such run's trace; switching it would change the
+/// reproduced MPP and contention-free NOW results.
+pub fn shardable(cfg: &SimConfig) -> bool {
+    let arch_ok = matches!(
+        cfg.arch,
+        Arch::Mpp { .. }
+            | Arch::Now {
+                contention_free: true
+            }
+    );
+    let overload_inert = cfg.overload.is_none_or(|o| o.factor <= 1.0);
+    arch_ok
+        && cfg.app.barrier_period_us.is_none()
+        && cfg.degradation.is_none()
+        && overload_inert
+}
+
+/// Execution cell of an event: the node whose state its handler touches.
+/// Only meaningful on [`shardable`] configurations (per-node banks, node ==
+/// daemon index); a pure function of the event and the static
+/// configuration.
+pub fn exec_cell(ev: &Ev, apps_per_node: u32) -> u32 {
+    match *ev {
+        Ev::Init | Ev::NetDone | Ev::MainStall | Ev::OverloadRamp => 0,
+        Ev::Slice { bank, .. } => bank,
+        Ev::Deliver(job) => match job {
+            NetJob::AppComm { app } => app / apps_per_node,
+            NetJob::Forward { dest, .. } => match dest {
+                Dest::Main => 0,
+                Dest::Node(n) => n,
+            },
+            NetJob::PvmdNet { node } | NetJob::OtherNet { node } => node,
+        },
+        Ev::Sample { app } | Ev::ThrottleTick { app } => app / apps_per_node,
+        Ev::PvmdArrival { node }
+        | Ev::OtherCpuArrival { node }
+        | Ev::OtherNetArrival { node } => node,
+        Ev::FlushTimeout { pd, .. }
+        | Ev::AdaptTick { pd }
+        | Ev::DaemonCrash { pd }
+        | Ev::DaemonRecover { pd }
+        | Ev::Backpressure { pd, .. }
+        | Ev::RetryForward { pd, .. } => pd,
+    }
 }

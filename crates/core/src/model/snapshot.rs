@@ -280,10 +280,7 @@ impl PersistState for RoccModel {
         self.other_rngs.save(w);
         self.stall_rng.save(w);
         w.put_bool(self.overload_on);
-        w.put_usize(self.accs.len());
-        for acc in &self.accs {
-            acc.save(w);
-        }
+        self.acc.save(w);
     }
 
     fn load_state(&mut self, r: &mut Dec<'_>) -> Result<(), SnapError> {
@@ -329,14 +326,7 @@ impl PersistState for RoccModel {
         }
         let stall_rng: StreamRng = Persist::load(r)?;
         let overload_on = r.take_bool()?;
-        let n_accs = r.take_usize()?;
-        if n_accs != self.accs.len() {
-            return Err(SnapError::Malformed("accumulator count differs from config"));
-        }
-        let mut accs = Vec::with_capacity(n_accs);
-        for _ in 0..n_accs {
-            accs.push(Acc::load(r)?);
-        }
+        let acc = Acc::load(r)?;
         self.banks = banks;
         self.shared_net = shared_net;
         self.apps = apps;
@@ -348,7 +338,7 @@ impl PersistState for RoccModel {
         self.other_rngs = other_rngs;
         self.stall_rng = stall_rng;
         self.overload_on = overload_on;
-        self.accs = accs;
+        self.acc = acc;
         Ok(())
     }
 }

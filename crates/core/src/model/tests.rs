@@ -151,12 +151,12 @@ fn conservation_generated_equals_buffered_plus_forwarded() {
         .map(|b| b.count as u64)
         .sum();
     assert_eq!(
-        model.acc_total().generated_samples,
+        model.acc.generated_samples,
         forwarded + buffered as u64 + collecting,
         "sample conservation at daemon boundary"
     );
     assert_eq!(
-        model.acc_total().received_samples,
+        model.acc.received_samples,
         forwarded - post_forward,
         "sample conservation at network/main boundary"
     );
@@ -180,8 +180,8 @@ fn tree_messages_traverse_expected_hop_counts() {
     // sampling rate), and everything generated was eventually received.
     let (batches, samples) = model.total_forwarded();
     assert!(batches > 100);
-    assert!(model.acc_total().received_samples > 0);
-    assert!(samples >= model.acc_total().received_samples);
+    assert!(model.acc.received_samples > 0);
+    assert!(samples >= model.acc.received_samples);
     // Merge work happened: daemon CPU exceeds the collect-only cost by a
     // measurable margin on interior nodes. Compare total Pd CPU to the
     // collect-only baseline from a direct-forwarding run.
@@ -195,8 +195,8 @@ fn tree_messages_traverse_expected_hop_counts() {
             4,
         )
     });
-    let tree_pd = model.acc_total().cpu_busy_us[types::class_idx(ProcessClass::ParadynDaemon)];
-    let direct_pd = direct.acc_total().cpu_busy_us[types::class_idx(ProcessClass::ParadynDaemon)];
+    let tree_pd = model.acc.cpu_busy_us[types::class_idx(ProcessClass::ParadynDaemon)];
+    let direct_pd = direct.acc.cpu_busy_us[types::class_idx(ProcessClass::ParadynDaemon)];
     assert!(
         tree_pd > 1.1 * direct_pd,
         "tree {tree_pd} vs direct {direct_pd}"
@@ -212,7 +212,7 @@ fn sampling_timers_stay_alive_for_run_duration() {
         ..quick(Arch::Now { contention_free: true }, 4)
     });
     let expect = 4.0 * 2.0 / 0.040;
-    let got = model.acc_total().generated_samples as f64;
+    let got = model.acc.generated_samples as f64;
     assert!(
         got > 0.5 * expect && got < 2.0 * expect,
         "generated {got} vs expected ~{expect}"
@@ -227,7 +227,7 @@ fn periodic_sampling_is_exact() {
         ..quick(Arch::Now { contention_free: true }, 2)
     });
     // 2 s / 40 ms = 50 samples per app, ±1 boundary sample.
-    let per_app = model.acc_total().generated_samples as f64 / 2.0;
+    let per_app = model.acc.generated_samples as f64 / 2.0;
     assert!((per_app - 50.0).abs() <= 1.0, "per-app {per_app}");
 }
 
@@ -236,7 +236,7 @@ fn main_process_work_lands_on_node_zero_bank() {
     let (model, _) = run_model(quick(Arch::Now { contention_free: true }, 4));
     // Node 0's bank served main-process work; other banks did not. Verify
     // via per-bank busy time exceeding the app+pd share on node 0.
-    let main_us = model.acc_total().cpu_busy_us[types::class_idx(ProcessClass::MainParadyn)];
+    let main_us = model.acc.cpu_busy_us[types::class_idx(ProcessClass::MainParadyn)];
     assert!(main_us > 0.0);
     let node0_busy = model.banks[0].busy_total().as_micros_f64();
     let node1_busy = model.banks[1].busy_total().as_micros_f64();
@@ -252,7 +252,55 @@ fn uninstrumented_run_schedules_no_is_events() {
         instrumented: false,
         ..quick(Arch::Now { contention_free: true }, 2)
     });
-    assert_eq!(model.acc_total().generated_samples, 0);
+    assert_eq!(model.acc.generated_samples, 0);
     assert_eq!(model.total_forwarded(), (0, 0));
     assert!(events > 0, "application still runs");
+}
+
+fn mpp_tree(nodes: usize) -> SimConfig {
+    quick(
+        Arch::Mpp {
+            forwarding: Forwarding::BinaryTree,
+        },
+        nodes,
+    )
+}
+
+#[test]
+fn shardable_excludes_coupling_features() {
+    assert!(!shardable(&SimConfig::default()), "shared Ethernet couples all nodes");
+    assert!(shardable(&mpp_tree(8)));
+    assert!(shardable(&quick(Arch::Now { contention_free: true }, 4)));
+    assert!(!shardable(&quick(Arch::Smp, 4)));
+    assert!(!shardable(&SimConfig {
+        degradation: Some(crate::config::DegradationConfig::default()),
+        ..mpp_tree(8)
+    }));
+    assert!(!shardable(&SimConfig {
+        overload: Some(crate::config::OverloadRamp::default()),
+        ..mpp_tree(8)
+    }));
+    let mut barrier = mpp_tree(8);
+    barrier.app.barrier_period_us = Some(1_000_000.0);
+    assert!(!shardable(&barrier));
+}
+
+#[test]
+fn exec_cell_maps_app_events_to_their_node() {
+    for apn in [1u32, 2, 3] {
+        for node in 0..16u32 {
+            for a in node * apn..(node + 1) * apn {
+                assert_eq!(exec_cell(&Ev::Sample { app: a }, apn), node);
+                assert_eq!(exec_cell(&Ev::ThrottleTick { app: a }, apn), node);
+                assert_eq!(exec_cell(&Ev::Deliver(NetJob::AppComm { app: a }), apn), node);
+            }
+        }
+    }
+    let fwd = |dest| Ev::Deliver(NetJob::Forward { token: 0, dest });
+    assert_eq!(exec_cell(&fwd(Dest::Main), 2), 0);
+    assert_eq!(exec_cell(&fwd(Dest::Node(5)), 2), 5);
+    assert_eq!(exec_cell(&Ev::Slice { bank: 7, cpu: 0 }, 2), 7);
+    assert_eq!(exec_cell(&Ev::PvmdArrival { node: 3 }, 2), 3);
+    assert_eq!(exec_cell(&Ev::DaemonCrash { pd: 4 }, 2), 4);
+    assert_eq!(exec_cell(&Ev::NetDone, 2), 0);
 }

@@ -10,12 +10,11 @@ pub type AppId = u32;
 /// Daemon index.
 pub type PdId = u32;
 
-/// Token identifying an in-flight batch of samples. Shard-stable encoding:
-/// the high 32 bits name the allocating daemon, the low [`TOKEN_CTR_BITS`]
-/// bits are that daemon's private allocation counter — so a token value is
-/// a pure function of the allocator's own history, identical whether the
-/// run is serial or sharded (DESIGN.md §11). The counter never wraps, so no
-/// two batches a daemon allocates ever share a token.
+/// Token identifying an in-flight batch of samples: the high 32 bits name
+/// the allocating daemon, the low [`TOKEN_CTR_BITS`] bits are that daemon's
+/// private allocation counter — so a token value is a pure function of the
+/// allocator's own history. The counter never wraps, so no two batches a
+/// daemon allocates ever share a token.
 pub type Token = u64;
 
 /// Low bits of a [`Token`] carrying the allocator's counter.
@@ -50,26 +49,15 @@ impl Window {
         self.slots.get_mut(ctr.wrapping_sub(self.base) as usize)
     }
 
-    /// Store `batch` under `ctr`, growing the window at either end.
-    ///
-    /// # Panics
-    /// Panics if `ctr` is already live: two batches never share a token.
+    /// Store `batch` under `ctr`, a counter newer than every slot.
     fn put(&mut self, ctr: u32, batch: Batch) {
         if self.slots.is_empty() {
             self.base = ctr;
-        } else if ctr < self.base {
-            for _ in ctr..self.base {
-                self.slots.push_front(None);
-            }
-            self.base = ctr;
         }
         let i = (ctr - self.base) as usize;
-        if i >= self.slots.len() {
-            self.slots.resize_with(i + 1, || None);
-        }
-        let slot = &mut self.slots[i];
-        assert!(slot.is_none(), "token inserted while already live");
-        *slot = Some(batch);
+        assert!(i >= self.slots.len(), "token counter reused");
+        self.slots.resize_with(i, || None);
+        self.slots.push_back(Some(batch));
     }
 
     /// Retire `ctr`, popping any holes this opens at the front.
@@ -96,8 +84,7 @@ impl Window {
 /// Arena of in-flight batches keyed by `(allocating daemon, counter)`: one
 /// [`Window`] per daemon, so `get`/`get_mut`/`remove` are O(1) however
 /// large a saturated consumer lets the backlog grow. Iteration order —
-/// daemon index major, counter order minor — is deterministic and
-/// independent of how shards interleave.
+/// daemon index major, counter order minor — is deterministic.
 #[derive(Default)]
 pub struct TokenTable {
     /// Live batches per allocating daemon.
@@ -133,14 +120,6 @@ impl TokenTable {
         self.windows[pd as usize].put(ctr, batch);
         self.live += 1;
         ((pd as Token) << TOKEN_CTR_BITS) | ctr as Token
-    }
-
-    /// Re-insert a batch under a token allocated elsewhere (a cross-shard
-    /// arrival) at its counter's place in the allocator's window.
-    pub fn insert_at(&mut self, t: Token, batch: Batch) {
-        let (pd, ctr) = split(t);
-        self.windows[pd].put(ctr, batch);
-        self.live += 1;
     }
 
     /// Shared access to a live batch (`None` if the token was consumed).
@@ -184,34 +163,9 @@ impl TokenTable {
         self.windows[pd].iter().count()
     }
 
-    /// Iterate over live batches (daemon-major, allocation order —
-    /// deterministic and shard-independent).
+    /// Iterate over live batches (daemon-major, allocation order).
     pub fn values(&self) -> impl Iterator<Item = &Batch> {
         self.windows.iter().flat_map(|w| w.iter().map(|(_, b)| b))
-    }
-
-    /// Combine per-shard tables back into the serial table: each daemon's
-    /// next counter comes from the daemon's owning shard (the only place
-    /// it allocates), and the live batches — scattered across whichever
-    /// shards currently hold them — are put back at their counters.
-    pub fn absorb(tables: Vec<TokenTable>, owner_of_pd: impl Fn(usize) -> usize) -> TokenTable {
-        let pds = tables.first().map_or(0, TokenTable::pds);
-        let mut out = TokenTable::with_pds(pds);
-        for pd in 0..pds {
-            out.next[pd] = tables[owner_of_pd(pd)].next[pd];
-        }
-        for t in tables {
-            debug_assert_eq!(t.pds(), pds);
-            out.live += t.live;
-            for (pd, w) in t.windows.into_iter().enumerate() {
-                for (i, b) in w.slots.into_iter().enumerate() {
-                    if let Some(b) = b {
-                        out.windows[pd].put(w.base + i as u32, b);
-                    }
-                }
-            }
-        }
-        out
     }
 }
 
@@ -503,7 +457,7 @@ impl Persist for Batch {
 /// A window encodes canonically — `base` and the slots up to its newest
 /// live batch, `0` and no slots when empty — so tables holding the same
 /// batches encode identically whatever holes their histories left (a
-/// sharded run's reunited table and the serial one). Every slot costs an
+/// restored table and the one it was saved from). Every slot costs an
 /// input byte, so a decoded window never allocates beyond its input.
 impl Persist for Window {
     fn save(&self, w: &mut Enc) {
@@ -800,7 +754,7 @@ mod tests {
     }
 
     #[test]
-    fn token_table_is_shard_stable_and_ordered() {
+    fn token_table_is_stable_and_ordered() {
         let mut tab = TokenTable::with_pds(3);
         let a = tab.insert(1, batch(1));
         let b = tab.insert(1, batch(2));
@@ -826,40 +780,6 @@ mod tests {
         tab.remove(c);
         tab.remove(d);
         assert!(tab.is_empty());
-    }
-
-    #[test]
-    fn token_table_absorb_reunites_shards() {
-        // Serial reference: pd 0 allocates three, consumes the middle one.
-        let mut serial = TokenTable::with_pds(2);
-        let s0 = serial.insert(0, batch(10));
-        let s1 = serial.insert(0, batch(11));
-        let s2 = serial.insert(0, batch(12));
-        serial.remove(s1);
-        let _ = serial.insert(1, batch(20));
-
-        // Sharded: pd 0 owned by shard 0 allocates the same sequence, but
-        // batch s2 is currently in flight on shard 1 (a cross-shard hop).
-        let mut sh0 = TokenTable::with_pds(2);
-        let t0 = sh0.insert(0, batch(10));
-        let t1 = sh0.insert(0, batch(11));
-        let t2 = sh0.insert(0, batch(12));
-        sh0.remove(t1);
-        let moved = sh0.remove(t2).unwrap();
-        let mut sh1 = TokenTable::with_pds(2);
-        sh1.insert_at(t2, moved);
-        let _ = sh1.insert(1, batch(20));
-
-        assert_eq!((t0, t2), (s0, s2));
-        let merged = TokenTable::absorb(vec![sh0, sh1], |pd| pd); // pd 0 → shard 0, pd 1 → shard 1
-        assert_eq!(merged.len(), serial.len());
-        let mc: Vec<u32> = merged.values().map(|x| x.count).collect();
-        let sc: Vec<u32> = serial.values().map(|x| x.count).collect();
-        assert_eq!(mc, sc);
-        // Next allocation matches the serial table's.
-        let mut merged = merged;
-        let mut serial = serial;
-        assert_eq!(merged.insert(0, batch(30)), serial.insert(0, batch(30)));
     }
 
     #[test]

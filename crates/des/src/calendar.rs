@@ -547,17 +547,6 @@ impl<E> Wheel<E> {
         self.scratch = scratch;
     }
 
-    /// Read-only lower bound on the earliest live entry's time: the exact
-    /// earliest stored entry, which a cancelled leftover can only make
-    /// smaller.
-    fn next_lower_bound(&self) -> u64 {
-        if self.len == 0 {
-            return u64::MAX;
-        }
-        let (v, _) = self.first_window(u64::MAX);
-        self.nodes[self.heads[v as usize & self.mask()] as usize].at
-    }
-
     fn occupied_buckets(&self) -> usize {
         self.heads.iter().filter(|&&h| h != NIL).count()
     }
@@ -682,25 +671,6 @@ impl<E> Calendar<E> {
             return Some((SimTime::from_nanos(at), ev));
         }
         None
-    }
-
-    /// A **lower bound** on the time of the earliest live event, computed
-    /// read-only — the shard driver's per-window "local next" query
-    /// (DESIGN.md §11). Never larger than the true minimum; `u64::MAX` when
-    /// no live event is pending.
-    ///
-    /// Both backends report the earliest *stored* entry: the heap's root,
-    /// the wheel's first head inside its window (a walk of at most one
-    /// year, then a direct search of the heads). A cancelled entry awaiting
-    /// lazy collection can only make it smaller.
-    pub(crate) fn next_lower_bound(&self) -> u64 {
-        if self.live == 0 {
-            return u64::MAX;
-        }
-        match &self.backend {
-            Backend::Wheel(w) => w.next_lower_bound(),
-            Backend::Heap(h) => h.heap.peek().map_or(u64::MAX, |r| r.0.at),
-        }
     }
 
     /// Move every front entry with time exactly `at` out of storage and

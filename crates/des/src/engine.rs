@@ -10,31 +10,30 @@
 use crate::calendar::{Calendar, CalendarKind, CalendarStats};
 use crate::snapshot::{self, Dec, Enc, Persist, PersistState, SnapError};
 use crate::time::{SimDur, SimTime};
-use std::sync::Arc;
 
 pub use crate::calendar::EventHandle;
 
 /// Bit position of the scheduling-cell label inside a sequence number:
 /// `seq = (cell << CELL_SHIFT) | per-cell counter`. Comparing packed
 /// sequence numbers as plain `u64`s is lexicographic in `(cell, counter)`,
-/// so the calendar's `(time, seq)` order needs no changes to be
-/// shard-stable (see DESIGN.md §11). 2^40 events per cell and 2^24 cells
-/// are far beyond any configured workload.
+/// so the calendar's `(time, seq)` order breaks same-time ties by cell
+/// first (see DESIGN.md §11). 2^40 events per cell and 2^24 cells are far
+/// beyond any configured workload.
 pub const CELL_SHIFT: u32 = 40;
 
 /// Mask of the per-cell counter bits of a packed sequence number.
 pub const CELL_SEQ_MASK: u64 = (1u64 << CELL_SHIFT) - 1;
 
-/// Shard-stable sequence allocation: one monotone counter per scheduling
-/// cell, packed as `(cell << CELL_SHIFT) | counter`.
+/// Per-cell sequence allocation: one monotone counter per scheduling cell,
+/// packed as `(cell << CELL_SHIFT) | counter`.
 ///
 /// The default ("global") mode is a single cell with `cur` pinned to 0, so
 /// `seq == counter` — bit-identical to the historical global counter with
 /// no extra branch on the hot path (the pack is a shift/or against a
 /// constant-zero register). [`Ctx::enable_cells`] switches a fresh context
 /// to per-cell counters; the allocation then depends only on the scheduling
-/// cell's own history, never on how cells interleave — which is what makes
-/// a sharded run's sequence numbers identical to the serial run's.
+/// cell's own history, never on how cells interleave. Which mode a model
+/// uses is part of its trace: it fixes the order of same-time ties.
 struct SeqAlloc {
     cur: u32,
     counters: Vec<u64>,
@@ -63,24 +62,6 @@ impl SeqAlloc {
     }
 }
 
-/// Cross-shard routing state attached to a [`Ctx`] by the sharded driver
-/// (absent — and cost-free beyond one predictable branch — in serial
-/// runs). Events whose execution cell is owned by another shard are
-/// diverted to `outbox` instead of the local calendar; the driver flushes
-/// the outbox to the owning shard at window boundaries (see
-/// [`crate::shard`]).
-pub(crate) struct Router<E> {
-    /// Owning shard per cell.
-    pub(crate) shard_of: Arc<Vec<u16>>,
-    /// This shard's id.
-    pub(crate) me: u16,
-    /// Execution cell of an event (a pure function of the event and the
-    /// static configuration — both sides of a shard boundary must agree).
-    pub(crate) cell_of: Arc<dyn Fn(&E) -> u32 + Send + Sync>,
-    /// Diverted `(at_ns, seq, event)` triples awaiting flush.
-    pub(crate) outbox: Vec<(u64, u64, E)>,
-}
-
 /// A simulation model: owns all state and reacts to its own event type.
 pub trait Model {
     /// The model's event alphabet.
@@ -100,7 +81,6 @@ pub struct Ctx<E> {
     seq: SeqAlloc,
     executed: u64,
     scheduled: u64,
-    route: Option<Router<E>>,
 }
 
 impl<E> Ctx<E> {
@@ -111,7 +91,6 @@ impl<E> Ctx<E> {
             seq: SeqAlloc::new(),
             executed: 0,
             scheduled: 0,
-            route: None,
         }
     }
 
@@ -156,15 +135,6 @@ impl<E> Ctx<E> {
     #[inline]
     pub fn schedule_at(&mut self, at: SimTime, ev: E) -> EventHandle {
         assert!(at >= self.now, "cannot schedule into the past");
-        // Cancellable events cannot cross a shard boundary (the handle
-        // would dangle); the ROCC model only ever `post_at`s, so in a
-        // sharded run everything reaching this path must be shard-local.
-        debug_assert!(
-            self.route
-                .as_ref()
-                .is_none_or(|rt| rt.shard_of[(rt.cell_of)(&ev) as usize] == rt.me),
-            "cancellable event scheduled across a shard boundary"
-        );
         let seq = self.seq.alloc();
         self.scheduled += 1;
         self.calendar.schedule(at, seq, ev)
@@ -190,13 +160,6 @@ impl<E> Ctx<E> {
         assert!(at >= self.now, "cannot schedule into the past");
         let seq = self.seq.alloc();
         self.scheduled += 1;
-        if let Some(rt) = &mut self.route {
-            let cell = (rt.cell_of)(&ev);
-            if rt.shard_of[cell as usize] != rt.me {
-                rt.outbox.push((at.as_nanos(), seq, ev));
-                return;
-            }
-        }
         self.calendar.schedule_nocancel(at, seq, ev);
     }
 
@@ -337,91 +300,6 @@ impl<E> Ctx<E> {
         ctx.scheduled = scheduled;
         Ok(ctx)
     }
-
-    // ---- shard-driver plumbing (crate-internal; see `crate::shard`) ----
-
-    /// Install (or replace) the cross-shard router.
-    pub(crate) fn set_route(&mut self, route: Router<E>) {
-        self.route = Some(route);
-    }
-
-    /// Drain the router's outbox of diverted `(at_ns, seq, ev)` triples.
-    pub(crate) fn take_outbox(&mut self, into: &mut Vec<(u64, u64, E)>) {
-        if let Some(rt) = &mut self.route {
-            into.append(&mut rt.outbox);
-        }
-    }
-
-    /// Owning shard of `ev`'s execution cell (`None` without a router).
-    pub(crate) fn route_dest(&self, ev: &E) -> Option<u16> {
-        self.route
-            .as_ref()
-            .map(|rt| rt.shard_of[(rt.cell_of)(ev) as usize])
-    }
-
-    /// Insert an event that was *already allocated* a sequence number —
-    /// an arrival from another shard, or a held entry being put back. No
-    /// counter is bumped and `scheduled` is untouched: the allocation
-    /// happened (exactly once) on the scheduling shard.
-    pub(crate) fn inject(&mut self, at_ns: u64, seq: u64, ev: E) {
-        self.calendar
-            .schedule_nocancel(SimTime::from_nanos(at_ns), seq, ev);
-    }
-
-    /// Read-only lower bound on the earliest pending event's time in
-    /// nanoseconds (`u64::MAX` when none): cheap (O(levels)) but possibly
-    /// loose — see [`Calendar::next_lower_bound`].
-    pub(crate) fn next_lower_bound(&self) -> u64 {
-        self.calendar.next_lower_bound()
-    }
-
-    /// Exact time of the earliest pending event in nanoseconds
-    /// (`u64::MAX` when none). O(pending) — the shard driver's stall
-    /// fallback, not a per-window path.
-    pub(crate) fn peek_min_time(&self) -> u64 {
-        self.calendar.peek_min().map_or(u64::MAX, |(at, _, _)| at)
-    }
-
-    /// The per-cell sequence counters.
-    pub(crate) fn seq_counters(&self) -> &[u64] {
-        &self.seq.counters
-    }
-
-    /// Canonical `(at_ns, seq, event)` capture of every live entry, sorted
-    /// by `(at, seq)` (the merge step's per-shard calendar export).
-    pub(crate) fn live_entries(&self) -> Vec<(u64, u64, E)>
-    where
-        E: Clone,
-    {
-        self.calendar.live_entries()
-    }
-
-    /// Build a context from merged parts: the calendar is reloaded from
-    /// `entries` (must be strictly `(at, seq)`-sorted), counters/statistics
-    /// are taken as given. The sharded driver's merge step uses this to
-    /// assemble the single post-run context.
-    pub(crate) fn assemble(
-        kind: CalendarKind,
-        now: SimTime,
-        executed: u64,
-        scheduled: u64,
-        counters: Vec<u64>,
-        entries: Vec<(u64, u64, E)>,
-    ) -> Ctx<E> {
-        debug_assert_eq!(counters.iter().sum::<u64>(), scheduled);
-        let mut ctx = Ctx::new(kind);
-        ctx.now = now;
-        let mut prev: Option<(u64, u64)> = None;
-        for (at, seq, ev) in entries {
-            debug_assert!(prev.is_none_or(|p| p < (at, seq)));
-            prev = Some((at, seq));
-            ctx.calendar.schedule_nocancel(SimTime::from_nanos(at), seq, ev);
-        }
-        ctx.seq.counters = counters;
-        ctx.executed = executed;
-        ctx.scheduled = scheduled;
-        ctx
-    }
 }
 
 /// The simulation driver: a model plus its event calendar.
@@ -461,22 +339,6 @@ impl<M: Model> Sim<M> {
     /// Access the scheduling context (e.g. to seed initial events).
     pub fn ctx(&mut self) -> &mut Ctx<M::Event> {
         &mut self.ctx
-    }
-
-    /// Read-only context access for crate-internal drivers.
-    pub(crate) fn ctx_ref(&self) -> &Ctx<M::Event> {
-        &self.ctx
-    }
-
-    /// Assemble a driver from a merged model and context (the sharded
-    /// driver's merge step; see [`crate::shard`]).
-    pub(crate) fn from_parts(model: M, ctx: Ctx<M::Event>) -> Self {
-        Sim {
-            model,
-            ctx,
-            // lint:allow(hot-path-alloc): construction-time batch buffer
-            batch: Vec::new(),
-        }
     }
 
     /// Execute the single next event, if any. Returns `false` when the

@@ -52,7 +52,6 @@ pub mod fcfs;
 pub mod monitor;
 pub mod rng;
 pub mod rr;
-pub mod shard;
 pub mod snapshot;
 pub mod time;
 
@@ -63,7 +62,6 @@ pub use fcfs::{FcfsServer, Offer};
 pub use monitor::{BusyTime, Counter, FaultMonitor, Tally, TimeWeighted};
 pub use rng::{StreamRng, Streams};
 pub use rr::{RrCpuBank, SliceEnd, Submit};
-pub use shard::{ShardModel, ShardPlan, ShardedSim};
 pub use snapshot::{
     fnv1a, open, rewind_bisect, seal, Dec, Divergence, Enc, Persist, PersistState, SnapError,
     SNAPSHOT_MAGIC, SNAPSHOT_VERSION,

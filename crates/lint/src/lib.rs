@@ -11,12 +11,11 @@
 //! verify.sh`.
 //!
 //! Consistency invariants that span declarations and impl bodies (every
-//! model field snapshotted, every counter merged, every shard touching
-//! only its own cells) need more than token patterns, so the lexer feeds
-//! a hand-written item parser ([`parse`]) building per-file trees of
-//! structs, enums, impls, and fns, resolved workspace-wide into a symbol
-//! table ([`model`]) that three completeness passes run against
-//! ([`passes`]).
+//! model field snapshotted, every counter reported) need more than token
+//! patterns, so the lexer feeds a hand-written item parser ([`parse`])
+//! building per-file trees of structs, enums, impls, and fns, resolved
+//! workspace-wide into a symbol table ([`model`]) that two completeness
+//! passes run against ([`passes`]).
 //!
 //! Because the workspace is hermetic (no external crates — see
 //! `tests/hermetic.rs`), everything is built from scratch: a hand-written

@@ -4,7 +4,7 @@
 //!
 //! This is *not* a Rust parser — it recognizes just enough item structure
 //! for the workspace-consistency passes (snapshot-completeness,
-//! metrics-merge-completeness, shard-purity) to resolve "which struct does
+//! metrics-merge-completeness) to resolve "which struct does
 //! this impl serialize" and "which tokens are inside this fn's body". It
 //! must never panic and must degrade gracefully on malformed input: an
 //! unparsable construct yields no item (the surrounding items still

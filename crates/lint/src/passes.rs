@@ -5,14 +5,9 @@
 //!   and the load body, with `lint:allow(snapshot-exempt)` for deliberate
 //!   exclusions (derived or config-owned state);
 //! * **metrics-merge-completeness** — every `Acc` counter must survive
-//!   the cross-cell merge (`Acc::add`, the path both replicated totals
-//!   and sharded absorbs fold through) and the reporting projection
-//!   (`SimMetrics::from_model`), and every ledger-class `SimMetrics`
-//!   field must appear in the conservation identity
-//!   (`conservation_violation`);
-//! * **shard-purity** — inside the two shard drivers, indexing a model/
-//!   accumulator array by anything other than the shard's own cell is
-//!   confined to the designated partition/absorb/merge fns.
+//!   the reporting projection (`SimMetrics::from_model`), and every
+//!   ledger-class `SimMetrics` field must appear in the conservation
+//!   identity (`conservation_violation`).
 //!
 //! Each pass reports which marker allows it consumed, so the engine's
 //! suppression hygiene can flag stale `snapshot-exempt`/`merge-exempt`
@@ -33,14 +28,14 @@ pub const MARKERS: &[(&str, &str)] = &[
         "snapshot-exempt",
         "excludes one field from snapshot-completeness: the field is \
          deliberately not serialized (rebuilt from config, derived during \
-         load, or owned by the sharding scaffold) — justify with why a \
+         load, or scratch storage) — justify with why a \
          restore reconstructs it correctly",
     ),
     (
         "merge-exempt",
         "excludes one field from metrics-merge-completeness: the field is \
-         deliberately absent from the cross-cell merge, the reporting \
-         projection, or the conservation identity — justify with why the \
+         deliberately absent from the reporting projection or the \
+         conservation identity — justify with why the \
          ledger stays balanced without it",
     ),
 ];
@@ -53,8 +48,8 @@ pub struct PassResult {
     pub consumed: Vec<(usize, usize)>,
 }
 
-/// Run all three passes. `strict` additionally fails when a pass's anchor
-/// (the `Acc`/`SimMetrics` structs, `Acc::add`, `SimMetrics::from_model`,
+/// Run both passes. `strict` additionally fails when a pass's anchor
+/// (the `Acc`/`SimMetrics` structs, `SimMetrics::from_model`,
 /// `conservation_violation`) cannot be found — a renamed anchor must turn
 /// the gate red, not silently blind the pass. Single-file harnesses
 /// (`lint_source`) run non-strict.
@@ -65,7 +60,6 @@ pub fn run_workspace_passes(ws: &Workspace<'_>, strict: bool) -> PassResult {
     };
     snapshot_completeness(ws, &mut out);
     metrics_merge_completeness(ws, strict, &mut out);
-    shard_purity(ws, &mut out);
     out
 }
 
@@ -224,7 +218,7 @@ fn metrics_merge_completeness(ws: &Workspace<'_>, strict: bool, out: &mut PassRe
             col: 0,
             message: format!(
                 "metrics-merge-completeness anchor missing: {what} — the pass \
-                 cannot see the merge/conservation path and the gate must not \
+                 cannot see the projection/conservation path and the gate must not \
                  go silently blind; restore or rename it in crates/lint/src/passes.rs"
             ),
         });
@@ -241,20 +235,13 @@ fn metrics_merge_completeness(ws: &Workspace<'_>, strict: bool, out: &mut PassRe
         }
     }
 
-    // fn bodies: Acc::add (inherent), SimMetrics::from_model,
-    // conservation_violation (free fn or member, anywhere).
-    let impls = ws.impls();
-    let find_member = |self_name: &str, fn_name: &str| -> Option<(usize, (usize, usize))> {
-        impls
-            .iter()
-            .filter(|r| {
-                r.item.impl_self.as_deref() == Some(self_name)
-                    && (fn_name != "add" || r.item.impl_trait.is_none())
-            })
-            .find_map(|r| member_fn(r.item, fn_name).and_then(|f| f.body.map(|b| (r.file, b))))
-    };
-    let add = find_member("Acc", "add");
-    let from_model = find_member("SimMetrics", "from_model");
+    // fn bodies: SimMetrics::from_model, conservation_violation (free fn
+    // or member, anywhere).
+    let from_model = ws
+        .impls()
+        .iter()
+        .filter(|r| r.item.impl_self.as_deref() == Some("SimMetrics"))
+        .find_map(|r| member_fn(r.item, "from_model").and_then(|f| f.body.map(|b| (r.file, b))));
     let conservation = {
         let mut found = None;
         ws.for_each_item(|r| {
@@ -270,13 +257,6 @@ fn metrics_merge_completeness(ws: &Workspace<'_>, strict: bool, out: &mut PassRe
     };
     if strict {
         if let Some(a) = acc {
-            if add.is_none() {
-                missing_anchor(
-                    out,
-                    &ws.files[a.file].rel,
-                    "fn `add` in an inherent `impl Acc` (the cross-cell merge)",
-                );
-            }
             if from_model.is_none() {
                 missing_anchor(
                     out,
@@ -294,32 +274,28 @@ fn metrics_merge_completeness(ws: &Workspace<'_>, strict: bool, out: &mut PassRe
         }
     }
 
-    // Every Acc counter must survive the merge and the projection.
+    // Every Acc counter must survive the projection.
     if let Some(a) = acc {
         for field in &a.item.fields {
             if let Some(ai) = field_marker(&ws.files[a.file], field, "merge-exempt") {
                 out.consumed.push((a.file, ai));
                 continue;
             }
-            for (what, body) in [("the cross-cell merge `Acc::add`", add),
-                ("the reporting projection `SimMetrics::from_model`", from_model)]
-            {
-                let Some((bf, body)) = body else { continue };
-                if !ws.body_contains_ident(bf, body, &field.name) {
-                    out.findings.push(Finding {
-                        rule,
-                        path: ws.files[bf].rel.clone(),
-                        line: field.line,
-                        col: field.col,
-                        message: format!(
-                            "`Acc.{}` ({}:{}) never appears in {what} — the counter \
-                             would silently vanish from replicated totals and \
-                             sharded merges; fold it in or mark the field \
-                             `lint:allow(merge-exempt): <why the ledger balances>`",
-                            field.name, ws.files[a.file].rel, field.line
-                        ),
-                    });
-                }
+            let Some((bf, body)) = from_model else { continue };
+            if !ws.body_contains_ident(bf, body, &field.name) {
+                out.findings.push(Finding {
+                    rule,
+                    path: ws.files[bf].rel.clone(),
+                    line: field.line,
+                    col: field.col,
+                    message: format!(
+                        "`Acc.{}` ({}:{}) never appears in the reporting projection \
+                         `SimMetrics::from_model` — the counter would silently \
+                         vanish from every reported run; project it or mark the \
+                         field `lint:allow(merge-exempt): <why the ledger balances>`",
+                        field.name, ws.files[a.file].rel, field.line
+                    ),
+                });
             }
         }
     }
@@ -347,129 +323,6 @@ fn metrics_merge_completeness(ws: &Workspace<'_>, strict: bool, out: &mut PassRe
                 });
             }
         }
-    }
-}
-
-// ---------------------------------------------------------------------
-// shard-purity
-// ---------------------------------------------------------------------
-
-/// The two shard drivers.
-const SHARD_FILES: &[&str] = &["crates/core/src/shard.rs", "crates/des/src/shard.rs"];
-
-/// Fns allowed to touch foreign cells: the partition/absorb/merge
-/// boundary, where cross-cell movement is the whole point.
-const DESIGNATED: &[&str] = &[
-    "partition",
-    "absorb_models",
-    "absorb",
-    "merge",
-    "detach",
-    "attach",
-];
-
-/// Model/accumulator arrays indexed by cell (or by entity id resolved
-/// through a cell): one slot per scheduling cell or per entity owned by a
-/// cell. Indexing these by a foreign cell outside the designated fns
-/// breaks the serial-equivalence argument (DESIGN.md §11).
-const MODEL_ARRAYS: &[&str] = &[
-    "accs",
-    "banks",
-    "apps",
-    "daemons",
-    "pvmd_rngs",
-    "other_rngs",
-    "hot",
-    "cold",
-    "fifo",
-    "pipe",
-];
-
-fn shard_purity(ws: &Workspace<'_>, out: &mut PassResult) {
-    for (fi, file) in ws.files.iter().enumerate() {
-        if !SHARD_FILES.contains(&file.rel.as_str()) {
-            continue;
-        }
-        for root in &ws.items[fi] {
-            each_fn(root, &mut |f: &Item| {
-                if DESIGNATED.contains(&f.name.as_str()) {
-                    return;
-                }
-                let Some((lo, hi)) = f.body else { return };
-                for n in lo..hi {
-                    let Some(t) = file.sig_tok(n) else { continue };
-                    if t.kind != crate::lexer::TokKind::Ident
-                        || file.in_test_code(t.start)
-                    {
-                        continue;
-                    }
-                    let name = t.text(&file.text);
-                    if !MODEL_ARRAYS.contains(&name)
-                        || !(n + 1 < hi && file.sig_is_punct(n + 1, b'['))
-                    {
-                        continue;
-                    }
-                    if index_is_own_cell(file, n + 1, hi) {
-                        continue;
-                    }
-                    out.findings.push(Finding {
-                        rule: "shard-purity",
-                        path: file.rel.clone(),
-                        line: t.line,
-                        col: t.col,
-                        message: format!(
-                            "`{name}[…]` indexed by something other than the \
-                             shard's own cell inside fn `{}` — cross-cell state \
-                             access outside {DESIGNATED:?} breaks the \
-                             serial-equivalence argument; route it through the \
-                             partition/absorb boundary or justify with \
-                             lint:allow(shard-purity)",
-                            f.name
-                        ),
-                    });
-                }
-            });
-        }
-    }
-}
-
-/// Does the index expression opening at sig position `open` (`[`) consist
-/// of exactly `cell` or `self.cell`?
-fn index_is_own_cell(file: &SourceFile, open: usize, hi: usize) -> bool {
-    // Collect the index tokens to the matching `]`.
-    let mut depth = 0usize;
-    let mut inner: Vec<usize> = vec![];
-    let mut m = open;
-    while m < hi + 1 {
-        if file.sig_is_punct(m, b'[') {
-            depth += 1;
-        } else if file.sig_is_punct(m, b']') {
-            depth -= 1;
-            if depth == 0 {
-                break;
-            }
-        } else if depth >= 1 {
-            inner.push(m);
-        }
-        m += 1;
-    }
-    match inner.len() {
-        1 => file.sig_is_ident(inner[0], "cell"),
-        3 => {
-            file.sig_is_ident(inner[0], "self")
-                && file.sig_is_punct(inner[1], b'.')
-                && file.sig_is_ident(inner[2], "cell")
-        }
-        _ => false,
-    }
-}
-
-fn each_fn(item: &Item, f: &mut impl FnMut(&Item)) {
-    if item.kind == ItemKind::Fn {
-        f(item);
-    }
-    for c in &item.children {
-        each_fn(c, f);
     }
 }
 
@@ -541,14 +394,14 @@ mod tests {
     }
 
     #[test]
-    fn merge_dropped_counter_is_flagged() {
+    fn unprojected_counter_is_flagged() {
         let src = "pub struct Acc { hits: u64, misses: u64 }\n\
-                   impl Acc { pub fn add(&mut self, o: &Acc) { self.hits += o.hits; } }\n";
+                   impl SimMetrics { fn from_model(m: &M) -> u64 { m.acc.hits } }\n";
         let out = run_on(&[("crates/core/src/m.rs", src)]);
         assert_eq!(out.findings.len(), 1, "{:?}", out.findings);
         assert_eq!(out.findings[0].rule, "metrics-merge-completeness");
         assert!(out.findings[0].message.contains("`Acc.misses`"));
-        assert!(out.findings[0].message.contains("Acc::add"));
+        assert!(out.findings[0].message.contains("from_model"));
     }
 
     #[test]
@@ -564,7 +417,7 @@ mod tests {
     #[test]
     fn merge_exempt_marker_is_honored() {
         let src = "pub struct Acc {\n    hits: u64,\n    // lint:allow(merge-exempt): recomputed per cell, never summed\n    scratch: u64,\n}\n\
-                   impl Acc { pub fn add(&mut self, o: &Acc) { self.hits += o.hits; } }\n";
+                   impl SimMetrics { fn from_model(m: &M) -> u64 { m.acc.hits } }\n";
         let out = run_on(&[("crates/core/src/m.rs", src)]);
         assert!(out.findings.is_empty(), "{:?}", out.findings);
         assert_eq!(out.consumed.len(), 1);
@@ -576,37 +429,10 @@ mod tests {
             vec![SourceFile::parse("crates/core/src/m.rs", "pub struct Acc { hits: u64 }\n".into())];
         let ws = Workspace::build(&files);
         let out = run_workspace_passes(&ws, true);
-        // Missing: SimMetrics struct, Acc::add, from_model. (No
-        // conservation finding without a SimMetrics to anchor it.)
+        // Missing: SimMetrics struct, from_model. (No conservation finding
+        // without a SimMetrics to anchor it.)
         let msgs: Vec<&str> = out.findings.iter().map(|f| f.message.as_str()).collect();
         assert!(msgs.iter().any(|m| m.contains("`SimMetrics`")), "{msgs:?}");
-        assert!(msgs.iter().any(|m| m.contains("`add`")), "{msgs:?}");
         assert!(msgs.iter().any(|m| m.contains("`from_model`")), "{msgs:?}");
-    }
-
-    #[test]
-    fn cross_cell_index_outside_designated_fns_is_flagged() {
-        let src = "pub fn sneak(m: &mut M, other: usize) { m.accs[other].x += 1; }\n\
-                   pub fn fine(m: &mut M) { m.accs[m.cellish].x += 1; }\n";
-        // `fine` uses a non-own-cell index too — both are findings; then
-        // the own-cell forms and designated fns are quiet.
-        let out = run_on(&[("crates/core/src/shard.rs", src)]);
-        assert_eq!(out.findings.len(), 2, "{:?}", out.findings);
-        assert!(out.findings.iter().all(|f| f.rule == "shard-purity"));
-        let ok = "impl M {\n fn tick(&mut self) { self.accs[self.cell].x += 1; }\n}\n\
-                  fn absorb_models(ms: Vec<M>) { let c = 1; ms[0].accs[c].x += 1; }\n\
-                  fn handle(m: &mut M, cell: usize) { m.banks[cell].go(); }\n";
-        let out2 = run_on(&[("crates/core/src/shard.rs", ok)]);
-        assert!(out2.findings.is_empty(), "{:?}", out2.findings);
-        // Outside the two shard files the pass is silent.
-        let out3 = run_on(&[("crates/core/src/model/mod.rs", src)]);
-        assert!(out3.findings.is_empty(), "{:?}", out3.findings);
-    }
-
-    #[test]
-    fn shard_purity_skips_test_regions() {
-        let src = "#[cfg(test)]\nmod tests {\n fn scramble(m: &mut M, o: usize) { m.accs[o].x += 1; }\n}\n";
-        let out = run_on(&[("crates/des/src/shard.rs", src)]);
-        assert!(out.findings.is_empty(), "{:?}", out.findings);
     }
 }

@@ -42,20 +42,20 @@ pub const RULES: &[(&str, &str)] = &[
     (
         "panic-path",
         "unwrap()/expect()/panic! are forbidden on the testbed decode/I-O paths, \
-         the DES hot path, and the sharded window driver: a truncated record or \
+         and the DES hot path: a truncated record or \
          full pipe must surface as an error, not abort the measurement",
     ),
     (
         "rng-stream-id",
         "RNG stream ids must come from the stream_kind registry; raw literal ids \
          can silently collide with an allocated stream (fault streams 11-13, \
-         controller streams 14-15, chaos stream 16, shard stream 17) and \
+         controller streams 14-15, chaos stream 16) and \
          correlate supposedly independent draws",
     ),
     (
         "hot-path-alloc",
         "Box::new/Vec::new/.clone()/.to_vec() are forbidden in non-test code of \
-         the per-event hot-path files (engine, calendar, shard driver, daemon, \
+         the per-event hot-path files (engine, calendar, daemon, \
          degrade, pipe): \
          the steady state is budgeted to zero heap allocations per delivered \
          event (tests/zero_alloc.rs measures it; this rule makes it hold for \
@@ -77,20 +77,12 @@ pub const RULES: &[(&str, &str)] = &[
     ),
     (
         "metrics-merge-completeness",
-        "every Acc counter must appear in the cross-cell merge (Acc::add) and \
-         the reporting projection (SimMetrics::from_model), and every \
-         ledger-class SimMetrics field in the conservation identity \
-         (conservation_violation): a counter outside any of the three leaks \
+        "every Acc counter must appear in the reporting projection \
+         (SimMetrics::from_model), and every ledger-class SimMetrics field in \
+         the conservation identity (conservation_violation): a counter outside \
+         either leaks \
          samples past the conservation gate — deliberate exclusions carry \
          lint:allow(merge-exempt) on the field",
-    ),
-    (
-        "shard-purity",
-        "inside crates/core/src/shard.rs and crates/des/src/shard.rs, \
-         model/accumulator arrays may only be indexed by the shard's own cell \
-         (`cell` / `self.cell`) outside the designated partition/absorb/merge \
-         fns: any other cross-cell access breaks the serial-equivalence \
-         argument (DESIGN.md §11)",
     ),
 ];
 
@@ -119,7 +111,6 @@ const PANIC_PATHS: &[&str] = &[
     "crates/des/src/engine.rs",
     "crates/des/src/snapshot.rs",
     "crates/core/src/model/degrade.rs",
-    "crates/des/src/shard.rs",
     "src/chaos.rs",
 ];
 
@@ -137,12 +128,6 @@ pub const CTRL_STREAM_IDS: std::ops::RangeInclusive<u64> = 14..=15;
 /// CHAOS_* scenario derivation, which must never overlap a model stream.
 pub const CHAOS_STREAM_IDS: std::ops::RangeInclusive<u64> = 16..=16;
 
-/// Sharded-run stream allocation (DESIGN.md §11): id 17 is reserved for
-/// SHARD_* streams (smoke/differential case derivation), which must never
-/// overlap a model stream — a collision would correlate the shard suite's
-/// configuration draws with the model's own randomness.
-pub const SHARD_STREAM_IDS: std::ops::RangeInclusive<u64> = 17..=17;
-
 /// Files on the per-event hot path where steady-state heap allocation is
 /// budgeted to zero (`tests/zero_alloc.rs` measures it with the counting
 /// allocator). Test code is exempt: an allocating test helper cannot
@@ -151,7 +136,6 @@ pub const SHARD_STREAM_IDS: std::ops::RangeInclusive<u64> = 17..=17;
 const HOT_PATH_ALLOC_FILES: &[&str] = &[
     "crates/des/src/engine.rs",
     "crates/des/src/calendar.rs",
-    "crates/des/src/shard.rs",
     "crates/core/src/model/daemon.rs",
     "crates/core/src/model/degrade.rs",
     "crates/core/src/pipe.rs",
@@ -444,11 +428,10 @@ pub fn rng_registry_collisions(registry: &[StreamIdEntry]) -> Vec<Finding> {
         // range must carry the range's prefix, and a prefixed name must
         // sit inside its range — either drift silently breaks the
         // inertness guarantee the allocation exists for.
-        let ranges: [(&std::ops::RangeInclusive<u64>, &str, &str); 4] = [
+        let ranges: [(&std::ops::RangeInclusive<u64>, &str, &str); 3] = [
             (&FAULT_STREAM_IDS, "FAULT_", "an inert fault plan"),
             (&CTRL_STREAM_IDS, "CTRL_", "an inert degradation config"),
             (&CHAOS_STREAM_IDS, "CHAOS_", "a chaos-free run"),
-            (&SHARD_STREAM_IDS, "SHARD_", "an unsharded run"),
         ];
         for (range, prefix, guard) in ranges {
             let in_range = range.contains(&e.id);
@@ -633,7 +616,7 @@ mod tests {
     fn reserved_ctrl_and_chaos_ranges_are_bidirectional() {
         // Seeded violations of every drift direction: unprefixed ids inside
         // the reserved ranges, and prefixed names outside them.
-        let src = "mod stream_kind {\n    pub const SNEAKY: u64 = 14;\n    pub const ALSO: u64 = 16;\n    pub const HIDER: u64 = 17;\n    pub const CTRL_LOST: u64 = 3;\n    pub const CHAOS_LOST: u64 = 4;\n    pub const SHARD_LOST: u64 = 5;\n    pub const CTRL_OK: u64 = 15;\n    pub const CHAOS_OK: u64 = 16;\n    pub const SHARD_OK: u64 = 17;\n}\n";
+        let src = "mod stream_kind {\n    pub const SNEAKY: u64 = 14;\n    pub const ALSO: u64 = 16;\n    pub const CTRL_LOST: u64 = 3;\n    pub const CHAOS_LOST: u64 = 4;\n    pub const CTRL_OK: u64 = 15;\n    pub const CHAOS_OK: u64 = 16;\n}\n";
         let f = file("crates/core/src/model/mod.rs", src);
         let reg = collect_stream_registry(&f);
         let hits = rng_registry_collisions(&reg);
@@ -641,25 +624,21 @@ mod tests {
             .iter()
             .filter(|h| h.message.contains("violates the documented allocation"))
             .collect();
-        // SNEAKY / ALSO / HIDER (inside the CTRL / CHAOS / SHARD ranges,
-        // unprefixed) and CTRL_LOST / CHAOS_LOST / SHARD_LOST (prefixed,
-        // out of range).
-        assert_eq!(drift.len(), 6, "{drift:?}");
+        // SNEAKY / ALSO (inside the CTRL / CHAOS ranges, unprefixed) and
+        // CTRL_LOST / CHAOS_LOST (prefixed, out of range).
+        assert_eq!(drift.len(), 4, "{drift:?}");
         assert!(drift.iter().any(|h| h.message.contains("CTRL_*")));
         assert!(drift.iter().any(|h| h.message.contains("CHAOS_*")));
-        assert!(drift.iter().any(|h| h.message.contains("SHARD_*")));
         // The correctly allocated constants produce no drift findings.
         assert!(!drift.iter().any(|h| h.message.contains("`CTRL_OK`")));
         assert!(!drift.iter().any(|h| h.message.contains("`CHAOS_OK`")));
-        assert!(!drift.iter().any(|h| h.message.contains("`SHARD_OK`")));
     }
 
     #[test]
-    fn degrade_chaos_and_shard_files_are_on_the_panic_path() {
+    fn degrade_and_chaos_files_are_on_the_panic_path() {
         let src = "fn f() { x.unwrap(); }\n";
         assert_eq!(panic_path(&file("crates/core/src/model/degrade.rs", src)).len(), 1);
         assert_eq!(panic_path(&file("src/chaos.rs", src)).len(), 1);
-        assert_eq!(panic_path(&file("crates/des/src/shard.rs", src)).len(), 1);
         assert_eq!(panic_path(&file("crates/core/src/model/app.rs", src)).len(), 0);
     }
 

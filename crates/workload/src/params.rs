@@ -72,11 +72,11 @@ pub struct RoccParams {
     /// records.
     pub pipe_capacity: usize,
     /// Minimum wire time of one forwarding hop on a contention-free
-    /// interconnect (µs): the drawn occupancy is clamped up to this floor.
-    /// This is the sharded driver's lookahead lower bound — a cross-node
-    /// forward never arrives sooner than `min_forward_us` after it is
-    /// sent. Default 5 µs, far below the exp(71) mean hop occupancy, so
-    /// the clamp almost never binds.
+    /// interconnect (µs): the drawn occupancy is clamped up to this floor,
+    /// so a cross-node forward never arrives sooner than `min_forward_us`
+    /// after it is sent. Default 5 µs, far below the exp(71) mean hop
+    /// occupancy, so the clamp rarely binds — but it does bind, so it is
+    /// part of every MPP result.
     pub min_forward_us: f64,
 }
 

@@ -3,7 +3,7 @@
 //! configuration changes from perturbing unrelated stochastic elements.
 
 use paradyn_core::{
-    build_with_calendar, run, run_replicated_threads, run_sharded, Arch, DegradationConfig,
+    build_with_calendar, run, run_replicated_threads, shardable, Arch, DegradationConfig,
     Forwarding, OverloadRamp, SimConfig, SimMetrics,
 };
 use paradyn_des::{rewind_bisect, CalendarKind, SimTime};
@@ -126,34 +126,39 @@ fn parallel_replication_is_bit_identical_to_serial() {
     }
 }
 
-/// The sharded twin of `parallel_replication_is_bit_identical_to_serial`:
-/// parallelism *within* one run (DESIGN.md §11) must also give exactly the
-/// serial metrics, at every shard count and whether the shards take turns
-/// on one thread or each own an OS thread.
+/// Same-time ties fire in `(time, seq)` order, so the sequence numbering
+/// is part of every trace: `build_with_calendar` must number events per
+/// node on exactly the `shardable` configurations and with one global
+/// counter everywhere else, on both calendar backends.
 #[test]
-fn sharded_execution_is_bit_identical_to_serial() {
-    let cfg = SimConfig {
+fn cell_numbering_is_on_exactly_for_shardable_configs() {
+    let mut cfgs = all_arch_configs();
+    let tree = cfgs[3].clone();
+    cfgs.push(SimConfig {
         arch: Arch::Mpp {
-            forwarding: Forwarding::BinaryTree,
+            forwarding: Forwarding::Direct,
         },
-        nodes: 31,
-        batch: 16,
-        duration_s: 2.0,
-        ..Default::default()
-    };
-    let serial = run(&cfg);
-    let kind = CalendarKind::default_from_env();
-    let horizon = SimTime::from_secs_f64(cfg.duration_s);
-    for shards in [1u16, 2, 4, 8] {
-        for threads in [1usize, shards as usize] {
-            let sim = run_sharded(&cfg, kind, shards, threads);
-            let events = sim.executed_events();
-            let m = sim.model.metrics(horizon - SimTime::ZERO, events);
-            assert_metrics_bit_identical(
-                &m,
-                &serial,
-                &format!("{shards} shards x {threads} threads"),
-            );
+        nodes: 9,
+        ..tree.clone()
+    });
+    cfgs.push(SimConfig {
+        degradation: Some(DegradationConfig::default()),
+        ..tree.clone()
+    });
+    cfgs.push(SimConfig {
+        overload: Some(OverloadRamp::default()),
+        ..tree.clone()
+    });
+    let mut barrier = tree;
+    barrier.app.barrier_period_us = Some(1_000_000.0);
+    cfgs.push(barrier);
+    let shardable_count = cfgs.iter().filter(|c| shardable(c)).count();
+    assert_eq!(shardable_count, 3, "fixture covers both sides of `shardable`");
+    for cfg in &cfgs {
+        for kind in [CalendarKind::Wheel, CalendarKind::Heap] {
+            let mut sim = build_with_calendar(cfg, kind);
+            let want = if shardable(cfg) { cfg.nodes as u32 } else { 1 };
+            assert_eq!(sim.ctx().cells(), want, "{:?} on {kind:?}", cfg.arch);
         }
     }
 }

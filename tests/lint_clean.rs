@@ -56,14 +56,6 @@ fn workspace_has_zero_non_baselined_findings() {
         .map(|e| e.id)
         .collect();
     assert_eq!(chaos_ids, vec![16], "chaos stream registry drifted");
-    // And the shard allocation (DESIGN.md §11).
-    let shard_ids: Vec<u64> = report
-        .stream_registry
-        .iter()
-        .filter(|e| e.name.starts_with("SHARD_"))
-        .map(|e| e.id)
-        .collect();
-    assert_eq!(shard_ids, vec![17], "shard stream registry drifted");
 }
 
 #[test]
@@ -160,12 +152,6 @@ fn seeded_violations_are_caught() {
             "pub fn f(v: &[u8]) -> u8 { *v.first().expect(\"non-empty\") }",
         ),
         (
-            // The sharded window driver is on the panic-path rule too.
-            "panic-path",
-            "crates/des/src/shard.rs",
-            "pub fn f(v: &[u8]) -> u8 { *v.first().unwrap() }",
-        ),
-        (
             "hermeticity",
             "crates/core/src/lib.rs",
             "use serde::Serialize;\npub fn f() {}",
@@ -182,12 +168,6 @@ fn seeded_violations_are_caught() {
             "pub fn push(b: &mut Vec<Vec<u8>>, s: &Vec<u8>) { b.push(s.clone()) }",
         ),
         (
-            // The shard driver's per-window loop must stay allocation-free.
-            "hot-path-alloc",
-            "crates/des/src/shard.rs",
-            "pub fn forward(evs: &[u32]) -> Vec<u32> { evs.to_vec() }",
-        ),
-        (
             // A Persist impl that forgets one field in `save`.
             "snapshot-completeness",
             "crates/des/src/fcfs.rs",
@@ -200,11 +180,11 @@ fn seeded_violations_are_caught() {
              }",
         ),
         (
-            // An Acc counter dropped from the cross-cell merge.
+            // An Acc counter dropped from the reporting projection.
             "metrics-merge-completeness",
             "crates/core/src/metrics.rs",
             "pub struct Acc { hits: u64, misses: u64 }\n\
-             impl Acc { pub fn add(&mut self, o: &Acc) { self.hits += o.hits; } }",
+             impl SimMetrics { fn from_model(m: &M) -> u64 { m.acc.hits } }",
         ),
         (
             // A ledger field missing from the conservation identity.
@@ -212,18 +192,6 @@ fn seeded_violations_are_caught() {
             "src/chaos.rs",
             "pub struct SimMetrics { lost_fire: u64 }\n\
              pub fn conservation_violation(m: &SimMetrics) -> Option<String> { None }",
-        ),
-        (
-            // A cross-cell index outside the designated merge fns.
-            "shard-purity",
-            "crates/core/src/shard.rs",
-            "pub fn sneaky_merge(m: &mut RoccModel, other: usize) { m.accs[other].barrier_ops += 1; }",
-        ),
-        (
-            // The DES shard driver is covered too.
-            "shard-purity",
-            "crates/des/src/shard.rs",
-            "pub fn peek(w: &Workers, s: usize) -> u64 { w.daemons.hot[s].flush_gen as u64 }",
         ),
     ];
     for (rule, rel, src) in cases {
@@ -275,17 +243,6 @@ fn rules_respect_their_scopes() {
                      Ok(Q { depth, cached: depth * 2 })\n\
                  }\n\
              }",
-        ),
-        (
-            // Own-cell indexing and the designated merge fns are pure.
-            "crates/core/src/shard.rs",
-            "impl M { fn tick(&mut self) { self.accs[self.cell].x += 1; } }\n\
-             pub fn absorb_models(base: &mut M, o: &M, c: usize) { base.accs[c].x += o.accs[c].x; }",
-        ),
-        (
-            // Model-array names outside the shard drivers are unrestricted.
-            "crates/core/src/model/daemon.rs",
-            "pub fn peek(d: &Daemons, i: usize) -> u32 { d.hot[i].flush_gen }",
         ),
     ];
     for (rel, src) in ok {

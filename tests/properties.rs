@@ -395,25 +395,22 @@ fn token_of(pd: u64, ctr: u64) -> Token {
     pd << 32 | ctr
 }
 
-/// Reference token table: live batches by `(pd, ctr)`, each with the
-/// shard holding it.
-type LiveBatches = BTreeMap<(u64, u64), (Batch, usize)>;
+/// Reference token table: live batches by `(pd, ctr)`.
+type LiveBatches = BTreeMap<(u64, u64), Batch>;
 
 /// A uniformly chosen live key, if any.
 fn pick_live(g: &mut Gen, live: &LiveBatches) -> Option<(u64, u64)> {
     live.keys().nth(g.index(live.len())).copied()
 }
 
-/// Token table: `insert`, `insert_at` (a cross-shard hop), `get_mut`,
-/// out-of-order `remove` and a shard-split `absorb` agree with a
+/// Token table: `insert`, `get_mut` and out-of-order `remove` agree with a
 /// `BTreeMap<(pd, ctr), Batch>` reference at every step, including with
 /// more than 4096 batches live on one daemon (past any 12-bit counter).
 #[test]
 fn token_table_matches_btreemap_model() {
     check("token_table_matches_btreemap_model", |g| {
         let pds = g.usize_in(1, 3);
-        let mut shards = g.usize_in(1, 3);
-        let mut tables: Vec<TokenTable> = (0..shards).map(|_| TokenTable::with_pds(pds)).collect();
+        let mut table = TokenTable::with_pds(pds);
         let mut live = LiveBatches::new();
         let mut next = vec![0u64; pds];
         let mut ids = 0u32;
@@ -424,40 +421,26 @@ fn token_table_matches_btreemap_model() {
         };
         let ops = (0..burst)
             .map(|_| 0)
-            .chain(g.vec_of(1, 300, |g| g.usize_in(0, 6)));
+            .chain(g.vec_of(1, 300, |g| g.usize_in(0, 3)));
         for op in ops {
             match op {
-                // Allocate on the owning shard (the burst always hits pd 0).
+                // Allocate (the burst always hits pd 0).
                 0 | 1 => {
                     let pd = if op == 0 { 0 } else { g.index(pds) };
-                    let shard = pd % shards;
-                    let t = tables[shard].insert(pd as u32, tagged(ids));
+                    let t = table.insert(pd as u32, tagged(ids));
                     prop_assert_eq!(t, token_of(pd as u64, next[pd]));
-                    live.insert((pd as u64, next[pd]), (tagged(ids), shard));
+                    live.insert((pd as u64, next[pd]), tagged(ids));
                     next[pd] += 1;
                     ids += 1;
                 }
-                // Hop a live batch to another shard.
+                // Mutate a live batch in place.
                 2 => {
                     let Some(k) = pick_live(g, &live) else {
                         continue;
                     };
                     let t = token_of(k.0, k.1);
-                    let (_, holder) = live[&k];
-                    let b = tables[holder].remove(t);
-                    prop_assert!(b.is_some(), "hop source lost {k:?}");
-                    let to = g.index(shards);
-                    tables[to].insert_at(t, b.unwrap());
-                    live.get_mut(&k).unwrap().1 = to;
-                }
-                // Mutate a live batch in place.
-                3 => {
-                    let Some(k) = pick_live(g, &live) else {
-                        continue;
-                    };
-                    let t = token_of(k.0, k.1);
-                    let (want, holder) = live.get_mut(&k).unwrap();
-                    let got = tables[*holder].get_mut(t);
+                    let want = live.get_mut(&k).unwrap();
+                    let got = table.get_mut(t);
                     prop_assert!(got.is_some(), "live {k:?} missing");
                     let got = got.unwrap();
                     prop_assert_eq!(fingerprint(got), fingerprint(want));
@@ -465,41 +448,27 @@ fn token_table_matches_btreemap_model() {
                     want.attempts += 1;
                 }
                 // Retire a live batch out of order; retiring it twice fails.
-                4 => {
+                _ => {
                     let Some(k) = pick_live(g, &live) else {
                         continue;
                     };
                     let t = token_of(k.0, k.1);
-                    let (want, holder) = live.remove(&k).unwrap();
-                    let got = tables[holder].remove(t);
+                    let want = live.remove(&k).unwrap();
+                    let got = table.remove(t);
                     prop_assert!(got.is_some(), "live {k:?} missing");
                     prop_assert_eq!(fingerprint(&got.unwrap()), fingerprint(&want));
-                    prop_assert!(tables[holder].remove(t).is_none());
-                    prop_assert!(tables[holder].get(t).is_none());
-                }
-                // Reunite the shards; the serial table carries on.
-                _ => {
-                    let owner_shards = shards;
-                    let parts = std::mem::take(&mut tables);
-                    tables.push(TokenTable::absorb(parts, |pd| pd % owner_shards));
-                    shards = 1;
-                    for v in live.values_mut() {
-                        v.1 = 0;
-                    }
+                    prop_assert!(table.remove(t).is_none());
+                    prop_assert!(table.get(t).is_none());
                 }
             }
-            let held: usize = tables.iter().map(TokenTable::len).sum();
-            prop_assert_eq!(held, live.len());
+            prop_assert_eq!(table.len(), live.len());
         }
-        let parts = std::mem::take(&mut tables);
-        let owner_shards = shards;
-        let mut merged = TokenTable::absorb(parts, |pd| pd % owner_shards);
-        let got: Vec<_> = merged.values().map(fingerprint).collect();
-        let want: Vec<_> = live.values().map(|(b, _)| fingerprint(b)).collect();
+        let got: Vec<_> = table.values().map(fingerprint).collect();
+        let want: Vec<_> = live.values().map(fingerprint).collect();
         prop_assert_eq!(got, want);
         for (pd, &ctr) in next.iter().enumerate() {
             prop_assert_eq!(
-                merged.insert(pd as u32, tagged(0)),
+                table.insert(pd as u32, tagged(0)),
                 token_of(pd as u64, ctr)
             );
         }
