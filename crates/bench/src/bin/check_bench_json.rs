@@ -1,7 +1,7 @@
 //! Validate a `BENCH_des.json` emitted by the `des_engine` bench against
-//! the `paradyn.bench.des.v1` schema, and — for non-smoke runs — enforce
+//! the `paradyn.bench.des.v2` schema, and — for non-smoke runs — enforce
 //! the throughput ratchet in a sibling `BENCH_floor.json`
-//! (`paradyn.bench.floor.v1`): any case below its floor fails the check,
+//! (`paradyn.bench.floor.v2`): any case below its floor fails the check,
 //! and cases with sustained headroom print a suggestion to raise the
 //! floor. Exits nonzero (with a reason on stderr) on any violation, so
 //! `scripts/verify.sh` can gate on it.
@@ -26,10 +26,10 @@ fn require_str<'a>(obj: &'a Json, key: &str, ctx: &str) -> &'a str {
 }
 
 /// Enforce `BENCH_floor.json` (if present next to the bench file) against
-/// the measured `(name, calendar, events_per_sec)` triples. Regressions
-/// below a floor are fatal; headroom above `floor * ratchet_margin` only
-/// prints a ratchet suggestion.
-fn check_floors(bench_path: &str, results: &[(String, String, f64)]) {
+/// the measured `(name, events_per_sec)` pairs. Regressions below a floor
+/// are fatal; headroom above `floor * ratchet_margin` only prints a ratchet
+/// suggestion.
+fn check_floors(bench_path: &str, results: &[(String, f64)]) {
     let floor_path = std::path::Path::new(bench_path)
         .with_file_name("BENCH_floor.json")
         .to_string_lossy()
@@ -39,7 +39,7 @@ fn check_floors(bench_path: &str, results: &[(String, String, f64)]) {
         return;
     };
     let doc = Json::parse(&text).unwrap_or_else(|e| fail(format!("{floor_path}: {e}")));
-    if require_str(&doc, "schema", &floor_path) != "paradyn.bench.floor.v1" {
+    if require_str(&doc, "schema", &floor_path) != "paradyn.bench.floor.v2" {
         fail(format!("{floor_path}: unknown schema"));
     }
     let margin = doc
@@ -61,29 +61,25 @@ fn check_floors(bench_path: &str, results: &[(String, String, f64)]) {
     for (i, f) in floors.iter().enumerate() {
         let ctx = format!("{floor_path} floors[{i}]");
         let name = require_str(f, "name", &ctx);
-        let cal = require_str(f, "calendar", &ctx);
         let floor = require_num(f, "min_events_per_sec", &ctx);
         if !(floor > 0.0) {
             fail(format!("{ctx}: `min_events_per_sec` must be > 0"));
         }
-        let Some(&(_, _, eps)) = results
-            .iter()
-            .find(|(n, c, _)| n == name && c == cal)
-        else {
+        let Some(&(_, eps)) = results.iter().find(|(n, _)| n == name) else {
             fail(format!(
-                "{ctx}: floor for `{name}`/{cal} has no matching bench result"
+                "{ctx}: floor for `{name}` has no matching bench result"
             ));
         };
         checked += 1;
         if eps < floor {
             regressions.push(format!(
-                "  {name}/{cal}: {eps:.0} events/s is below the floor of {floor:.0} \
+                "  {name}: {eps:.0} events/s is below the floor of {floor:.0} \
                  ({:.1}% of floor)",
                 100.0 * eps / floor
             ));
         } else if eps > floor * margin {
             println!(
-                "check_bench_json: ratchet hint: {name}/{cal} at {eps:.0} events/s has \
+                "check_bench_json: ratchet hint: {name} at {eps:.0} events/s has \
                  {:.2}x headroom over its {floor:.0} floor — consider raising it",
                 eps / floor
             );
@@ -106,7 +102,7 @@ fn main() {
         .unwrap_or_else(|e| fail(format!("cannot read {path}: {e}")));
     let doc = Json::parse(&text).unwrap_or_else(|e| fail(format!("{path}: {e}")));
 
-    if require_str(&doc, "schema", &path) != "paradyn.bench.des.v1" {
+    if require_str(&doc, "schema", &path) != "paradyn.bench.des.v2" {
         fail(format!("{path}: unknown schema"));
     }
     let results = doc
@@ -116,15 +112,10 @@ fn main() {
     if results.is_empty() {
         fail(format!("{path}: empty `results`"));
     }
-    let mut names = vec![];
-    let mut measured: Vec<(String, String, f64)> = vec![];
+    let mut measured: Vec<(String, f64)> = vec![];
     for (i, r) in results.iter().enumerate() {
         let ctx = format!("{path} results[{i}]");
         let name = require_str(r, "name", &ctx).to_string();
-        let cal = require_str(r, "calendar", &ctx);
-        if cal != "heap" && cal != "wheel" {
-            fail(format!("{ctx}: calendar must be heap|wheel, got `{cal}`"));
-        }
         for key in ["events", "median_ns", "p95_ns", "min_ns"] {
             let v = require_num(r, key, &ctx);
             if !(v >= 0.0) {
@@ -142,32 +133,12 @@ fn main() {
         let occ = r
             .get("occupancy")
             .unwrap_or_else(|| fail(format!("{ctx}: missing `occupancy`")));
-        for key in ["live", "occupied_buckets", "slab_slots"] {
+        for key in ["live", "occupied_buckets"] {
             require_num(occ, key, &format!("{ctx} occupancy"));
         }
-        measured.push((name.clone(), cal.to_string(), eps));
-        names.push(name);
+        measured.push((name, eps));
     }
-    let speedups = doc
-        .get("speedups")
-        .and_then(Json::as_arr)
-        .unwrap_or_else(|| fail(format!("{path}: missing `speedups` array")));
-    for (i, s) in speedups.iter().enumerate() {
-        let ctx = format!("{path} speedups[{i}]");
-        let name = require_str(s, "name", &ctx);
-        if !names.iter().any(|n| n == name) {
-            fail(format!("{ctx}: speedup for unknown case `{name}`"));
-        }
-        let ratio = require_num(s, "wheel_over_heap", &ctx);
-        if !(ratio > 0.0) {
-            fail(format!("{ctx}: `wheel_over_heap` must be > 0"));
-        }
-    }
-    println!(
-        "check_bench_json: {path} ok ({} results, {} speedups)",
-        results.len(),
-        speedups.len()
-    );
+    println!("check_bench_json: {path} ok ({} results)", results.len());
     // The throughput ratchet only applies to full (non-smoke) runs; smoke
     // runs use a single unwarmed iteration and would trip any honest floor.
     if matches!(doc.get("smoke"), Some(Json::Bool(true))) {

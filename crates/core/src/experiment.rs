@@ -120,7 +120,7 @@ pub fn run_forked(
     reps: usize,
     threads: usize,
 ) -> Result<Vec<SimMetrics>, SnapError> {
-    let kind = CalendarKind::default_from_env();
+    let kind = CalendarKind::Wheel;
     let snap = warm_snapshot(cfg, SimTime::from_secs_f64(warmup_s), kind)?;
     let horizon = SimTime::from_secs_f64(cfg.duration_s);
     let salts: Vec<u64> = (0..reps).map(|r| replication_seed(cfg.seed, r)).collect();

@@ -751,11 +751,11 @@ impl RoccModel {
 
 /// Build a ready-to-run simulation: the model plus its `Init` event.
 pub fn build(cfg: &SimConfig) -> Sim<RoccModel> {
-    build_with_calendar(cfg, paradyn_des::CalendarKind::default_from_env())
+    build_with_calendar(cfg, paradyn_des::CalendarKind::Wheel)
 }
 
-/// [`build`] with an explicit event-calendar backend (used by the benches
-/// to compare the timing wheel against the legacy heap on the full model).
+/// [`build`] on an explicit event calendar (the differential tests run the
+/// full model on the reference calendar as well as on the wheel).
 pub fn build_with_calendar(cfg: &SimConfig, kind: paradyn_des::CalendarKind) -> Sim<RoccModel> {
     let mut sim = Sim::with_calendar(RoccModel::new(cfg.clone()), kind);
     // Shardable configurations number events per cell; the rest keep the

@@ -1,17 +1,15 @@
-//! Event calendars: a one-level hashed timing wheel (the default) and the
-//! binary-heap fallback, behind one interface with generation-stamped O(1)
-//! cancellation.
+//! Event calendars: the one-level hashed timing wheel every simulation runs
+//! on, and a minimal reference calendar the differential tests compare it
+//! against.
 //!
 //! ## Why a hashed wheel
 //!
-//! The original calendar was a `BinaryHeap` ordered by `(time, seq)` with a
-//! `HashSet<u64>` of cancelled sequence numbers probed on every pop: O(log n)
-//! per operation, a hash probe per pop, and unbounded growth of the cancelled
-//! set when handles were cancelled after firing. The wheel is Brown's
-//! calendar queue (CACM 1988), scheme 5 of Varghese & Lauck (1987): amortized
-//! O(1) enqueue/dequeue keyed on the integer-nanosecond clock. Cancellation
-//! goes through a slot slab whose generation stamps make stale handles
-//! (fired or already-cancelled) exact no-ops with no residue.
+//! The original calendar was a `BinaryHeap` ordered by `(time, seq)`:
+//! O(log n) per operation. The wheel is Brown's calendar queue (CACM 1988),
+//! scheme 5 of Varghese & Lauck (1987): amortized O(1) enqueue/dequeue keyed
+//! on the integer-nanosecond clock. Events are fire-and-forget: nothing
+//! cancels a scheduled event, so an entry leaves the calendar only by
+//! firing.
 //!
 //! ## Geometry (see DESIGN.md §5.7)
 //!
@@ -32,7 +30,7 @@
 //! ## Determinism argument
 //!
 //! Events must fire in `(time, seq)` order with ties in schedule order, bit
-//! for bit identical to the heap. Here that order is structural: every
+//! for bit identical to the reference. Here that order is structural: every
 //! bucket list is kept sorted by `(at, seq)` on insertion, and the invariant
 //! above makes the head in the cursor's window the global minimum. No
 //! delivery decision depends on bucket count, width or resize history, so a
@@ -52,14 +50,18 @@
 //! The walk path also re-estimates a width that leaves walks crossing
 //! many empty buckets, which no population change would otherwise fix.
 //!
-//! The differential property test (`tests/calendar_diff.rs`) drives random
-//! schedule/cancel/run sequences through both backends and asserts identical
-//! `(time, event)` traces.
+//! ## The reference calendar
+//!
+//! [`CalendarKind::Heap`] selects a `BTreeMap` keyed by `(at, seq)` that
+//! pops exactly one event at a time and never batches, so every
+//! differential suite (`tests/calendar_diff.rs`, `tests/batch_delivery.rs`,
+//! the snapshot and determinism suites, chaos's calendar oracle) compares
+//! the batched wheel against plain one-at-a-time delivery in key order.
+//! The variant keeps its historical name.
 
 use crate::time::SimTime;
 
-use std::cmp::{Ordering, Reverse};
-use std::collections::BinaryHeap;
+use std::collections::BTreeMap;
 
 /// Null link: the end of a bucket list or of the free list.
 const NIL: u32 = u32::MAX;
@@ -76,178 +78,31 @@ const RETUNE_WALKS: u64 = 64;
 /// Mean empty buckets per walk above which the width is re-estimated.
 const RETUNE_STEPS: u64 = 2;
 
-/// Handle to a scheduled event, usable for cancellation.
-///
-/// Internally a `(slab index, generation)` pair: the slab slot is recycled
-/// after the event fires (or its cancellation is collected), bumping the
-/// generation, so cancelling a stale handle is a detectable no-op.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct EventHandle {
-    idx: u32,
-    gen: u32,
-}
-
 /// Which calendar implementation a [`crate::Sim`] uses.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum CalendarKind {
     /// One-level hashed timing wheel (calendar queue): amortized O(1)
-    /// schedule/pop/cancel. The default.
+    /// schedule/pop. The production calendar.
     Wheel,
-    /// The legacy binary heap: O(log n) schedule/pop (kept as a fallback
-    /// and as the differential-testing oracle).
+    /// The reference calendar: an ordered map that delivers one event per
+    /// pop. Exists to be the differential-testing oracle.
     Heap,
 }
 
-impl CalendarKind {
-    /// The default kind, overridable with `PARADYN_CALENDAR=heap|wheel`
-    /// (useful for A/B benchmarking without code changes).
-    pub fn default_from_env() -> CalendarKind {
-        match std::env::var("PARADYN_CALENDAR").as_deref() {
-            Ok("heap") => CalendarKind::Heap,
-            _ => CalendarKind::Wheel,
-        }
-    }
-}
-
-/// Point-in-time occupancy/health counters of a calendar (also emitted into
+/// Point-in-time occupancy counters of a calendar (also emitted into
 /// `BENCH_des.json` by the kernel benches).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CalendarStats {
-    /// Live (schedulable, not cancelled) pending events.
+    /// Pending events.
     pub live: usize,
-    /// Cancelled entries still physically present awaiting lazy collection.
-    /// Bounded by the number of cancels whose slot the cursor has not yet
-    /// passed — never grows across fired events.
-    pub cancelled_pending: usize,
-    /// Total slab slots ever allocated (high-water mark of concurrency).
-    pub slab_slots: usize,
-    /// Slab slots currently free for reuse.
-    pub slab_free: usize,
-    /// Non-empty wheel buckets (0 for the heap backend).
+    /// Non-empty wheel buckets (0 for the reference calendar).
     pub occupied_buckets: usize,
-}
-
-// Slab slot lifecycle, packed with the generation into one u32 word
-// (`gen << 2 | state`): cancel is a single compare-and-store, and the whole
-// slab for a few hundred pending events fits in a handful of cache lines.
-// `VACANT` slots are on the free list. The generation wraps in 30 bits; a
-// handle only collides after one slot is reused 2^30 times while the stale
-// handle is still held.
-const STATE_MASK: u32 = 0b11;
-const VACANT: u32 = 0;
-const LIVE: u32 = 1;
-const CANCELLED: u32 = 2;
-
-/// Sentinel slot index for fire-and-forget entries scheduled through the
-/// no-handle path ([`Calendar::schedule_nocancel`]): no slab slot is
-/// allocated, the entry can never be cancelled, and release is a no-op.
-/// Most model events (the ROCC hot path never cancels) take this path, so
-/// the steady state does no slab work at all.
-const NO_SLOT: u32 = u32::MAX;
-
-/// Generation-stamped slot arena: one slot per pending event. O(1) alloc,
-/// cancel, and release; size bounded by peak concurrent pending events.
-struct Slab {
-    slots: Vec<u32>,
-    free: Vec<u32>,
-}
-
-impl Slab {
-    fn new() -> Slab {
-        // lint:allow(hot-path-alloc): construction-time; both vecs start empty
-        Slab { slots: Vec::new(), free: Vec::new() }
-    }
-
-    #[inline]
-    fn alloc(&mut self) -> EventHandle {
-        match self.free.pop() {
-            Some(idx) => {
-                let w = &mut self.slots[idx as usize];
-                debug_assert_eq!(*w & STATE_MASK, VACANT);
-                *w |= LIVE;
-                EventHandle { idx, gen: *w >> 2 }
-            }
-            None => {
-                let idx = self.slots.len() as u32;
-                self.slots.push(LIVE);
-                EventHandle { idx, gen: 0 }
-            }
-        }
-    }
-
-    /// Mark a live, current-generation slot cancelled. Returns whether the
-    /// cancel took effect (stale handles: `false`, and nothing is stored).
-    #[inline]
-    fn cancel(&mut self, h: EventHandle) -> bool {
-        match self.slots.get_mut(h.idx as usize) {
-            Some(w) if *w == (h.gen << 2) | LIVE => {
-                *w = (h.gen << 2) | CANCELLED;
-                true
-            }
-            _ => false,
-        }
-    }
-
-    #[inline]
-    fn is_cancelled(&self, idx: u32) -> bool {
-        // Fire-and-forget entries have no slot and can never be cancelled;
-        // the check short-circuits before touching slab memory.
-        idx != NO_SLOT && self.slots[idx as usize] & STATE_MASK == CANCELLED
-    }
-
-    /// Free a slot whose entry left the calendar (fired or collected),
-    /// bumping the generation so outstanding handles go stale. No-op for
-    /// the [`NO_SLOT`] sentinel.
-    #[inline]
-    fn release(&mut self, idx: u32) {
-        if idx == NO_SLOT {
-            return;
-        }
-        let w = &mut self.slots[idx as usize];
-        debug_assert_ne!(*w & STATE_MASK, VACANT);
-        *w = (*w >> 2).wrapping_add(1) << 2;
-        self.free.push(idx);
-    }
-
-    fn cancelled_pending(&self) -> usize {
-        self.slots
-            .iter()
-            .filter(|w| *w & STATE_MASK == CANCELLED)
-            .count()
-    }
-}
-
-/// A pending event as stored by the heap backend.
-struct Entry<E> {
-    at: u64,
-    seq: u64,
-    slot: u32,
-    ev: E,
-}
-
-// Heap ordering: earliest (time, seq) first under `Reverse`.
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<E> Eq for Entry<E> {}
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
 }
 
 /// One arena slot of the hashed wheel.
 struct Node<E> {
     at: u64,
     seq: u64,
-    slot: u32,
     /// Next node of the same bucket (in `(at, seq)` order), or of the free
     /// list.
     next: u32,
@@ -256,7 +111,7 @@ struct Node<E> {
 }
 
 /// The one-level hashed timing wheel (see the module docs).
-struct Wheel<E> {
+pub(crate) struct Wheel<E> {
     /// Entry arena; grows only when the free list is empty, i.e. at a new
     /// peak of stored entries.
     nodes: Vec<Node<E>>,
@@ -271,7 +126,7 @@ struct Wheel<E> {
     /// lies before that window.
     cur: usize,
     cur_last: u64,
-    /// Stored entries, cancelled leftovers included.
+    /// Stored entries.
     len: usize,
     /// Resize scratch, `(at, seq, node)` per stored entry. Kept across
     /// resizes, so a steady population allocates nothing.
@@ -329,7 +184,7 @@ impl<E> Wheel<E> {
     /// Link a new entry into its bucket after every entry that orders
     /// before it, so equal keys keep insertion order.
     #[inline]
-    fn insert(&mut self, at: u64, seq: u64, slot: u32, ev: E) {
+    fn insert(&mut self, at: u64, seq: u64, ev: E) {
         let v = at >> self.shift;
         if v < self.vb() {
             self.set_cursor(v); // cursor rewind
@@ -348,7 +203,6 @@ impl<E> Wheel<E> {
         let node = Node {
             at,
             seq,
-            slot,
             next,
             ev: Some(ev),
         };
@@ -373,10 +227,10 @@ impl<E> Wheel<E> {
         }
     }
 
-    /// Remove the head of bucket `b`, returning its `(at, slot, event)` and
+    /// Remove the head of bucket `b`, returning its `(at, event)` and
     /// putting the node on the free list.
     #[inline]
-    fn unlink_head(&mut self, b: usize) -> (u64, u32, E) {
+    fn unlink_head(&mut self, b: usize) -> (u64, E) {
         let i = self.heads[b];
         let n = &mut self.nodes[i as usize];
         self.heads[b] = n.next;
@@ -385,29 +239,20 @@ impl<E> Wheel<E> {
         self.len -= 1;
         // lint:allow(panic-path): a linked node always holds its event; only free-list nodes are None
         let ev = n.ev.take().expect("linked node holds an event");
-        (n.at, n.slot, ev)
+        (n.at, ev)
     }
 
-    /// Deliver the earliest live event with `at <= horizon`, collecting any
-    /// cancelled entries met at the front on the way.
+    /// Deliver the earliest event with `at <= horizon`.
     #[inline(always)]
-    fn pop_next_before(&mut self, slab: &mut Slab, horizon: u64) -> Option<(u64, E)> {
+    fn pop_next_before(&mut self, horizon: u64) -> Option<(u64, E)> {
         loop {
             let b = self.cur;
             let h = self.heads[b];
             if self.in_window(h, self.cur_last) {
-                let n = &self.nodes[h as usize];
-                if slab.is_cancelled(n.slot) {
-                    let (_, slot, _) = self.unlink_head(b);
-                    slab.release(slot);
-                    continue;
-                }
-                if n.at > horizon {
+                if self.nodes[h as usize].at > horizon {
                     return None;
                 }
-                let (at, slot, ev) = self.unlink_head(b);
-                slab.release(slot);
-                return Some((at, ev));
+                return Some(self.unlink_head(b));
             }
             if !self.advance(horizon) {
                 return None;
@@ -416,26 +261,15 @@ impl<E> Wheel<E> {
     }
 
     /// Unlink the in-window heads of the cursor's bucket that fire exactly
-    /// at `at` (see [`Calendar::drain_batch_at`]), collecting cancelled
-    /// ones on the way.
-    fn drain_at(&mut self, slab: &mut Slab, at: u64, out: &mut Vec<(u32, E)>) {
+    /// at `at` (see [`Calendar::drain_batch_at`]).
+    fn drain_at(&mut self, at: u64, out: &mut Vec<E>) {
         let b = self.cur;
         loop {
             let h = self.heads[b];
-            if !self.in_window(h, self.cur_last) {
+            if !self.in_window(h, self.cur_last) || self.nodes[h as usize].at != at {
                 return;
             }
-            let n = &self.nodes[h as usize];
-            if slab.is_cancelled(n.slot) {
-                let (_, slot, _) = self.unlink_head(b);
-                slab.release(slot);
-                continue;
-            }
-            if n.at != at {
-                return;
-            }
-            let (_, slot, ev) = self.unlink_head(b);
-            out.push((slot, ev));
+            out.push(self.unlink_head(b).1);
         }
     }
 
@@ -552,226 +386,120 @@ impl<E> Wheel<E> {
     }
 }
 
-/// Legacy heap backend: lazy deletion against the shared slab (no more
-/// `HashSet` probe — cancellation state lives in the slab for both
-/// backends).
-struct HeapCal<E> {
-    heap: BinaryHeap<Reverse<Entry<E>>>,
-}
-
-impl<E> HeapCal<E> {
-    #[inline(always)]
-    fn pop_next_before(&mut self, slab: &mut Slab, horizon: u64) -> Option<(u64, E)> {
-        loop {
-            let front = self.heap.peek()?;
-            if slab.is_cancelled(front.0.slot) {
-                // lint:allow(panic-path): peek() returned Some above; pop cannot fail
-                let e = self.heap.pop().expect("peeked").0;
-                slab.release(e.slot);
-                continue;
-            }
-            if front.0.at > horizon {
-                return None;
-            }
-            // lint:allow(panic-path): peek() returned Some above; pop cannot fail
-            let e = self.heap.pop().expect("peeked").0;
-            slab.release(e.slot);
-            return Some((e.at, e.ev));
-        }
-    }
-}
-
-enum Backend<E> {
+/// The pending-event calendar. This match is the one seam where tests
+/// substitute the reference for the wheel.
+pub(crate) enum Calendar<E> {
     Wheel(Wheel<E>),
-    Heap(HeapCal<E>),
-}
-
-/// The pending-event calendar: a backend plus the cancellation slab and the
-/// live-event count.
-pub(crate) struct Calendar<E> {
-    slab: Slab,
-    live: usize,
-    backend: Backend<E>,
+    /// The reference calendar (see the module docs).
+    Reference(BTreeMap<(u64, u64), E>),
 }
 
 impl<E> Calendar<E> {
     pub(crate) fn new(kind: CalendarKind) -> Calendar<E> {
-        Calendar {
-            slab: Slab::new(),
-            live: 0,
-            backend: match kind {
-                CalendarKind::Wheel => Backend::Wheel(Wheel::new()),
-                CalendarKind::Heap => Backend::Heap(HeapCal {
-                    heap: BinaryHeap::new(),
-                }),
-            },
+        match kind {
+            CalendarKind::Wheel => Calendar::Wheel(Wheel::new()),
+            CalendarKind::Heap => Calendar::Reference(BTreeMap::new()),
         }
     }
 
     pub(crate) fn kind(&self) -> CalendarKind {
-        match self.backend {
-            Backend::Wheel(_) => CalendarKind::Wheel,
-            Backend::Heap(_) => CalendarKind::Heap,
+        match self {
+            Calendar::Wheel(_) => CalendarKind::Wheel,
+            Calendar::Reference(_) => CalendarKind::Heap,
         }
     }
 
-    /// Number of live (not cancelled) pending events. Exact: cancellation
-    /// decrements it immediately.
+    /// Number of pending events.
     #[inline]
     pub(crate) fn live(&self) -> usize {
-        self.live
-    }
-
-    #[inline]
-    fn insert(&mut self, at: u64, seq: u64, slot: u32, ev: E) {
-        self.live += 1;
-        match &mut self.backend {
-            Backend::Wheel(w) => w.insert(at, seq, slot, ev),
-            Backend::Heap(hc) => hc.heap.push(Reverse(Entry { at, seq, slot, ev })),
+        match self {
+            Calendar::Wheel(w) => w.len,
+            Calendar::Reference(m) => m.len(),
         }
     }
 
+    /// Store `ev` to fire at `at`; `seq` must be unique and breaks ties.
     #[inline]
-    pub(crate) fn schedule(&mut self, at: SimTime, seq: u64, ev: E) -> EventHandle {
-        let h = self.slab.alloc();
-        self.insert(at.as_nanos(), seq, h.idx, ev);
-        h
-    }
-
-    /// Schedule a fire-and-forget entry: no handle, no slab slot, not
-    /// cancellable. The hot-path variant — a model that never cancels pays
-    /// zero slab traffic per event.
-    #[inline]
-    pub(crate) fn schedule_nocancel(&mut self, at: SimTime, seq: u64, ev: E) {
-        self.insert(at.as_nanos(), seq, NO_SLOT, ev);
-    }
-
-    /// O(1) cancel. Stale handles (already fired, already cancelled) are
-    /// exact no-ops and leave no residue. Returns whether a live event was
-    /// cancelled.
-    #[inline]
-    pub(crate) fn cancel(&mut self, h: EventHandle) -> bool {
-        let hit = self.slab.cancel(h);
-        if hit {
-            self.live -= 1;
+    pub(crate) fn insert(&mut self, at: SimTime, seq: u64, ev: E) {
+        match self {
+            Calendar::Wheel(w) => w.insert(at.as_nanos(), seq, ev),
+            Calendar::Reference(m) => {
+                let old = m.insert((at.as_nanos(), seq), ev);
+                debug_assert!(old.is_none(), "duplicate (at, seq) key");
+            }
         }
-        hit
     }
 
-    /// Deliver the earliest live event with `at <= horizon` in `(time,
-    /// seq)` order (ties in schedule order).
+    /// Deliver the earliest event with `at <= horizon` in `(time, seq)`
+    /// order (ties in schedule order).
     #[inline(always)]
     pub(crate) fn pop_next_before(&mut self, horizon: SimTime) -> Option<(SimTime, E)> {
-        let popped = match &mut self.backend {
-            Backend::Wheel(w) => w.pop_next_before(&mut self.slab, horizon.as_nanos()),
-            Backend::Heap(h) => h.pop_next_before(&mut self.slab, horizon.as_nanos()),
+        let horizon = horizon.as_nanos();
+        let (at, ev) = match self {
+            Calendar::Wheel(w) => w.pop_next_before(horizon)?,
+            Calendar::Reference(m) => {
+                let first = m.first_entry().filter(|e| e.key().0 <= horizon)?;
+                let ((at, _), ev) = first.remove_entry();
+                (at, ev)
+            }
         };
-        if let Some((at, ev)) = popped {
-            self.live -= 1;
-            return Some((SimTime::from_nanos(at), ev));
-        }
-        None
+        Some((SimTime::from_nanos(at), ev))
     }
 
-    /// Move every front entry with time exactly `at` out of storage and
-    /// append `(slot, event)` to `out`, in `(time, seq)` order. Slots are
-    /// *not* released and `live` is *not* adjusted: the entries remain
-    /// logically pending (and cancellable) until the driver commits each
-    /// one through [`Calendar::take_batch_entry`] just before dispatch —
-    /// that is what makes a cancellation landing *inside* a batch
-    /// (handler A cancels same-timestamp event B) behave identically to
-    /// one-at-a-time delivery.
+    /// Move front entries with time exactly `at` out of storage and append
+    /// them to `out`, in `(time, seq)` order.
     ///
     /// Only entries that are provably next in delivery order are drained:
-    /// for the wheel, heads of the cursor's bucket inside its window; for
-    /// the heap, the top run. Same-timestamp entries anywhere else stay
-    /// put — the driver falls back to [`Calendar::pop_next_before`] and
-    /// re-drains, so nothing is missed.
+    /// the heads of the wheel cursor's bucket inside its window.
+    /// Same-timestamp entries anywhere else stay put — the driver falls back
+    /// to [`Calendar::pop_next_before`] and re-drains, so nothing is missed.
+    /// The reference drains nothing, so it always delivers one event per
+    /// pop.
     #[inline(never)]
-    pub(crate) fn drain_batch_at(&mut self, at: SimTime, out: &mut Vec<(u32, E)>) {
-        let at = at.as_nanos();
-        match &mut self.backend {
-            Backend::Wheel(w) => w.drain_at(&mut self.slab, at, out),
-            Backend::Heap(h) => loop {
-                match h.heap.peek() {
-                    Some(Reverse(f)) if self.slab.is_cancelled(f.slot) => {
-                        // lint:allow(panic-path): peek() returned Some above; pop cannot fail
-                        let e = h.heap.pop().expect("peeked").0;
-                        self.slab.release(e.slot);
-                    }
-                    Some(Reverse(f)) if f.at == at => {
-                        // lint:allow(panic-path): peek() returned Some above; pop cannot fail
-                        let e = h.heap.pop().expect("peeked").0;
-                        out.push((e.slot, e.ev));
-                    }
-                    _ => break,
-                }
-            },
+    pub(crate) fn drain_batch_at(&mut self, at: SimTime, out: &mut Vec<E>) {
+        if let Calendar::Wheel(w) = self {
+            w.drain_at(at.as_nanos(), out);
         }
     }
 
-    /// Commit one entry previously drained by [`Calendar::drain_batch_at`]:
-    /// release its slot and report whether it is still live (i.e. should be
-    /// dispatched). A batch entry cancelled after draining was already
-    /// debited from `live` by [`Calendar::cancel`], exactly as if it were
-    /// still in storage.
-    #[inline]
-    pub(crate) fn take_batch_entry(&mut self, slot: u32) -> bool {
-        if self.slab.is_cancelled(slot) {
-            self.slab.release(slot);
-            false
-        } else {
-            self.slab.release(slot);
-            self.live -= 1;
-            true
-        }
-    }
-
-    /// Visit every live (non-cancelled) entry as `(at_ns, seq, event)`, in
-    /// storage order.
-    fn for_each_live<'a>(&'a self, mut f: impl FnMut(u64, u64, &'a E)) {
-        match &self.backend {
-            Backend::Wheel(w) => {
+    /// Visit every pending entry as `(at_ns, seq, event)`, in storage order.
+    fn for_each<'a>(&'a self, mut f: impl FnMut(u64, u64, &'a E)) {
+        match self {
+            Calendar::Wheel(w) => {
                 for n in &w.nodes {
                     if let Some(ev) = &n.ev {
-                        if !self.slab.is_cancelled(n.slot) {
-                            f(n.at, n.seq, ev);
-                        }
+                        f(n.at, n.seq, ev);
                     }
                 }
             }
-            Backend::Heap(h) => {
-                for Reverse(e) in h.heap.iter() {
-                    if !self.slab.is_cancelled(e.slot) {
-                        f(e.at, e.seq, &e.ev);
-                    }
+            Calendar::Reference(m) => {
+                for (&(at, seq), ev) in m {
+                    f(at, seq, ev);
                 }
             }
         }
     }
 
-    /// Canonical capture of every live entry as `(at_ns, seq, event)`,
-    /// sorted by `(at, seq)`. Cancelled leftovers awaiting lazy collection
-    /// are excluded, so the result is identical across backends and across
+    /// Canonical capture of every pending entry as `(at_ns, seq, event)`,
+    /// sorted by `(at, seq)`: identical across backends and across
     /// bucket/resize history — the form snapshots serialize.
     pub(crate) fn live_entries(&self) -> Vec<(u64, u64, E)>
     where
         E: Clone,
     {
-        let mut out = Vec::with_capacity(self.live);
+        let mut out = Vec::with_capacity(self.live());
         // lint:allow(hot-path-alloc): snapshot canonicalization clones each pending event once; runs only on snapshot/persist, never in the delivery loop
-        self.for_each_live(|at, seq, ev| out.push((at, seq, ev.clone())));
+        self.for_each(|at, seq, ev| out.push((at, seq, ev.clone())));
         out.sort_unstable_by_key(|&(at, seq, _)| (at, seq));
-        debug_assert_eq!(out.len(), self.live);
         out
     }
 
-    /// The earliest live `(at_ns, seq)` with a reference to its event,
-    /// without disturbing the backend. O(live) scan — a diagnostic/test
+    /// The earliest pending `(at_ns, seq)` with a reference to its event,
+    /// without disturbing the backend. O(pending) scan — a diagnostic/test
     /// path, not the delivery path.
     pub(crate) fn peek_min(&self) -> Option<(u64, u64, &E)> {
         let mut best: Option<(u64, u64, &E)> = None;
-        self.for_each_live(|at, seq, ev| match best {
+        self.for_each(|at, seq, ev| match best {
             Some((bat, bseq, _)) if (bat, bseq) <= (at, seq) => {}
             _ => best = Some((at, seq, ev)),
         });
@@ -780,13 +508,10 @@ impl<E> Calendar<E> {
 
     pub(crate) fn stats(&self) -> CalendarStats {
         CalendarStats {
-            live: self.live,
-            cancelled_pending: self.slab.cancelled_pending(),
-            slab_slots: self.slab.slots.len(),
-            slab_free: self.slab.free.len(),
-            occupied_buckets: match &self.backend {
-                Backend::Wheel(w) => w.occupied_buckets(),
-                Backend::Heap(_) => 0,
+            live: self.live(),
+            occupied_buckets: match self {
+                Calendar::Wheel(w) => w.occupied_buckets(),
+                Calendar::Reference(_) => 0,
             },
         }
     }
@@ -812,9 +537,9 @@ mod tests {
     }
 
     fn wheel(c: &Calendar<u32>) -> &Wheel<u32> {
-        match &c.backend {
-            Backend::Wheel(w) => w,
-            Backend::Heap(_) => unreachable!("wheel calendar expected"),
+        match c {
+            Calendar::Wheel(w) => w,
+            Calendar::Reference(_) => unreachable!("wheel calendar expected"),
         }
     }
 
@@ -824,7 +549,7 @@ mod tests {
         // the width settles near 3× the 1 µs gap (2^11 ns ≤ 3 µs < 2^12).
         let mut c: Calendar<u32> = Calendar::new(CalendarKind::Wheel);
         for i in 0..1_000u64 {
-            c.schedule_nocancel(SimTime::from_nanos(i * 1_000), i, i as u32);
+            c.insert(SimTime::from_nanos(i * 1_000), i, i as u32);
         }
         let w = wheel(&c);
         assert_eq!(w.heads.len(), 512);
@@ -843,7 +568,7 @@ mod tests {
         // peak reuses them.
         let peak = w.nodes.len();
         for i in 0..1_000u64 {
-            c.schedule_nocancel(SimTime::from_nanos(2_000_000 + i), i, 0);
+            c.insert(SimTime::from_nanos(2_000_000 + i), i, 0);
         }
         assert_eq!(wheel(&c).nodes.len(), peak);
     }
@@ -856,7 +581,7 @@ mod tests {
         // re-estimates the width from the running front instead.
         let mut c: Calendar<u32> = Calendar::new(CalendarKind::Wheel);
         for id in 0..64u32 {
-            c.schedule_nocancel(SimTime::from_nanos(id as u64), id as u64, id);
+            c.insert(SimTime::from_nanos(id as u64), id as u64, id);
         }
         assert_eq!(wheel(&c).shift, 1);
         let mut seq = 64;
@@ -865,7 +590,7 @@ mod tests {
                 break;
             };
             let gap = 50 + (id as u64).wrapping_mul(2_654_435_761) % 1_000;
-            c.schedule_nocancel(SimTime::from_nanos(t.as_nanos() + gap), seq, id);
+            c.insert(SimTime::from_nanos(t.as_nanos() + gap), seq, id);
             seq += 1;
         }
         let w = wheel(&c);
@@ -879,7 +604,7 @@ mod tests {
         // width stays as it was and the run still drains in seq order.
         let mut c: Calendar<u32> = Calendar::new(CalendarKind::Wheel);
         for i in 0..100u64 {
-            c.schedule_nocancel(SimTime::from_nanos(7), i, i as u32);
+            c.insert(SimTime::from_nanos(7), i, i as u32);
         }
         assert_eq!(wheel(&c).shift, INITIAL_SHIFT);
         let got = drain(&mut c);
@@ -892,15 +617,15 @@ mod tests {
         // after a horizon-bounded delivery, an entry scheduled between the
         // delivered one and a pending later one must still fire first.
         for mut c in both() {
-            c.schedule(SimTime::from_nanos(262_338), 0, 1);
-            c.schedule(SimTime::from_nanos(286_912), 1, 2); // level-3: [262144, 524288)
+            c.insert(SimTime::from_nanos(262_338), 0, 1);
+            c.insert(SimTime::from_nanos(286_912), 1, 2); // level-3: [262144, 524288)
             assert_eq!(
                 c.pop_next_before(SimTime::from_nanos(262_338)),
                 Some((SimTime::from_nanos(262_338), 1)),
                 "{:?}",
                 c.kind()
             );
-            c.schedule(SimTime::from_nanos(262_528), 2, 3);
+            c.insert(SimTime::from_nanos(262_528), 2, 3);
             assert_eq!(
                 drain(&mut c),
                 vec![(262_528, 3), (286_912, 2)],
@@ -915,7 +640,7 @@ mod tests {
         for mut c in both() {
             let mut seq = 0;
             for (at, ev) in [(30u64, 3u32), (10, 1), (20, 2), (10, 11), (30, 33)] {
-                c.schedule(SimTime::from_nanos(at), seq, ev);
+                c.insert(SimTime::from_nanos(at), seq, ev);
                 seq += 1;
             }
             assert_eq!(
@@ -924,7 +649,7 @@ mod tests {
                 "{:?}",
                 c.kind()
             );
-            assert_eq!(c.live(), 0);
+            assert_eq!(c.stats(), CalendarStats::default(), "{:?}", c.kind());
         }
     }
 
@@ -944,7 +669,7 @@ mod tests {
                 u64::MAX - 1,
             ];
             for (i, &t) in times.iter().enumerate() {
-                c.schedule(SimTime::from_nanos(t), i as u64, i as u32);
+                c.insert(SimTime::from_nanos(t), i as u64, i as u32);
             }
             let got = drain(&mut c);
             let want: Vec<(u64, u32)> =
@@ -954,65 +679,16 @@ mod tests {
     }
 
     #[test]
-    fn cancel_is_exact_and_leaves_no_residue() {
+    fn horizon_is_respected() {
         for mut c in both() {
-            let h1 = c.schedule(SimTime::from_nanos(10), 0, 1);
-            let h2 = c.schedule(SimTime::from_nanos(20), 1, 2);
-            assert_eq!(c.live(), 2);
-            assert!(c.cancel(h1));
-            assert_eq!(c.live(), 1, "pending count is exact after cancel");
-            assert!(!c.cancel(h1), "double cancel is a stale no-op");
-            assert_eq!(drain(&mut c), vec![(20, 2)]);
-            // Cancel after fire: stale generation, no storage.
-            assert!(!c.cancel(h2));
-            let s = c.stats();
-            assert_eq!(
-                (s.live, s.cancelled_pending),
-                (0, 0),
-                "{:?}: cancel-after-fire left residue",
-                c.kind()
-            );
-            assert_eq!(s.slab_free, s.slab_slots, "all slots recycled");
-        }
-    }
-
-    #[test]
-    fn repeated_cancel_after_fire_is_bounded() {
-        // The old HashSet design leaked one u64 per cancel-after-fire;
-        // the slab must stay at its concurrency high-water mark.
-        for mut c in both() {
-            let mut handles = vec![];
-            for round in 0..1_000u64 {
-                let h = c.schedule(SimTime::from_nanos(round), round, 0);
-                handles.push(h);
-                assert!(c.pop_next_before(SimTime::MAX).is_some());
-                for &h in &handles {
-                    c.cancel(h); // every one is stale
-                }
-            }
-            let s = c.stats();
-            assert_eq!(s.cancelled_pending, 0);
-            assert!(
-                s.slab_slots <= 2,
-                "{:?}: slab grew to {} slots",
-                c.kind(),
-                s.slab_slots
-            );
-        }
-    }
-
-    #[test]
-    fn horizon_is_respected_even_past_cancelled_entries() {
-        for mut c in both() {
-            let h = c.schedule(SimTime::from_nanos(10), 0, 1);
-            c.schedule(SimTime::from_nanos(100), 1, 2);
-            c.cancel(h);
+            c.insert(SimTime::from_nanos(100), 0, 2);
             assert_eq!(
                 c.pop_next_before(SimTime::from_nanos(50)),
                 None,
-                "{:?}: popped past the horizon over a cancelled entry",
+                "{:?}: popped past the horizon",
                 c.kind()
             );
+            assert_eq!(c.live(), 1);
             assert_eq!(
                 c.pop_next_before(SimTime::from_nanos(100)),
                 Some((SimTime::from_nanos(100), 2))
@@ -1023,14 +699,14 @@ mod tests {
     #[test]
     fn schedule_before_the_cursor_after_horizon_stop() {
         for mut c in both() {
-            c.schedule(SimTime::from_nanos(1_000), 0, 9);
+            c.insert(SimTime::from_nanos(1_000), 0, 9);
             // A horizon probe may move the wheel's cursor to the 1000 ns
             // window; the earlier schedules below must rewind it.
             assert_eq!(c.pop_next_before(SimTime::from_nanos(500)), None);
             // Now schedule earlier events, including one at the staged time.
-            c.schedule(SimTime::from_nanos(600), 1, 6);
-            c.schedule(SimTime::from_nanos(1_000), 2, 10);
-            c.schedule(SimTime::from_nanos(600), 3, 7);
+            c.insert(SimTime::from_nanos(600), 1, 6);
+            c.insert(SimTime::from_nanos(1_000), 2, 10);
+            c.insert(SimTime::from_nanos(600), 3, 7);
             assert_eq!(
                 drain(&mut c),
                 vec![(600, 6), (600, 7), (1_000, 9), (1_000, 10)],
@@ -1046,13 +722,13 @@ mod tests {
         // joins it at the same instant: the sorted bucket list must still
         // fire 0 before 2.
         for mut c in both() {
-            c.schedule(SimTime::from_nanos(200), 0, 20);
-            c.schedule(SimTime::from_nanos(190), 1, 19);
+            c.insert(SimTime::from_nanos(200), 0, 20);
+            c.insert(SimTime::from_nanos(190), 1, 19);
             assert_eq!(
                 c.pop_next_before(SimTime::MAX),
                 Some((SimTime::from_nanos(190), 19))
             );
-            c.schedule(SimTime::from_nanos(200), 2, 21);
+            c.insert(SimTime::from_nanos(200), 2, 21);
             assert_eq!(drain(&mut c), vec![(200, 20), (200, 21)], "{:?}", c.kind());
         }
     }
@@ -1060,28 +736,39 @@ mod tests {
     #[test]
     fn zero_delay_self_scheduling_is_fifo() {
         for mut c in both() {
-            c.schedule(SimTime::from_nanos(5), 0, 0);
+            c.insert(SimTime::from_nanos(5), 0, 0);
             assert_eq!(
                 c.pop_next_before(SimTime::MAX),
                 Some((SimTime::from_nanos(5), 0))
             );
             // Schedule at the current instant repeatedly mid-delivery.
-            c.schedule(SimTime::from_nanos(5), 1, 1);
-            c.schedule(SimTime::from_nanos(5), 2, 2);
+            c.insert(SimTime::from_nanos(5), 1, 1);
+            c.insert(SimTime::from_nanos(5), 2, 2);
             assert_eq!(drain(&mut c), vec![(5, 1), (5, 2)], "{:?}", c.kind());
         }
+    }
+
+    #[test]
+    fn reference_never_drains_a_batch() {
+        let mut c: Calendar<u32> = Calendar::new(CalendarKind::Heap);
+        for i in 0..3u64 {
+            c.insert(SimTime::from_nanos(5), i, i as u32);
+        }
+        let mut out = vec![];
+        c.drain_batch_at(SimTime::from_nanos(5), &mut out);
+        assert!(out.is_empty());
+        assert_eq!(c.live(), 3);
     }
 
     #[test]
     fn stats_report_occupancy() {
         let mut c: Calendar<u32> = Calendar::new(CalendarKind::Wheel);
         for i in 0..10u64 {
-            c.schedule(SimTime::from_nanos(i * 1_000), i, i as u32);
+            c.insert(SimTime::from_nanos(i * 1_000), i, i as u32);
         }
         let s = c.stats();
         assert_eq!(s.live, 10);
         assert!(s.occupied_buckets >= 1);
-        assert_eq!(s.slab_slots, 10);
         drain(&mut c);
         assert_eq!(c.stats().live, 0);
     }

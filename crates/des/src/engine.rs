@@ -1,17 +1,14 @@
-//! The event calendar and simulation driver.
+//! The simulation driver.
 //!
 //! The kernel is deliberately monomorphic: a model defines a plain `enum` of
-//! events and implements [`Model::handle`]. Events are never boxed, the
-//! calendar (a one-level hashed timing wheel by default, with the legacy binary
-//! heap as a fallback — see [`crate::calendar`]) delivers them in
-//! `(time, sequence)` order with ties broken in schedule order, so a given
-//! model + seed is fully deterministic regardless of the backend.
+//! events and implements [`Model::handle`]. Events are never boxed and never
+//! cancelled; the calendar (the one-level hashed timing wheel of
+//! [`crate::calendar`]) delivers them in `(time, sequence)` order with ties
+//! broken in schedule order, so a given model + seed is fully deterministic.
 
 use crate::calendar::{Calendar, CalendarKind, CalendarStats};
 use crate::snapshot::{self, Dec, Enc, Persist, PersistState, SnapError};
 use crate::time::{SimDur, SimTime};
-
-pub use crate::calendar::EventHandle;
 
 /// Bit position of the scheduling-cell label inside a sequence number:
 /// `seq = (cell << CELL_SHIFT) | per-cell counter`. Comparing packed
@@ -128,30 +125,8 @@ impl<E> Ctx<E> {
         self.now
     }
 
-    /// Schedule `ev` to fire at absolute time `at`.
-    ///
-    /// # Panics
-    /// Panics if `at` is in the past; causality violations are model bugs.
-    #[inline]
-    pub fn schedule_at(&mut self, at: SimTime, ev: E) -> EventHandle {
-        assert!(at >= self.now, "cannot schedule into the past");
-        let seq = self.seq.alloc();
-        self.scheduled += 1;
-        self.calendar.schedule(at, seq, ev)
-    }
-
-    /// Schedule `ev` to fire after a delay of `d`.
-    #[inline]
-    pub fn schedule_in(&mut self, d: SimDur, ev: E) -> EventHandle {
-        self.schedule_at(self.now + d, ev)
-    }
-
-    /// Schedule `ev` at absolute time `at` with no cancellation handle.
-    ///
-    /// The fire-and-forget fast path: no slab slot is allocated, so a model
-    /// that never cancels (the ROCC hot path) pays zero cancellation
-    /// bookkeeping per event. Delivery order is identical to
-    /// [`Ctx::schedule_at`].
+    /// Schedule `ev` to fire at absolute time `at`. Events are
+    /// fire-and-forget: once posted, an event fires.
     ///
     /// # Panics
     /// Panics if `at` is in the past; causality violations are model bugs.
@@ -160,23 +135,13 @@ impl<E> Ctx<E> {
         assert!(at >= self.now, "cannot schedule into the past");
         let seq = self.seq.alloc();
         self.scheduled += 1;
-        self.calendar.schedule_nocancel(at, seq, ev);
+        self.calendar.insert(at, seq, ev);
     }
 
-    /// Schedule `ev` after a delay of `d` with no cancellation handle
-    /// (see [`Ctx::post_at`]).
+    /// Schedule `ev` to fire after a delay of `d` (see [`Ctx::post_at`]).
     #[inline]
     pub fn post_in(&mut self, d: SimDur, ev: E) {
         self.post_at(self.now + d, ev);
-    }
-
-    /// Cancel a previously scheduled event in O(1). Cancelling an event that
-    /// has already fired (or was already cancelled) is an exact no-op: the
-    /// handle's generation stamp is stale, so nothing is stored and nothing
-    /// can accumulate across long runs.
-    #[inline]
-    pub fn cancel(&mut self, h: EventHandle) {
-        self.calendar.cancel(h);
     }
 
     /// Number of events executed so far.
@@ -184,31 +149,28 @@ impl<E> Ctx<E> {
         self.executed
     }
 
-    /// Number of events scheduled so far (including cancelled ones).
+    /// Number of events scheduled so far.
     pub fn scheduled_events(&self) -> u64 {
         self.scheduled
     }
 
-    /// Number of **live** events pending in the calendar. Exact: cancelled
-    /// events are excluded the moment [`Ctx::cancel`] takes effect, not when
-    /// their slot is lazily collected.
+    /// Number of events pending in the calendar.
     pub fn pending_events(&self) -> usize {
         self.calendar.live()
     }
 
-    /// Occupancy/health counters of the calendar (slab size, cancelled
-    /// backlog, bucket occupancy). Cheap enough for test assertions and
-    /// bench reporting.
+    /// Occupancy counters of the calendar (pending events, bucket
+    /// occupancy). Cheap enough for test assertions and bench reporting.
     pub fn calendar_stats(&self) -> CalendarStats {
         self.calendar.stats()
     }
 
-    /// Which calendar backend this context runs on.
+    /// Which calendar this context runs on.
     pub fn calendar_kind(&self) -> CalendarKind {
         self.calendar.kind()
     }
 
-    /// Deliver the next live event at or before `horizon`, advancing the
+    /// Deliver the next event at or before `horizon`, advancing the
     /// clock. `None` leaves the clock untouched.
     #[inline(always)]
     fn pop_next_before(&mut self, horizon: SimTime) -> Option<(SimTime, E)> {
@@ -250,10 +212,10 @@ impl<E> Ctx<E> {
         }
     }
 
-    /// Rebuild a context from its canonical byte form onto backend `kind`.
-    /// The canonical form is backend-independent: re-scheduling the sorted
+    /// Rebuild a context from its canonical byte form onto calendar `kind`.
+    /// The canonical form is calendar-independent: re-inserting the sorted
     /// entries with their original sequence numbers reproduces the exact
-    /// `(time, seq)` delivery order on either backend.
+    /// `(time, seq)` delivery order on either calendar.
     pub(crate) fn load_state(kind: CalendarKind, r: &mut Dec<'_>) -> Result<Ctx<E>, SnapError>
     where
         E: Persist,
@@ -291,9 +253,7 @@ impl<E> Ctx<E> {
                 return Err(SnapError::Malformed("calendar entries not strictly sorted"));
             }
             prev = Some((at, seq));
-            // Handles never survive a restore (slab slots and generations
-            // are rebuilt), so restored entries take the no-slab path.
-            ctx.calendar.schedule_nocancel(SimTime::from_nanos(at), seq, ev);
+            ctx.calendar.insert(SimTime::from_nanos(at), seq, ev);
         }
         ctx.seq.counters = counters;
         ctx.executed = executed;
@@ -310,18 +270,18 @@ pub struct Sim<M: Model> {
     /// Reusable scratch for batched same-timestamp delivery in
     /// [`Sim::run_until`]. Always empty between calls; kept here so the
     /// steady state never reallocates it.
-    batch: Vec<(u32, M::Event)>,
+    batch: Vec<M::Event>,
 }
 
 impl<M: Model> Sim<M> {
-    /// Create a driver around `model` with an empty calendar at time zero.
-    /// Uses the timing wheel unless `PARADYN_CALENDAR=heap` is set.
+    /// Create a driver around `model` with an empty timing-wheel calendar
+    /// at time zero.
     pub fn new(model: M) -> Self {
-        Sim::with_calendar(model, CalendarKind::default_from_env())
+        Sim::with_calendar(model, CalendarKind::Wheel)
     }
 
-    /// Create a driver with an explicit calendar backend (the wheel is the
-    /// default; the heap is the fallback/differential-testing oracle).
+    /// Create a driver on an explicit calendar: the wheel, or the
+    /// reference the differential tests compare it against.
     pub fn with_calendar(model: M, kind: CalendarKind) -> Self {
         Sim {
             model,
@@ -365,8 +325,6 @@ impl<M: Model> Sim<M> {
     ///
     /// Events scheduled exactly at the horizon still fire; the clock is left
     /// at the horizon (or at the last event if the calendar drained first).
-    /// Only *live* events are consulted: a cancelled entry before the
-    /// horizon never causes a later event beyond it to fire early.
     ///
     /// Delivery is **batched by timestamp**: after the first event of an
     /// instant fires, the rest of the same-timestamp run is drained from
@@ -374,11 +332,9 @@ impl<M: Model> Sim<M> {
     /// pinned `(time, seq)` order, amortizing the pop machinery across the
     /// batch. Observable behavior is bit-identical to one-at-a-time
     /// [`Sim::step`] delivery (`tests/batch_delivery.rs` proves it against
-    /// the heap oracle): each drained entry is re-checked for cancellation
-    /// *immediately before* its dispatch, so a handler cancelling a
-    /// same-timestamp successor suppresses it exactly as it would have
-    /// one-at-a-time, and events scheduled *at* the current instant by a
-    /// batch member still fire within the same instant, after it.
+    /// the reference calendar, which never batches): events scheduled *at*
+    /// the current instant by a batch member still fire within the same
+    /// instant, after the members already drained.
     pub fn run_until(&mut self, horizon: SimTime) {
         // Tie gate: the clock *before* it advances is the previous event's
         // time, so `at == now` detects the second member of a tie run with
@@ -432,10 +388,11 @@ impl<M: Model> Sim<M> {
         loop {
             self.ctx.calendar.drain_batch_at(at, &mut buf);
             if buf.is_empty() {
-                // Same-instant events can still be in an unstaged bucket
-                // (scheduled mid-batch, or staging was dirty): one
-                // ordinary pop re-stages and delivers the next, then
-                // draining resumes. `None` ends the instant.
+                // Same-instant events can still lie beyond the drained
+                // bucket window (the wheel's cursor has not reached them,
+                // or the reference calendar, which never drains): one
+                // ordinary pop delivers the next, then draining resumes.
+                // `None` ends the instant.
                 match self.ctx.pop_next_before(at) {
                     Some((t, ev)) => {
                         debug_assert_eq!(t, at);
@@ -446,11 +403,9 @@ impl<M: Model> Sim<M> {
                     None => break,
                 }
             }
-            for (slot, ev) in buf.drain(..) {
-                if self.ctx.calendar.take_batch_entry(slot) {
-                    self.ctx.executed += 1;
-                    self.model.handle(&mut self.ctx, ev);
-                }
+            for ev in buf.drain(..) {
+                self.ctx.executed += 1;
+                self.model.handle(&mut self.ctx, ev);
             }
         }
         self.batch = buf;
@@ -471,7 +426,7 @@ impl<M: Model> Sim<M> {
         self.ctx.executed
     }
 
-    /// Which calendar backend this driver runs on.
+    /// Which calendar this driver runs on.
     pub fn calendar_kind(&self) -> CalendarKind {
         self.ctx.calendar_kind()
     }
@@ -570,7 +525,7 @@ mod tests {
         fn handle(&mut self, ctx: &mut Ctx<u32>, ev: u32) {
             self.fired.push(ev);
             if self.respawn && ev < 10 {
-                ctx.schedule_in(SimDur::from_nanos(1), ev + 1);
+                ctx.post_in(SimDur::from_nanos(1), ev + 1);
             }
         }
     }
@@ -584,9 +539,9 @@ mod tests {
     #[test]
     fn fires_in_time_order() {
         for mut sim in toy(false) {
-            sim.ctx().schedule_at(SimTime::from_nanos(30), 3);
-            sim.ctx().schedule_at(SimTime::from_nanos(10), 1);
-            sim.ctx().schedule_at(SimTime::from_nanos(20), 2);
+            sim.ctx().post_at(SimTime::from_nanos(30), 3);
+            sim.ctx().post_at(SimTime::from_nanos(10), 1);
+            sim.ctx().post_at(SimTime::from_nanos(20), 2);
             sim.run_until(SimTime::MAX);
             assert_eq!(sim.model.fired, vec![1, 2, 3]);
             assert_eq!(sim.executed_events(), 3);
@@ -598,7 +553,7 @@ mod tests {
         for mut sim in toy(false) {
             let t = SimTime::from_nanos(5);
             for i in 0..100 {
-                sim.ctx().schedule_at(t, i);
+                sim.ctx().post_at(t, i);
             }
             sim.run_until(SimTime::MAX);
             assert_eq!(sim.model.fired, (0..100).collect::<Vec<_>>());
@@ -608,7 +563,7 @@ mod tests {
     #[test]
     fn chained_scheduling_advances_clock() {
         for mut sim in toy(true) {
-            sim.ctx().schedule_at(SimTime::from_nanos(0), 0);
+            sim.ctx().post_at(SimTime::from_nanos(0), 0);
             sim.run_until(SimTime::from_nanos(1_000));
             assert_eq!(sim.model.fired.len(), 11);
             // After the calendar drains, the clock advances to the horizon.
@@ -619,8 +574,8 @@ mod tests {
     #[test]
     fn horizon_cuts_off_and_clock_lands_on_horizon() {
         for mut sim in toy(false) {
-            sim.ctx().schedule_at(SimTime::from_nanos(10), 1);
-            sim.ctx().schedule_at(SimTime::from_nanos(90), 2);
+            sim.ctx().post_at(SimTime::from_nanos(10), 1);
+            sim.ctx().post_at(SimTime::from_nanos(90), 2);
             sim.run_until(SimTime::from_nanos(50));
             assert_eq!(sim.model.fired, vec![1]);
             assert_eq!(sim.now().as_nanos(), 50);
@@ -633,85 +588,31 @@ mod tests {
     #[test]
     fn events_at_horizon_fire() {
         for mut sim in toy(false) {
-            sim.ctx().schedule_at(SimTime::from_nanos(50), 7);
+            sim.ctx().post_at(SimTime::from_nanos(50), 7);
             sim.run_until(SimTime::from_nanos(50));
             assert_eq!(sim.model.fired, vec![7]);
         }
     }
 
     #[test]
-    fn cancellation_suppresses_event() {
+    fn pending_events_is_exact() {
         for mut sim in toy(false) {
-            let h = sim.ctx().schedule_at(SimTime::from_nanos(10), 1);
-            sim.ctx().schedule_at(SimTime::from_nanos(20), 2);
-            sim.ctx().cancel(h);
-            sim.run_until(SimTime::MAX);
-            assert_eq!(sim.model.fired, vec![2]);
-            // Cancelling again (or after firing) is harmless.
-            sim.ctx().cancel(h);
-        }
-    }
-
-    #[test]
-    fn cancelled_entry_does_not_drag_later_events_before_horizon() {
-        // Regression: the old `run_until` peeked the raw heap, saw the
-        // cancelled 10 ns entry under the 50 ns horizon, and then `step()`
-        // popped *past* it, firing the 90 ns event 40 ns early.
-        for mut sim in toy(false) {
-            let h = sim.ctx().schedule_at(SimTime::from_nanos(10), 1);
-            sim.ctx().schedule_at(SimTime::from_nanos(90), 2);
-            sim.ctx().cancel(h);
-            sim.run_until(SimTime::from_nanos(50));
-            assert_eq!(sim.model.fired, vec![], "event beyond horizon fired early");
-            assert_eq!(sim.now().as_nanos(), 50);
-            sim.run_until(SimTime::from_nanos(90));
-            assert_eq!(sim.model.fired, vec![2]);
-        }
-    }
-
-    #[test]
-    fn cancel_after_fire_leaves_no_residue() {
-        // Regression: the old design inserted every stale cancel into a
-        // HashSet that nothing ever drained.
-        for mut sim in toy(false) {
-            let mut handles = vec![];
-            for i in 0..500u64 {
-                handles.push(sim.ctx().schedule_at(SimTime::from_nanos(i), i as u32));
-            }
-            sim.run_until(SimTime::MAX);
-            for h in handles {
-                sim.ctx().cancel(h);
-                sim.ctx().cancel(h);
-            }
-            let s = sim.ctx().calendar_stats();
-            assert_eq!(s.cancelled_pending, 0, "stale cancels accumulated");
-            assert_eq!(s.live, 0);
-            assert_eq!(s.slab_free, s.slab_slots, "all slab slots recycled");
-        }
-    }
-
-    #[test]
-    fn pending_events_counts_live_only() {
-        for mut sim in toy(false) {
-            let h = sim.ctx().schedule_at(SimTime::from_nanos(10), 1);
-            sim.ctx().schedule_at(SimTime::from_nanos(20), 2);
-            sim.ctx().schedule_at(SimTime::from_nanos(30), 3);
+            sim.ctx().post_at(SimTime::from_nanos(10), 1);
+            sim.ctx().post_at(SimTime::from_nanos(20), 2);
+            sim.ctx().post_at(SimTime::from_nanos(30), 3);
             assert_eq!(sim.ctx().pending_events(), 3);
-            sim.ctx().cancel(h);
-            assert_eq!(
-                sim.ctx().pending_events(),
-                2,
-                "cancelled-but-unpopped entries must not be counted"
-            );
+            sim.run_until(SimTime::from_nanos(15));
+            assert_eq!(sim.ctx().pending_events(), 2);
             sim.run_until(SimTime::MAX);
             assert_eq!(sim.ctx().pending_events(), 0);
+            assert_eq!(sim.ctx().calendar_stats(), CalendarStats::default());
         }
     }
 
     #[test]
     fn run_events_bounds_execution() {
         for mut sim in toy(true) {
-            sim.ctx().schedule_at(SimTime::from_nanos(0), 0);
+            sim.ctx().post_at(SimTime::from_nanos(0), 0);
             let n = sim.run_events(3);
             assert_eq!(n, 3);
             assert_eq!(sim.model.fired, vec![0, 1, 2]);
@@ -722,8 +623,8 @@ mod tests {
     #[should_panic(expected = "past")]
     fn scheduling_into_the_past_panics() {
         let mut sim = Sim::new(Toy { fired: vec![], respawn: false });
-        sim.ctx().schedule_at(SimTime::from_nanos(10), 1);
+        sim.ctx().post_at(SimTime::from_nanos(10), 1);
         sim.run_until(SimTime::from_nanos(10));
-        sim.ctx().schedule_at(SimTime::from_nanos(5), 2);
+        sim.ctx().post_at(SimTime::from_nanos(5), 2);
     }
 }

@@ -13,9 +13,11 @@
 //! * **Integer time** — exact event ordering, bit-reproducible runs.
 //! * **Typed events** — models define an event `enum`; nothing is boxed on
 //!   the hot path.
-//! * **O(1) calendar** — a timing wheel keyed on the nanosecond clock with
-//!   generation-stamped cancellation; the legacy binary heap remains as
-//!   [`CalendarKind::Heap`] and as the differential-testing oracle.
+//! * **O(1) calendar** — a hashed timing wheel keyed on the nanosecond
+//!   clock. Events are fire-and-forget: there is one scheduling path
+//!   ([`Ctx::post_at`]/[`Ctx::post_in`]) and no cancellation. A minimal
+//!   reference calendar ([`CalendarKind::Heap`]) that delivers one event
+//!   per pop is the differential-testing oracle.
 //! * **Resources as pure state machines** — they own no events; the model
 //!   schedules exactly one completion/slice event per started service, which
 //!   makes the components independently testable.
@@ -33,13 +35,13 @@
 //!     fn handle(&mut self, ctx: &mut Ctx<()>, _ev: ()) {
 //!         self.count += 1;
 //!         if self.count < 10 {
-//!             ctx.schedule_in(SimDur::from_micros_f64(100.0), ());
+//!             ctx.post_in(SimDur::from_micros_f64(100.0), ());
 //!         }
 //!     }
 //! }
 //!
 //! let mut sim = Sim::new(Ping { count: 0 });
-//! sim.ctx().schedule_at(SimTime::ZERO, ());
+//! sim.ctx().post_at(SimTime::ZERO, ());
 //! sim.run_until(SimTime::from_secs_f64(1.0));
 //! assert_eq!(sim.model.count, 10);
 //! assert_eq!(sim.executed_events(), 10);
@@ -56,7 +58,7 @@ pub mod snapshot;
 pub mod time;
 
 pub use calendar::{CalendarKind, CalendarStats};
-pub use engine::{Ctx, EventHandle, Model, Sim};
+pub use engine::{Ctx, Model, Sim};
 pub use fault::FaultSchedule;
 pub use fcfs::{FcfsServer, Offer};
 pub use monitor::{BusyTime, Counter, FaultMonitor, Tally, TimeWeighted};

@@ -10,8 +10,8 @@
 //! The payload is produced by [`Persist`] implementations over the kernel's
 //! own state types (clock, calendar, RNG streams, model entities). The
 //! calendar is captured in a *canonical drained form* — the sorted list of
-//! live `(time, seq, event)` entries — so a snapshot taken on the timing
-//! wheel restores bit-identically on the binary heap and vice versa.
+//! pending `(time, seq, event)` entries — so a snapshot taken on the timing
+//! wheel restores bit-identically on the reference calendar and vice versa.
 //!
 //! Decoding never panics: every reader returns [`SnapError`] on truncated,
 //! corrupted, or semantically invalid input. This file is registered with

@@ -192,7 +192,8 @@ cargo test -q --offline --release -p paradyn-des --test zero_alloc
 echo "== calendar cursor-rewind mutation self-check (deleted rewind must go red) =="
 # Scratch copy with the hashed wheel's cursor rewind deleted: an entry
 # scheduled before the cursor's window after a horizon stop then fires a
-# year late, and the named regression must fail against the heap oracle.
+# year late, and the named regression must fail against the reference
+# calendar.
 rewind_test="horizon_stop_a_year_short_then_post_at_now"
 cp Cargo.toml Cargo.lock "$rewind_dir"/
 cp -r crates src tests examples "$rewind_dir"/

@@ -18,10 +18,10 @@
 //!    are never shed.
 //! 2. **Thread invariance** — replicated runs are bit-identical at 1 and 4
 //!    worker threads.
-//! 3. **Calendar equivalence** — the timing-wheel and binary-heap calendars
-//!    end in byte-identical canonical state; a mismatch is localized with
-//!    [`rewind_bisect`] and the first divergent `(time, event)` pair is
-//!    included in the failure report.
+//! 3. **Calendar equivalence** — the timing wheel and the reference calendar
+//!    (one event per pop, no batching) end in byte-identical canonical
+//!    state; a mismatch is localized with [`rewind_bisect`] and the first
+//!    divergent `(time, event)` pair is included in the failure report.
 //! 4. **Snapshot equivalence** — a snapshot taken mid-run (possibly
 //!    mid-shed) restores to the exact final state of an uninterrupted run.
 //!
@@ -225,7 +225,7 @@ pub fn oracle_thread_invariance(cfg: &SimConfig) -> Result<(), String> {
     Ok(())
 }
 
-/// Oracle 3: timing-wheel and binary-heap calendars agree byte-for-byte;
+/// Oracle 3: the timing wheel and the reference calendar agree byte-for-byte;
 /// mismatches come back with the first divergent event located by
 /// [`rewind_bisect`].
 pub fn oracle_calendar_equivalence(cfg: &SimConfig) -> Result<(), String> {

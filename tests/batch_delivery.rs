@@ -3,35 +3,24 @@
 //! and dispatches them as a slice, and that must be observationally
 //! bit-identical to one-at-a-time `Sim::step` delivery — same `(time,
 //! event)` trace including tie order, same executed counts, no residue —
-//! on both calendar backends, across random tie-heavy schedules where
-//! handlers cancel events that are already sitting *inside* the drained
-//! batch.
+//! across random tie-heavy schedules where handlers post new events at the
+//! instant that is being drained. The reference calendar never batches, so
+//! comparing the wheel against it compares batched against unbatched
+//! delivery.
 //!
 //! Runs on the in-tree `paradyn_stats::check` harness. Rerun a reported
 //! failure with `PARADYN_PROP_SEED=<seed> cargo test <property name>`.
 
-use paradyn_des::{CalendarKind, Ctx, EventHandle, Model, Sim, SimDur, SimTime};
-use paradyn_stats::{check, prop_assert, prop_assert_eq};
+use paradyn_des::{CalendarKind, Ctx, Model, Sim, SimDur, SimTime};
+use paradyn_stats::{check, prop_assert_eq};
 
-/// What a plan entry does when its event fires.
-#[derive(Clone)]
-enum Step {
-    /// Cancel the `idx % handles.len()`-th retained handle (often one
-    /// scheduled at the *current* instant — i.e. inside the batch).
-    Cancel { idx: usize },
-    /// Schedule a follow-up event after `delay` ns; `cancellable` chooses
-    /// the handle path (`schedule_in`) vs the fire-and-forget path
-    /// (`post_in`), so batches mix slab-backed and `NO_SLOT` entries.
-    Spawn { delay: u64, cancellable: bool },
-}
-
-/// Scripted model: event `id` executes `plan[id]`. All state that decides
-/// behavior is updated only through handler execution, so any divergence
-/// between delivery strategies shows up as a trace mismatch.
+/// Scripted model: event `id` posts one follow-up per delay in `plan[id]`.
+/// All state that decides behavior is updated only through handler
+/// execution, so any divergence between delivery strategies shows up as a
+/// trace mismatch.
 struct Scripted {
-    plan: Vec<Vec<Step>>,
+    plan: Vec<Vec<u64>>,
     trace: Vec<(u64, u32)>,
-    handles: Vec<EventHandle>,
     spawned: usize,
     max_spawns: usize,
 }
@@ -40,59 +29,30 @@ impl Model for Scripted {
     type Event = u32;
     fn handle(&mut self, ctx: &mut Ctx<u32>, ev: u32) {
         self.trace.push((ctx.now().as_nanos(), ev));
-        let steps = self.plan[ev as usize].clone();
-        for step in steps {
-            match step {
-                Step::Cancel { idx } => {
-                    if !self.handles.is_empty() {
-                        let h = self.handles[idx % self.handles.len()];
-                        ctx.cancel(h);
-                    }
-                }
-                Step::Spawn { delay, cancellable } => {
-                    if self.spawned >= self.max_spawns {
-                        continue;
-                    }
-                    self.spawned += 1;
-                    let id = ((self.spawned * 7 + 3) % self.plan.len()) as u32;
-                    let d = SimDur::from_nanos(delay);
-                    if cancellable {
-                        let h = ctx.schedule_in(d, id);
-                        self.handles.push(h);
-                    } else {
-                        ctx.post_in(d, id);
-                    }
-                }
+        for &delay in &self.plan[ev as usize] {
+            if self.spawned >= self.max_spawns {
+                break;
             }
+            self.spawned += 1;
+            let id = ((self.spawned * 7 + 3) % self.plan.len()) as u32;
+            ctx.post_in(SimDur::from_nanos(delay), id);
         }
     }
 }
 
 /// Tie-heavy delays: mostly zero (same instant as the spawner) or shared
-/// small multiples, plus a few jumps that cross wheel levels.
+/// small multiples, plus a few jumps across many buckets.
 fn gen_delay(g: &mut paradyn_stats::Gen) -> u64 {
     const SCALES: [u64; 5] = [0, 1, 64, 4096, 262_144];
     g.u64_in(0, 3) * SCALES[g.index(SCALES.len())]
 }
 
-fn gen_plan(g: &mut paradyn_stats::Gen) -> Vec<Vec<Step>> {
+fn gen_plan(g: &mut paradyn_stats::Gen) -> Vec<Vec<u64>> {
     let n = g.usize_in(2, 24);
     (0..n)
         .map(|_| {
-            let steps = g.usize_in(0, 3);
-            (0..steps)
-                .map(|_| match g.u64_in(0, 9) {
-                    // Cancels are frequent so some always land on handles
-                    // whose events share the current instant.
-                    0..=3 => Step::Cancel {
-                        idx: g.usize_in(0, 4096),
-                    },
-                    _ => Step::Spawn {
-                        delay: gen_delay(g),
-                        cancellable: g.u64_in(0, 1) == 0,
-                    },
-                })
-                .collect()
+            let spawns = g.usize_in(0, 3);
+            (0..spawns).map(|_| gen_delay(g)).collect()
         })
         .collect()
 }
@@ -106,27 +66,25 @@ fn gen_seeds(g: &mut paradyn_stats::Gen, plan_len: usize) -> Vec<(u64, u32)> {
         .collect()
 }
 
-fn build(kind: CalendarKind, plan: &[Vec<Step>], seeds: &[(u64, u32)]) -> Sim<Scripted> {
+fn build(kind: CalendarKind, plan: &[Vec<u64>], seeds: &[(u64, u32)]) -> Sim<Scripted> {
     let mut sim = Sim::with_calendar(
         Scripted {
             plan: plan.to_vec(),
             trace: vec![],
-            handles: vec![],
             spawned: 0,
             max_spawns: 400,
         },
         kind,
     );
     for &(at, id) in seeds {
-        let h = sim.ctx().schedule_at(SimTime::from_nanos(at), id);
-        sim.model.handles.push(h);
+        sim.ctx().post_at(SimTime::from_nanos(at), id);
     }
     sim
 }
 
 /// Batched `run_until` delivery equals one-at-a-time `step` delivery, bit
-/// for bit, on both backends — including cancellations that land on
-/// same-instant events already drained into the batch.
+/// for bit, on both calendars, and the batched wheel equals the unbatched
+/// reference.
 #[test]
 fn batched_delivery_matches_one_at_a_time() {
     check("batched_delivery_matches_one_at_a_time", |g| {
@@ -142,13 +100,10 @@ fn batched_delivery_matches_one_at_a_time() {
             prop_assert_eq!(batched.executed_events(), stepped.executed_events());
             for sim in [&mut batched, &mut stepped] {
                 prop_assert_eq!(sim.ctx().pending_events(), 0);
-                let s = sim.ctx().calendar_stats();
-                prop_assert!(s.cancelled_pending == 0, "cancelled entries left behind");
-                prop_assert!(s.slab_free == s.slab_slots, "leaked slab slots");
+                prop_assert_eq!(sim.ctx().calendar_stats().occupied_buckets, 0);
             }
             traces.push(batched.model.trace);
         }
-        // And the two backends agree with each other.
         prop_assert_eq!(&traces[0], &traces[1]);
         Ok(())
     });
@@ -177,25 +132,23 @@ fn batched_delivery_is_horizon_split_invariant() {
     });
 }
 
-/// The canonical in-batch cancellation shape, pinned deterministically:
-/// three events share one instant; the first cancels the third while it is
-/// already drained into the batch. Exactly the first two fire.
+/// The canonical in-batch post, pinned deterministically: four events
+/// share one instant. The first two arrive through ordinary pops and the
+/// rest of the instant is drained as a batch; its first member posts a
+/// child at the same instant while the last is still waiting in the batch.
+/// The child fires within the instant, after the batch.
 #[test]
-fn cancel_inside_batch_suppresses_successor() {
+fn post_inside_batch_fires_after_the_drained_run() {
     for kind in [CalendarKind::Wheel, CalendarKind::Heap] {
-        // Event 0 cancels handles[2] (event id 2, same instant).
-        let plan = vec![vec![Step::Cancel { idx: 2 }], vec![], vec![]];
-        let t = SimTime::from_nanos(10);
-        let mut sim = build(kind, &plan, &[]);
-        for id in [0u32, 1, 2] {
-            let h = sim.ctx().schedule_at(t, id);
-            sim.model.handles.push(h);
-        }
+        // Event 2 posts id 0 (spawn 1 → (1·7 + 3) % 5) with zero delay.
+        let plan = vec![vec![], vec![], vec![0], vec![], vec![]];
+        let mut sim = build(kind, &plan, &[(10, 1), (10, 3), (10, 2), (10, 4)]);
         sim.run_until(SimTime::MAX);
-        assert_eq!(sim.model.trace, vec![(10, 0), (10, 1)], "{kind:?}");
+        assert_eq!(
+            sim.model.trace,
+            vec![(10, 1), (10, 3), (10, 2), (10, 4), (10, 0)],
+            "{kind:?}"
+        );
         assert_eq!(sim.ctx().pending_events(), 0);
-        let s = sim.ctx().calendar_stats();
-        assert_eq!(s.cancelled_pending, 0, "{kind:?}: batch left residue");
-        assert_eq!(s.slab_free, s.slab_slots, "{kind:?}: leaked slab slots");
     }
 }

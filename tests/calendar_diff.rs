@@ -1,13 +1,13 @@
 //! Differential property tests: the timing-wheel calendar must be
-//! observationally identical to the binary-heap oracle — same `(time,
-//! event)` trace (including tie order), same executed/pending counts, and
-//! no slab residue after a full drain — under random schedule/cancel/run
-//! sequences spanning every wheel level.
+//! observationally identical to the reference calendar (a `BTreeMap` that
+//! delivers one event per pop) — same `(time, event)` trace (including tie
+//! order), same executed/pending counts, and no residue after a full drain
+//! — under random schedule/run sequences spanning many bucket widths.
 //!
 //! Runs on the in-tree `paradyn_stats::check` harness. Rerun a reported
 //! failure with `PARADYN_PROP_SEED=<seed> cargo test <property name>`.
 
-use paradyn_des::{CalendarKind, Ctx, EventHandle, Model, Sim, SimDur, SimTime};
+use paradyn_des::{CalendarKind, Ctx, Model, Sim, SimDur, SimTime};
 use paradyn_stats::{check, prop_assert, prop_assert_eq};
 
 /// Records every delivered event with its firing time.
@@ -22,32 +22,26 @@ impl Model for Recorder {
     }
 }
 
-/// One generated operation, applied identically to both backends.
+/// One generated operation, applied identically to both calendars.
 enum Op {
-    /// Schedule at `now + delay`; the returned handle is retained.
+    /// Post at `now + delay`.
     Schedule { delay: u64, ev: u32 },
-    /// Cancel the `idx % handles.len()`-th retained handle (possibly
-    /// stale: already fired or already cancelled).
-    Cancel { idx: usize },
     /// Advance the clock by `dur` (a horizon stop, not an event).
     Run { dur: u64 },
 }
 
-/// Delay scales that exercise placement at distinct wheel levels, from the
-/// staged/due fast path (0–63 ns) up past the 1 << 36 overflow levels.
+/// Delay scales from a few nanoseconds (ties and near-ties inside one
+/// bucket) up to many wheel years at any width the wheel settles on.
 const SCALES: [u64; 6] = [1, 64, 4096, 262_144, 1 << 24, 1 << 36];
 
 fn gen_ops(g: &mut paradyn_stats::Gen) -> Vec<Op> {
     let n = g.usize_in(1, 120);
     (0..n)
-        .map(|_| match g.u64_in(0, 9) {
+        .map(|_| match g.u64_in(0, 7) {
             0..=5 => Op::Schedule {
                 // Scaled so ties (delay 0 and equal delays) are common.
                 delay: g.u64_in(0, 8) * SCALES[g.index(SCALES.len())],
                 ev: g.u64_in(0, u32::MAX as u64) as u32,
-            },
-            6..=7 => Op::Cancel {
-                idx: g.usize_in(0, 4096),
             },
             _ => Op::Run {
                 dur: g.u64_in(0, 4) * SCALES[g.index(SCALES.len())],
@@ -56,22 +50,12 @@ fn gen_ops(g: &mut paradyn_stats::Gen) -> Vec<Op> {
         .collect()
 }
 
-/// Drive one backend through `ops`, then drain it completely.
+/// Drive one calendar through `ops`, then drain it completely.
 fn drive(kind: CalendarKind, ops: &[Op]) -> Sim<Recorder> {
     let mut sim = Sim::with_calendar(Recorder { trace: vec![] }, kind);
-    let mut handles: Vec<EventHandle> = vec![];
     for op in ops {
         match *op {
-            Op::Schedule { delay, ev } => {
-                let h = sim.ctx().schedule_in(SimDur::from_nanos(delay), ev);
-                handles.push(h);
-            }
-            Op::Cancel { idx } => {
-                if !handles.is_empty() {
-                    let h = handles[idx % handles.len()];
-                    sim.ctx().cancel(h);
-                }
-            }
+            Op::Schedule { delay, ev } => sim.ctx().post_in(SimDur::from_nanos(delay), ev),
             Op::Run { dur } => {
                 let horizon = sim.now() + SimDur::from_nanos(dur);
                 sim.run_until(horizon);
@@ -82,22 +66,22 @@ fn drive(kind: CalendarKind, ops: &[Op]) -> Sim<Recorder> {
     sim
 }
 
-/// The wheel and the heap produce bit-identical `(time, event)` traces —
-/// including tie order — and agree on every observable counter.
+/// The wheel and the reference produce bit-identical `(time, event)`
+/// traces — including tie order — and agree on every observable counter.
 #[test]
 fn wheel_matches_heap_oracle() {
     check("wheel_matches_heap_oracle", |g| {
         let ops = gen_ops(g);
         let wheel = drive(CalendarKind::Wheel, &ops);
-        let heap = drive(CalendarKind::Heap, &ops);
-        prop_assert_eq!(&wheel.model.trace, &heap.model.trace);
-        prop_assert_eq!(wheel.executed_events(), heap.executed_events());
+        let reference = drive(CalendarKind::Heap, &ops);
+        prop_assert_eq!(&wheel.model.trace, &reference.model.trace);
+        prop_assert_eq!(wheel.executed_events(), reference.executed_events());
         Ok(())
     });
 }
 
-/// After a full drain both backends report zero pending events and have
-/// recycled every slab slot — cancellation leaves no residue.
+/// After a full drain both calendars report zero pending events and the
+/// wheel has no occupied bucket left.
 #[test]
 fn drained_calendars_have_no_residue() {
     check("drained_calendars_have_no_residue", |g| {
@@ -107,11 +91,10 @@ fn drained_calendars_have_no_residue() {
             prop_assert_eq!(sim.ctx().pending_events(), 0);
             let s = sim.ctx().calendar_stats();
             prop_assert_eq!(s.live, 0);
-            prop_assert!(s.cancelled_pending == 0, "cancelled entries left behind");
-            prop_assert!(s.slab_free == s.slab_slots, "leaked slab slots");
             prop_assert!(
-                kind == CalendarKind::Heap || s.occupied_buckets == 0,
-                "drained wheel still has occupied buckets"
+                s.occupied_buckets == 0,
+                "{:?}: drained calendar still has occupied buckets",
+                kind
             );
         }
         Ok(())
@@ -119,51 +102,26 @@ fn drained_calendars_have_no_residue() {
 }
 
 /// `pending_events` is exact at every intermediate point: it equals the
-/// number of scheduled-but-unfired events minus effective cancellations,
-/// tracked by a reference count alongside the real calendar.
+/// number of posted events minus the number delivered so far.
 #[test]
 fn pending_count_matches_reference() {
     check("pending_count_matches_reference", |g| {
         let ops = gen_ops(g);
-        #[derive(PartialEq, Clone, Copy)]
-        enum St {
-            Pending,
-            Cancelled,
-            Fired,
-        }
         for kind in [CalendarKind::Wheel, CalendarKind::Heap] {
             let mut sim = Sim::with_calendar(Recorder { trace: vec![] }, kind);
-            let mut handles: Vec<EventHandle> = vec![];
-            let mut state: Vec<St> = vec![];
+            let mut posted = 0usize;
             for op in &ops {
                 match *op {
-                    Op::Schedule { delay, .. } => {
-                        // Event payload = handle index, so the trace tells
-                        // us exactly which schedules fired.
-                        let ev = handles.len() as u32;
-                        handles.push(sim.ctx().schedule_in(SimDur::from_nanos(delay), ev));
-                        state.push(St::Pending);
-                    }
-                    Op::Cancel { idx } => {
-                        if !handles.is_empty() {
-                            let k = idx % handles.len();
-                            sim.ctx().cancel(handles[k]);
-                            // A cancel only takes effect on a pending event;
-                            // on fired/cancelled handles it is a stale no-op.
-                            if state[k] == St::Pending {
-                                state[k] = St::Cancelled;
-                            }
-                        }
+                    Op::Schedule { delay, ev } => {
+                        sim.ctx().post_in(SimDur::from_nanos(delay), ev);
+                        posted += 1;
                     }
                     Op::Run { dur } => {
                         let horizon = sim.now() + SimDur::from_nanos(dur);
                         sim.run_until(horizon);
-                        for &(_, ev) in &sim.model.trace {
-                            state[ev as usize] = St::Fired;
-                        }
                     }
                 }
-                let expect = state.iter().filter(|&&s| s == St::Pending).count();
+                let expect = posted - sim.model.trace.len();
                 prop_assert!(
                     sim.ctx().pending_events() == expect,
                     "{:?}: pending_events {} != reference {}",
@@ -178,7 +136,7 @@ fn pending_count_matches_reference() {
 }
 
 /// Build a fresh `M` on each calendar kind, run it through `horizons` and
-/// then to completion, and return both traces (wheel, heap).
+/// then to completion, and return both traces (wheel, reference).
 fn both_traces<M, F>(build: F, horizons: &[u64]) -> [Vec<(u64, u32)>; 2]
 where
     M: Model<Event = u32> + Traced,
@@ -209,7 +167,7 @@ trait Traced {
 fn horizon_stop_a_year_short_then_post_at_now() {
     const FAR: u64 = 10_000_000_000;
     const STOP: u64 = 5_000_000_000;
-    let [wheel, heap] = [CalendarKind::Wheel, CalendarKind::Heap].map(|kind| {
+    let [wheel, reference] = [CalendarKind::Wheel, CalendarKind::Heap].map(|kind| {
         let mut sim = Sim::with_calendar(Recorder { trace: vec![] }, kind);
         // 200 events 1 µs apart, 10 s out: sizes the wheel to ~128
         // buckets of ~2 µs, a year of well under a millisecond.
@@ -233,14 +191,14 @@ fn horizon_stop_a_year_short_then_post_at_now() {
         sim.model.trace
     });
     assert_eq!(
-        &heap[..3],
+        &reference[..3],
         &[
             (STOP, 1_000),
             (STOP + 1, 1_001),
             (STOP + 1_000_000_000, 1_002)
         ]
     );
-    assert_eq!(wheel, heap);
+    assert_eq!(wheel, reference);
 }
 
 /// Posts a burst of same-instant (and next-instant) children from inside a
@@ -275,7 +233,7 @@ impl Model for Burst {
 /// the batch drains, growth from same-instant posts) keeps the run's order.
 #[test]
 fn resize_mid_same_timestamp_run_keeps_order() {
-    let [wheel, heap] = both_traces::<Burst, _>(
+    let [wheel, reference] = both_traces::<Burst, _>(
         |sim| {
             // 40 ties at one instant grow the wheel to 16 buckets; draining
             // them shrinks it mid-run, and their children grow it again.
@@ -290,11 +248,11 @@ fn resize_mid_same_timestamp_run_keeps_order() {
         &[999, 1_000],
     );
     assert!(
-        heap.len() > 1_000,
+        reference.len() > 1_000,
         "the bursts must fire ({} events)",
-        heap.len()
+        reference.len()
     );
-    assert_eq!(wheel, heap);
+    assert_eq!(wheel, reference);
 }
 
 /// 400 ms timers beside bursts of ties at one nanosecond every 50 µs.
@@ -341,7 +299,7 @@ impl Model for Mixed {
 /// with horizon stops between them.
 #[test]
 fn ties_beside_slow_timers_match_the_oracle() {
-    let [wheel, heap] = both_traces::<Mixed, _>(
+    let [wheel, reference] = both_traces::<Mixed, _>(
         |sim| {
             for id in 0..16u32 {
                 sim.ctx()
@@ -351,6 +309,10 @@ fn ties_beside_slow_timers_match_the_oracle() {
         },
         &[123_456, 400_000_000, 1_000_000_001],
     );
-    assert!(heap.len() > 100_000, "too few events ({})", heap.len());
-    assert_eq!(wheel, heap);
+    assert!(
+        reference.len() > 100_000,
+        "too few events ({})",
+        reference.len()
+    );
+    assert_eq!(wheel, reference);
 }

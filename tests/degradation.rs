@@ -216,13 +216,13 @@ fn degraded_runs_match_across_calendar_backends() {
         ..overloaded_cfg(1, OverflowPolicy::Block)
     };
     let horizon = SimTime::from_secs_f64(cfg.duration_s);
-    let [wheel, heap] = [CalendarKind::Wheel, CalendarKind::Heap].map(|kind| {
+    let [wheel, reference] = [CalendarKind::Wheel, CalendarKind::Heap].map(|kind| {
         let mut sim = build_with_calendar(&cfg, kind);
         sim.run_until(horizon);
         let events = sim.executed_events();
         sim.model.metrics(horizon - SimTime::ZERO, events)
     });
-    assert_bitwise_equal(&wheel, &heap, "wheel vs heap");
+    assert_bitwise_equal(&wheel, &reference, "wheel vs reference");
     assert_conservation(&wheel, "wheel");
 }
 

@@ -167,7 +167,7 @@ fn cell_numbering_is_on_exactly_for_shardable_configs() {
 /// `rewind_bisect` and render the first divergent `(time, event)` pair —
 /// turning a bare "metrics differ" assertion into an actionable report.
 fn divergence_report(cfg: &SimConfig) -> String {
-    let kind = CalendarKind::default_from_env();
+    let kind = CalendarKind::Wheel;
     let horizon = SimTime::from_secs_f64(cfg.duration_s);
     match rewind_bisect(
         || build_with_calendar(cfg, kind),

@@ -53,7 +53,7 @@ fn tracer_model(seed: u64, limit: u32) -> Tracer {
 
 fn tracer_sim(seed: u64, limit: u32, kind: CalendarKind) -> Sim<Tracer> {
     let mut sim = Sim::with_calendar(tracer_model(seed, limit), kind);
-    sim.ctx().schedule_at(SimTime::ZERO, 0);
+    sim.ctx().post_at(SimTime::ZERO, 0);
     sim
 }
 
@@ -71,7 +71,7 @@ impl Model for Tracer {
             self.emitted += 1;
             let shift = self.rng.next_u64() % 30;
             let delay = self.rng.next_u64() % (1u64 << shift).max(1);
-            ctx.schedule_in(SimDur::from_nanos(delay), self.emitted);
+            ctx.post_in(SimDur::from_nanos(delay), self.emitted);
         }
     }
 }
@@ -270,8 +270,8 @@ fn rocc_snapshot_restore_is_bitwise_invisible() {
 
 /// Deterministic pin: the full active fault plan (crashes, lossy links,
 /// consumer stalls, lossy pipes) survives checkpoint/restore bitwise on
-/// both backends, and a wheel snapshot restores into a heap calendar (and
-/// vice versa) without observable effect.
+/// both backends, and a wheel snapshot restores into the reference
+/// calendar (and vice versa) without observable effect.
 #[test]
 fn faulty_run_equivalence_on_both_backends() {
     let cfg = SimConfig {
@@ -468,7 +468,7 @@ impl Model for DivModel {
             self.extra += 1;
         }
         if ev < 10 {
-            ctx.schedule_in(SimDur::from_nanos(100), ev + 1);
+            ctx.post_in(SimDur::from_nanos(100), ev + 1);
         }
     }
 }
@@ -494,7 +494,7 @@ fn div_sim(hiccup: bool) -> Sim<DivModel> {
         count: 0,
         extra: 0,
     });
-    sim.ctx().schedule_at(SimTime::ZERO, 0);
+    sim.ctx().post_at(SimTime::ZERO, 0);
     sim
 }
 
