@@ -24,8 +24,9 @@ pub struct SimMetrics {
     /// Total CPU time by process class (s), summed over all CPUs
     /// (indexable via [`SimMetrics::cpu_time_s`]).
     cpu_time_by_class_s: [f64; 5],
-    /// Total network occupancy by class (s).
-    net_time_by_class_s: [f64; 5],
+    /// Total network occupancy by class (s), indexed by
+    /// [`class_idx`](crate::model::types::class_idx).
+    pub net_time_by_class_s: [f64; 5],
     /// Paradyn daemon CPU time per node (s) — the paper's "direct
     /// overhead" (includes tree-merge work).
     pub pd_cpu_per_node_s: f64,
@@ -125,11 +126,6 @@ impl SimMetrics {
     /// Total CPU time of one class across all CPUs (s).
     pub fn cpu_time_s(&self, class: ProcessClass) -> f64 {
         self.cpu_time_by_class_s[class_idx(class)]
-    }
-
-    /// Total network occupancy of one class (s).
-    pub fn net_time_s(&self, class: ProcessClass) -> f64 {
-        self.net_time_by_class_s[class_idx(class)]
     }
 
     /// Build from a finished model.

@@ -6,7 +6,6 @@ use super::types::{AppId, CpuJob, CpuKind, Ev, NetJob};
 use super::{RoccModel, Step};
 use crate::pipe::Deposit;
 use paradyn_des::Ctx;
-use paradyn_workload::ProcessClass;
 
 impl RoccModel {
     /// Begin the given step for `app`, unless its pipe writer is blocked —
@@ -36,7 +35,6 @@ impl RoccModel {
                     ctx,
                     self.bank_of(node),
                     CpuJob {
-                        class: ProcessClass::Application,
                         kind: CpuKind::AppCompute { app },
                     },
                     demand,

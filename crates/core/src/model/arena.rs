@@ -13,8 +13,8 @@
 //!   loop, so those handlers walk dense, small records instead of dragging
 //!   whole entity structs (with their fault, throttle, and replay baggage)
 //!   through the cache;
-//! * the **pipe** / **fifo** columns isolate the queue state the
-//!   deposit/drain path touches;
+//! * the **pipe** / **fifo** / **roster** columns isolate the queue state
+//!   the deposit/collect/drain path touches;
 //! * the **cold** column holds sampling-timer, replay, fault, and
 //!   degradation-controller state that is read orders of magnitude less
 //!   often (per sample or per control tick, not per burst).
@@ -167,6 +167,11 @@ pub(crate) struct Daemons {
     /// FIFO of deposited samples `(generation time, app)` awaiting
     /// collection, one per daemon.
     pub fifo: Vec<VecDeque<(SimTime, AppId)>>,
+    /// Apps whose pipe slots the daemon's collect cycle holds, one entry
+    /// per sample of the batch being collected; drained (and writers
+    /// unblocked) when the collect CPU work finishes. Non-empty exactly
+    /// while the daemon is collecting.
+    pub roster: Vec<Vec<AppId>>,
     pub cold: Vec<DaemonCold>,
 }
 
@@ -175,13 +180,21 @@ impl Daemons {
         Daemons {
             hot: Vec::with_capacity(n),
             fifo: Vec::with_capacity(n),
+            roster: Vec::with_capacity(n),
             cold: Vec::with_capacity(n),
         }
     }
 
-    pub fn push(&mut self, hot: DaemonHot, fifo: VecDeque<(SimTime, AppId)>, cold: DaemonCold) {
+    pub fn push(
+        &mut self,
+        hot: DaemonHot,
+        fifo: VecDeque<(SimTime, AppId)>,
+        roster: Vec<AppId>,
+        cold: DaemonCold,
+    ) {
         self.hot.push(hot);
         self.fifo.push(fifo);
+        self.roster.push(roster);
         self.cold.push(cold);
     }
 

@@ -5,7 +5,6 @@
 use super::types::{CpuJob, CpuKind, Ev, NetJob};
 use super::{BgKind, RoccModel};
 use paradyn_des::Ctx;
-use paradyn_workload::ProcessClass;
 
 impl RoccModel {
     /// A PVM-daemon request pair arrives: CPU burst now; its network
@@ -21,7 +20,6 @@ impl RoccModel {
             ctx,
             self.bank_of(node),
             CpuJob {
-                class: ProcessClass::PvmDaemon,
                 kind: CpuKind::PvmdCpu { node },
             },
             demand,
@@ -42,7 +40,6 @@ impl RoccModel {
             ctx,
             self.bank_of(node),
             CpuJob {
-                class: ProcessClass::Other,
                 kind: CpuKind::OtherCpu,
             },
             demand,

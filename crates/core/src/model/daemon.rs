@@ -6,7 +6,7 @@ use super::types::{tree_parent, Batch, CpuJob, CpuKind, Dest, Ev, NetJob, PdId, 
 use super::{RoccModel, Step};
 use crate::config::{Arch, Forwarding};
 use paradyn_des::{Ctx, SimDur};
-use paradyn_workload::ProcessClass;
+use std::num::NonZeroU32;
 
 impl RoccModel {
     /// Start a collection cycle if the daemon is idle and a full batch is
@@ -31,41 +31,40 @@ impl RoccModel {
         let avail = fifo.len();
         let k = if avail >= threshold {
             threshold
-        } else if force && avail > 0 {
+        } else if force {
             avail
         } else {
+            0
+        };
+        let Some(count) = NonZeroU32::new(k as u32) else {
             return false;
         };
-        let mut count = 0u32;
+        // The roster names the apps whose pipe slots this cycle holds until
+        // its CPU work finishes (see `pd_collect_done`).
+        let roster = &mut self.daemons.roster[pd as usize];
+        debug_assert!(roster.is_empty(), "idle daemon holds a roster");
         let mut sum_gen_ns = 0u64;
-        // Recycled drain-roster storage; returned to the pool when the
-        // collect cycle finishes draining (see `pd_collect_done`).
-        let mut drain_apps = self.drain_pool.pop().unwrap_or_default();
-        for _ in 0..k {
-            let (gen, app) = fifo.pop_front().expect("checked len");
-            count += 1;
+        for (gen, app) in fifo.drain(..k) {
             sum_gen_ns += gen.as_nanos();
-            drain_apps.push(app);
+            roster.push(app);
         }
         d.collecting = true;
         // Invalidate any armed flush timer; the buffer head changed.
         d.flush_gen = d.flush_gen.wrapping_add(1);
         let p = &self.cfg.params;
         let demand = p.pd.cpu_req.sample(&mut d.cpu_rng)
-            + p.pd_cpu_per_extra_sample_us * (count as f64 - 1.0);
+            + p.pd_cpu_per_extra_sample_us * (k as f64 - 1.0);
         let node = d.node;
         let token = self.alloc_token(pd, Batch {
             count,
             sum_gen_ns,
             ready_ns: ctx.now().as_nanos(),
-            drain_apps,
             attempts: 0,
         });
         self.submit_cpu(
             ctx,
             self.bank_of(node),
             CpuJob {
-                class: ProcessClass::ParadynDaemon,
                 kind: CpuKind::PdCollect { pd, token },
             },
             demand,
@@ -154,15 +153,15 @@ impl RoccModel {
     /// drain the pipes (admitting parked samples and resuming blocked
     /// writers), then put the batch on the network.
     pub(crate) fn pd_collect_done(&mut self, ctx: &mut Ctx<Ev>, pd: PdId, token: Token) {
-        let (mut drain_apps, count) = {
-            let b = self.tokens.get_mut(token).expect("collect token live");
-            (std::mem::take(&mut b.drain_apps), b.count)
-        };
-        for &app in &drain_apps {
+        // The roster lists one app per sample of the batch. It is taken
+        // out for the loop and put back, keeping its capacity.
+        let mut roster = std::mem::take(&mut self.daemons.roster[pd as usize]);
+        let count = roster.len();
+        for &app in &roster {
             self.drain_one(ctx, app);
         }
-        drain_apps.clear();
-        self.drain_pool.push(drain_apps);
+        roster.clear();
+        self.daemons.roster[pd as usize] = roster;
         if self.cfg.degradation.is_some() {
             // Draining may have admitted parked samples into the FIFO.
             self.degradation_daemon_check(ctx, pd);
@@ -216,10 +215,9 @@ impl RoccModel {
                 };
                 if attempts > link.max_retries {
                     let batch = self.tokens.remove(token).expect("forward token live");
-                    self.acc.lost_link += batch.count as u64;
-                    self.daemons.cold[pd as usize]
-                        .fault_mon
-                        .add_lost(batch.count as u64);
+                    let count = u64::from(batch.count.get());
+                    self.acc.lost_link += count;
+                    self.daemons.cold[pd as usize].fault_mon.add_lost(count);
                     return;
                 }
                 self.daemons.cold[pd as usize].fault_mon.add_retry();
@@ -352,7 +350,6 @@ impl RoccModel {
             ctx,
             self.bank_of(node),
             CpuJob {
-                class: ProcessClass::ParadynDaemon,
                 kind: CpuKind::PdMerge { node, token },
             },
             demand,

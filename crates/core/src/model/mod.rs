@@ -32,7 +32,6 @@ use paradyn_des::{
     Ctx, FaultMonitor, FaultSchedule, FcfsServer, Model, Offer, RrCpuBank, Sim, SimDur, SimTime,
     StreamRng, Streams, Submit,
 };
-use paradyn_workload::ProcessClass;
 use std::collections::VecDeque;
 use types::{class_idx, AppId, Batch, CpuJob, CpuKind, Dest, Ev, NetJob, PdId, Token, TokenTable};
 
@@ -148,10 +147,6 @@ pub struct RoccModel {
     /// allocates nothing in the steady state.
     // lint:allow(snapshot-exempt): scratch buffer, empty between events; restored runs start with an empty one
     pub(crate) barrier_scratch: Vec<AppId>,
-    /// Recycled `Batch::drain_apps` vectors (returned when a collect cycle
-    /// finishes draining), so collection allocates nothing steady-state.
-    // lint:allow(snapshot-exempt): allocation pool only; contents never carry state across events
-    pub(crate) drain_pool: Vec<Vec<AppId>>,
     pub(crate) main_rng: StreamRng,
     pub(crate) pvmd_rngs: Vec<StreamRng>,
     pub(crate) other_rngs: Vec<StreamRng>,
@@ -234,7 +229,9 @@ impl RoccModel {
         }
         // Pre-size hot-path buffers so the steady state allocates nothing:
         // a daemon's FIFO is bounded by its apps' combined pipe capacity
-        // (each buffered sample holds a pipe slot).
+        // (each buffered sample holds a pipe slot). A collect roster is
+        // not pre-sized: it keeps its capacity across cycles, so it
+        // allocates only when a batch outgrows every earlier one.
         let apps_per_pd = total_apps.div_ceil(total_pds);
         let fifo_cap = apps_per_pd * cfg.params.pipe_capacity;
         let mut daemons = Daemons::with_capacity(total_pds);
@@ -262,6 +259,7 @@ impl RoccModel {
                     forwarded_samples: 0,
                 },
                 VecDeque::with_capacity(fifo_cap),
+                Vec::new(),
                 DaemonCold {
                     merge_rng: streams.stream3(stream_kind::PD_MERGE, pd as u64, 0),
                     cpu_at_last_tick_us: 0.0,
@@ -306,7 +304,6 @@ impl RoccModel {
             tokens: TokenTable::with_pds(total_pds),
             barrier_waiting: Vec::with_capacity(total_apps),
             barrier_scratch: Vec::with_capacity(total_apps),
-            drain_pool: Vec::with_capacity(total_pds),
             overload_on: false,
             acc: Acc::default(),
             cells_on,
@@ -369,7 +366,7 @@ impl RoccModel {
         let demand = SimDur::from_micros_f64(demand_us);
         match &mut self.shared_net {
             Some(server) => {
-                if let Offer::Started(d) = server.submit(ctx.now(), job, demand) {
+                if let Offer::Started(d) = server.submit(job, demand) {
                     ctx.post_in(d, Ev::NetDone);
                 }
             }
@@ -417,7 +414,7 @@ impl RoccModel {
     /// when that processing completes — the sample has then truly reached
     /// the "logically central collection facility".
     fn main_receive(&mut self, ctx: &mut Ctx<Ev>, token: Token) {
-        let count = self.tokens.get(token).expect("received token must be live").count;
+        let count = self.tokens.get(token).expect("received token must be live").count.get();
         let p = &self.cfg.params;
         let demand = p.main_cpu_per_msg.sample(&mut self.main_rng)
             + p.main_cpu_per_extra_sample_us * (count as f64 - 1.0);
@@ -425,7 +422,6 @@ impl RoccModel {
             ctx,
             self.bank_of(0),
             CpuJob {
-                class: ProcessClass::MainParadyn,
                 kind: CpuKind::MainRecv { token },
             },
             demand,
@@ -438,9 +434,10 @@ impl RoccModel {
             .tokens
             .remove(token)
             .expect("consumed token must be live");
-        self.acc.latency_sum_s += batch.mean_latency_s(ctx.now()) * batch.count as f64;
+        let count = batch.count.get();
+        self.acc.latency_sum_s += batch.mean_latency_s(ctx.now()) * count as f64;
         self.acc.fwd_latency_sum_s += batch.forwarding_latency_s(ctx.now());
-        self.acc.received_samples += batch.count as u64;
+        self.acc.received_samples += count as u64;
         self.acc.received_msgs += 1;
     }
 
@@ -504,36 +501,20 @@ impl RoccModel {
             .map(|p| u64::from(p.writer_blocked()))
             .sum();
         let buffered: u64 = self.daemons.fifo.iter().map(|f| f.len() as u64).sum();
-        let in_batches: u64 = self.tokens.values().map(|b| b.count as u64).sum();
+        let in_batches: u64 = self.tokens.values().map(|b| u64::from(b.count.get())).sum();
         parked + buffered + in_batches
     }
 
     /// Pipe-slot accounting: each app's pipe occupancy must equal its
-    /// samples buffered in the daemon FIFO plus its entries in the
-    /// `drain_apps` of live batches (slots a collect cycle holds until it
-    /// drains), and only a collecting daemon's current batch may hold such
-    /// slots — a roster on any other live batch is never drained. Describes
-    /// the first leaked or double-freed slot found, or returns `None`.
+    /// samples buffered in the daemon FIFO plus its entries on daemon
+    /// collect rosters (slots a collect cycle holds until it drains).
+    /// Describes the first leaked or double-freed slot found, or returns
+    /// `None`.
     pub fn pipe_slot_violation(&self) -> Option<String> {
         let mut held = vec![0usize; self.apps.len()];
-        let mut rosters = vec![0usize; self.daemons.len()];
-        for &(_, app) in self.daemons.fifo.iter().flatten() {
+        let fifos = self.daemons.fifo.iter().flatten().map(|&(_, app)| app);
+        for app in fifos.chain(self.daemons.roster.iter().flatten().copied()) {
             held[app as usize] += 1;
-        }
-        for b in self.tokens.values() {
-            if let Some(&app) = b.drain_apps.first() {
-                rosters[self.apps.hot[app as usize].pd as usize] += 1;
-            }
-            for &app in &b.drain_apps {
-                held[app as usize] += 1;
-            }
-        }
-        if let Some((pd, n)) = rosters
-            .iter()
-            .enumerate()
-            .find(|&(pd, &n)| n > usize::from(self.daemons.hot[pd].collecting))
-        {
-            return Some(format!("daemon {pd}: {n} live batches hold undrained pipe slots"));
         }
         self.apps
             .pipe
@@ -543,7 +524,7 @@ impl RoccModel {
             .find(|(_, (pipe, h))| pipe.occupied() != *h)
             .map(|(app, (pipe, h))| {
                 format!(
-                    "app {app}: pipe occupancy {} but FIFO + live batches hold {h}",
+                    "app {app}: pipe occupancy {} but FIFOs + rosters hold {h}",
                     pipe.occupied()
                 )
             })
@@ -563,7 +544,7 @@ impl Model for RoccModel {
             Ev::Init => self.init(ctx),
             Ev::Slice { bank, cpu } => {
                 let end = self.banks[bank as usize].slice_end(cpu as usize);
-                self.acc.cpu_busy_us[class_idx(end.job.class)] += end.ran.as_micros_f64();
+                self.acc.cpu_busy_us[class_idx(end.job.class())] += end.ran.as_micros_f64();
                 // Per-daemon attribution for adaptive regulation.
                 match end.job.kind {
                     CpuKind::PdCollect { pd, .. } => {
@@ -583,7 +564,7 @@ impl Model for RoccModel {
             }
             Ev::NetDone => {
                 let server = self.shared_net.as_mut().expect("NetDone without server");
-                let (job, _svc, next) = server.complete(ctx.now());
+                let (job, _svc, next) = server.complete();
                 if let Some(d) = next {
                     ctx.post_in(d, Ev::NetDone);
                 }
@@ -723,7 +704,6 @@ impl RoccModel {
             ctx,
             self.bank_of(0),
             CpuJob {
-                class: ProcessClass::Other,
                 kind: CpuKind::OtherCpu,
             },
             s.stall_us,

@@ -129,6 +129,7 @@ impl Persist for Daemons {
             h.net_rng.save(w);
             c.merge_rng.save(w);
             self.fifo[i].save(w);
+            self.roster[i].save(w);
             w.put_bool(h.collecting);
             w.put_usize(h.batch);
             w.put_u32(h.flush_gen);
@@ -156,6 +157,7 @@ impl Persist for Daemons {
             let net_rng = Persist::load(r)?;
             let merge_rng = Persist::load(r)?;
             let fifo = Persist::load(r)?;
+            let roster: Vec<u32> = Persist::load(r)?;
             let collecting = r.take_bool()?;
             let batch = r.take_usize()?;
             let flush_gen = r.take_u32()?;
@@ -174,6 +176,11 @@ impl Persist for Daemons {
             let shed_rng = Persist::load(r)?;
             if batch == 0 {
                 return Err(SnapError::Malformed("daemon batch threshold of zero"));
+            }
+            if roster.is_empty() == collecting {
+                return Err(SnapError::Malformed(
+                    "daemon roster disagrees with its collect cycle",
+                ));
             }
             let hot = DaemonHot {
                 node,
@@ -199,7 +206,7 @@ impl Persist for Daemons {
                 fault_mon,
                 shed_rng,
             };
-            daemons.push(hot, fifo, cold);
+            daemons.push(hot, fifo, roster, cold);
         }
         Ok(daemons)
     }
@@ -304,6 +311,13 @@ impl PersistState for RoccModel {
         let daemons: Daemons = Persist::load(r)?;
         if daemons.len() != self.daemons.len() {
             return Err(SnapError::Malformed("daemon count differs from config"));
+        }
+        let fifos = daemons.fifo.iter().flatten().map(|&(_, app)| app);
+        if fifos
+            .chain(daemons.roster.iter().flatten().copied())
+            .any(|app| app as usize >= apps.len())
+        {
+            return Err(SnapError::Malformed("daemon queue names an unknown app"));
         }
         let tokens: super::types::TokenTable = Persist::load(r)?;
         if tokens.pds() != self.tokens.pds() {

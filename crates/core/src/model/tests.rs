@@ -3,6 +3,7 @@
 
 use super::*;
 use crate::config::{Arch, Forwarding, SimConfig};
+use paradyn_workload::ProcessClass;
 
 fn quick(arch: Arch, nodes: usize) -> SimConfig {
     SimConfig {
@@ -135,21 +136,12 @@ fn conservation_generated_equals_buffered_plus_forwarded() {
     let (model, _) = run_model(quick(Arch::Now { contention_free: true }, 4));
     let buffered: usize = model.daemons.fifo.iter().map(|f| f.len()).sum();
     let (_, forwarded) = model.total_forwarded();
-    // Tokens still carrying drain lists are mid-collection (popped from the
-    // FIFO, not yet counted as forwarded); drained tokens are in the
-    // network or awaiting main-process handling.
-    let collecting: u64 = model
-        .tokens
-        .values()
-        .filter(|b| !b.drain_apps.is_empty())
-        .map(|b| b.count as u64)
-        .sum();
-    let post_forward: u64 = model
-        .tokens
-        .values()
-        .filter(|b| b.drain_apps.is_empty())
-        .map(|b| b.count as u64)
-        .sum();
+    // A collecting daemon's batch has been popped from the FIFO but not yet
+    // counted as forwarded; its roster lists one app per sample. Every
+    // other live batch is in the network or awaiting main-process handling.
+    let collecting = model.daemons.roster.iter().map(|r| r.len() as u64).sum::<u64>();
+    let live: u64 = model.tokens.values().map(|b| u64::from(b.count.get())).sum();
+    let post_forward = live - collecting;
     assert_eq!(
         model.acc.generated_samples,
         forwarded + buffered as u64 + collecting,
@@ -303,4 +295,44 @@ fn exec_cell_maps_app_events_to_their_node() {
     assert_eq!(exec_cell(&Ev::PvmdArrival { node: 3 }, 2), 3);
     assert_eq!(exec_cell(&Ev::DaemonCrash { pd: 4 }, 2), 4);
     assert_eq!(exec_cell(&Ev::NetDone, 2), 0);
+}
+
+#[test]
+fn snapshot_round_trips_a_daemon_mid_collect() {
+    // BF with batch 8: a collect cycle holds eight pipe slots on its
+    // daemon's roster until its CPU work finishes.
+    let cfg = SimConfig {
+        batch: 8,
+        ..quick(Arch::Now { contention_free: true }, 4)
+    };
+    let horizon = SimTime::from_secs_f64(cfg.duration_s);
+    let mut sim = build(&cfg);
+    let mut t = SimTime::ZERO;
+    while sim.model.daemons.roster.iter().all(Vec::is_empty) {
+        t += SimDur::from_micros_f64(50.0);
+        assert!(t < horizon, "no daemon was ever caught mid-collect");
+        sim.run_until(t);
+    }
+    let bytes = sim.snapshot_now();
+    let restore = |bytes: &[u8]| {
+        Sim::restore(RoccModel::new(cfg.clone()), paradyn_des::CalendarKind::Wheel, bytes)
+    };
+    let mut back = restore(&bytes).expect("restore mid-collect");
+    assert_eq!(back.model.daemons.roster, sim.model.daemons.roster);
+    assert_eq!(back.snapshot_now(), bytes, "restore is lossless");
+    sim.run_until(horizon);
+    back.run_until(horizon);
+    assert_eq!(back.state_payload(), sim.state_payload());
+    assert_eq!(back.model.pipe_slot_violation(), None);
+
+    // A roster on a daemon that is not collecting would never be drained.
+    let mut idle = restore(&bytes).expect("restore mid-collect");
+    let pd = idle.model.daemons.roster.iter().position(|r| !r.is_empty()).unwrap();
+    idle.model.daemons.hot[pd].collecting = false;
+    assert_eq!(
+        restore(&idle.snapshot_now()).err(),
+        Some(paradyn_des::SnapError::Malformed(
+            "daemon roster disagrees with its collect cycle"
+        ))
+    );
 }

@@ -3,6 +3,7 @@
 use paradyn_des::SimTime;
 use paradyn_workload::ProcessClass;
 use std::collections::VecDeque;
+use std::num::NonZeroU32;
 
 /// Global application-process index.
 pub type AppId = u32;
@@ -172,10 +173,21 @@ impl TokenTable {
 /// A CPU occupancy request queued at a node's CPU bank.
 #[derive(Clone, Copy, Debug)]
 pub struct CpuJob {
-    /// Owning process class (for busy-time attribution).
-    pub class: ProcessClass,
     /// What to do when the request completes.
     pub kind: CpuKind,
+}
+
+impl CpuJob {
+    /// Owning process class (for busy-time attribution).
+    pub fn class(&self) -> ProcessClass {
+        match self.kind {
+            CpuKind::AppCompute { .. } => ProcessClass::Application,
+            CpuKind::PdCollect { .. } | CpuKind::PdMerge { .. } => ProcessClass::ParadynDaemon,
+            CpuKind::MainRecv { .. } => ProcessClass::MainParadyn,
+            CpuKind::PvmdCpu { .. } => ProcessClass::PvmDaemon,
+            CpuKind::OtherCpu => ProcessClass::Other,
+        }
+    }
 }
 
 /// Continuations of CPU requests.
@@ -358,12 +370,15 @@ pub enum Ev {
     OverloadRamp,
 }
 
-/// Payload of an in-flight batch of samples.
-#[derive(Clone, Debug)]
+/// Payload of an in-flight batch of samples. The pipe slots a batch holds
+/// while it is being collected are on its daemon's roster
+/// (`Daemons::roster`), not on the batch, so a batch is 24 bytes and so is
+/// an `Option<Batch>` token-window slot.
+#[derive(Clone, Copy, Debug)]
 pub struct Batch {
     /// Number of samples in the batch (merging preserves the count for
     /// latency accounting).
-    pub count: u32,
+    pub count: NonZeroU32,
     /// Sum of the samples' generation times (ns). The mean monitoring
     /// latency of the batch at receipt time `t` is
     /// `t − sum_gen/count`.
@@ -373,9 +388,6 @@ pub struct Batch {
     /// paper's NOW/SMP latency figures effectively plot (their model has
     /// batches *arriving* as units; see EXPERIMENTS.md).
     pub ready_ns: u64,
-    /// Application processes whose pipe slots this batch still holds;
-    /// drained (and writers unblocked) when the collect CPU work finishes.
-    pub drain_apps: Vec<AppId>,
     /// Failed forward attempts on the current hop (injected link faults);
     /// reset to zero whenever a hop succeeds.
     pub attempts: u32,
@@ -385,9 +397,8 @@ impl Batch {
     /// Mean generation-to-receipt latency of the batch if received at
     /// `now`, in seconds (includes batch-accumulation time).
     pub fn mean_latency_s(&self, now: SimTime) -> f64 {
-        debug_assert!(self.count > 0);
-        let recv = now.as_nanos() as f64 * self.count as f64;
-        (recv - self.sum_gen_ns as f64) / self.count as f64 / 1e9
+        let count = self.count.get() as f64;
+        (now.as_nanos() as f64 * count - self.sum_gen_ns as f64) / count / 1e9
     }
 
     /// Forwarding latency (batch-ready to receipt) at `now`, in seconds.
@@ -417,38 +428,24 @@ pub fn tree_parent(i: u32) -> u32 {
 }
 
 // ---------------------------------------------------------------------------
-// Snapshot codec impls. `ProcessClass` is foreign to both this crate and the
-// `Persist` trait's crate, so it is encoded inline as its `class_idx` byte.
+// Snapshot codec impls.
 // ---------------------------------------------------------------------------
 
 use paradyn_des::{Dec, Enc, Persist, SnapError};
 
-fn save_class(c: ProcessClass, w: &mut Enc) {
-    w.put_u8(class_idx(c) as u8);
-}
-
-fn load_class(r: &mut Dec<'_>) -> Result<ProcessClass, SnapError> {
-    let i = r.take_u8()? as usize;
-    ProcessClass::ALL
-        .into_iter()
-        .find(|&c| class_idx(c) == i)
-        .ok_or(SnapError::Malformed("unknown process class"))
-}
-
 impl Persist for Batch {
     fn save(&self, w: &mut Enc) {
-        w.put_u32(self.count);
+        w.put_u32(self.count.get());
         w.put_u64(self.sum_gen_ns);
         w.put_u64(self.ready_ns);
-        self.drain_apps.save(w);
         w.put_u32(self.attempts);
     }
     fn load(r: &mut Dec<'_>) -> Result<Self, SnapError> {
         Ok(Batch {
-            count: r.take_u32()?,
+            count: NonZeroU32::new(r.take_u32()?)
+                .ok_or(SnapError::Malformed("batch of zero samples"))?,
             sum_gen_ns: r.take_u64()?,
             ready_ns: r.take_u64()?,
-            drain_apps: Persist::load(r)?,
             attempts: r.take_u32()?,
         })
     }
@@ -566,12 +563,10 @@ impl Persist for CpuKind {
 
 impl Persist for CpuJob {
     fn save(&self, w: &mut Enc) {
-        save_class(self.class, w);
         self.kind.save(w);
     }
     fn load(r: &mut Dec<'_>) -> Result<Self, SnapError> {
         Ok(CpuJob {
-            class: load_class(r)?,
             kind: Persist::load(r)?,
         })
     }
@@ -745,10 +740,9 @@ mod tests {
 
     fn batch(count: u32) -> Batch {
         Batch {
-            count,
+            count: NonZeroU32::new(count).unwrap(),
             sum_gen_ns: 0,
             ready_ns: 0,
-            drain_apps: vec![],
             attempts: 0,
         }
     }
@@ -764,8 +758,8 @@ mod tests {
         assert_eq!(b, (1 << TOKEN_CTR_BITS) | 1);
         assert_eq!(c, 0);
         assert_eq!(tab.len(), 3);
-        assert_eq!(tab.get(a).unwrap().count, 1);
-        assert_eq!(tab.remove(a).unwrap().count, 1);
+        assert_eq!(tab.get(a).unwrap().count.get(), 1);
+        assert_eq!(tab.remove(a).unwrap().count.get(), 1);
         assert!(tab.remove(a).is_none(), "double remove is a no-op");
         // Removing a batch does not perturb later token values.
         let d = tab.insert(1, batch(4));
@@ -773,7 +767,7 @@ mod tests {
         tab.get_mut(b).unwrap().attempts = 7;
         assert_eq!(tab.get(b).unwrap().attempts, 7);
         // Iteration is pd-major, allocation order minor.
-        let counts: Vec<u32> = tab.values().map(|x| x.count).collect();
+        let counts: Vec<u32> = tab.values().map(|x| x.count.get()).collect();
         assert_eq!(counts, vec![3, 2, 4]);
         assert!(!tab.is_empty());
         tab.remove(b);
@@ -810,9 +804,43 @@ mod tests {
 
     #[test]
     fn event_and_job_sizes() {
+        use std::mem::size_of;
         // Widening `Token` to 64 bits must not grow the calendar's entries.
-        assert_eq!(std::mem::size_of::<Ev>(), 24);
-        assert!(std::mem::size_of::<CpuJob>() <= 24);
+        assert_eq!(size_of::<Ev>(), 24);
+        // A saturated run holds these by the tens of thousands: a CPU job
+        // (a 24-byte RR ready entry with its demand), a network job, and
+        // a token-window slot, whose `None` is the zero count.
+        assert_eq!(size_of::<CpuJob>(), 16);
+        assert_eq!(size_of::<NetJob>(), 16);
+        assert_eq!(size_of::<Option<Batch>>(), 24);
+    }
+
+    #[test]
+    fn batch_decode_rejects_a_zero_count() {
+        let mut w = Enc::new();
+        batch(3).save(&mut w);
+        let mut bytes = w.into_bytes();
+        assert_eq!(Batch::load(&mut Dec::new(&bytes)).unwrap().count.get(), 3);
+        bytes[..4].copy_from_slice(&0u32.to_le_bytes());
+        assert_eq!(
+            Batch::load(&mut Dec::new(&bytes)).unwrap_err(),
+            SnapError::Malformed("batch of zero samples")
+        );
+    }
+
+    #[test]
+    fn cpu_job_classes() {
+        let cases = [
+            (CpuKind::AppCompute { app: 0 }, ProcessClass::Application),
+            (CpuKind::PdCollect { pd: 0, token: 0 }, ProcessClass::ParadynDaemon),
+            (CpuKind::PdMerge { node: 0, token: 0 }, ProcessClass::ParadynDaemon),
+            (CpuKind::MainRecv { token: 0 }, ProcessClass::MainParadyn),
+            (CpuKind::PvmdCpu { node: 0 }, ProcessClass::PvmDaemon),
+            (CpuKind::OtherCpu, ProcessClass::Other),
+        ];
+        for (kind, class) in cases {
+            assert_eq!(CpuJob { kind }.class(), class, "{kind:?}");
+        }
     }
 
     #[test]
@@ -830,10 +858,9 @@ mod tests {
         // Two samples generated at 1s and 3s, received at 5s:
         // latencies 4s and 2s, mean 3s.
         let b = Batch {
-            count: 2,
+            count: NonZeroU32::new(2).unwrap(),
             sum_gen_ns: 4_000_000_000,
             ready_ns: 4_000_000_000,
-            drain_apps: vec![],
             attempts: 0,
         };
         let lat = b.mean_latency_s(SimTime::from_secs_f64(5.0));

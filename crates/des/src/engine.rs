@@ -149,11 +149,6 @@ impl<E> Ctx<E> {
         self.executed
     }
 
-    /// Number of events scheduled so far.
-    pub fn scheduled_events(&self) -> u64 {
-        self.scheduled
-    }
-
     /// Number of events pending in the calendar.
     pub fn pending_events(&self) -> usize {
         self.calendar.live()

@@ -5,8 +5,9 @@
 //! one completion event for it is pending. This keeps the component directly
 //! unit- and property-testable without an event loop.
 
-use crate::monitor::{BusyTime, Tally};
-use crate::time::{SimDur, SimTime};
+use crate::monitor::BusyTime;
+use crate::snapshot::{Dec, Enc, Persist, SnapError};
+use crate::time::SimDur;
 use std::collections::VecDeque;
 
 /// Result of offering a job to the server.
@@ -20,23 +21,17 @@ pub enum Offer {
     Queued(usize),
 }
 
-struct InService<J> {
+/// A job with its service demand, in service or waiting.
+struct Entry<J> {
     job: J,
     service: SimDur,
-}
-
-struct Waiting<J> {
-    job: J,
-    service: SimDur,
-    arrived: SimTime,
 }
 
 /// FCFS single server with unbounded queue.
 pub struct FcfsServer<J> {
-    current: Option<InService<J>>,
-    queue: VecDeque<Waiting<J>>,
+    current: Option<Entry<J>>,
+    queue: VecDeque<Entry<J>>,
     busy: BusyTime,
-    waits: Tally,
     served: u64,
 }
 
@@ -53,48 +48,43 @@ impl<J> FcfsServer<J> {
             current: None,
             queue: VecDeque::new(),
             busy: BusyTime::new(),
-            waits: Tally::new(),
             served: 0,
         }
     }
 
-    /// Offer `job` with the given service demand at time `now`.
-    pub fn submit(&mut self, now: SimTime, job: J, service: SimDur) -> Offer {
+    /// Offer `job` with the given service demand.
+    pub fn submit(&mut self, job: J, service: SimDur) -> Offer {
+        let entry = Entry { job, service };
         if self.current.is_none() {
-            self.start(now, job, service, now);
+            self.start(entry);
             Offer::Started(service)
         } else {
-            self.queue.push_back(Waiting {
-                job,
-                service,
-                arrived: now,
-            });
+            self.queue.push_back(entry);
             Offer::Queued(self.queue.len() - 1)
         }
     }
 
-    fn start(&mut self, now: SimTime, job: J, service: SimDur, arrived: SimTime) {
-        self.busy.add(service);
-        self.waits.record((now - arrived).as_secs_f64());
-        self.current = Some(InService { job, service });
+    fn start(&mut self, entry: Entry<J>) {
+        self.busy.add(entry.service);
+        self.current = Some(entry);
     }
 
-    /// The pending service completed at `now`. Returns the finished job, its
-    /// service time, and — if the queue was non-empty — the service span of
-    /// the next job, whose completion the model must schedule.
+    /// The pending service completed. Returns the finished job, its service
+    /// time, and — if the queue was non-empty — the service span of the
+    /// next job, whose completion the model must schedule.
     ///
     /// # Panics
     /// Panics if the server was idle (a completion event without a started
     /// service is a model bug).
-    pub fn complete(&mut self, now: SimTime) -> (J, SimDur, Option<SimDur>) {
+    pub fn complete(&mut self) -> (J, SimDur, Option<SimDur>) {
         let finished = self
             .current
             .take()
             .expect("FcfsServer::complete called while idle");
         self.served += 1;
-        let next = self.queue.pop_front().map(|w| {
-            let svc = w.service;
-            self.start(now, w.job, w.service, w.arrived);
+        let next = self.queue.pop_front().map(|entry| {
+            let svc = entry.service;
+            self.start(entry);
             svc
         });
         (finished.job, finished.service, next)
@@ -121,58 +111,35 @@ impl<J> FcfsServer<J> {
         self.busy.utilization(horizon)
     }
 
-    /// Tally of queueing delays experienced by started jobs (seconds).
-    pub fn wait_tally(&self) -> &Tally {
-        &self.waits
-    }
-
     /// Number of completed services.
     pub fn served(&self) -> u64 {
         self.served
     }
 }
 
-impl<J: crate::snapshot::Persist> crate::snapshot::Persist for FcfsServer<J> {
-    fn save(&self, w: &mut crate::snapshot::Enc) {
-        match &self.current {
-            None => w.put_u8(0),
-            Some(s) => {
-                w.put_u8(1);
-                s.job.save(w);
-                s.service.save(w);
-            }
-        }
-        w.put_usize(self.queue.len());
-        for q in &self.queue {
-            q.job.save(w);
-            q.service.save(w);
-            q.arrived.save(w);
-        }
+impl<J: Persist> Persist for Entry<J> {
+    fn save(&self, w: &mut Enc) {
+        self.job.save(w);
+        self.service.save(w);
+    }
+    fn load(r: &mut Dec<'_>) -> Result<Self, SnapError> {
+        Ok(Entry {
+            job: J::load(r)?,
+            service: Persist::load(r)?,
+        })
+    }
+}
+
+impl<J: Persist> Persist for FcfsServer<J> {
+    fn save(&self, w: &mut Enc) {
+        self.current.save(w);
+        self.queue.save(w);
         self.busy.save(w);
-        self.waits.save(w);
         w.put_u64(self.served);
     }
-    fn load(
-        r: &mut crate::snapshot::Dec<'_>,
-    ) -> Result<Self, crate::snapshot::SnapError> {
-        use crate::snapshot::{Persist, SnapError};
-        let current = match r.take_u8()? {
-            0 => None,
-            1 => Some(InService {
-                job: J::load(r)?,
-                service: Persist::load(r)?,
-            }),
-            _ => return Err(SnapError::Malformed("FcfsServer current tag")),
-        };
-        let n = r.take_usize()?;
-        let mut queue = VecDeque::with_capacity(n.min(4096));
-        for _ in 0..n {
-            queue.push_back(Waiting {
-                job: J::load(r)?,
-                service: Persist::load(r)?,
-                arrived: Persist::load(r)?,
-            });
-        }
+    fn load(r: &mut Dec<'_>) -> Result<Self, SnapError> {
+        let current: Option<Entry<J>> = Persist::load(r)?;
+        let queue: VecDeque<Entry<J>> = Persist::load(r)?;
         if current.is_none() && !queue.is_empty() {
             return Err(SnapError::Malformed("FcfsServer idle with waiting queue"));
         }
@@ -180,7 +147,6 @@ impl<J: crate::snapshot::Persist> crate::snapshot::Persist for FcfsServer<J> {
             current,
             queue,
             busy: Persist::load(r)?,
-            waits: Persist::load(r)?,
             served: r.take_u64()?,
         })
     }
@@ -193,14 +159,11 @@ mod tests {
     fn us(x: f64) -> SimDur {
         SimDur::from_micros_f64(x)
     }
-    fn at(x: f64) -> SimTime {
-        SimTime::from_micros_f64(x)
-    }
 
     #[test]
     fn idle_server_starts_immediately() {
         let mut s = FcfsServer::new();
-        assert_eq!(s.submit(at(0.0), 1u32, us(10.0)), Offer::Started(us(10.0)));
+        assert_eq!(s.submit(1u32, us(10.0)), Offer::Started(us(10.0)));
         assert!(s.is_busy());
         assert_eq!(s.queue_len(), 0);
     }
@@ -208,16 +171,16 @@ mod tests {
     #[test]
     fn busy_server_queues_fifo() {
         let mut s = FcfsServer::new();
-        s.submit(at(0.0), 1u32, us(10.0));
-        assert_eq!(s.submit(at(1.0), 2, us(5.0)), Offer::Queued(0));
-        assert_eq!(s.submit(at(2.0), 3, us(7.0)), Offer::Queued(1));
-        let (j, svc, next) = s.complete(at(10.0));
+        s.submit(1u32, us(10.0));
+        assert_eq!(s.submit(2, us(5.0)), Offer::Queued(0));
+        assert_eq!(s.submit(3, us(7.0)), Offer::Queued(1));
+        let (j, svc, next) = s.complete();
         assert_eq!((j, svc), (1, us(10.0)));
         assert_eq!(next, Some(us(5.0)));
-        let (j, _, next) = s.complete(at(15.0));
+        let (j, _, next) = s.complete();
         assert_eq!(j, 2);
         assert_eq!(next, Some(us(7.0)));
-        let (j, _, next) = s.complete(at(22.0));
+        let (j, _, next) = s.complete();
         assert_eq!(j, 3);
         assert_eq!(next, None);
         assert!(!s.is_busy());
@@ -227,30 +190,58 @@ mod tests {
     #[test]
     fn busy_time_accumulates_service() {
         let mut s = FcfsServer::new();
-        s.submit(at(0.0), 1u32, us(10.0));
-        s.submit(at(0.0), 2, us(30.0));
-        s.complete(at(10.0));
-        s.complete(at(40.0));
+        s.submit(1u32, us(10.0));
+        s.submit(2, us(30.0));
+        s.complete();
+        s.complete();
         assert_eq!(s.busy_total(), us(40.0));
         assert!((s.utilization(us(80.0)) - 0.5).abs() < 1e-12);
     }
 
     #[test]
-    fn waits_are_recorded() {
+    fn snapshot_round_trips_a_busy_queue() {
         let mut s = FcfsServer::new();
-        s.submit(at(0.0), 1u32, us(10.0));
-        s.submit(at(0.0), 2, us(10.0)); // will wait 10us
-        s.complete(at(10.0));
-        s.complete(at(20.0));
-        let w = s.wait_tally();
-        assert_eq!(w.count(), 2);
-        assert!((w.max().unwrap() - 10e-6).abs() < 1e-12);
+        s.submit(1u32, us(10.0));
+        s.submit(2, us(5.0));
+        s.complete();
+        s.submit(3, us(7.0));
+        let mut w = Enc::new();
+        s.save(&mut w);
+        let bytes = w.into_bytes();
+        let mut t: FcfsServer<u32> = Persist::load(&mut Dec::new(&bytes)).unwrap();
+        assert_eq!(
+            (t.queue_len(), t.served(), t.busy_total()),
+            (1, 1, us(15.0))
+        );
+        assert_eq!(t.complete(), (2, us(5.0), Some(us(7.0))));
+        assert_eq!(t.complete(), (3, us(7.0), None));
+    }
+
+    #[test]
+    fn snapshot_rejects_an_idle_server_with_waiters() {
+        let mut w = Enc::new();
+        None::<Entry<u32>>.save(&mut w);
+        w.put_usize(1);
+        Entry {
+            job: 1u32,
+            service: us(1.0),
+        }
+        .save(&mut w);
+        let bytes = w.into_bytes();
+        let got: Result<FcfsServer<u32>, _> = Persist::load(&mut Dec::new(&bytes));
+        assert!(matches!(got, Err(SnapError::Malformed(_))));
+    }
+
+    #[test]
+    fn waiting_entry_is_job_plus_service() {
+        // A 16-byte job (the model's `NetJob`) waits in a 24-byte entry.
+        assert_eq!(std::mem::size_of::<Entry<[u64; 2]>>(), 24);
     }
 
     #[test]
     #[should_panic(expected = "idle")]
     fn complete_while_idle_panics() {
         let mut s: FcfsServer<u32> = FcfsServer::new();
-        s.complete(at(0.0));
+        s.complete();
     }
 }

@@ -46,7 +46,7 @@ impl SimTime {
     /// Construct from seconds.
     #[inline]
     pub fn from_secs_f64(s: f64) -> Self {
-        SimTime((s * NANOS_PER_SEC as f64).round() as u64)
+        SimTime(round_u64(s * NANOS_PER_SEC as f64))
     }
 
     /// Raw nanoseconds since time zero.
@@ -183,7 +183,24 @@ fn micros_to_nanos(us: f64) -> u64 {
     if !us.is_finite() || us <= 0.0 {
         0
     } else {
-        (us * NANOS_PER_MICRO as f64).round() as u64
+        round_u64(us * NANOS_PER_MICRO as f64)
+    }
+}
+
+/// `x.round() as u64` (half away from zero, saturating) for every `x`.
+///
+/// The baseline x86-64 target has no SSE4.1 rounding instruction, so
+/// `f64::round` is a libm call. Below 2^52 the truncation `t` is exact and
+/// so is `x - t` (Sterbenz), which makes one compare decide the rounding;
+/// at and above 2^52 every `f64` is already an integer.
+#[inline]
+fn round_u64(x: f64) -> u64 {
+    const EXACT: f64 = (1u64 << 52) as f64;
+    if x > 0.0 && x < EXACT {
+        let t = x as u64;
+        t + u64::from(x - t as f64 >= 0.5)
+    } else {
+        x.round() as u64
     }
 }
 
@@ -279,6 +296,56 @@ mod tests {
     fn negative_micros_clamp_to_zero() {
         assert_eq!(SimDur::from_micros_f64(-5.0).as_nanos(), 0);
         assert_eq!(SimDur::from_micros_f64(f64::NAN).as_nanos(), 0);
+    }
+
+    #[test]
+    fn round_u64_matches_f64_round() {
+        let two52 = (1u64 << 52) as f64;
+        let two53 = (1u64 << 53) as f64;
+        let mut edges = vec![
+            0.0,
+            -0.0,
+            0.5,
+            1.5,
+            2.5,
+            0.49999999999999994,
+            0.5000000000000001,
+            -0.5,
+            -1.5,
+            -2.0,
+            f64::MIN_POSITIVE,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+            1e19,
+            2e19,
+            u64::MAX as f64,
+        ];
+        for base in [two52, two53] {
+            for k in 0..8 {
+                let mut below = base;
+                let mut above = base;
+                for _ in 0..k {
+                    below = f64::from_bits(below.to_bits() - 1);
+                    above = f64::from_bits(above.to_bits() + 1);
+                }
+                edges.extend([below, above, below - 0.5, below + 0.5]);
+            }
+        }
+        for x in edges {
+            assert_eq!(round_u64(x), x.round() as u64, "x = {x:e}");
+        }
+        // Random magnitudes from 2^-10 to 2^60, halves included.
+        let mut rng = crate::rng::Streams::new(0x5eed).stream(1);
+        for _ in 0..200_000 {
+            let mag = (rng.next_u64() % 70) as i32 - 10;
+            let x = rng.next_f64() * 2f64.powi(mag);
+            let half = (x * 2.0).floor() / 2.0;
+            for y in [x, half, -x] {
+                assert_eq!(round_u64(y), y.round() as u64, "x = {y:e}");
+            }
+        }
     }
 
     #[test]

@@ -114,13 +114,6 @@ impl Histogram {
     pub fn overflow(&self) -> u64 {
         self.overflow
     }
-
-    /// `(bin_center, density)` series for plotting against a pdf.
-    pub fn density_series(&self) -> Vec<(f64, f64)> {
-        (0..self.bins())
-            .map(|i| (self.bin_center(i), self.density(i)))
-            .collect()
-    }
 }
 
 #[cfg(test)]

@@ -64,11 +64,6 @@ impl ReplaySchedule {
         self.cpu_us.len()
     }
 
-    /// Number of network bursts before the schedule cycles.
-    pub fn net_len(&self) -> usize {
-        self.net_us.len()
-    }
-
     /// Mean CPU burst (µs).
     pub fn cpu_mean(&self) -> f64 {
         self.cpu_us.iter().sum::<f64>() / self.cpu_us.len() as f64

@@ -40,7 +40,8 @@ chaos_dir="$(mktemp -d)"
 ratchet_dir="$(mktemp -d)"
 token_dir="$(mktemp -d)"
 rewind_dir="$(mktemp -d)"
-trap 'rm -rf "$mut_dir" "$chaos_dir" "$ratchet_dir" "$token_dir" "$rewind_dir"' EXIT
+roster_dir="$(mktemp -d)"
+trap 'rm -rf "$mut_dir" "$chaos_dir" "$ratchet_dir" "$token_dir" "$rewind_dir" "$roster_dir"' EXIT
 # The workspace passes read the whole tree (Acc lives in crates/core, the
 # conservation identity in src/chaos.rs), so the scratch copy carries the
 # root package sources too.
@@ -182,6 +183,32 @@ if [ "$token_rc" -eq 0 ] || ! grep -q "^    model::tests::$token_test\$" "$token
   exit 1
 fi
 echo "token-counter mutation self-check: $token_test correctly failed"
+
+echo "== roster-drain mutation self-check (an undrained collect roster must go red) =="
+# Scratch copy where a finished collect cycle clears its daemon's roster
+# without draining the pipes it names: those slots leak, and the pipe-slot
+# books (which read the rosters from the daemons) must catch it by name.
+cp Cargo.toml Cargo.lock "$roster_dir"/
+cp -r crates src tests examples "$roster_dir"/
+roster_rs="$roster_dir/crates/core/src/model/daemon.rs"
+sed -i '/fn pd_collect_done/,/^    }$/{/self\.drain_one(ctx, app);/d}' "$roster_rs"
+if [ "$(grep -c 'self\.drain_one(ctx, app);' "$roster_rs")" -ne 1 ]; then
+  echo "verify: FAIL — could not delete the roster drain" >&2
+  exit 1
+fi
+roster_out="$roster_dir/roster-out.txt"
+set +e
+( cd "$roster_dir" && CARGO_TARGET_DIR="$roster_dir/target" \
+    cargo test -q --offline -p paradyn-core --lib "$token_test" ) > "$roster_out" 2>&1
+roster_rc=$?
+set -e
+if [ "$roster_rc" -eq 0 ] || ! grep -q "^    model::tests::$token_test\$" "$roster_out" \
+    || ! grep -q "pipe slots at" "$roster_out"; then
+  echo "verify: FAIL — $token_test did not go red with an undrained roster:" >&2
+  tail -n 40 "$roster_out" >&2
+  exit 1
+fi
+echo "roster-drain mutation self-check: $token_test correctly failed"
 
 echo "== zero-allocation gate (debug and release, default test threads) =="
 # The allocation counters are per thread, so the window stays exact while

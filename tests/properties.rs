@@ -12,6 +12,7 @@ use paradyn_stats::{check, Design2kr, Gen, Rv, SplitMix64};
 use paradyn_stats::{prop_assert, prop_assert_eq, prop_assume};
 use paradyn_workload::{ProcessClass, Resource, Trace, TraceRecord};
 use std::collections::BTreeMap;
+use std::num::NonZeroU32;
 
 /// SimTime arithmetic: (t + d) - t == d, ordering is consistent.
 #[test]
@@ -77,7 +78,7 @@ fn fcfs_is_fifo_and_conserves_service() {
         let mut clock = SimTime::ZERO;
         let mut next_end: Option<SimDur> = None;
         for (i, &svc) in services.iter().enumerate() {
-            match s.submit(clock, i as u32, SimDur::from_nanos(svc)) {
+            match s.submit(i as u32, SimDur::from_nanos(svc)) {
                 Offer::Started(d) => next_end = Some(d),
                 Offer::Queued(_) => {}
             }
@@ -85,13 +86,14 @@ fn fcfs_is_fifo_and_conserves_service() {
         let mut order = vec![];
         while let Some(d) = next_end {
             clock += d;
-            let (job, _svc, next) = s.complete(clock);
+            let (job, _svc, next) = s.complete();
             order.push(job);
             next_end = next;
         }
         prop_assert_eq!(order, (0..services.len() as u32).collect::<Vec<_>>());
         let total: u64 = services.iter().sum();
         prop_assert_eq!(s.busy_total().as_nanos(), total);
+        prop_assert_eq!(clock.as_nanos(), total);
         prop_assert!(!s.is_busy());
         Ok(())
     });
@@ -375,20 +377,20 @@ fn trace_codec_roundtrip() {
     });
 }
 
-/// A batch identified by its `count`, which also tags its drain roster.
+/// A batch identified by its `count` (`id + 1`, as a count is never zero).
 fn tagged(id: u32) -> Batch {
     Batch {
-        count: id,
+        count: NonZeroU32::new(id + 1).unwrap(),
         sum_gen_ns: 0,
         ready_ns: 0,
-        drain_apps: vec![id],
         attempts: 0,
     }
 }
 
-/// The fields a token-table test can tell batches apart by.
-fn fingerprint(b: &Batch) -> (u32, Vec<u32>, u32) {
-    (b.count, b.drain_apps.clone(), b.attempts)
+/// The fields a token-table test can tell batches apart by: the `count`
+/// tag and the `attempts` the test bumps in place.
+fn fingerprint(b: &Batch) -> (u32, u32) {
+    (b.count.get(), b.attempts)
 }
 
 fn token_of(pd: u64, ctr: u64) -> Token {
@@ -525,7 +527,7 @@ fn token_table_snapshot_roundtrip_past_2048_live() {
         let want: Vec<_> = tab.values().map(fingerprint).collect();
         prop_assert_eq!(got, want);
         for &(t, id) in &live {
-            prop_assert_eq!(back.get(t).map(|b| b.count), Some(id));
+            prop_assert_eq!(back.get(t).map(|b| b.count.get()), Some(id + 1));
         }
         for pd in 0..pds as u32 {
             prop_assert_eq!(back.insert(pd, tagged(0)), tab.insert(pd, tagged(0)));
