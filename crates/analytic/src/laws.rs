@@ -1,7 +1,6 @@
 //! Operational laws (Denning & Buzen; Jain ch. 33) used by the paper's
-//! "back-of-the-envelope" Section 3 analysis: the utilization law, the
-//! forced-flow law, Little's law, and the open-server residence-time
-//! formula under flow balance.
+//! "back-of-the-envelope" Section 3 analysis: the utilization law and the
+//! open-server residence-time formula under flow balance.
 //!
 //! Conventions: rates are per second, demands in seconds, utilizations
 //! dimensionless in `[0, ∞)` (a value ≥ 1 means the flow-balance assumption
@@ -12,19 +11,6 @@
 #[inline]
 pub fn utilization(throughput_per_s: f64, demand_s: f64) -> f64 {
     throughput_per_s * demand_s
-}
-
-/// Little's law: `N = X · R`.
-#[inline]
-pub fn littles_n(throughput_per_s: f64, residence_s: f64) -> f64 {
-    throughput_per_s * residence_s
-}
-
-/// Forced-flow law: the system throughput seen at a device visited `v`
-/// times per job is `X_dev = v · X_sys`.
-#[inline]
-pub fn forced_flow(system_throughput_per_s: f64, visits: f64) -> f64 {
-    system_throughput_per_s * visits
 }
 
 /// Residence time at an open single-queue server under flow balance:
@@ -57,16 +43,6 @@ mod tests {
         // 25 requests/s, 267us each -> 0.67% busy.
         let u = utilization(25.0, 267e-6);
         assert!((u - 0.006675).abs() < 1e-9);
-    }
-
-    #[test]
-    fn littles_law() {
-        assert!((littles_n(100.0, 0.05) - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn forced_flow_law() {
-        assert!((forced_flow(10.0, 3.0) - 30.0).abs() < 1e-12);
     }
 
     #[test]

@@ -14,15 +14,12 @@
 //!   equations (13)–(16), Figures 14–15;
 //! * [`mva`] — exact Mean Value Analysis (the approach the paper considers
 //!   and rejects for application CPU utilization — kept as an ablation and
-//!   sanity envelope);
-//! * [`bounds`] — asymptotic bottleneck bounds bracketing any simulation
-//!   of the same demands.
+//!   sanity envelope).
 //!
 //! The analytic results are deliberately approximate; the paper uses them
 //! as an intuitive cross-check on the simulation, and the integration tests
 //! of this workspace do the same in reverse.
 
-pub mod bounds;
 pub mod inputs;
 pub mod laws;
 pub mod mpp;
@@ -30,7 +27,6 @@ pub mod mva;
 pub mod now;
 pub mod smp;
 
-pub use bounds::{closed_bounds, open_saturation_rate, ClosedBounds};
 pub use inputs::{Demands, Knobs};
 pub use mpp::{mpp_metrics, Forwarding, MppMetrics};
 pub use mva::{app_cpu_utilization_mva, mva, Center, MvaSolution};

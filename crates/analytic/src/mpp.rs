@@ -108,48 +108,6 @@ fn tree_metrics(k: &Knobs, d: &Demands) -> MppMetrics {
     }
 }
 
-/// Sweep sampling period (ms) for both forwarding configurations —
-/// Figure 14.
-pub fn sweep_period(
-    base: &Knobs,
-    d: &Demands,
-    periods_ms: &[f64],
-) -> Vec<(f64, MppMetrics, MppMetrics)> {
-    periods_ms
-        .iter()
-        .map(|&ms| {
-            let k = Knobs {
-                sampling_period_s: ms * 1e-3,
-                ..*base
-            };
-            (
-                ms,
-                mpp_metrics(&k, d, Forwarding::Direct),
-                mpp_metrics(&k, d, Forwarding::BinaryTree),
-            )
-        })
-        .collect()
-}
-
-/// Sweep node count for both forwarding configurations — Figure 15.
-pub fn sweep_nodes(
-    base: &Knobs,
-    d: &Demands,
-    nodes: &[usize],
-) -> Vec<(usize, MppMetrics, MppMetrics)> {
-    nodes
-        .iter()
-        .map(|&n| {
-            let k = Knobs { nodes: n, ..*base };
-            (
-                n,
-                mpp_metrics(&k, d, Forwarding::Direct),
-                mpp_metrics(&k, d, Forwarding::BinaryTree),
-            )
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -219,22 +177,26 @@ mod tests {
     #[test]
     fn period_sweep_monotone_in_overhead() {
         let d = demands();
-        let s = sweep_period(&base(), &d, &[1.0, 4.0, 16.0, 64.0]);
-        for w in s.windows(2) {
+        for fwd in [Forwarding::Direct, Forwarding::BinaryTree] {
+            let u: Vec<f64> = [1.0, 4.0, 16.0, 64.0]
+                .iter()
+                .map(|ms| {
+                    let k = Knobs { sampling_period_s: ms * 1e-3, ..base() };
+                    mpp_metrics(&k, &d, fwd).pd_cpu_util
+                })
+                .collect();
             // Longer period -> lower overhead, both configurations.
-            assert!(w[1].1.pd_cpu_util <= w[0].1.pd_cpu_util);
-            assert!(w[1].2.pd_cpu_util <= w[0].2.pd_cpu_util);
+            assert!(u.windows(2).all(|w| w[1] <= w[0]), "{fwd:?}: {u:?}");
         }
     }
 
     #[test]
     fn node_sweep_direct_daemon_flat_tree_grows() {
         let d = demands();
-        let s = sweep_nodes(&base(), &d, &[2, 16, 128, 256]);
-        let first_direct = s[0].1.pd_cpu_util;
-        let last_direct = s.last().unwrap().1.pd_cpu_util;
-        assert!((first_direct - last_direct).abs() < 1e-12);
+        let at = |nodes, fwd| mpp_metrics(&Knobs { nodes, ..base() }, &d, fwd).pd_cpu_util;
+        let (direct_2, direct_256) = (at(2, Forwarding::Direct), at(256, Forwarding::Direct));
+        assert!((direct_2 - direct_256).abs() < 1e-12);
         // Tree per-node overhead rises toward the 2-children asymptote.
-        assert!(s.last().unwrap().2.pd_cpu_util > s[0].2.pd_cpu_util);
+        assert!(at(256, Forwarding::BinaryTree) > at(2, Forwarding::BinaryTree));
     }
 }

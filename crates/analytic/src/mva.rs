@@ -78,6 +78,7 @@ pub fn mva(centers: &[Center], n: usize) -> MvaSolution {
 
 /// The application-workload closed model of the paper: one CPU center and
 /// one network center per node, `n_app` customers. Returns CPU utilization.
+// lint:allow(dead-pub): tests/simulation_vs_analytic.rs checks the simulator against it
 pub fn app_cpu_utilization_mva(cpu_demand_s: f64, net_demand_s: f64, n_app: usize) -> f64 {
     let sol = mva(
         &[Center::Queueing(cpu_demand_s), Center::Queueing(net_demand_s)],

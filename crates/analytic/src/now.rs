@@ -47,47 +47,6 @@ pub fn now_metrics(k: &Knobs, d: &Demands) -> NowMetrics {
     }
 }
 
-/// Series helper: sweep the number of nodes (Figure 9a's x-axis).
-pub fn sweep_nodes(base: &Knobs, d: &Demands, nodes: &[usize]) -> Vec<(usize, NowMetrics)> {
-    nodes
-        .iter()
-        .map(|&n| {
-            let k = Knobs { nodes: n, ..*base };
-            (n, now_metrics(&k, d))
-        })
-        .collect()
-}
-
-/// Series helper: sweep the sampling period in ms (Figure 9b).
-pub fn sweep_period(base: &Knobs, d: &Demands, periods_ms: &[f64]) -> Vec<(f64, NowMetrics)> {
-    periods_ms
-        .iter()
-        .map(|&ms| {
-            let k = Knobs {
-                sampling_period_s: ms * 1e-3,
-                ..*base
-            };
-            (ms, now_metrics(&k, d))
-        })
-        .collect()
-}
-
-/// Series helper: sweep the batch size (Figure 10). `demands` is
-/// re-evaluated per batch so the marginal-cost ablation works.
-pub fn sweep_batch(
-    base: &Knobs,
-    demands_of: impl Fn(usize) -> Demands,
-    batches: &[usize],
-) -> Vec<(usize, NowMetrics)> {
-    batches
-        .iter()
-        .map(|&b| {
-            let k = Knobs { batch: b, ..*base };
-            (b, now_metrics(&k, &demands_of(b)))
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -153,12 +112,13 @@ mod tests {
     #[test]
     fn node_sweep_grows_network_and_main_util_only() {
         let d = demands();
-        let s = sweep_nodes(&Knobs::default(), &d, &[2, 8, 32]);
+        let at = |nodes| now_metrics(&Knobs { nodes, ..Default::default() }, &d);
+        let (few, many) = (at(2), at(32));
         // Pd CPU per node independent of n.
-        assert!((s[0].1.pd_cpu_util - s[2].1.pd_cpu_util).abs() < 1e-12);
+        assert!((few.pd_cpu_util - many.pd_cpu_util).abs() < 1e-12);
         // Network and main-process utilizations grow with n.
-        assert!(s[2].1.pd_net_util > s[0].1.pd_net_util);
-        assert!(s[2].1.main_cpu_util > s[0].1.main_cpu_util);
+        assert!(many.pd_net_util > few.pd_net_util);
+        assert!(many.main_cpu_util > few.main_cpu_util);
     }
 
     #[test]
@@ -170,12 +130,13 @@ mod tests {
             sampling_period_s: 0.001,
             ..Default::default()
         };
-        let s = sweep_batch(
-            &base,
-            |b| Demands::from_params(&p, b, true),
-            &[1, 8, 64, 128],
-        );
-        let u: Vec<f64> = s.iter().map(|(_, m)| m.pd_cpu_util).collect();
+        let u: Vec<f64> = [1, 8, 64, 128]
+            .iter()
+            .map(|&batch| {
+                let k = Knobs { batch, ..base };
+                now_metrics(&k, &Demands::from_params(&p, batch, true)).pd_cpu_util
+            })
+            .collect();
         let gain_1_8 = u[0] / u[1];
         let gain_64_128 = u[2] / u[3];
         assert!(gain_1_8 > 2.0, "gain_1_8={gain_1_8}");

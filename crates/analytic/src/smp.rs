@@ -60,58 +60,6 @@ pub fn smp_metrics(k: &Knobs, d: &Demands) -> SmpMetrics {
     }
 }
 
-/// Sweep the sampling period (ms) for a set of daemon counts —
-/// the Figure 12 family of curves.
-pub fn sweep_period_by_pds(
-    base: &Knobs,
-    d: &Demands,
-    periods_ms: &[f64],
-    pds: &[usize],
-) -> Vec<(usize, Vec<(f64, SmpMetrics)>)> {
-    pds.iter()
-        .map(|&p| {
-            let series = periods_ms
-                .iter()
-                .map(|&ms| {
-                    let k = Knobs {
-                        sampling_period_s: ms * 1e-3,
-                        pds: p,
-                        ..*base
-                    };
-                    (ms, smp_metrics(&k, d))
-                })
-                .collect();
-            (p, series)
-        })
-        .collect()
-}
-
-/// Sweep the application-process count for a set of daemon counts —
-/// Figure 13.
-pub fn sweep_apps_by_pds(
-    base: &Knobs,
-    d: &Demands,
-    apps: &[usize],
-    pds: &[usize],
-) -> Vec<(usize, Vec<(usize, SmpMetrics)>)> {
-    pds.iter()
-        .map(|&p| {
-            let series = apps
-                .iter()
-                .map(|&a| {
-                    let k = Knobs {
-                        apps_per_node: a,
-                        pds: p,
-                        ..*base
-                    };
-                    (a, smp_metrics(&k, d))
-                })
-                .collect();
-            (p, series)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -189,19 +137,14 @@ mod tests {
     #[test]
     fn sweep_shapes() {
         let d = demands();
-        let fam = sweep_period_by_pds(&base(), &d, &[1.0, 10.0, 40.0, 64.0], &[1, 2, 3, 4]);
-        assert_eq!(fam.len(), 4);
-        for (_, series) in &fam {
-            // IS utilization decreases with longer sampling period.
-            let first = series.first().unwrap().1.is_cpu_util;
-            let last = series.last().unwrap().1.is_cpu_util;
-            assert!(first >= last);
-        }
-        let fam = sweep_apps_by_pds(&base(), &d, &[1, 2, 4, 6], &[1, 4]);
-        for (_, series) in &fam {
-            let first = series.first().unwrap().1.is_cpu_util;
-            let last = series.last().unwrap().1.is_cpu_util;
-            assert!(last >= first);
+        let is_util = |k: Knobs| smp_metrics(&k, &d).is_cpu_util;
+        for pds in 1..=4 {
+            // IS utilization decreases with longer sampling period…
+            let at_period = |ms: f64| is_util(Knobs { sampling_period_s: ms * 1e-3, pds, ..base() });
+            assert!(at_period(1.0) >= at_period(64.0), "pds={pds}");
+            // …and grows with the application count.
+            let at_apps = |apps_per_node| is_util(Knobs { apps_per_node, pds, ..base() });
+            assert!(at_apps(6) >= at_apps(1), "pds={pds}");
         }
     }
 }

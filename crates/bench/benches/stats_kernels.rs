@@ -1,9 +1,9 @@
-//! Statistics-substrate benchmarks: sampling, fitting, K-S, PCA, and
+//! Statistics-substrate benchmarks: sampling, fitting, K-S, and
 //! factorial analysis throughput.
 
 use paradyn_bench::timing::Group;
 use paradyn_stats::{
-    best_fit, fit_lognormal, fit_weibull, ks_statistic, pca, Design2kr, Rv, SplitMix64,
+    best_fit, fit_lognormal, fit_weibull, ks_statistic, Design2kr, Rv, SplitMix64,
 };
 
 fn draws(rv: Rv, n: usize) -> Vec<f64> {
@@ -32,11 +32,6 @@ fn main() {
     let fitted = fit_lognormal(&xs);
     g.bench_function("ks_statistic_10k", || ks_statistic(&xs, &fitted));
     g.bench_function("best_fit_10k", || best_fit(&xs));
-
-    let rows: Vec<Vec<f64>> = (0..1000)
-        .map(|i| (0..5).map(|j| ((i * 31 + j * 17) % 97) as f64).collect())
-        .collect();
-    g.bench_function("pca_5d_1000", || pca(&rows).explained[0]);
 
     g.bench_with_setup(
         "factorial_2k4_r50",

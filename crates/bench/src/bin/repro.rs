@@ -10,7 +10,7 @@
 //! With `--csv DIR`, every printed table is also written to
 //! `DIR/<artifact>_<n>.csv` for plotting.
 
-use paradyn_bench::{run_artifact, Scale, ARTIFACTS};
+use paradyn_bench::{run_artifact, Scale, Shared, ARTIFACTS};
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
@@ -107,10 +107,12 @@ fn main() -> ExitCode {
         "# paradyn-isim reproduction | scale: reps={} sim={}s/{}s testbed={:?} seed={:#x}",
         scale.reps, scale.sim_s, scale.sim_big_s, scale.testbed, scale.seed
     );
+    // One per process: artifacts that share an experiment run it once.
+    let mut shared = Shared::new(scale);
     for id in &ids {
         let t0 = std::time::Instant::now();
         paradyn_bench::fmt::set_csv_output(csv_dir.clone(), id);
-        let known = run_artifact(id, &scale);
+        let known = run_artifact(id, &mut shared);
         paradyn_bench::fmt::set_csv_output(None, "");
         if !known {
             eprintln!("unknown artifact {id:?} (try `repro list`)");

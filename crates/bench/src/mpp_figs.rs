@@ -45,10 +45,9 @@ pub fn mpp_factorial(scale: &Scale) -> FactorialRun {
     )
 }
 
-/// Reproduce Table 6.
-pub fn run_table6(scale: &Scale) {
+/// Reproduce Table 6 from the MPP factorial.
+pub fn run_table6(fr: &FactorialRun) {
     heading("Table 6: 2^k r factorial simulation results — MPP");
-    let fr = mpp_factorial(scale);
     let mut t = TextTable::new(vec![
         "nodes",
         "period ms",
@@ -70,10 +69,9 @@ pub fn run_table6(scale: &Scale) {
     t.print();
 }
 
-/// Reproduce Figure 25: allocation of variation for the MPP design.
-pub fn run_fig25(scale: &Scale) {
+/// Reproduce Figure 25 from the MPP factorial: allocation of variation.
+pub fn run_fig25(fr: &FactorialRun) {
     heading("Figure 25: allocation of variation — MPP");
-    let fr = mpp_factorial(scale);
     print_variation("variation explained for Pd CPU time", &fr.overhead);
     print_variation("variation explained for monitoring latency", &fr.latency);
     println!("paper: Pd CPU time led by B (period, 21%) and C (policy, 19%);");

@@ -39,10 +39,9 @@ pub fn now_factorial(scale: &Scale) -> FactorialRun {
     )
 }
 
-/// Reproduce Table 4: the 2^4·r NOW simulation results.
-pub fn run_table4(scale: &Scale) {
+/// Reproduce Table 4 from the NOW factorial: the 2^4·r simulation results.
+pub fn run_table4(fr: &FactorialRun, scale: &Scale) {
     heading("Table 4: 2^k r factorial simulation results — NOW");
-    let fr = now_factorial(scale);
     let mut t = TextTable::new(vec![
         "period ms",
         "nodes",
@@ -68,10 +67,9 @@ pub fn run_table4(scale: &Scale) {
     );
 }
 
-/// Reproduce Figure 16: allocation of variation for the NOW design.
-pub fn run_fig16(scale: &Scale) {
+/// Reproduce Figure 16 from the NOW factorial: allocation of variation.
+pub fn run_fig16(fr: &FactorialRun) {
     heading("Figure 16: allocation of variation — NOW");
-    let fr = now_factorial(scale);
     print_variation("variation explained for Pd CPU time", &fr.overhead);
     print_variation("variation explained for monitoring latency", &fr.latency);
     println!("paper: Pd CPU time dominated by B (sampling period, 68%) then C (policy, 19%);");

@@ -7,9 +7,7 @@
 //! to a serial execution.
 
 use crate::scale::Scale;
-use paradyn_core::{
-    default_threads, replication_seed, run_forked, run_many, SimConfig, SimMetrics,
-};
+use paradyn_core::{default_threads, replication_seed, run_many, SimConfig, SimMetrics};
 use paradyn_stats::Design2kr;
 
 /// The `scale.reps` seed-derived configurations for one base configuration.
@@ -27,21 +25,6 @@ fn replica_cfgs(cfg: &SimConfig, scale: &Scale) -> Vec<SimConfig> {
 /// the per-replication metrics (in replication order; runs in parallel).
 pub fn replicate(cfg: &SimConfig, scale: &Scale) -> Vec<SimMetrics> {
     run_many(&replica_cfgs(cfg, scale), default_threads())
-}
-
-/// [`replicate`] via checkpoint forking: warm **one** simulation of `cfg`
-/// (seeded from `scale.seed`) to `warmup_s`, snapshot it, and fork the
-/// `scale.reps` replications from that snapshot with per-replication
-/// stream perturbations — the warmup transient is simulated once instead
-/// of once per replication. Each fork is bit-identical to
-/// [`paradyn_core::run_perturbed_from_zero`] on the same configuration.
-pub fn replicate_forked(cfg: &SimConfig, scale: &Scale, warmup_s: f64) -> Vec<SimMetrics> {
-    let mut c = cfg.clone();
-    c.seed = scale.seed;
-    match run_forked(&c, warmup_s, scale.reps, default_threads()) {
-        Ok(runs) => runs,
-        Err(e) => panic!("forked replication failed: {e}"),
-    }
 }
 
 /// Mean of a metric across replications (non-finite values dropped).
@@ -87,66 +70,26 @@ pub fn run_factorial(
         .flat_map(|bits| replica_cfgs(&cfg_of(bits), scale))
         .collect();
     let all_runs = run_many(&all_cfgs, default_threads());
-    for bits in 0..(1usize << k) {
-        let runs = &all_runs[bits * scale.reps..(bits + 1) * scale.reps];
-        record_cell(bits, runs, &overhead_of, &mut overhead, &mut latency, &mut rows);
-    }
-    FactorialRun {
-        overhead,
-        latency,
-        rows,
-    }
-}
-
-/// Fold one factorial cell's replication metrics into the designs and the
-/// results table.
-fn record_cell(
-    bits: usize,
-    runs: &[SimMetrics],
-    overhead_of: &impl Fn(&SimMetrics) -> f64,
-    overhead: &mut Design2kr,
-    latency: &mut Design2kr,
-    rows: &mut Vec<(usize, f64, f64)>,
-) {
-    let ov: Vec<f64> = runs.iter().map(overhead_of).collect();
-    let lat: Vec<f64> = runs
-        .iter()
-        .map(|m| {
-            let l = m.fwd_latency_mean_s * 1e3;
-            if l.is_finite() {
-                l
-            } else {
-                0.0
-            }
-        })
-        .collect();
-    rows.push((
-        bits,
-        ov.iter().sum::<f64>() / ov.len() as f64,
-        lat.iter().sum::<f64>() / lat.len() as f64,
-    ));
-    overhead.set_responses(bits, ov);
-    latency.set_responses(bits, lat);
-}
-
-/// [`run_factorial`] via checkpoint forking: every 2^k cell warms a single
-/// simulation to `warmup_s` and forks its `scale.reps` replications from
-/// that snapshot (see [`replicate_forked`]), so each cell's warmup
-/// transient is simulated once instead of `reps` times.
-pub fn run_factorial_forked(
-    factor_names: Vec<&str>,
-    cfg_of: impl Fn(usize) -> SimConfig,
-    overhead_of: impl Fn(&SimMetrics) -> f64,
-    scale: &Scale,
-    warmup_s: f64,
-) -> FactorialRun {
-    let k = factor_names.len();
-    let mut overhead = Design2kr::new(factor_names.clone());
-    let mut latency = Design2kr::new(factor_names);
-    let mut rows = vec![];
-    for bits in 0..(1usize << k) {
-        let runs = replicate_forked(&cfg_of(bits), scale, warmup_s);
-        record_cell(bits, &runs, &overhead_of, &mut overhead, &mut latency, &mut rows);
+    for (bits, runs) in all_runs.chunks(scale.reps).enumerate() {
+        let ov: Vec<f64> = runs.iter().map(&overhead_of).collect();
+        let lat: Vec<f64> = runs
+            .iter()
+            .map(|m| {
+                let l = m.fwd_latency_mean_s * 1e3;
+                if l.is_finite() {
+                    l
+                } else {
+                    0.0
+                }
+            })
+            .collect();
+        rows.push((
+            bits,
+            ov.iter().sum::<f64>() / ov.len() as f64,
+            lat.iter().sum::<f64>() / lat.len() as f64,
+        ));
+        overhead.set_responses(bits, ov);
+        latency.set_responses(bits, lat);
     }
     FactorialRun {
         overhead,
@@ -196,52 +139,6 @@ mod tests {
         let runs = replicate(&cfg, &tiny());
         assert_eq!(runs.len(), 2);
         assert_ne!(runs[0].received_samples, runs[1].received_samples);
-    }
-
-    #[test]
-    fn forked_replications_match_from_zero_oracle() {
-        let scale = tiny();
-        let cfg = SimConfig {
-            arch: Arch::Now { contention_free: true },
-            nodes: 1,
-            duration_s: scale.sim_s,
-            ..Default::default()
-        };
-        let warmup_s = 0.25;
-        let forked = replicate_forked(&cfg, &scale, warmup_s);
-        assert_eq!(forked.len(), scale.reps);
-        assert_ne!(forked[0].received_samples, forked[1].received_samples);
-        let mut base = cfg.clone();
-        base.seed = scale.seed;
-        for (rep, m) in forked.iter().enumerate() {
-            let oracle = paradyn_core::run_perturbed_from_zero(&base, warmup_s, rep);
-            assert_eq!(m.events, oracle.events, "rep {rep}");
-            assert_eq!(m.received_samples, oracle.received_samples, "rep {rep}");
-            assert_eq!(
-                m.latency_mean_s.to_bits(),
-                oracle.latency_mean_s.to_bits(),
-                "rep {rep}"
-            );
-        }
-    }
-
-    #[test]
-    fn forked_factorial_covers_all_cells() {
-        let scale = tiny();
-        let fr = run_factorial_forked(
-            vec!["nodes"],
-            |bits| SimConfig {
-                arch: Arch::Now { contention_free: true },
-                nodes: if bits & 1 != 0 { 2 } else { 1 },
-                duration_s: scale.sim_s,
-                ..Default::default()
-            },
-            |m| m.pd_cpu_per_node_s,
-            &scale,
-            0.25,
-        );
-        assert_eq!(fr.rows.len(), 2);
-        assert!(fr.rows.iter().all(|&(_, ov, _)| ov.is_finite() && ov > 0.0));
     }
 
     #[test]

@@ -40,10 +40,9 @@ pub fn smp_factorial(scale: &Scale) -> FactorialRun {
     )
 }
 
-/// Reproduce Table 5.
-pub fn run_table5(scale: &Scale) {
+/// Reproduce Table 5 from the SMP factorial.
+pub fn run_table5(fr: &FactorialRun) {
     heading("Table 5: 2^k r factorial simulation results — SMP (apps = nodes)");
-    let fr = smp_factorial(scale);
     let mut t = TextTable::new(vec![
         "period ms",
         "nodes",
@@ -65,10 +64,9 @@ pub fn run_table5(scale: &Scale) {
     t.print();
 }
 
-/// Reproduce Figure 20: allocation of variation for the SMP design.
-pub fn run_fig20(scale: &Scale) {
+/// Reproduce Figure 20 from the SMP factorial: allocation of variation.
+pub fn run_fig20(fr: &FactorialRun) {
     heading("Figure 20: allocation of variation — SMP");
-    let fr = smp_factorial(scale);
     print_variation("variation explained for IS CPU time", &fr.overhead);
     print_variation("variation explained for monitoring latency", &fr.latency);
     println!("paper: IS CPU time led by A (nodes, 33%) then B (period); latency led by");

@@ -1,6 +1,8 @@
 //! Section 5 measurement experiments on the real threaded mini-IS:
 //! Figure 30 / Table 7 (policy vs sampling period) and Figure 31 / Table 8
-//! (policy vs application program).
+//! (policy vs application program). As in the paper, each table is the
+//! allocation of variation of its figure's own measurements: the table
+//! functions take the figure's grid and never run the testbed.
 
 use crate::fmt::{fnum, heading, pct, TextTable};
 use crate::scale::Scale;
@@ -38,11 +40,8 @@ pub fn fig30_grid(scale: &Scale) -> Vec<(Policy, u64, Measurement)> {
     out
 }
 
-/// Reproduce Figure 30: measured daemon and main-process CPU time under CF
-/// vs BF at two sampling periods.
-pub fn run_fig30(scale: &Scale) {
-    heading("Figure 30: measured CPU overhead, CF vs BF(32) (bt_like kernel)");
-    let grid = fig30_grid(scale);
+/// Figure 30's table: one row per measurement of the grid.
+fn fig30_table(grid: &[(Policy, u64, Measurement)]) -> TextTable {
     let mut t = TextTable::new(vec![
         "sampling period",
         "policy",
@@ -52,7 +51,7 @@ pub fn run_fig30(scale: &Scale) {
         "samples",
         "forward ops",
     ]);
-    for (policy, period, m) in &grid {
+    for (policy, period, m) in grid {
         t.row(vec![
             format!("{period} ms"),
             policy.label(),
@@ -63,7 +62,14 @@ pub fn run_fig30(scale: &Scale) {
             m.forward_ops.to_string(),
         ]);
     }
-    t.print();
+    t
+}
+
+/// Reproduce Figure 30 from its grid: measured daemon and main-process
+/// CPU time under CF vs BF at two sampling periods.
+pub fn run_fig30(grid: &[(Policy, u64, Measurement)]) {
+    heading("Figure 30: measured CPU overhead, CF vs BF(32) (bt_like kernel)");
+    fig30_table(grid).print();
     for period in [10u64, 30] {
         let cf = grid
             .iter()
@@ -86,14 +92,12 @@ pub fn run_fig30(scale: &Scale) {
     );
 }
 
-/// Reproduce Table 7: allocation of variation of scheduling policy vs
-/// sampling period, for daemon and main CPU times.
-pub fn run_table7(scale: &Scale) {
-    heading("Table 7: variation explained — policy (A) vs sampling period (B)");
-    let grid = fig30_grid(scale);
+/// Table 7 from Figure 30's grid: allocation of variation of scheduling
+/// policy vs sampling period, for daemon and main CPU times.
+fn table7_table(grid: &[(Policy, u64, Measurement)]) -> TextTable {
     let mut pd = Design2kr::new(vec!["scheduling policy", "sampling period"]);
     let mut main = Design2kr::new(vec!["scheduling policy", "sampling period"]);
-    for (policy, period, m) in &grid {
+    for (policy, period, m) in grid {
         let a = matches!(policy, Policy::Bf { .. }) as usize;
         let b = (*period == 30) as usize;
         let bits = a | (b << 1);
@@ -119,7 +123,13 @@ pub fn run_table7(scale: &Scale) {
             fnum(paper_main, 1),
         ]);
     }
-    t.print();
+    t
+}
+
+/// Reproduce Table 7 from Figure 30's grid.
+pub fn run_table7(grid: &[(Policy, u64, Measurement)]) {
+    heading("Table 7: variation explained — policy (A) vs sampling period (B)");
+    table7_table(grid).print();
     println!("paper conclusion: the scheduling policy dominates the IS overhead variation");
 }
 
@@ -135,11 +145,10 @@ pub fn fig31_grid(scale: &Scale) -> Vec<(Policy, KernelKind, Measurement)> {
     out
 }
 
-/// Reproduce Figure 31: normalized CPU occupancy per process, CF vs BF,
-/// for the two applications.
-pub fn run_fig31(scale: &Scale) {
+/// Reproduce Figure 31 from its grid: normalized CPU occupancy per
+/// process, CF vs BF, for the two applications.
+pub fn run_fig31(grid: &[(Policy, KernelKind, Measurement)]) {
     heading("Figure 31: normalized CPU occupancy, CF vs BF(32), 10 ms sampling");
-    let grid = fig31_grid(scale);
     let mut t = TextTable::new(vec![
         "application",
         "policy",
@@ -147,7 +156,7 @@ pub fn run_fig31(scale: &Scale) {
         "main normalized %",
         "app CPU (s)",
     ]);
-    for (policy, kernel, m) in &grid {
+    for (policy, kernel, m) in grid {
         t.row(vec![
             kernel.label().to_string(),
             policy.label(),
@@ -160,14 +169,12 @@ pub fn run_fig31(scale: &Scale) {
     println!("paper: the BF reduction is not significantly affected by the application");
 }
 
-/// Reproduce Table 8: allocation of variation of scheduling policy vs
-/// application program.
-pub fn run_table8(scale: &Scale) {
-    heading("Table 8: variation explained — policy (A) vs application (B)");
-    let grid = fig31_grid(scale);
+/// Table 8 from Figure 31's grid: allocation of variation of scheduling
+/// policy vs application program.
+fn table8_table(grid: &[(Policy, KernelKind, Measurement)]) -> TextTable {
     let mut pd = Design2kr::new(vec!["scheduling policy", "application program"]);
     let mut main = Design2kr::new(vec!["scheduling policy", "application program"]);
-    for (policy, kernel, m) in &grid {
+    for (policy, kernel, m) in grid {
         let a = matches!(policy, Policy::Bf { .. }) as usize;
         let b = (*kernel == KernelKind::Is) as usize;
         let bits = a | (b << 1);
@@ -192,6 +199,68 @@ pub fn run_table8(scale: &Scale) {
             fnum(paper_main, 1),
         ]);
     }
-    t.print();
+    t
+}
+
+/// Reproduce Table 8 from Figure 31's grid.
+pub fn run_table8(grid: &[(Policy, KernelKind, Measurement)]) {
+    heading("Table 8: variation explained — policy (A) vs application (B)");
+    table8_table(grid).print();
     println!("paper conclusion: the effect of the application program is negligible");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A measurement with the given daemon, main and application CPU (ms).
+    fn with_cpu(base: &Measurement, pd_ms: u64, main_ms: u64, app_ms: u64) -> Measurement {
+        Measurement {
+            pd_cpu: Duration::from_millis(pd_ms),
+            main_cpu: Duration::from_millis(main_ms),
+            app_cpu: Duration::from_millis(app_ms),
+            ..base.clone()
+        }
+    }
+
+    /// Column `col` of a rendered table's data rows.
+    fn column(t: &TextTable, col: usize) -> Vec<String> {
+        let csv = t.render_csv();
+        csv.lines()
+            .skip(1)
+            .map(|l| l.split(',').nth(col).unwrap_or_default().to_string())
+            .collect()
+    }
+
+    #[test]
+    fn tables_7_and_8_are_their_figures_own_grids() {
+        let scale = Scale {
+            testbed: Duration::from_millis(20),
+            ..Scale::quick()
+        };
+        let base = measure(Policy::Cf, Duration::from_millis(10), KernelKind::Bt, &scale);
+        let bf = Policy::Bf { batch: 32 };
+        // Figure 30's grid with a pure policy effect on daemon CPU and a
+        // pure period effect on main CPU.
+        let grid30 = vec![
+            (Policy::Cf, 10, with_cpu(&base, 40, 30, 1000)),
+            (bf, 10, with_cpu(&base, 10, 30, 1000)),
+            (Policy::Cf, 30, with_cpu(&base, 40, 10, 1000)),
+            (bf, 30, with_cpu(&base, 10, 10, 1000)),
+        ];
+        assert_eq!(column(&fig30_table(&grid30), 2), ["40.00", "10.00", "40.00", "10.00"]);
+        let t7 = table7_table(&grid30);
+        assert_eq!(column(&t7, 1), ["100.0", "0.0", "0.0"], "Pd: policy only");
+        assert_eq!(column(&t7, 2), ["0.0", "100.0", "0.0"], "main: period only");
+        // Figure 31's grid: the application changes nothing.
+        let grid31 = vec![
+            (Policy::Cf, KernelKind::Bt, with_cpu(&base, 300, 100, 700)),
+            (bf, KernelKind::Bt, with_cpu(&base, 100, 20, 900)),
+            (Policy::Cf, KernelKind::Is, with_cpu(&base, 300, 100, 700)),
+            (bf, KernelKind::Is, with_cpu(&base, 100, 20, 900)),
+        ];
+        let t8 = table8_table(&grid31);
+        assert_eq!(column(&t8, 1), ["100.0", "0.0", "0.0"]);
+        assert_eq!(column(&t8, 2), ["100.0", "0.0", "0.0"]);
+    }
 }

@@ -257,6 +257,7 @@ pub struct FaultPlan {
 
 impl FaultPlan {
     /// Whether the plan injects any fault or lossy policy at all.
+    // lint:allow(dead-pub): tests/snapshot_equivalence.rs asserts its fault plan is live
     pub fn is_active(&self) -> bool {
         self.overflow != OverflowPolicy::Block
             || self.daemon_crash.is_some()
@@ -351,11 +352,6 @@ impl Default for SimConfig {
 }
 
 impl SimConfig {
-    /// Whether the run uses the CF policy (batch size 1).
-    pub fn is_cf(&self) -> bool {
-        self.batch == 1
-    }
-
     /// Total application processes in the system.
     pub fn total_apps(&self) -> usize {
         match self.arch {
@@ -522,7 +518,7 @@ mod tests {
     fn default_is_valid_typical_case() {
         let c = SimConfig::default();
         c.validate().unwrap();
-        assert!(c.is_cf());
+        assert_eq!(c.batch, 1);
         assert_eq!(c.total_apps(), 8);
         assert_eq!(c.total_pds(), 8);
     }
@@ -589,7 +585,7 @@ mod tests {
             batch: 32,
             ..Default::default()
         };
-        assert!(!c.is_cf());
+        assert_ne!(c.batch, 1);
         c.validate().unwrap();
     }
 

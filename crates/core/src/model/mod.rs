@@ -509,7 +509,8 @@ impl RoccModel {
     /// samples buffered in the daemon FIFO plus its entries on daemon
     /// collect rosters (slots a collect cycle holds until it drains).
     /// Describes the first leaked or double-freed slot found, or returns
-    /// `None`.
+    /// `None`. Test-only: the model tests check it after every scenario.
+    #[cfg(test)]
     pub fn pipe_slot_violation(&self) -> Option<String> {
         let mut held = vec![0usize; self.apps.len()];
         let fifos = self.daemons.fifo.iter().flatten().map(|&(_, app)| app);

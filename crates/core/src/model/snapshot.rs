@@ -428,6 +428,7 @@ pub fn warm_snapshot(
 ///
 /// # Panics
 /// Panics on an invalid configuration (see [`SimConfig::validate`]).
+// lint:allow(dead-pub): tests/snapshot_equivalence.rs forks with explicit salts
 pub fn fork_n(
     cfg: &SimConfig,
     snapshot: &[u8],

@@ -179,6 +179,7 @@ impl Pipe {
     }
 
     /// Whether the pipe is at capacity.
+    // lint:allow(dead-pub): the pipe model property in tests/properties.rs
     pub fn is_full(&self) -> bool {
         self.occupied >= self.capacity
     }

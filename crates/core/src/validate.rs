@@ -113,7 +113,7 @@ mod tests {
         let c = validation_config();
         assert_eq!(c.nodes, 1);
         assert_eq!(c.apps_per_node, 1);
-        assert!(c.is_cf());
+        assert_eq!(c.batch, 1);
         assert_eq!(c.duration_s, 100.0);
     }
 }

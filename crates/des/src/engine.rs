@@ -150,6 +150,7 @@ impl<E> Ctx<E> {
     }
 
     /// Number of events pending in the calendar.
+    // lint:allow(dead-pub): simbench's ledger (pending_peak); tests/calendar_diff.rs
     pub fn pending_events(&self) -> usize {
         self.calendar.live()
     }

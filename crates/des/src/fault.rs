@@ -2,8 +2,8 @@
 //!
 //! A [`FaultSchedule`] turns a dedicated random stream into an alternating
 //! up/down renewal process: exponentially distributed time-to-failure
-//! (mean `mtbf_us`) followed by a recovery delay (mean `recovery_us`,
-//! optionally exponential). Because the draws come from the element's own
+//! (mean `mtbf_us`) followed by a fixed recovery delay (`recovery_us`).
+//! Because the draws come from the element's own
 //! [`StreamRng`], the fault event stream is a pure function of
 //! `(master seed, element id)` — adding faults to one element never
 //! perturbs another element's randomness, and replicated runs stay
@@ -21,7 +21,6 @@ pub struct FaultSchedule {
     rng: StreamRng,
     mtbf_us: f64,
     recovery_us: f64,
-    jittered_recovery: bool,
 }
 
 impl FaultSchedule {
@@ -37,40 +36,22 @@ impl FaultSchedule {
             rng,
             mtbf_us,
             recovery_us,
-            jittered_recovery: false,
         }
     }
 
-    /// Draw recovery delays from an exponential of mean `recovery_us`
-    /// instead of using the fixed value.
-    pub fn with_jittered_recovery(mut self) -> Self {
-        self.jittered_recovery = true;
-        self
-    }
-
-    /// Exponential draw with the given mean.
-    fn exp_us(&mut self, mean_us: f64) -> f64 {
-        -mean_us * self.rng.next_f64_open().ln()
-    }
-
-    /// Time from now (or from the last recovery) until the next failure.
+    /// Time from now (or from the last recovery) until the next failure:
+    /// an exponential draw of mean `mtbf_us`.
     pub fn time_to_failure(&mut self) -> SimDur {
-        let us = self.exp_us(self.mtbf_us);
-        SimDur::from_micros_f64(us)
+        SimDur::from_micros_f64(-self.mtbf_us * self.rng.next_f64_open().ln())
     }
 
     /// How long the element stays down once it has failed.
-    pub fn recovery_delay(&mut self) -> SimDur {
-        let us = if self.jittered_recovery {
-            self.exp_us(self.recovery_us)
-        } else {
-            self.recovery_us
-        };
-        SimDur::from_micros_f64(us)
+    pub fn recovery_delay(&self) -> SimDur {
+        SimDur::from_micros_f64(self.recovery_us)
     }
 
     /// Deterministically perturb the underlying stream (snapshot forking —
-    /// see [`StreamRng::perturb`]). The means and recovery mode are left
+    /// see [`StreamRng::perturb`]). The means are left
     /// untouched: forks vary randomness, never configuration.
     pub fn perturb(&mut self, salt: u64) {
         self.rng.perturb(salt);
@@ -82,13 +63,11 @@ impl crate::snapshot::Persist for FaultSchedule {
         self.rng.save(w);
         w.put_f64(self.mtbf_us);
         w.put_f64(self.recovery_us);
-        w.put_bool(self.jittered_recovery);
     }
     fn load(r: &mut crate::snapshot::Dec<'_>) -> Result<Self, crate::snapshot::SnapError> {
         let rng = crate::snapshot::Persist::load(r)?;
         let mtbf_us = r.take_f64()?;
         let recovery_us = r.take_f64()?;
-        let jittered_recovery = r.take_bool()?;
         // Re-validate what `new` asserts, without panicking on bad bytes.
         if !(mtbf_us.is_finite() && mtbf_us > 0.0 && recovery_us.is_finite() && recovery_us > 0.0)
         {
@@ -100,7 +79,6 @@ impl crate::snapshot::Persist for FaultSchedule {
             rng,
             mtbf_us,
             recovery_us,
-            jittered_recovery,
         })
     }
 }
@@ -138,14 +116,10 @@ mod tests {
     }
 
     #[test]
-    fn fixed_recovery_is_exact_jittered_is_not() {
-        let mut fixed = FaultSchedule::new(rng(3), 1e6, 25_000.0);
+    fn fixed_recovery_is_exact() {
+        let fixed = FaultSchedule::new(rng(3), 1e6, 25_000.0);
         assert_eq!(fixed.recovery_delay(), SimDur::from_micros_f64(25_000.0));
         assert_eq!(fixed.recovery_delay(), SimDur::from_micros_f64(25_000.0));
-        let mut jit = FaultSchedule::new(rng(3), 1e6, 25_000.0).with_jittered_recovery();
-        let a = jit.recovery_delay();
-        let b = jit.recovery_delay();
-        assert_ne!(a, b, "jittered recovery must vary");
     }
 
     #[test]

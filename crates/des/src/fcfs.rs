@@ -91,6 +91,7 @@ impl<J> FcfsServer<J> {
     }
 
     /// Whether a service is in progress.
+    // lint:allow(dead-pub): the FCFS property in tests/properties.rs
     pub fn is_busy(&self) -> bool {
         self.current.is_some()
     }
@@ -102,6 +103,7 @@ impl<J> FcfsServer<J> {
 
     /// Total busy time credited so far (includes the in-progress service in
     /// full at its start).
+    // lint:allow(dead-pub): the FCFS property in tests/properties.rs
     pub fn busy_total(&self) -> SimDur {
         self.busy.total()
     }

@@ -5,9 +5,9 @@
 //! a deterministic, monomorphic event calendar ([`engine`], backed by the
 //! one-level hashed timing wheel in [`calendar`]), an integer nanosecond clock
 //! ([`time`]), reproducible independent random streams ([`rng`]),
-//! statistics monitors ([`monitor`]), and reusable resource state machines
-//! — an FCFS single server ([`fcfs`]) and a round-robin quantum CPU bank
-//! ([`rr`]).
+//! run monitors of busy time and fault cost ([`monitor`]), and reusable
+//! resource state machines — an FCFS single server ([`fcfs`]) and a
+//! round-robin quantum CPU bank ([`rr`]).
 //!
 //! Design choices (see DESIGN.md §5):
 //! * **Integer time** — exact event ordering, bit-reproducible runs.
@@ -61,7 +61,7 @@ pub use calendar::{CalendarKind, CalendarStats};
 pub use engine::{Ctx, Model, Sim};
 pub use fault::FaultSchedule;
 pub use fcfs::{FcfsServer, Offer};
-pub use monitor::{BusyTime, Counter, FaultMonitor, Tally, TimeWeighted};
+pub use monitor::{BusyTime, FaultMonitor};
 pub use rng::{StreamRng, Streams};
 pub use rr::{RrCpuBank, SliceEnd, Submit};
 pub use snapshot::{

@@ -1,124 +1,7 @@
-//! Statistics monitors for observation-based and time-weighted measures.
+//! Run monitors: resource busy time and the observable cost of faults.
 
 use crate::snapshot::{Dec, Enc, Persist, SnapError};
 use crate::time::{SimDur, SimTime};
-
-/// Welford online tally of an observation-based statistic (e.g. per-sample
-/// monitoring latency).
-#[derive(Clone, Debug, Default)]
-pub struct Tally {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Tally {
-    /// Fresh, empty tally.
-    pub fn new() -> Self {
-        Tally {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Record one observation.
-    #[inline]
-    pub fn record(&mut self, x: f64) {
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Sample mean (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Unbiased sample variance (0 with fewer than two observations).
-    pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / (self.n - 1) as f64
-        }
-    }
-
-    /// Sample standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest observation (`None` when empty).
-    pub fn min(&self) -> Option<f64> {
-        (self.n > 0).then_some(self.min)
-    }
-
-    /// Largest observation (`None` when empty).
-    pub fn max(&self) -> Option<f64> {
-        (self.n > 0).then_some(self.max)
-    }
-
-    /// Sum of all observations.
-    pub fn sum(&self) -> f64 {
-        self.mean() * self.n as f64
-    }
-
-    /// Merge another tally into this one (parallel-friendly combination).
-    pub fn merge(&mut self, other: &Tally) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.n as f64;
-        let n2 = other.n as f64;
-        let delta = other.mean - self.mean;
-        let n = n1 + n2;
-        self.mean += delta * n2 / n;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / n;
-        self.n += other.n;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
-
-impl Persist for Tally {
-    fn save(&self, w: &mut Enc) {
-        w.put_u64(self.n);
-        w.put_f64(self.mean);
-        w.put_f64(self.m2);
-        w.put_f64(self.min);
-        w.put_f64(self.max);
-    }
-    fn load(r: &mut Dec<'_>) -> Result<Self, SnapError> {
-        Ok(Tally {
-            n: r.take_u64()?,
-            mean: r.take_f64()?,
-            m2: r.take_f64()?,
-            min: r.take_f64()?,
-            max: r.take_f64()?,
-        })
-    }
-}
 
 /// Accumulator of resource busy time, yielding utilization over an interval.
 #[derive(Clone, Copy, Debug, Default)]
@@ -161,98 +44,6 @@ impl Persist for BusyTime {
         Ok(BusyTime {
             total_ns: r.take_u64()?,
         })
-    }
-}
-
-/// Piecewise-constant time-weighted statistic (e.g. queue length over time).
-#[derive(Clone, Copy, Debug)]
-pub struct TimeWeighted {
-    last_t: SimTime,
-    last_v: f64,
-    integral: f64,
-    max: f64,
-}
-
-impl TimeWeighted {
-    /// Start tracking at `t0` with initial value `v0`.
-    pub fn new(t0: SimTime, v0: f64) -> Self {
-        TimeWeighted {
-            last_t: t0,
-            last_v: v0,
-            integral: 0.0,
-            max: v0,
-        }
-    }
-
-    /// Record that the tracked value becomes `v` at time `t`.
-    pub fn set(&mut self, t: SimTime, v: f64) {
-        debug_assert!(t >= self.last_t);
-        self.integral += self.last_v * (t - self.last_t).as_secs_f64();
-        self.last_t = t;
-        self.last_v = v;
-        self.max = self.max.max(v);
-    }
-
-    /// Current value.
-    pub fn value(&self) -> f64 {
-        self.last_v
-    }
-
-    /// Largest value seen.
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-
-    /// Time-average of the value over `[t0, t]`, where `t0` is the
-    /// construction instant. Flushes the final segment up to `t`.
-    pub fn time_average(&mut self, t0: SimTime, t: SimTime) -> f64 {
-        self.set(t, self.last_v);
-        let span = (t - t0).as_secs_f64();
-        if span <= 0.0 {
-            self.last_v
-        } else {
-            self.integral / span
-        }
-    }
-}
-
-/// Monotone event counter with rate helper.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Counter {
-    n: u64,
-}
-
-impl Counter {
-    /// Fresh counter.
-    pub fn new() -> Self {
-        Counter { n: 0 }
-    }
-
-    /// Increment by one.
-    #[inline]
-    pub fn inc(&mut self) {
-        self.n += 1;
-    }
-
-    /// Increment by `k`.
-    #[inline]
-    pub fn add(&mut self, k: u64) {
-        self.n += k;
-    }
-
-    /// Current count.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Events per second over `span`.
-    pub fn rate(&self, span: SimDur) -> f64 {
-        let s = span.as_secs_f64();
-        if s <= 0.0 {
-            0.0
-        } else {
-            self.n as f64 / s
-        }
     }
 }
 
@@ -305,11 +96,6 @@ impl FaultMonitor {
         self.retries += 1;
     }
 
-    /// Whether the element is currently down.
-    pub fn is_down(&self) -> bool {
-        self.down_since.is_some()
-    }
-
     /// Number of crashes recorded.
     pub fn crashes(&self) -> u64 {
         self.crashes
@@ -359,52 +145,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn tally_basic_moments() {
-        let mut t = Tally::new();
-        for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            t.record(x);
-        }
-        assert_eq!(t.count(), 8);
-        assert!((t.mean() - 5.0).abs() < 1e-12);
-        // Unbiased variance of this classic data set is 32/7.
-        assert!((t.variance() - 32.0 / 7.0).abs() < 1e-12);
-        assert_eq!(t.min(), Some(2.0));
-        assert_eq!(t.max(), Some(9.0));
-        assert!((t.sum() - 40.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn tally_empty_is_sane() {
-        let t = Tally::new();
-        assert_eq!(t.count(), 0);
-        assert_eq!(t.mean(), 0.0);
-        assert_eq!(t.variance(), 0.0);
-        assert_eq!(t.min(), None);
-    }
-
-    #[test]
-    fn tally_merge_matches_bulk() {
-        let data: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0 + 3.0).collect();
-        let mut bulk = Tally::new();
-        for &x in &data {
-            bulk.record(x);
-        }
-        let mut a = Tally::new();
-        let mut b = Tally::new();
-        for (i, &x) in data.iter().enumerate() {
-            if i % 3 == 0 {
-                a.record(x);
-            } else {
-                b.record(x);
-            }
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), bulk.count());
-        assert!((a.mean() - bulk.mean()).abs() < 1e-9);
-        assert!((a.variance() - bulk.variance()).abs() < 1e-9);
-    }
-
-    #[test]
     fn busy_time_utilization() {
         let mut b = BusyTime::new();
         b.add(SimDur::from_secs_f64(0.25));
@@ -414,36 +154,13 @@ mod tests {
     }
 
     #[test]
-    fn time_weighted_average() {
-        let t0 = SimTime::ZERO;
-        let mut tw = TimeWeighted::new(t0, 0.0);
-        tw.set(SimTime::from_secs_f64(1.0), 2.0); // 0 for 1s
-        tw.set(SimTime::from_secs_f64(3.0), 1.0); // 2 for 2s
-        let avg = tw.time_average(t0, SimTime::from_secs_f64(4.0)); // 1 for 1s
-        assert!((avg - (0.0 + 4.0 + 1.0) / 4.0).abs() < 1e-12);
-        assert_eq!(tw.max(), 2.0);
-    }
-
-    #[test]
-    fn counter_rate() {
-        let mut c = Counter::new();
-        c.inc();
-        c.add(9);
-        assert_eq!(c.count(), 10);
-        assert!((c.rate(SimDur::from_secs_f64(2.0)) - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn fault_monitor_accumulates_closed_intervals() {
         let mut m = FaultMonitor::new();
-        assert!(!m.is_down());
         m.crash_at(SimTime::from_secs_f64(1.0));
-        assert!(m.is_down());
         m.recover_at(SimTime::from_secs_f64(1.5));
         m.crash_at(SimTime::from_secs_f64(3.0));
         m.recover_at(SimTime::from_secs_f64(3.25));
         assert_eq!(m.crashes(), 2);
-        assert!(!m.is_down());
         let d = m.downtime_at(SimTime::from_secs_f64(10.0));
         assert!((d.as_secs_f64() - 0.75).abs() < 1e-12);
     }

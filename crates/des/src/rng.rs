@@ -71,14 +71,6 @@ impl StreamRng {
         }
     }
 
-    /// Uniform integer in `[0, n)`.
-    #[inline]
-    pub fn next_below(&mut self, n: u64) -> u64 {
-        debug_assert!(n > 0);
-        // Multiply-shift rejection-free mapping is fine for simulation use.
-        ((self.next_u64() as u128 * n as u128) >> 64) as u64
-    }
-
     /// Deterministically perturb the stream state with `salt`: each state
     /// word is XORed with a successive SplitMix64 output of the salt. Used
     /// by snapshot forking to branch N decorrelated futures from one warmed
@@ -265,14 +257,6 @@ mod tests {
         let mut x = s.stream3(1, 2, 3);
         let mut y = s.stream3(1, 3, 2);
         assert_ne!(x.next_u64(), y.next_u64());
-    }
-
-    #[test]
-    fn next_below_in_range() {
-        let mut r = StreamRng::seed_from_u64(3);
-        for _ in 0..10_000 {
-            assert!(r.next_below(10) < 10);
-        }
     }
 
     #[test]

@@ -12,8 +12,6 @@ use std::ops::{Add, AddAssign, Sub};
 
 /// Number of nanoseconds in one microsecond.
 pub const NANOS_PER_MICRO: u64 = 1_000;
-/// Number of nanoseconds in one millisecond.
-pub const NANOS_PER_MILLI: u64 = 1_000_000;
 /// Number of nanoseconds in one second.
 pub const NANOS_PER_SEC: u64 = 1_000_000_000;
 
@@ -103,12 +101,6 @@ impl SimDur {
     #[inline]
     pub fn from_micros_f64(us: f64) -> Self {
         SimDur(micros_to_nanos(us))
-    }
-
-    /// Construct from milliseconds.
-    #[inline]
-    pub fn from_millis_f64(ms: f64) -> Self {
-        SimDur(micros_to_nanos(ms * 1_000.0))
     }
 
     /// Construct from seconds.
@@ -367,8 +359,7 @@ mod tests {
     }
 
     #[test]
-    fn millis_and_secs_constructors() {
-        assert_eq!(SimDur::from_millis_f64(40.0).as_nanos(), 40 * NANOS_PER_MILLI);
+    fn secs_constructors() {
         assert_eq!(SimDur::from_secs_f64(1.5).as_nanos(), 3 * NANOS_PER_SEC / 2);
         assert_eq!(SimTime::from_secs_f64(100.0).as_nanos(), 100 * NANOS_PER_SEC);
     }

@@ -314,17 +314,26 @@ pub fn run(opts: &Options) -> Result<Report, String> {
             .map_err(|e| format!("read {rel}: {e}"))?;
         files.push(SourceFile::parse(rel, text));
     }
+    let baseline_path = opts
+        .baseline
+        .clone()
+        .unwrap_or_else(|| opts.root.join("lint-baseline.txt"));
+    let baseline = parse_baseline(&baseline_path)?;
+    Ok(lint_files(&files, &crate_names, &baseline))
+}
 
+/// The full pass over the lexed files of a whole workspace.
+fn lint_files(files: &[SourceFile], crate_names: &[String], baseline: &[BaselineEntry]) -> Report {
     // Pass A: collect the stream-id registry from every file.
     let mut registry: Vec<StreamIdEntry> = vec![];
-    for f in &files {
+    for f in files {
         registry.extend(rules::collect_stream_registry(f));
     }
 
     // Pass B: the item model, the workspace consistency passes (strict —
     // a renamed anchor turns the gate red), and the per-file rules, with
     // suppression filtering applied to both finding sources.
-    let ws = Workspace::build(&files);
+    let ws = Workspace::build(files);
     let pass_out = passes::run_workspace_passes(&ws, true);
     let mut used: Vec<Vec<bool>> = files.iter().map(|f| vec![false; f.allows.len()]).collect();
     for &(fi, ai) in &pass_out.consumed {
@@ -362,7 +371,7 @@ pub fn run(opts: &Options) -> Result<Report, String> {
     }
     for (fi, f) in files.iter().enumerate() {
         let local_items = ws.declared_names(fi);
-        let raw = rules::run_file_rules(f, &registry, &crate_names, &local_items);
+        let raw = rules::run_file_rules(f, &registry, crate_names, &local_items);
         for finding in raw {
             suppress(fi, finding, &mut used, &mut suppressed, &mut active);
         }
@@ -412,13 +421,8 @@ pub fn run(opts: &Options) -> Result<Report, String> {
     }
 
     // Pass C: the baseline ratchet.
-    let baseline_path = opts
-        .baseline
-        .clone()
-        .unwrap_or_else(|| opts.root.join("lint-baseline.txt"));
-    let baseline = parse_baseline(&baseline_path)?;
     let mut baselined = vec![];
-    for entry in &baseline {
+    for entry in baseline {
         if entry.justification.is_empty() {
             active.push(Finding {
                 rule: "baseline",
@@ -479,19 +483,20 @@ pub fn run(opts: &Options) -> Result<Report, String> {
     active.sort_by(|a, b| {
         (a.path.as_str(), a.line, a.col, a.rule).cmp(&(b.path.as_str(), b.line, b.col, b.rule))
     });
-    Ok(Report {
+    Report {
         findings: active,
         suppressed,
         baselined,
         files_scanned: files.len(),
         stream_registry: registry,
-    })
+    }
 }
 
 /// Lint a single in-memory source file (no baseline, no suppression, no
 /// cross-file rules except registry collisions within the same file; the
 /// workspace passes run non-strict, so missing anchors do not fire). Used
 /// by tests and by the seeded-violation self-checks.
+// lint:allow(dead-pub): the seeded-violation checks of tests/lint_clean.rs
 pub fn lint_source(rel: &str, text: &str, crate_names: &[String]) -> Vec<Finding> {
     let files = vec![SourceFile::parse(rel, text.to_string())];
     let ws = Workspace::build(&files);
@@ -522,6 +527,51 @@ mod tests {
         assert_eq!(hits[0].rule, "wall-clock");
         // The same code in bench is fine.
         assert!(lint_source("crates/bench/src/lib.rs", bad, &names).is_empty());
+    }
+
+    /// Findings of `rule` over an in-memory workspace, as `(path, line)`.
+    fn workspace_findings(specs: &[(&str, &str)], rule: &str) -> Vec<(String, u32)> {
+        let files: Vec<SourceFile> = specs
+            .iter()
+            .map(|(rel, src)| SourceFile::parse(rel, src.to_string()))
+            .collect();
+        let report = lint_files(&files, &["paradyn_a".to_string()], &[]);
+        report
+            .findings
+            .iter()
+            .filter(|f| f.rule == rule)
+            .map(|f| (f.path.clone(), f.line))
+            .collect()
+    }
+
+    #[test]
+    fn justified_dead_pub_allow_suppresses_the_finding() {
+        let bare = "pub fn for_tests() {}\n";
+        assert_eq!(
+            workspace_findings(&[("crates/a/src/lib.rs", bare)], "dead-pub"),
+            [("crates/a/src/lib.rs".to_string(), 1)]
+        );
+        let allowed = "// lint:allow(dead-pub): tests/t.rs drives it\npub fn for_tests() {}\n";
+        let specs = [("crates/a/src/lib.rs", allowed)];
+        assert!(workspace_findings(&specs, "dead-pub").is_empty());
+        assert!(workspace_findings(&specs, "suppression").is_empty());
+        // Without a justification the allow is itself a finding.
+        let unjustified = "// lint:allow(dead-pub)\npub fn for_tests() {}\n";
+        assert_eq!(
+            workspace_findings(&[("crates/a/src/lib.rs", unjustified)], "suppression").len(),
+            1
+        );
+    }
+
+    #[test]
+    fn stale_dead_pub_allow_is_flagged() {
+        let src = "// lint:allow(dead-pub): once kept for a test\npub fn live() {}\n\
+                   fn main() { live(); }\n";
+        assert!(workspace_findings(&[("crates/a/src/main.rs", src)], "dead-pub").is_empty());
+        assert_eq!(
+            workspace_findings(&[("crates/a/src/main.rs", src)], "suppression"),
+            [("crates/a/src/main.rs".to_string(), 1)]
+        );
     }
 
     #[test]

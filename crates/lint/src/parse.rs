@@ -37,6 +37,8 @@ pub enum ItemKind {
     Const,
     /// `macro_rules! name { … }` — body deliberately not descended into.
     MacroDef,
+    /// `use …;` / `extern crate …;` — anonymous.
+    Use,
 }
 
 /// One named field of a struct (or union).
@@ -55,8 +57,10 @@ pub struct FieldDef {
 pub struct Item {
     /// Kind tag.
     pub kind: ItemKind,
-    /// Item name; empty for impl blocks.
+    /// Item name; empty for impl blocks and `use` items.
     pub name: String,
+    /// Declared with a visibility (`pub`, `pub(crate)`, …).
+    pub is_pub: bool,
     /// For impls: last path segment of the implemented trait, if any
     /// (`Persist` in `impl snapshot::Persist for Acc`).
     pub impl_trait: Option<String>,
@@ -266,6 +270,7 @@ impl<'a> Parser<'a> {
     fn try_item(&mut self, end: usize) -> Option<Item> {
         let start_byte = self.tok(self.n).map(|t| t.start)?;
         self.skip_attrs(end);
+        let is_pub = self.is_ident(self.n, "pub");
         self.skip_visibility(end);
         // Fn qualifiers; a `const` followed by another qualifier or `fn`
         // is a qualifier, otherwise it introduces a const item.
@@ -295,7 +300,7 @@ impl<'a> Parser<'a> {
         let kw_tok = self.tok(self.n)?;
         let (line, col) = (kw_tok.line, kw_tok.col);
         let kw = self.ident_text(self.n)?;
-        match kw {
+        let mut item = match kw {
             "struct" | "union" => self.named_type(
                 if kw == "struct" {
                     ItemKind::Struct
@@ -339,8 +344,7 @@ impl<'a> Parser<'a> {
             "use" | "extern" => {
                 self.n += 1;
                 self.skip_to_semi(end);
-                // Anonymous leaf: spans matter for tiling, names do not.
-                Some(self.leaf(ItemKind::Const, String::new(), start_byte, line, col))
+                Some(self.leaf(ItemKind::Use, String::new(), start_byte, line, col))
             }
             "macro_rules" => {
                 // `macro_rules ! name { … }` — the body is free-form token
@@ -360,6 +364,7 @@ impl<'a> Parser<'a> {
                 Some(Item {
                     kind: ItemKind::MacroDef,
                     name,
+                    is_pub: false,
                     impl_trait: None,
                     impl_self: None,
                     fields: vec![],
@@ -372,7 +377,9 @@ impl<'a> Parser<'a> {
                 })
             }
             _ => None,
-        }
+        }?;
+        item.is_pub = is_pub;
+        Some(item)
     }
 
     fn leaf(
@@ -386,6 +393,7 @@ impl<'a> Parser<'a> {
         Item {
             kind,
             name,
+            is_pub: false,
             impl_trait: None,
             impl_self: None,
             fields: vec![],
@@ -459,6 +467,7 @@ impl<'a> Parser<'a> {
         Some(Item {
             kind,
             name,
+            is_pub: false,
             impl_trait: None,
             impl_self: None,
             fields,
@@ -547,6 +556,7 @@ impl<'a> Parser<'a> {
         Some(Item {
             kind,
             name,
+            is_pub: false,
             impl_trait: None,
             impl_self: None,
             fields: vec![],
@@ -596,6 +606,7 @@ impl<'a> Parser<'a> {
         Some(Item {
             kind,
             name,
+            is_pub: false,
             impl_trait: None,
             impl_self: None,
             fields: vec![],
@@ -666,6 +677,7 @@ impl<'a> Parser<'a> {
         Some(Item {
             kind: ItemKind::Impl,
             name: String::new(),
+            is_pub: false,
             impl_trait,
             impl_self,
             fields: vec![],
@@ -738,6 +750,7 @@ impl<'a> Parser<'a> {
         Some(Item {
             kind: ItemKind::Fn,
             name,
+            is_pub: false,
             impl_trait: None,
             impl_self: None,
             fields: vec![],
@@ -845,6 +858,24 @@ mod tests {
         // A malformed item does not eat its well-formed successor.
         let items = parse("struct ;;; struct Ok { a: u8 }\n");
         assert_eq!(find(&items, "Ok").fields.len(), 1);
+    }
+
+    #[test]
+    fn visibility_and_use_items_are_recorded() {
+        let src = "pub fn a() {}\nfn b() {}\npub(crate) struct C;\n\
+                   pub use x::y;\nuse z::w;\nimpl C { pub fn m() {} fn p() {} }\n";
+        let items = parse(src);
+        assert!(find(&items, "a").is_pub);
+        assert!(!find(&items, "b").is_pub);
+        assert!(find(&items, "C").is_pub);
+        let uses: Vec<bool> = items
+            .iter()
+            .filter(|i| i.kind == ItemKind::Use)
+            .map(|i| i.is_pub)
+            .collect();
+        assert_eq!(uses, [true, false]);
+        let methods: Vec<bool> = items[5].children.iter().map(|c| c.is_pub).collect();
+        assert_eq!(methods, [true, false]);
     }
 
     #[test]

@@ -7,16 +7,20 @@
 //! * **metrics-merge-completeness** — every `Acc` counter must survive
 //!   the reporting projection (`SimMetrics::from_model`), and every
 //!   ledger-class `SimMetrics` field must appear in the conservation
-//!   identity (`conservation_violation`).
+//!   identity (`conservation_violation`);
+//! * **dead-pub** — every `pub` fn, type, trait, const or static must be
+//!   named by some non-test code outside its own declaration.
 //!
 //! Each pass reports which marker allows it consumed, so the engine's
 //! suppression hygiene can flag stale `snapshot-exempt`/`merge-exempt`
 //! comments exactly like unused `lint:allow`s.
 
+use crate::lexer::TokKind;
 use crate::model::{crate_key, ItemRef, Workspace};
 use crate::parse::{FieldDef, Item, ItemKind};
 use crate::rules::Finding;
 use crate::source::SourceFile;
+use std::collections::BTreeMap;
 
 /// Marker registry: exemption annotations the passes understand, in the
 /// same `lint:allow(<marker>): <justification>` comment syntax as rule
@@ -48,11 +52,12 @@ pub struct PassResult {
     pub consumed: Vec<(usize, usize)>,
 }
 
-/// Run both passes. `strict` additionally fails when a pass's anchor
-/// (the `Acc`/`SimMetrics` structs, `SimMetrics::from_model`,
-/// `conservation_violation`) cannot be found — a renamed anchor must turn
-/// the gate red, not silently blind the pass. Single-file harnesses
-/// (`lint_source`) run non-strict.
+/// Run the passes. `strict` means `ws` is the whole workspace: a pass
+/// whose anchor (the `Acc`/`SimMetrics` structs, `SimMetrics::from_model`,
+/// `conservation_violation`) cannot be found then fails — a renamed anchor
+/// must turn the gate red, not silently blind the pass — and dead-pub,
+/// which needs every use site, runs. Single-file harnesses (`lint_source`)
+/// run non-strict.
 pub fn run_workspace_passes(ws: &Workspace<'_>, strict: bool) -> PassResult {
     let mut out = PassResult {
         findings: vec![],
@@ -60,6 +65,9 @@ pub fn run_workspace_passes(ws: &Workspace<'_>, strict: bool) -> PassResult {
     };
     snapshot_completeness(ws, &mut out);
     metrics_merge_completeness(ws, strict, &mut out);
+    if strict {
+        dead_pub(ws, &mut out);
+    }
     out
 }
 
@@ -326,6 +334,116 @@ fn metrics_merge_completeness(ws: &Workspace<'_>, strict: bool, out: &mut PassRe
     }
 }
 
+// ---------------------------------------------------------------------
+// dead-pub
+// ---------------------------------------------------------------------
+
+/// Cargo workspaces of their own that the walk also lints. They build
+/// against these crates by path, so their uses are an outside consumer's
+/// (an item kept only for them carries an allow naming them), and their
+/// own items answer to rustc's dead-code lint, not to this pass.
+const OTHER_WORKSPACES: &[&str] = &["simbench/"];
+
+/// Does `sites` hold a position outside every `(file, start, end)` span?
+fn used_outside(sites: &[(usize, usize)], own: &[(usize, usize, usize)]) -> bool {
+    sites
+        .iter()
+        .any(|&(fi, b)| !own.iter().any(|&(of, s, e)| of == fi && b >= s && b < e))
+}
+
+fn dead_pub(ws: &Workspace<'_>, out: &mut PassResult) {
+    let in_scope = |fi: usize| {
+        let f = &ws.files[fi];
+        !f.is_test_file && !OTHER_WORKSPACES.iter().any(|p| f.rel.starts_with(p))
+    };
+    // Tokens that name an item without using it: whole `pub use`
+    // re-exports, and the name in every declaration (so two same-named
+    // dead fns in different modules do not keep each other alive).
+    let mut not_uses: Vec<Vec<(usize, usize)>> = vec![vec![]; ws.files.len()];
+    ws.for_each_item(|r| {
+        let f = &ws.files[r.file];
+        if r.item.kind == ItemKind::Use && r.item.is_pub {
+            not_uses[r.file].push((r.item.start, r.item.end));
+        } else if !r.item.name.is_empty() {
+            let decl = f.sig_tokens().map(|(_, t)| t).find(|t| {
+                t.start >= r.item.start && t.kind == TokKind::Ident && t.text(&f.text) == r.item.name
+            });
+            if let Some(t) = decl {
+                not_uses[r.file].push((t.start, t.end));
+            }
+        }
+    });
+    // Every identifier token of non-test code, by name, as (file, byte).
+    // Comments and strings are not identifier tokens.
+    let mut uses: BTreeMap<&str, Vec<(usize, usize)>> = BTreeMap::new();
+    for (fi, f) in ws.files.iter().enumerate() {
+        if !in_scope(fi) {
+            continue;
+        }
+        for (_, t) in f.sig_tokens() {
+            if t.kind == TokKind::Ident
+                && !f.in_test_code(t.start)
+                && !not_uses[fi].iter().any(|&(s, e)| t.start >= s && t.start < e)
+            {
+                uses.entry(t.text(&f.text)).or_default().push((fi, t.start));
+            }
+        }
+    }
+    // A type's impls (`impl Pipe`, `impl Persist for Pipe`) belong to its
+    // declaration — but only when its name is unique in its crate, so a
+    // name collision never discounts another type's uses.
+    let is_type = |k: ItemKind| {
+        matches!(k, ItemKind::Struct | ItemKind::Enum | ItemKind::Union | ItemKind::Trait)
+    };
+    let mut types_per_crate: BTreeMap<(&str, &str), usize> = BTreeMap::new();
+    ws.for_each_item(|r| {
+        if is_type(r.item.kind) && !ws.files[r.file].in_test_code(r.item.start) {
+            let key = (crate_key(&ws.files[r.file].rel), r.item.name.as_str());
+            *types_per_crate.entry(key).or_default() += 1;
+        }
+    });
+    let impls = ws.impls();
+    ws.for_each_item(|r| {
+        let kind = r.item.kind;
+        let enrolled = is_type(kind)
+            || matches!(kind, ItemKind::Fn | ItemKind::Const | ItemKind::TypeAlias);
+        let file = &ws.files[r.file];
+        if !enrolled || !r.item.is_pub || !in_scope(r.file) || file.in_test_code(r.item.start) {
+            return;
+        }
+        let name = r.item.name.as_str();
+        let krate = crate_key(&file.rel);
+        let mut own = vec![(r.file, r.item.start, r.item.end)];
+        if is_type(kind) && types_per_crate.get(&(krate, name)) == Some(&1) {
+            own.extend(
+                impls
+                    .iter()
+                    .filter(|i| crate_key(&ws.files[i.file].rel) == krate)
+                    .filter(|i| {
+                        i.item.impl_self.as_deref() == Some(name)
+                            || i.item.impl_trait.as_deref() == Some(name)
+                    })
+                    .map(|i| (i.file, i.item.start, i.item.end)),
+            );
+        }
+        if uses.get(name).is_some_and(|sites| used_outside(sites, &own)) {
+            return;
+        }
+        out.findings.push(Finding {
+            rule: "dead-pub",
+            path: file.rel.clone(),
+            line: r.item.line,
+            col: r.item.col,
+            message: format!(
+                "`pub` item `{name}` is named by no non-test code outside its own \
+                 declaration (re-exports, comments, strings and tests do not count) — \
+                 delete it or, if an integration test or simbench keeps it, mark it \
+                 `lint:allow(dead-pub): <that user>`"
+            ),
+        });
+    });
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -421,6 +539,102 @@ mod tests {
         let out = run_on(&[("crates/core/src/m.rs", src)]);
         assert!(out.findings.is_empty(), "{:?}", out.findings);
         assert_eq!(out.consumed.len(), 1);
+    }
+
+    /// Names of the dead-pub findings over a multi-file workspace.
+    fn dead(specs: &[(&str, &str)]) -> Vec<String> {
+        let files: Vec<SourceFile> = specs
+            .iter()
+            .map(|(rel, src)| SourceFile::parse(rel, src.to_string()))
+            .collect();
+        let ws = Workspace::build(&files);
+        let mut out = PassResult {
+            findings: vec![],
+            consumed: vec![],
+        };
+        dead_pub(&ws, &mut out);
+        out.findings
+            .iter()
+            .map(|f| f.message.split('`').nth(3).unwrap_or_default().to_string())
+            .collect()
+    }
+
+    #[test]
+    fn dead_pub_item_used_only_by_its_own_tests_is_flagged() {
+        let src = "pub fn helper() -> u8 { 1 }\n\
+                   #[cfg(test)]\nmod tests { #[test] fn t() { assert_eq!(super::helper(), 1); } }\n";
+        assert_eq!(dead(&[("crates/a/src/lib.rs", src)]), ["helper"]);
+        // An integration test is a test too.
+        let user = "fn t() { paradyn_a::helper(); }\n";
+        assert_eq!(
+            dead(&[("crates/a/src/lib.rs", src), ("tests/t.rs", user)]),
+            ["helper"]
+        );
+    }
+
+    #[test]
+    fn dead_pub_item_used_from_another_files_code_is_not_flagged() {
+        let def = "pub struct Knob { x: u8 }\nimpl Knob { pub fn get(&self) -> u8 { self.x } }\n";
+        let user = "pub fn read(k: &crate::Knob) -> u8 { k.get() }\nfn main() { read; }\n";
+        let found = dead(&[("crates/a/src/def.rs", def), ("crates/b/src/main.rs", user)]);
+        assert!(found.is_empty(), "{found:?}");
+    }
+
+    #[test]
+    fn dead_pub_item_reached_only_through_a_reexport_is_flagged() {
+        let lib = "pub mod m;\npub use m::Gone;\n";
+        let m = "pub struct Gone;\nimpl Gone { fn new() -> Gone { Gone } }\n";
+        let found = dead(&[("crates/a/src/lib.rs", lib), ("crates/a/src/m.rs", m)]);
+        // Its own impl does not keep it alive either.
+        assert_eq!(found, ["Gone"]);
+    }
+
+    #[test]
+    fn dead_pub_names_in_comments_and_strings_do_not_count() {
+        let def = "pub const LIMIT: u32 = 4;\n";
+        let user = "/// Bounded by [`LIMIT`].\nfn f() -> &'static str { \"LIMIT\" } // LIMIT\n";
+        assert_eq!(
+            dead(&[("crates/a/src/def.rs", def), ("crates/a/src/user.rs", user)]),
+            ["LIMIT"]
+        );
+    }
+
+    #[test]
+    fn dead_pub_collisions_hide_findings_and_never_create_them() {
+        // Two dead fns of one name in different modules do not keep each
+        // other alive: a declaration is not a use.
+        let a = "pub fn sweep() {}\n";
+        let b = "pub fn sweep() {}\n";
+        assert_eq!(
+            dead(&[("crates/a/src/x.rs", a), ("crates/a/src/y.rs", b)]),
+            ["sweep", "sweep"]
+        );
+        // A use of the name anywhere keeps every item of that name alive.
+        let user = "fn main() { crate::x::sweep(); }\n";
+        let found = dead(&[
+            ("crates/a/src/x.rs", a),
+            ("crates/a/src/y.rs", b),
+            ("crates/a/src/main.rs", user),
+        ]);
+        assert!(found.is_empty(), "{found:?}");
+        // Two types of one name in a crate: their impls are not told apart,
+        // so they count as uses of both.
+        let t1 = "pub struct T;\nimpl T { fn f() {} }\n";
+        let found = dead(&[("crates/a/src/x.rs", t1), ("crates/a/src/y.rs", t1)]);
+        assert!(found.is_empty(), "{found:?}");
+    }
+
+    #[test]
+    fn dead_pub_skips_private_and_test_items_and_other_workspaces() {
+        let src = "fn private() {}\n#[cfg(test)]\nmod tests { pub fn scaffold() {} }\n";
+        assert!(dead(&[("crates/a/src/lib.rs", src)]).is_empty());
+        // simbench's own items are not enrolled, and its uses do not count.
+        let bench = "pub fn only_here() { paradyn_a::kept_for_bench(); }\n";
+        let lib = "pub fn kept_for_bench() {}\n";
+        assert_eq!(
+            dead(&[("simbench/src/main.rs", bench), ("crates/a/src/lib.rs", lib)]),
+            ["kept_for_bench"]
+        );
     }
 
     #[test]

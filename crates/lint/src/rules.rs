@@ -84,6 +84,16 @@ pub const RULES: &[(&str, &str)] = &[
          samples past the conservation gate — deliberate exclusions carry \
          lint:allow(merge-exempt) on the field",
     ),
+    (
+        "dead-pub",
+        "every pub fn, struct, enum, trait, const, static and type alias must \
+         be named by an identifier in non-test code outside its own \
+         declaration and impls (pub use re-exports, comments, strings, tests \
+         and the separate simbench workspace do not count): API that nothing \
+         reads is code to maintain for no reproduced result — an item kept for \
+         an integration test or simbench carries lint:allow(dead-pub) naming \
+         that user",
+    ),
 ];
 
 /// Directories whose crates may read the wall clock: the bench harness and
@@ -461,7 +471,7 @@ pub fn rng_registry_collisions(registry: &[StreamIdEntry]) -> Vec<Finding> {
 /// `hermeticity`: every `use` / `extern crate` first segment must be std,
 /// a path keyword, a workspace crate, or an item declared in the same
 /// file — Rust 2018 uniform paths let `use bounds::X;` follow a local
-/// `mod bounds;`, and `use DetailedState as S;` alias a local enum.
+/// `mod bounds;`, and `use Kind as K;` alias a local enum.
 /// `crate_names` comes from the workspace manifests (underscore form);
 /// `local_items` from the item model ([`crate::model::Workspace::declared_names`]),
 /// which replaces the keyword-scan heuristic this rule used to carry.

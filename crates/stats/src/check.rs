@@ -106,13 +106,6 @@ impl Gen {
         self.u64_in(lo as u64, hi as u64) as usize
     }
 
-    /// Uniform `i64` in `[lo, hi)`.
-    pub fn i64_in(&mut self, lo: i64, hi: i64) -> i64 {
-        assert!(hi > lo, "empty range {lo}..{hi}");
-        let span = (hi as i128 - lo as i128) as u128;
-        (lo as i128 + ((self.raw() as u128 * span) >> 64) as i128) as i64
-    }
-
     /// Uniform float in `[lo, hi)`.
     pub fn f64_in(&mut self, lo: f64, hi: f64) -> f64 {
         assert!(hi > lo, "empty range {lo}..{hi}");
@@ -148,16 +141,19 @@ impl Gen {
     }
 
     /// Convenience: vector of uniform `u64`s.
+    // lint:allow(dead-pub): generator for tests/properties.rs and tests/lint_props.rs
     pub fn vec_u64(&mut self, len_lo: usize, len_hi: usize, lo: u64, hi: u64) -> Vec<u64> {
         self.vec_of(len_lo, len_hi, |g| g.u64_in(lo, hi))
     }
 
     /// Convenience: vector of uniform `f64`s.
+    // lint:allow(dead-pub): generator for tests/properties.rs
     pub fn vec_f64(&mut self, len_lo: usize, len_hi: usize, lo: f64, hi: f64) -> Vec<f64> {
         self.vec_of(len_lo, len_hi, |g| g.f64_in(lo, hi))
     }
 
     /// Convenience: vector of booleans.
+    // lint:allow(dead-pub): generator for tests/properties.rs
     pub fn vec_bool(&mut self, len_lo: usize, len_hi: usize) -> Vec<bool> {
         self.vec_of(len_lo, len_hi, |g| g.bool())
     }
@@ -330,8 +326,6 @@ mod tests {
             prop_assert!((10..20).contains(&x), "x={x}");
             let y = g.f64_in(-2.0, 3.0);
             prop_assert!((-2.0..3.0).contains(&y), "y={y}");
-            let z = g.i64_in(-5, 5);
-            prop_assert!((-5..5).contains(&z), "z={z}");
             let v = g.vec_u64(1, 8, 0, 100);
             prop_assert!((1..8).contains(&v.len()));
             prop_assert!(v.iter().all(|&e| e < 100));

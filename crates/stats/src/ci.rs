@@ -30,15 +30,6 @@ impl MeanCi {
     pub fn contains(&self, x: f64) -> bool {
         x >= self.lo() && x <= self.hi()
     }
-
-    /// Relative half-width (`half_width / |mean|`; infinite if mean is 0).
-    pub fn relative_precision(&self) -> f64 {
-        if self.mean == 0.0 {
-            f64::INFINITY
-        } else {
-            self.half_width / self.mean.abs()
-        }
-    }
 }
 
 /// t-based confidence interval for the mean of `xs`.
@@ -62,24 +53,6 @@ pub fn mean_ci(xs: &[f64], confidence: f64) -> MeanCi {
     MeanCi {
         mean,
         half_width: t * (var / n as f64).sqrt(),
-        confidence,
-    }
-}
-
-/// Convenience: CI from pre-computed moments.
-pub fn mean_ci_from_moments(n: u64, mean: f64, variance: f64, confidence: f64) -> MeanCi {
-    assert!(n > 0);
-    if n < 2 {
-        return MeanCi {
-            mean,
-            half_width: 0.0,
-            confidence,
-        };
-    }
-    let t = t_quantile(0.5 + confidence / 2.0, (n - 1) as f64);
-    MeanCi {
-        mean,
-        half_width: t * (variance / n as f64).sqrt(),
         confidence,
     }
 }
@@ -114,23 +87,5 @@ mod tests {
         let ci = mean_ci(&[5.0], 0.90);
         assert_eq!(ci.half_width, 0.0);
         assert_eq!(ci.mean, 5.0);
-    }
-
-    #[test]
-    fn moments_variant_matches() {
-        let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        let direct = mean_ci(&xs, 0.90);
-        let from_m = mean_ci_from_moments(8, 5.0, 32.0 / 7.0, 0.90);
-        assert!((direct.half_width - from_m.half_width).abs() < 1e-9);
-    }
-
-    #[test]
-    fn relative_precision() {
-        let ci = MeanCi {
-            mean: 10.0,
-            half_width: 0.5,
-            confidence: 0.9,
-        };
-        assert!((ci.relative_precision() - 0.05).abs() < 1e-12);
     }
 }

@@ -96,25 +96,6 @@ impl Moments {
         self.max = self.max.max(x);
     }
 
-    /// Fold another accumulator in (Chan's parallel update), as if its
-    /// observations had been pushed here.
-    pub fn merge(&mut self, o: &Moments) {
-        if o.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = *o;
-            return;
-        }
-        let n = (self.n + o.n) as f64;
-        let d = o.mean - self.mean;
-        self.mean += d * (o.n as f64 / n);
-        self.m2 += o.m2 + d * d * (self.n as f64 * o.n as f64 / n);
-        self.n += o.n;
-        self.min = self.min.min(o.min);
-        self.max = self.max.max(o.max);
-    }
-
     /// Number of observations.
     pub fn n(&self) -> u64 {
         self.n
@@ -254,44 +235,6 @@ mod tests {
         assert!((m.std_dev() - two_pass.std_dev).abs() < 1e-9 * two_pass.std_dev);
         assert_eq!(m.min(), two_pass.min);
         assert_eq!(m.max(), two_pass.max);
-    }
-
-    #[test]
-    fn moments_merge_equals_sequential() {
-        let xs: Vec<f64> = (0..1000).map(|i| ((i * 37) % 101) as f64 * 0.13).collect();
-        let mut whole = Moments::new();
-        for &x in &xs {
-            whole.push(x);
-        }
-        let (a, b) = xs.split_at(313);
-        let mut left = Moments::new();
-        let mut right = Moments::new();
-        for &x in a {
-            left.push(x);
-        }
-        for &x in b {
-            right.push(x);
-        }
-        left.merge(&right);
-        assert_eq!(left.n(), whole.n());
-        assert!((left.mean() - whole.mean()).abs() < 1e-12 * whole.mean().abs());
-        assert!((left.variance() - whole.variance()).abs() < 1e-9 * whole.variance());
-        assert_eq!(left.min(), whole.min());
-        assert_eq!(left.max(), whole.max());
-    }
-
-    #[test]
-    fn moments_merge_with_empty_is_identity() {
-        let mut m = Moments::new();
-        m.push(2.0);
-        m.push(4.0);
-        let before = (m.n(), m.mean(), m.variance());
-        m.merge(&Moments::new());
-        assert_eq!((m.n(), m.mean(), m.variance()), before);
-        let mut empty = Moments::new();
-        empty.merge(&m);
-        assert_eq!(empty.n(), 2);
-        assert_eq!(empty.mean(), 3.0);
     }
 
     #[test]

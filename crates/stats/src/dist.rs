@@ -118,13 +118,6 @@ pub enum Rv {
         /// Scale parameter `lambda`.
         scale: f64,
     },
-    /// Uniform on `[lo, hi)`.
-    Uniform {
-        /// Inclusive lower bound.
-        lo: f64,
-        /// Exclusive upper bound.
-        hi: f64,
-    },
     /// A degenerate (deterministic) value.
     Det {
         /// The constant value.
@@ -167,17 +160,6 @@ impl Rv {
         Rv::Weibull { shape, scale }
     }
 
-    /// Uniform on `[lo, hi)`.
-    pub fn uniform(lo: f64, hi: f64) -> Rv {
-        assert!(hi > lo);
-        Rv::Uniform { lo, hi }
-    }
-
-    /// A deterministic value.
-    pub fn det(value: f64) -> Rv {
-        Rv::Det { value }
-    }
-
     /// Draw one sample.
     #[inline]
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
@@ -187,7 +169,6 @@ impl Rv {
             Rv::Weibull { shape, scale } => {
                 scale * (-unit_f64_open(rng).ln()).powf(1.0 / shape)
             }
-            Rv::Uniform { lo, hi } => lo + (hi - lo) * unit_f64(rng),
             Rv::Det { value } => value,
         }
     }
@@ -219,13 +200,6 @@ impl Rv {
                     (shape / scale) * t.powf(shape - 1.0) * (-t.powf(shape)).exp()
                 }
             }
-            Rv::Uniform { lo, hi } => {
-                if x >= lo && x < hi {
-                    1.0 / (hi - lo)
-                } else {
-                    0.0
-                }
-            }
             Rv::Det { .. } => 0.0,
         }
     }
@@ -254,7 +228,6 @@ impl Rv {
                     1.0 - (-(x / scale).powf(shape)).exp()
                 }
             }
-            Rv::Uniform { lo, hi } => ((x - lo) / (hi - lo)).clamp(0.0, 1.0),
             Rv::Det { value } => {
                 if x >= value {
                     1.0
@@ -272,7 +245,6 @@ impl Rv {
             Rv::Exp { mean } => -mean * (1.0 - p).ln(),
             Rv::LogNormal { mu, sigma } => (mu + sigma * norm_quantile(p)).exp(),
             Rv::Weibull { shape, scale } => scale * (-(1.0 - p).ln()).powf(1.0 / shape),
-            Rv::Uniform { lo, hi } => lo + (hi - lo) * p,
             Rv::Det { value } => value,
         }
     }
@@ -283,7 +255,6 @@ impl Rv {
             Rv::Exp { mean } => mean,
             Rv::LogNormal { mu, sigma } => (mu + 0.5 * sigma * sigma).exp(),
             Rv::Weibull { shape, scale } => scale * gamma(1.0 + 1.0 / shape),
-            Rv::Uniform { lo, hi } => 0.5 * (lo + hi),
             Rv::Det { value } => value,
         }
     }
@@ -301,7 +272,6 @@ impl Rv {
                 let g2 = gamma(1.0 + 2.0 / shape);
                 scale * scale * (g2 - g1 * g1)
             }
-            Rv::Uniform { lo, hi } => (hi - lo).powi(2) / 12.0,
             Rv::Det { .. } => 0.0,
         }
     }
@@ -317,7 +287,6 @@ impl Rv {
             Rv::Exp { .. } => "exponential",
             Rv::LogNormal { .. } => "lognormal",
             Rv::Weibull { .. } => "weibull",
-            Rv::Uniform { .. } => "uniform",
             Rv::Det { .. } => "deterministic",
         }
     }
@@ -331,7 +300,6 @@ impl Rv {
                 format!("lognormal({:.0}, {:.0})", self.mean(), self.std_dev())
             }
             Rv::Weibull { shape, scale } => format!("weibull(k={shape:.2}, l={scale:.0})"),
-            Rv::Uniform { lo, hi } => format!("uniform({lo:.0}, {hi:.0})"),
             Rv::Det { value } => format!("deterministic({value:.0})"),
         }
     }
@@ -386,7 +354,6 @@ mod tests {
             Rv::exp(100.0),
             Rv::lognormal_mean_std(2213.0, 3034.0),
             Rv::weibull(1.7, 50.0),
-            Rv::uniform(2.0, 9.0),
         ] {
             for &p in &[0.01, 0.1, 0.5, 0.9, 0.99] {
                 let x = rv.quantile(p);
@@ -411,7 +378,7 @@ mod tests {
 
     #[test]
     fn deterministic_is_degenerate() {
-        let rv = Rv::det(42.0);
+        let rv = Rv::Det { value: 42.0 };
         let mut rng = TestRng(1);
         assert_eq!(rv.sample(&mut rng), 42.0);
         assert_eq!(rv.mean(), 42.0);
@@ -442,6 +409,6 @@ mod tests {
     #[test]
     fn zero_std_lognormal_degenerates() {
         let rv = Rv::lognormal_mean_std(100.0, 0.0);
-        assert_eq!(rv, Rv::det(100.0));
+        assert_eq!(rv, Rv::Det { value: 100.0 });
     }
 }

@@ -6,7 +6,6 @@
 //! computed quantity is the percentage of total variation explained by each
 //! factor and factor combination).
 
-use crate::special::t_quantile;
 
 /// One effect term (a factor or interaction of factors).
 #[derive(Clone, Debug)]
@@ -181,29 +180,6 @@ impl Variation {
     pub fn pct_of(&self, label: &str) -> Option<f64> {
         self.terms.iter().find(|t| t.label == label).map(|t| t.pct)
     }
-
-    /// Confidence interval half-width for every effect at the given
-    /// confidence level. Returns `None` when `r == 1` (no error estimate).
-    pub fn effect_ci_half_width(&self, confidence: f64) -> Option<f64> {
-        if self.r < 2 {
-            return None;
-        }
-        let n_cfg = 1usize << self.k;
-        let df = (n_cfg * (self.r - 1)) as f64;
-        let se2 = self.sse / df;
-        let sq = (se2 / (n_cfg * self.r) as f64).sqrt();
-        let t = t_quantile(0.5 + confidence / 2.0, df);
-        Some(t * sq)
-    }
-
-    /// Effects whose CI excludes zero at the given confidence
-    /// (all effects when `r == 1`).
-    pub fn significant_terms(&self, confidence: f64) -> Vec<&Term> {
-        match self.effect_ci_half_width(confidence) {
-            Some(hw) => self.terms.iter().filter(|t| t.effect.abs() > hw).collect(),
-            None => self.terms.iter().collect(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -252,12 +228,6 @@ mod tests {
         assert!((qab - 5.0).abs() < 1e-9, "qab={qab}");
         assert!((v.sse - 102.0).abs() < 1e-9, "sse={}", v.sse);
         assert!((v.sst - 7032.0).abs() < 1e-9, "sst={}", v.sst);
-        // CI half width: s_e = sqrt(102/8) = 3.57..; s_q = s_e/sqrt(12).
-        let hw = v.effect_ci_half_width(0.90).unwrap();
-        // t(0.95, 8) = 1.860; hw = 1.860 * sqrt(102/8)/sqrt(12) = 1.917...
-        assert!((hw - 1.917).abs() < 0.01, "hw={hw}");
-        // All three effects significant at 90%.
-        assert_eq!(v.significant_terms(0.90).len(), 3);
     }
 
     #[test]

@@ -11,24 +11,20 @@
 //!   facility;
 //! * [`characterize`] — the measurement-analysis pipeline: Table 1 summary
 //!   statistics and Table 2 distribution fits, producing a [`RoccParams`];
-//! * [`process`] — the detailed (Figure 6) and simplified (Figure 7)
-//!   process-behaviour models and their reduction;
 //! * [`params`] — the ROCC parameter set with the paper's defaults;
-//! * [`nas`] — application profiles (pvmbt, pvmis-like, compute- and
+//! * [`nas`] — application profiles (pvmbt, compute- and
 //!   communication-intensive).
 
 pub mod characterize;
 pub mod nas;
 pub mod params;
-pub mod process;
 pub mod replay;
 pub mod synth;
 pub mod trace;
 
 pub use characterize::{characterize, table1, Characterization, ClassFits, Table1Row};
-pub use nas::{comm_intensive, compute_intensive, pvmbt, pvmis, AppProfile};
+pub use nas::{comm_intensive, compute_intensive, pvmbt, AppProfile};
 pub use params::{ProcessParams, RoccParams};
-pub use process::{simplify, DetailedProcess, DetailedState, ProcEvent, SimpleState};
 pub use replay::ReplaySchedule;
 pub use synth::{synthesize, SynthConfig};
 pub use trace::{ProcessClass, Resource, Trace, TraceRecord};

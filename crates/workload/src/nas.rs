@@ -1,11 +1,10 @@
 //! Application workload profiles.
 //!
-//! The paper drives its experiments with the NAS Parallel Benchmarks
-//! `pvmbt` (block-tridiagonal solver; the measured Table 1/2 profile) and
-//! `pvmis` (integer sort), plus two synthetic extremes used in the factorial
-//! designs: a compute-intensive application (network occupancy arbitrarily
-//! set to 200 µs) and a communication-intensive one (2000 µs) —
-//! Section 4.2.1.
+//! The paper drives its simulations with the NAS Parallel Benchmark
+//! `pvmbt` (block-tridiagonal solver; the measured Table 1/2 profile), plus
+//! two synthetic extremes used in the factorial designs: a
+//! compute-intensive application (network occupancy arbitrarily set to
+//! 200 µs) and a communication-intensive one (2000 µs) — Section 4.2.1.
 
 use paradyn_stats::Rv;
 
@@ -30,20 +29,6 @@ pub fn pvmbt() -> AppProfile {
         name: "pvmbt",
         cpu_req: Rv::lognormal_mean_std(2213.0, 3034.0),
         net_req: Rv::exp(223.0),
-        barrier_period_us: None,
-    }
-}
-
-/// A `pvmis`-like profile. The paper does not publish a Table 2 for pvmis;
-/// an integer-sort kernel has shorter compute bursts and heavier
-/// communication than the BT solver, so we use a synthetic stand-in with
-/// that character (documented substitution; only the *contrast* with pvmbt
-/// matters for Figure 31 / Table 8).
-pub fn pvmis() -> AppProfile {
-    AppProfile {
-        name: "pvmis",
-        cpu_req: Rv::lognormal_mean_std(850.0, 1100.0),
-        net_req: Rv::exp(510.0),
         barrier_period_us: None,
     }
 }
@@ -78,12 +63,6 @@ impl AppProfile {
         self.barrier_period_us = Some(period_us);
         self
     }
-
-    /// Ratio of mean network to mean CPU demand — a crude
-    /// communication-intensity index.
-    pub fn comm_ratio(&self) -> f64 {
-        self.net_req.mean() / self.cpu_req.mean()
-    }
 }
 
 #[cfg(test)]
@@ -96,11 +75,6 @@ mod tests {
         assert!((p.cpu_req.mean() - 2213.0).abs() < 1e-6);
         assert!((p.net_req.mean() - 223.0).abs() < 1e-9);
         assert!(p.barrier_period_us.is_none());
-    }
-
-    #[test]
-    fn pvmis_is_more_communication_heavy() {
-        assert!(pvmis().comm_ratio() > pvmbt().comm_ratio());
     }
 
     #[test]

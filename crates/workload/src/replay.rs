@@ -40,6 +40,7 @@ impl ReplaySchedule {
     ///
     /// # Panics
     /// Panics if the trace has no application occupancy records.
+    // lint:allow(dead-pub): tests/replay_ablation.rs replays a synthesized trace
     pub fn from_trace(trace: &Trace) -> Self {
         ReplaySchedule::new(
             trace.occupancies(ProcessClass::Application, Resource::Cpu),
@@ -57,21 +58,6 @@ impl ReplaySchedule {
     #[inline]
     pub fn net_at(&self, i: u64) -> f64 {
         self.net_us[(i % self.net_us.len() as u64) as usize]
-    }
-
-    /// Number of CPU bursts before the schedule cycles.
-    pub fn cpu_len(&self) -> usize {
-        self.cpu_us.len()
-    }
-
-    /// Mean CPU burst (µs).
-    pub fn cpu_mean(&self) -> f64 {
-        self.cpu_us.iter().sum::<f64>() / self.cpu_us.len() as f64
-    }
-
-    /// Mean network burst (µs).
-    pub fn net_mean(&self) -> f64 {
-        self.net_us.iter().sum::<f64>() / self.net_us.len() as f64
     }
 }
 
@@ -101,9 +87,11 @@ mod tests {
             &mut SplitMix64(3),
         );
         let r = ReplaySchedule::from_trace(&t);
-        assert!(r.cpu_len() > 1_000);
-        assert!((r.cpu_mean() - 2213.0).abs() / 2213.0 < 0.15, "{}", r.cpu_mean());
-        assert!((r.net_mean() - 223.0).abs() / 223.0 < 0.15, "{}", r.net_mean());
+        let mean = |xs: &[f64]| xs.iter().sum::<f64>() / xs.len() as f64;
+        let (cpu, net) = (mean(&r.cpu_us), mean(&r.net_us));
+        assert!(r.cpu_us.len() > 1_000);
+        assert!((cpu - 2213.0).abs() / 2213.0 < 0.15, "{cpu}");
+        assert!((net - 223.0).abs() / 223.0 < 0.15, "{net}");
     }
 
     #[test]

@@ -190,16 +190,6 @@ impl Trace {
         times.windows(2).map(|w| w[1] - w[0]).collect()
     }
 
-    /// Total occupancy (µs) of one `(class, resource)` population — e.g. the
-    /// "Pd CPU time" of Table 3 is `total_occupancy(ParadynDaemon, Cpu)`.
-    pub fn total_occupancy(&self, class: ProcessClass, resource: Resource) -> f64 {
-        self.records
-            .iter()
-            .filter(|r| r.class == class && r.resource == resource)
-            .map(|r| r.occupancy_us)
-            .sum()
-    }
-
     /// Write the trace in the line format.
     pub fn write_to<W: Write>(&self, w: &mut W) -> io::Result<()> {
         for r in &self.records {
@@ -289,10 +279,7 @@ mod tests {
             t.occupancies(ProcessClass::Application, Resource::Cpu),
             vec![10.0, 40.0]
         );
-        assert_eq!(
-            t.total_occupancy(ProcessClass::ParadynDaemon, Resource::Cpu),
-            30.0
-        );
+        assert_eq!(t.occupancies(ProcessClass::ParadynDaemon, Resource::Cpu), vec![30.0]);
     }
 
     #[test]

@@ -33,6 +33,7 @@ rm -f "$lint_json"
 # The rule registry is reachable from the CLI.
 cargo run --release --offline -q -p paradyn-lint -- --explain snapshot-completeness > /dev/null
 cargo run --release --offline -q -p paradyn-lint -- --explain snapshot-exempt > /dev/null
+cargo run --release --offline -q -p paradyn-lint -- --explain dead-pub > /dev/null
 
 echo "== paradyn-lint mutation self-checks (seeded violations must go red) =="
 mut_dir="$(mktemp -d)"
@@ -49,10 +50,12 @@ cp Cargo.toml lint-baseline.txt "$mut_dir"/
 cp -r crates src tests examples "$mut_dir"/
 
 # Each mutation: seed one violation into the scratch tree, expect exit 1
-# with the named rule in the JSON findings, then restore the file.
-# Exit 1 is "findings"; 0 would mean the gate is blind, 2 an engine error.
-run_lint_mutation() { # <label> <rule> <mutated-file (repo-relative)>
-  local label="$1" rule="$2" file="$3"
+# with the named rule (and, if given, a marker text) in the JSON findings,
+# check the report against the schema and rule registry, then restore the
+# file. Exit 1 is "findings"; 0 would mean the gate is blind, 2 an engine
+# error.
+run_lint_mutation() { # <label> <rule> <mutated-file (repo-relative)> [<marker text>]
+  local label="$1" rule="$2" file="$3" needle="${4:-}"
   local out="$mut_dir/mutation.json"
   set +e
   cargo run --release --offline -q -p paradyn-lint -- \
@@ -67,6 +70,11 @@ run_lint_mutation() { # <label> <rule> <mutated-file (repo-relative)>
     echo "verify: FAIL — $label mutation did not produce a $rule finding" >&2
     exit 1
   fi
+  if [ -n "$needle" ] && ! grep -q "$needle" "$out"; then
+    echo "verify: FAIL — $label mutation's findings do not name $needle" >&2
+    exit 1
+  fi
+  cargo run --release --offline -q -p paradyn-bench --bin check_lint_json -- "$out" > /dev/null
   cp "$file" "$mut_dir/$file"
   rm -f "$out"
   echo "mutation self-check ($label): seeded violation correctly rejected"
@@ -85,6 +93,10 @@ run_lint_mutation "snapshot" "snapshot-completeness" "crates/core/src/model/snap
 # 3. One counter dropped from the reporting projection SimMetrics::from_model.
 sed -i '/throttle_events: acc\.throttle_events,/d' "$mut_dir/crates/core/src/metrics.rs"
 run_lint_mutation "metrics-merge" "metrics-merge-completeness" "crates/core/src/metrics.rs"
+
+# 4. A pub fn that no code calls.
+printf '\npub fn seeded_dead_api() {}\n' >> "$mut_dir/crates/des/src/time.rs"
+run_lint_mutation "dead-pub" "dead-pub" "crates/des/src/time.rs" "seeded_dead_api"
 
 echo "== snapshot-equivalence suite (checkpoint/fork/rewind gate) =="
 snap_t0="$(date +%s%N)"

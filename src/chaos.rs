@@ -40,6 +40,7 @@ use paradyn_des::{rewind_bisect, CalendarKind, Sim, SimTime, Streams};
 use paradyn_stats::check::{check, Failure, Gen, PropResult};
 
 /// Default master seed for the chaos suite (override per call site).
+// lint:allow(dead-pub): tests/chaos.rs
 pub const DEFAULT_MASTER_SEED: u64 = 0xC4A0_5EED;
 
 /// Derive the simulation seed for scenario `index` from `master` via the
@@ -303,6 +304,7 @@ where
 /// Run the full chaos suite: random scenarios plus always-degraded
 /// scenarios, each against all four oracles. Case count follows
 /// `PARADYN_PROP_CASES`; failures shrink and report a minimal scenario.
+// lint:allow(dead-pub): tests/chaos.rs
 pub fn run_suite(master: u64) {
     check(
         "chaos_scenarios",

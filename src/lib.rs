@@ -6,7 +6,7 @@
 //! real API surface:
 //!
 //! * [`paradyn_des`] — discrete-event simulation kernel;
-//! * [`paradyn_stats`] — distributions, fitting, factorial designs, PCA;
+//! * [`paradyn_stats`] — distributions, fitting, factorial designs, CIs;
 //! * [`paradyn_workload`] — traces and workload characterization;
 //! * [`paradyn_core`] — the ROCC model of the Paradyn IS;
 //! * [`paradyn_analytic`] — the operational-law analysis;

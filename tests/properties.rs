@@ -5,9 +5,7 @@
 
 use paradyn_core::model::types::{Batch, Token, TokenTable};
 use paradyn_core::pipe::{Deposit, OverflowPolicy, Pipe};
-use paradyn_des::{
-    Dec, Enc, FcfsServer, Offer, Persist, RrCpuBank, SimDur, SimTime, Submit, Tally,
-};
+use paradyn_des::{Dec, Enc, FcfsServer, Offer, Persist, RrCpuBank, SimDur, SimTime, Submit};
 use paradyn_stats::{check, Design2kr, Gen, Rv, SplitMix64};
 use paradyn_stats::{prop_assert, prop_assert_eq, prop_assume};
 use paradyn_workload::{ProcessClass, Resource, Trace, TraceRecord};
@@ -285,32 +283,6 @@ fn samples_are_physical() {
                 prop_assert!(x.is_finite() && x >= 0.0);
             }
         }
-        Ok(())
-    });
-}
-
-/// Tally: merging arbitrary partitions equals bulk accumulation.
-#[test]
-fn tally_merge_is_partition_invariant() {
-    check("tally_merge_is_partition_invariant", |g| {
-        let xs = g.vec_f64(2, 100, -1e6, 1e6);
-        let split = g.usize_in(1, 99).min(xs.len() - 1);
-        let mut bulk = Tally::new();
-        for &x in &xs {
-            bulk.record(x);
-        }
-        let mut a = Tally::new();
-        let mut b = Tally::new();
-        for &x in &xs[..split] {
-            a.record(x);
-        }
-        for &x in &xs[split..] {
-            b.record(x);
-        }
-        a.merge(&b);
-        prop_assert_eq!(a.count(), bulk.count());
-        prop_assert!((a.mean() - bulk.mean()).abs() < 1e-6 * (1.0 + bulk.mean().abs()));
-        prop_assert!((a.variance() - bulk.variance()).abs() < 1e-5 * (1.0 + bulk.variance()));
         Ok(())
     });
 }

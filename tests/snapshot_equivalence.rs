@@ -590,6 +590,29 @@ fn fork_n_matches_from_zero_oracle_bitwise() {
     assert_eq!(format!("{forked_metrics:?}"), format!("{oracle:?}"));
 }
 
+/// Every replication `run_forked` returns, not only fork 0, is
+/// bit-identical to re-simulating from zero with that replication's salt.
+#[test]
+fn run_forked_matches_from_zero_oracle_for_every_replication() {
+    let cfg = SimConfig {
+        arch: Arch::Now {
+            contention_free: true,
+        },
+        nodes: 1,
+        duration_s: 1.0,
+        seed: 1,
+        ..Default::default()
+    };
+    let warmup_s = 0.25;
+    let forked = run_forked(&cfg, warmup_s, 3, 2).expect("fork");
+    assert_eq!(forked.len(), 3);
+    assert_ne!(forked[0].received_samples, forked[1].received_samples);
+    for (rep, m) in forked.iter().enumerate() {
+        let oracle = run_perturbed_from_zero(&cfg, warmup_s, rep);
+        assert_eq!(format!("{m:?}"), format!("{oracle:?}"), "rep {rep}");
+    }
+}
+
 #[test]
 fn run_forked_is_thread_count_invariant() {
     let cfg = SimConfig {
