@@ -1,9 +1,16 @@
-//! Validate a `BENCH_des.json` emitted by the `des_engine` bench against
-//! the `paradyn.bench.des.v2` schema, and — for non-smoke runs — enforce
-//! the throughput ratchet in a sibling `BENCH_floor.json`
-//! (`paradyn.bench.floor.v2`): any case below its floor fails the check,
-//! and cases with sustained headroom print a suggestion to raise the
-//! floor. Exits nonzero (with a reason on stderr) on any violation, so
+//! Validate a bench result file, by its schema:
+//!
+//! * `paradyn.bench.des.v2` — a `BENCH_des.json` emitted by the
+//!   `des_engine` bench. For non-smoke runs, also enforce the throughput
+//!   ratchet in a sibling `BENCH_floor.json` (`paradyn.bench.floor.v2`):
+//!   any case below its floor fails the check, and cases with sustained
+//!   headroom print a suggestion to raise the floor.
+//! * `paradyn.bench.repro.v1` — a `repro --bench-json` file. Its scale and
+//!   each artifact's `runs` and `events` must equal those of the committed
+//!   file (second argument, default `BENCH_repro.json`) exactly: they are
+//!   machine-independent. `seconds` is recorded, never gated.
+//!
+//! Exits nonzero (with a reason on stderr) on any violation, so
 //! `scripts/verify.sh` can gate on it.
 
 use paradyn_bench::json::Json;
@@ -94,16 +101,104 @@ fn check_floors(bench_path: &str, results: &[(String, f64)]) {
     println!("check_bench_json: {floor_path} ok ({checked} floors held)");
 }
 
-fn main() {
-    let path = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "BENCH_des.json".to_string());
-    let text = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| fail(format!("cannot read {path}: {e}")));
-    let doc = Json::parse(&text).unwrap_or_else(|e| fail(format!("{path}: {e}")));
+fn read_json(path: &str) -> Json {
+    let text =
+        std::fs::read_to_string(path).unwrap_or_else(|e| fail(format!("cannot read {path}: {e}")));
+    Json::parse(&text).unwrap_or_else(|e| fail(format!("{path}: {e}")))
+}
 
-    if require_str(&doc, "schema", &path) != "paradyn.bench.des.v2" {
-        fail(format!("{path}: unknown schema"));
+/// One artifact of a repro file: `(name, runs, events)`, after checking
+/// that every field is present and `seconds` is a non-negative number.
+fn repro_rows(doc: &Json, path: &str) -> Vec<(String, f64, f64)> {
+    let artifacts = doc
+        .get("artifacts")
+        .and_then(Json::as_arr)
+        .unwrap_or_else(|| fail(format!("{path}: missing `artifacts` array")));
+    if artifacts.is_empty() {
+        fail(format!("{path}: empty `artifacts`"));
+    }
+    artifacts
+        .iter()
+        .enumerate()
+        .map(|(i, a)| {
+            let ctx = format!("{path} artifacts[{i}]");
+            let name = require_str(a, "name", &ctx).to_string();
+            let count = |key: &str| {
+                let v = require_num(a, key, &ctx);
+                if !(v >= 0.0 && v.fract() == 0.0) {
+                    fail(format!("{ctx}: `{key}` must be a non-negative integer"));
+                }
+                v
+            };
+            let (runs, events) = (count("runs"), count("events"));
+            if (runs == 0.0) != (events == 0.0) {
+                fail(format!("{ctx}: {runs} runs but {events} events"));
+            }
+            if !(require_num(a, "seconds", &ctx) >= 0.0) {
+                fail(format!("{ctx}: `seconds` must be >= 0"));
+            }
+            (name, runs, events)
+        })
+        .collect()
+}
+
+/// Check a `paradyn.bench.repro.v1` file and gate its machine-independent
+/// counts against the committed file.
+fn check_repro(doc: &Json, path: &str, committed_path: &str) {
+    let committed = read_json(committed_path);
+    if doc.get("scale").is_none() || doc.get("scale") != committed.get("scale") {
+        fail(format!(
+            "{path}: `scale` missing or differs from {committed_path}'s; \
+             compare runs made at the same scale"
+        ));
+    }
+    let (got, want) = (
+        repro_rows(doc, path),
+        repro_rows(&committed, committed_path),
+    );
+    if got.len() != want.len() {
+        fail(format!(
+            "{path}: artifact list differs from {committed_path}'s"
+        ));
+    }
+    let diffs: Vec<String> = got
+        .iter()
+        .zip(&want)
+        .filter(|(g, w)| g != w)
+        .map(
+            |((name, runs, events), (want_name, want_runs, want_events))| {
+                format!(
+                    "  {name}: {runs} runs / {events} events; \
+                 committed {want_name}: {want_runs} / {want_events}"
+                )
+            },
+        )
+        .collect();
+    if !diffs.is_empty() {
+        fail(format!(
+            "{path}: simulated work differs from {committed_path}:\n{}",
+            diffs.join("\n")
+        ));
+    }
+    println!(
+        "check_bench_json: {path} ok ({} artifacts match {committed_path})",
+        got.len()
+    );
+}
+
+fn main() {
+    let mut args = std::env::args().skip(1);
+    let path = args.next().unwrap_or_else(|| "BENCH_des.json".to_string());
+    let doc = read_json(&path);
+    match require_str(&doc, "schema", &path) {
+        "paradyn.bench.des.v2" => {}
+        "paradyn.bench.repro.v1" => {
+            let committed = args
+                .next()
+                .unwrap_or_else(|| "BENCH_repro.json".to_string());
+            return check_repro(&doc, &path, &committed);
+        }
+        _ => fail(format!("{path}: unknown schema")),
     }
     let results = doc
         .get("results")

@@ -2,21 +2,27 @@
 //!
 //! ```text
 //! repro [--scale quick|standard|full] [--reps N] [--sim-secs S]
-//!       [--seed N] [--csv DIR] <artifact> [<artifact> ...]
+//!       [--seed N] [--csv DIR] [--bench-json FILE] <artifact> [<artifact> ...]
 //! repro all        # every artifact in paper order
 //! repro list       # show available artifact ids
 //! ```
 //!
 //! With `--csv DIR`, every printed table is also written to
-//! `DIR/<artifact>_<n>.csv` for plotting.
+//! `DIR/<artifact>_<n>.csv` for plotting. With `--bench-json FILE`, the
+//! runs, executed events and wall-clock seconds of every artifact are
+//! written to `FILE` (schema `paradyn.bench.repro.v1`, checked by
+//! `check_bench_json`); the committed `BENCH_repro.json` is
+//! `repro all --scale quick --bench-json BENCH_repro.json`.
 
+use paradyn_bench::json::Json;
+use paradyn_bench::simhelp::sim_totals;
 use paradyn_bench::{run_artifact, Scale, Shared, ARTIFACTS};
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
     eprintln!(
         "usage: repro [--scale quick|standard|full] [--reps N] [--sim-secs S] [--seed N] \
-         [--csv DIR] <artifact>... | all | list"
+         [--csv DIR] [--bench-json FILE] <artifact>... | all | list"
     );
     eprintln!("artifacts: {}", ARTIFACTS.join(" "));
     ExitCode::FAILURE
@@ -44,6 +50,7 @@ fn main() -> ExitCode {
     exit_cleanly_on_broken_pipe();
     let mut scale = Scale::standard();
     let mut csv_dir: Option<std::path::PathBuf> = None;
+    let mut bench_json: Option<std::path::PathBuf> = None;
     let mut ids: Vec<String> = vec![];
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -86,6 +93,10 @@ fn main() -> ExitCode {
                 }
                 None => return usage(),
             },
+            "--bench-json" => match args.next() {
+                Some(file) => bench_json = Some(file.into()),
+                None => return usage(),
+            },
             "list" => {
                 for id in ARTIFACTS {
                     println!("{id}");
@@ -109,8 +120,10 @@ fn main() -> ExitCode {
     );
     // One per process: artifacts that share an experiment run it once.
     let mut shared = Shared::new(scale);
+    let mut rows = vec![];
     for id in &ids {
         let t0 = std::time::Instant::now();
+        let (runs0, events0) = sim_totals();
         paradyn_bench::fmt::set_csv_output(csv_dir.clone(), id);
         let known = run_artifact(id, &mut shared);
         paradyn_bench::fmt::set_csv_output(None, "");
@@ -118,7 +131,36 @@ fn main() -> ExitCode {
             eprintln!("unknown artifact {id:?} (try `repro list`)");
             return ExitCode::FAILURE;
         }
-        println!("[{} completed in {:.1}s]", id, t0.elapsed().as_secs_f64());
+        let seconds = t0.elapsed().as_secs_f64();
+        println!("[{} completed in {:.1}s]", id, seconds);
+        let (runs1, events1) = sim_totals();
+        rows.push(Json::Obj(vec![
+            ("name".into(), Json::str(id.as_str())),
+            ("runs".into(), Json::num((runs1 - runs0) as f64)),
+            ("events".into(), Json::num((events1 - events0) as f64)),
+            ("seconds".into(), Json::num(seconds)),
+        ]));
+    }
+    if let Some(path) = bench_json {
+        let doc = Json::Obj(vec![
+            ("schema".into(), Json::str("paradyn.bench.repro.v1")),
+            (
+                "scale".into(),
+                Json::Obj(vec![
+                    ("reps".into(), Json::num(scale.reps as f64)),
+                    ("sim_s".into(), Json::num(scale.sim_s)),
+                    ("sim_big_s".into(), Json::num(scale.sim_big_s)),
+                    ("testbed_s".into(), Json::num(scale.testbed.as_secs_f64())),
+                    ("trace_us".into(), Json::num(scale.trace_us)),
+                    ("seed".into(), Json::str(format!("{:#x}", scale.seed))),
+                ]),
+            ),
+            ("artifacts".into(), Json::Arr(rows)),
+        ]);
+        if let Err(e) = std::fs::write(&path, doc.pretty()) {
+            eprintln!("cannot write {}: {e}", path.display());
+            return ExitCode::FAILURE;
+        }
     }
     ExitCode::SUCCESS
 }

@@ -7,7 +7,7 @@
 
 use crate::fmt::{fnum, heading, TextTable};
 use crate::scale::Scale;
-use crate::simhelp::{mean_of, replicate};
+use crate::simhelp::{mean_of, run_grid};
 use paradyn_core::{Arch, DegradationConfig, OverloadRamp, SimConfig, SimMetrics};
 
 /// The controller used throughout: 4 priority tiers with the top 2
@@ -80,26 +80,31 @@ pub fn run_degradation(scale: &Scale) {
         "lost",
     ]);
     let mut with_ctrl = [f64::NAN; 2];
-    for (i, &(label, batch)) in policies.iter().enumerate() {
-        for (cname, deg) in [("off", None), ("on", Some(controller()))] {
-            let runs = replicate(&cfg(batch, deg, scale), scale);
-            let recv = mean_of(&runs, |m| m.received_samples as f64);
-            let emitted = mean_of(&runs, |m| m.emitted_samples as f64);
-            if cname == "on" {
-                with_ctrl[i] = goodput(&runs, scale.sim_s);
+    let controllers = [("off", None), ("on", Some(controller()))];
+    let cfgs: Vec<SimConfig> = policies
+        .iter()
+        .flat_map(|&(_, batch)| controllers.map(|(_, deg)| cfg(batch, deg, scale)))
+        .collect();
+    let grid = run_grid(&cfgs, scale);
+    for (i, (&(label, _), pair)) in policies.iter().zip(grid.chunks(2)).enumerate() {
+        for ((cname, _), runs) in controllers.iter().zip(pair) {
+            let recv = mean_of(runs, |m| m.received_samples as f64);
+            let emitted = mean_of(runs, |m| m.emitted_samples as f64);
+            if *cname == "on" {
+                with_ctrl[i] = goodput(runs, scale.sim_s);
             }
             t.row(vec![
                 label.to_string(),
                 cname.to_string(),
-                fnum(goodput(&runs, scale.sim_s), 0),
+                fnum(goodput(runs, scale.sim_s), 0),
                 fnum(100.0 * recv / emitted.max(1.0), 2),
-                fnum(mean_of(&runs, |m| m.shed_samples as f64), 0),
-                fnum(mean_of(&runs, |m| m.shed_by_tier[0] as f64), 0),
-                fnum(mean_of(&runs, |m| m.shed_by_tier[1] as f64), 0),
-                fnum(mean_of(&runs, |m| m.shed_by_tier[2] as f64), 0),
-                fnum(mean_of(&runs, |m| m.shed_by_tier[3] as f64), 0),
-                fnum(mean_of(&runs, |m| m.throttle_events as f64), 0),
-                fnum(mean_of(&runs, |m| m.samples_lost as f64), 0),
+                fnum(mean_of(runs, |m| m.shed_samples as f64), 0),
+                fnum(mean_of(runs, |m| m.shed_by_tier[0] as f64), 0),
+                fnum(mean_of(runs, |m| m.shed_by_tier[1] as f64), 0),
+                fnum(mean_of(runs, |m| m.shed_by_tier[2] as f64), 0),
+                fnum(mean_of(runs, |m| m.shed_by_tier[3] as f64), 0),
+                fnum(mean_of(runs, |m| m.throttle_events as f64), 0),
+                fnum(mean_of(runs, |m| m.samples_lost as f64), 0),
             ]);
         }
     }
@@ -122,16 +127,22 @@ mod tests {
     #[test]
     fn bf_retains_cf_goodput_and_sheds_only_low_tiers() {
         let scale = Scale::quick();
-        let cf = replicate(&cfg(1, Some(controller()), &scale), &scale);
-        let bf = replicate(&cfg(8, Some(controller()), &scale), &scale);
+        let grid = run_grid(
+            &[
+                cfg(1, Some(controller()), &scale),
+                cfg(8, Some(controller()), &scale),
+            ],
+            &scale,
+        );
+        let (cf, bf) = (&grid[0], &grid[1]);
         assert!(
-            goodput(&bf, scale.sim_s) >= goodput(&cf, scale.sim_s),
+            goodput(bf, scale.sim_s) >= goodput(cf, scale.sim_s),
             "bf={} cf={}",
-            goodput(&bf, scale.sim_s),
-            goodput(&cf, scale.sim_s)
+            goodput(bf, scale.sim_s),
+            goodput(cf, scale.sim_s)
         );
         let deg = controller();
-        for runs in [&cf, &bf] {
+        for runs in [cf, bf] {
             for m in runs.iter() {
                 assert!(m.shed_samples > 0, "ramp never engaged the controller");
                 for tier in 0..deg.keep_tiers {

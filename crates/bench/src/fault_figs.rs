@@ -6,7 +6,7 @@
 
 use crate::fmt::{fnum, heading, TextTable};
 use crate::scale::Scale;
-use crate::simhelp::{mean_of, replicate};
+use crate::simhelp::{mean_of, run_grid};
 use paradyn_core::{
     Arch, DaemonCrashFaults, FaultPlan, LinkFaults, OverflowPolicy, SimConfig, SimMetrics,
 };
@@ -76,25 +76,37 @@ pub fn run_faults(scale: &Scale) {
         "writer block (s)",
     ]);
     let mut crash_loss_per_crash = [f64::NAN; 2];
-    for (i, &(label, batch)) in policies.iter().enumerate() {
-        // Fault-free baseline.
-        let base = replicate(&cfg(batch, FaultPlan::default(), scale), scale);
+    // Per policy: the fault-free baseline, then one run per overflow
+    // policy with faults on.
+    let mut cfgs = vec![];
+    for &(_, batch) in &policies {
+        cfgs.push(cfg(batch, FaultPlan::default(), scale));
+        for &(_, ov) in &overflows {
+            cfgs.push(cfg(batch, fault_plan(ov), scale));
+        }
+    }
+    let grid = run_grid(&cfgs, scale);
+    for (i, (&(label, _), block)) in policies
+        .iter()
+        .zip(grid.chunks(1 + overflows.len()))
+        .enumerate()
+    {
+        let base = &block[0];
         t.row(vec![
             label.to_string(),
             "block".into(),
             "off".into(),
-            fnum(delivery_pct(&base), 2),
+            fnum(delivery_pct(base), 2),
             "-".into(),
             "-".into(),
             "0".into(),
             "0".into(),
             "0".into(),
-            fnum(mean_of(&base, |m| m.writer_block_time_s), 3),
+            fnum(mean_of(base, |m| m.writer_block_time_s), 3),
         ]);
-        for &(oname, ov) in &overflows {
-            let runs = replicate(&cfg(batch, fault_plan(ov), scale), scale);
-            let crashes = mean_of(&runs, |m| m.daemon_crashes as f64);
-            let lost_crash = mean_of(&runs, |m| m.lost_daemon_crash as f64);
+        for (&(oname, ov), runs) in overflows.iter().zip(&block[1..]) {
+            let crashes = mean_of(runs, |m| m.daemon_crashes as f64);
+            let lost_crash = mean_of(runs, |m| m.lost_daemon_crash as f64);
             if ov == OverflowPolicy::Block {
                 crash_loss_per_crash[i] = if crashes > 0.0 {
                     lost_crash / crashes
@@ -106,7 +118,7 @@ pub fn run_faults(scale: &Scale) {
                 label.to_string(),
                 oname.to_string(),
                 "on".into(),
-                fnum(delivery_pct(&runs), 2),
+                fnum(delivery_pct(runs), 2),
                 fnum(
                     if crashes > 0.0 {
                         lost_crash / crashes
@@ -115,11 +127,11 @@ pub fn run_faults(scale: &Scale) {
                     },
                     1,
                 ),
-                fnum(mean_of(&runs, |m| m.lost_link as f64), 1),
+                fnum(mean_of(runs, |m| m.lost_link as f64), 1),
                 fnum(crashes, 1),
-                fnum(mean_of(&runs, |m| m.daemon_downtime_s), 2),
-                fnum(mean_of(&runs, |m| m.forward_retries as f64), 1),
-                fnum(mean_of(&runs, |m| m.writer_block_time_s), 3),
+                fnum(mean_of(runs, |m| m.daemon_downtime_s), 2),
+                fnum(mean_of(runs, |m| m.forward_retries as f64), 1),
+                fnum(mean_of(runs, |m| m.writer_block_time_s), 3),
             ]);
         }
     }
@@ -143,18 +155,19 @@ mod tests {
             sim_s: 6.0,
             ..Scale::quick()
         };
-        let cf = replicate(&cfg(1, fault_plan(OverflowPolicy::Block), &scale), &scale);
-        let bf = replicate(&cfg(32, fault_plan(OverflowPolicy::Block), &scale), &scale);
+        let plan = fault_plan(OverflowPolicy::Block);
+        let grid = run_grid(&[cfg(1, plan, &scale), cfg(32, plan, &scale)], &scale);
+        let (cf, bf) = (&grid[0], &grid[1]);
         let per_crash = |runs: &[SimMetrics]| {
             mean_of(runs, |m| m.lost_daemon_crash as f64)
                 / mean_of(runs, |m| m.daemon_crashes as f64).max(1.0)
         };
-        assert!(mean_of(&cf, |m| m.daemon_crashes as f64) > 0.0);
+        assert!(mean_of(cf, |m| m.daemon_crashes as f64) > 0.0);
         assert!(
-            per_crash(&bf) > per_crash(&cf),
+            per_crash(bf) > per_crash(cf),
             "bf={} cf={}",
-            per_crash(&bf),
-            per_crash(&cf)
+            per_crash(bf),
+            per_crash(cf)
         );
     }
 }

@@ -3,7 +3,7 @@
 
 use crate::fmt::{fnum, heading, ms, pct, TextTable};
 use crate::scale::Scale;
-use crate::simhelp::{mean_of, print_variation, replicate, run_factorial, FactorialRun};
+use crate::simhelp::{mean_of, print_variation, run_factorial, run_grid, FactorialRun};
 use paradyn_core::{Arch, Forwarding, SimConfig};
 use paradyn_workload::pvmbt;
 
@@ -103,38 +103,36 @@ pub fn run_fig26(scale: &Scale) {
         "latency ms CF-direct",
         "latency ms BF-direct",
     ]);
-    for &p in &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0] {
-        let cf = replicate(
-            &SimConfig {
-                sampling_period_us: p * 1e3,
-                batch: 1,
-                ..mpp_base(scale, Forwarding::Direct)
-            },
-            scale,
-        );
-        let bf = replicate(
-            &SimConfig {
-                sampling_period_us: p * 1e3,
-                ..mpp_base(scale, Forwarding::Direct)
-            },
-            scale,
-        );
-        let tr = replicate(
-            &SimConfig {
-                sampling_period_us: p * 1e3,
-                ..mpp_base(scale, Forwarding::BinaryTree)
-            },
-            scale,
-        );
+    let periods = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0];
+    let mut cfgs = vec![];
+    for &p in &periods {
+        let period_us = p * 1e3;
+        cfgs.push(SimConfig {
+            sampling_period_us: period_us,
+            batch: 1,
+            ..mpp_base(scale, Forwarding::Direct)
+        });
+        cfgs.push(SimConfig {
+            sampling_period_us: period_us,
+            ..mpp_base(scale, Forwarding::Direct)
+        });
+        cfgs.push(SimConfig {
+            sampling_period_us: period_us,
+            ..mpp_base(scale, Forwarding::BinaryTree)
+        });
+    }
+    let grid = run_grid(&cfgs, scale);
+    for (&p, point) in periods.iter().zip(grid.chunks(3)) {
+        let (cf, bf, tr) = (&point[0], &point[1], &point[2]);
         t.row(vec![
             fnum(p, 0),
-            pct(mean_of(&cf, |m| m.pd_cpu_util_per_node)),
-            pct(mean_of(&bf, |m| m.pd_cpu_util_per_node)),
-            pct(mean_of(&tr, |m| m.pd_cpu_util_per_node)),
-            pct(mean_of(&bf, |m| m.main_cpu_util)),
-            pct(mean_of(&bf, |m| m.app_cpu_util_per_node)),
-            ms(mean_of(&cf, |m| m.latency_mean_s)),
-            ms(mean_of(&bf, |m| m.latency_mean_s)),
+            pct(mean_of(cf, |m| m.pd_cpu_util_per_node)),
+            pct(mean_of(bf, |m| m.pd_cpu_util_per_node)),
+            pct(mean_of(tr, |m| m.pd_cpu_util_per_node)),
+            pct(mean_of(bf, |m| m.main_cpu_util)),
+            pct(mean_of(bf, |m| m.app_cpu_util_per_node)),
+            ms(mean_of(cf, |m| m.latency_mean_s)),
+            ms(mean_of(bf, |m| m.latency_mean_s)),
         ]);
     }
     t.print();
@@ -155,30 +153,28 @@ pub fn run_fig27(scale: &Scale) {
         "latency ms direct",
         "latency ms tree",
     ]);
-    for &n in &[2usize, 8, 32, 128, 256] {
-        let d = replicate(
-            &SimConfig {
+    let node_counts = [2usize, 8, 32, 128, 256];
+    let mut cfgs = vec![];
+    for &n in &node_counts {
+        for forwarding in [Forwarding::Direct, Forwarding::BinaryTree] {
+            cfgs.push(SimConfig {
                 nodes: n,
-                ..mpp_base(scale, Forwarding::Direct)
-            },
-            scale,
-        );
-        let tr = replicate(
-            &SimConfig {
-                nodes: n,
-                ..mpp_base(scale, Forwarding::BinaryTree)
-            },
-            scale,
-        );
+                ..mpp_base(scale, forwarding)
+            });
+        }
+    }
+    let grid = run_grid(&cfgs, scale);
+    for (&n, pair) in node_counts.iter().zip(grid.chunks(2)) {
+        let (d, tr) = (&pair[0], &pair[1]);
         t.row(vec![
             n.to_string(),
-            fnum(mean_of(&d, |m| m.pd_cpu_util_per_node) * 100.0, 4),
-            fnum(mean_of(&tr, |m| m.pd_cpu_util_per_node) * 100.0, 4),
-            pct(mean_of(&d, |m| m.main_cpu_util)),
-            pct(mean_of(&tr, |m| m.main_cpu_util)),
-            pct(mean_of(&d, |m| m.app_cpu_util_per_node)),
-            ms(mean_of(&d, |m| m.latency_mean_s)),
-            ms(mean_of(&tr, |m| m.latency_mean_s)),
+            fnum(mean_of(d, |m| m.pd_cpu_util_per_node) * 100.0, 4),
+            fnum(mean_of(tr, |m| m.pd_cpu_util_per_node) * 100.0, 4),
+            pct(mean_of(d, |m| m.main_cpu_util)),
+            pct(mean_of(tr, |m| m.main_cpu_util)),
+            pct(mean_of(d, |m| m.app_cpu_util_per_node)),
+            ms(mean_of(d, |m| m.latency_mean_s)),
+            ms(mean_of(tr, |m| m.latency_mean_s)),
         ]);
     }
     t.print();
@@ -197,17 +193,23 @@ pub fn run_fig28(scale: &Scale) {
         "latency ms",
         "barrier ops",
     ]);
-    for &bp_ms in &[0.01, 0.1, 1.0, 10.0, 100.0, 1000.0, 10000.0] {
-        let mut cfg = mpp_base(scale, Forwarding::Direct);
-        cfg.app = pvmbt().with_barriers(bp_ms * 1e3);
-        let runs = replicate(&cfg, scale);
+    let barrier_ms = [0.01, 0.1, 1.0, 10.0, 100.0, 1000.0, 10000.0];
+    let cfgs: Vec<SimConfig> = barrier_ms
+        .iter()
+        .map(|&bp_ms| {
+            let mut cfg = mpp_base(scale, Forwarding::Direct);
+            cfg.app = pvmbt().with_barriers(bp_ms * 1e3);
+            cfg
+        })
+        .collect();
+    for (&bp_ms, runs) in barrier_ms.iter().zip(&run_grid(&cfgs, scale)) {
         t.row(vec![
             fnum(bp_ms, 2),
-            fnum(mean_of(&runs, |m| m.pd_cpu_util_per_node) * 100.0, 4),
-            pct(mean_of(&runs, |m| m.main_cpu_util)),
-            pct(mean_of(&runs, |m| m.app_cpu_util_per_node)),
-            ms(mean_of(&runs, |m| m.fwd_latency_mean_s)),
-            fnum(mean_of(&runs, |m| m.barrier_ops as f64), 0),
+            fnum(mean_of(runs, |m| m.pd_cpu_util_per_node) * 100.0, 4),
+            pct(mean_of(runs, |m| m.main_cpu_util)),
+            pct(mean_of(runs, |m| m.app_cpu_util_per_node)),
+            ms(mean_of(runs, |m| m.fwd_latency_mean_s)),
+            fnum(mean_of(runs, |m| m.barrier_ops as f64), 0),
         ]);
     }
     t.print();

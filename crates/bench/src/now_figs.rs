@@ -3,8 +3,8 @@
 
 use crate::fmt::{fnum, heading, ms, pct, TextTable};
 use crate::scale::Scale;
-use crate::simhelp::{mean_of, print_variation, replicate, run_factorial, FactorialRun};
-use paradyn_core::{Arch, SimConfig};
+use crate::simhelp::{mean_of, print_variation, run_factorial, run_grid, FactorialRun};
+use paradyn_core::{Arch, SimConfig, SimMetrics};
 use paradyn_workload::{comm_intensive, compute_intensive};
 
 /// Factor levels of the NOW 2^4 design (Table 4): A = nodes {5, 50},
@@ -89,6 +89,35 @@ pub fn run_fig17(scale: &Scale) {
         seed: scale.seed,
         ..Default::default()
     };
+    let periods = [5.0, 10.0, 20.0, 30.0, 40.0, 50.0];
+    let apps = [1usize, 2, 4, 8, 16, 32];
+    // CF then BF(32) for every point of both panels, in one grid.
+    let cf_bf = |c: SimConfig| [c.clone(), SimConfig { batch: 32, ..c }];
+    let cfgs: Vec<SimConfig> = periods
+        .iter()
+        .map(|&p| SimConfig {
+            apps_per_node: 8,
+            sampling_period_us: p * 1e3,
+            ..base.clone()
+        })
+        .chain(apps.iter().map(|&a| SimConfig {
+            apps_per_node: a,
+            ..base.clone()
+        }))
+        .flat_map(cf_bf)
+        .collect();
+    let grid = run_grid(&cfgs, scale);
+    let (by_period, by_apps) = grid.split_at(2 * periods.len());
+    let row = |label: String, pair: &[Vec<SimMetrics>]| {
+        let (cf, bf) = (&pair[0], &pair[1]);
+        vec![
+            label,
+            fnum(mean_of(cf, |m| m.pd_cpu_per_node_s), 3),
+            fnum(mean_of(bf, |m| m.pd_cpu_per_node_s), 3),
+            fnum(mean_of(cf, |m| m.throughput_per_s), 0),
+            fnum(mean_of(bf, |m| m.throughput_per_s), 0),
+        ]
+    };
     println!("\n(a) 8 application processes, varying sampling period");
     let mut t = TextTable::new(vec![
         "period ms",
@@ -97,31 +126,8 @@ pub fn run_fig17(scale: &Scale) {
         "throughput/s CF",
         "throughput/s BF",
     ]);
-    for &p in &[5.0, 10.0, 20.0, 30.0, 40.0, 50.0] {
-        let cf = replicate(
-            &SimConfig {
-                apps_per_node: 8,
-                sampling_period_us: p * 1e3,
-                ..base.clone()
-            },
-            scale,
-        );
-        let bf = replicate(
-            &SimConfig {
-                apps_per_node: 8,
-                sampling_period_us: p * 1e3,
-                batch: 32,
-                ..base.clone()
-            },
-            scale,
-        );
-        t.row(vec![
-            fnum(p, 0),
-            fnum(mean_of(&cf, |m| m.pd_cpu_per_node_s), 3),
-            fnum(mean_of(&bf, |m| m.pd_cpu_per_node_s), 3),
-            fnum(mean_of(&cf, |m| m.throughput_per_s), 0),
-            fnum(mean_of(&bf, |m| m.throughput_per_s), 0),
-        ]);
+    for (&p, pair) in periods.iter().zip(by_period.chunks(2)) {
+        t.row(row(fnum(p, 0), pair));
     }
     t.print();
 
@@ -133,29 +139,8 @@ pub fn run_fig17(scale: &Scale) {
         "throughput/s CF",
         "throughput/s BF",
     ]);
-    for &apps in &[1usize, 2, 4, 8, 16, 32] {
-        let cf = replicate(
-            &SimConfig {
-                apps_per_node: apps,
-                ..base.clone()
-            },
-            scale,
-        );
-        let bf = replicate(
-            &SimConfig {
-                apps_per_node: apps,
-                batch: 32,
-                ..base.clone()
-            },
-            scale,
-        );
-        t.row(vec![
-            apps.to_string(),
-            fnum(mean_of(&cf, |m| m.pd_cpu_per_node_s), 3),
-            fnum(mean_of(&bf, |m| m.pd_cpu_per_node_s), 3),
-            fnum(mean_of(&cf, |m| m.throughput_per_s), 0),
-            fnum(mean_of(&bf, |m| m.throughput_per_s), 0),
-        ]);
+    for (&a, pair) in apps.iter().zip(by_apps.chunks(2)) {
+        t.row(row(a.to_string(), pair));
     }
     t.print();
     println!("paper shape: BF daemon CPU far below CF, gap widening at short periods/many apps;");
@@ -174,13 +159,37 @@ pub fn run_fig18(scale: &Scale) {
         seed: scale.seed,
         ..Default::default()
     };
-    let series = |cfg: &SimConfig| {
-        let runs = replicate(cfg, scale);
+    let nodes = [2usize, 4, 8, 16, 32];
+    let periods = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0];
+    // Panel (a): CF, BF(32), uninstrumented per node count; panel (b):
+    // CF, BF(32) per period. One grid for both.
+    let mut cfgs = vec![];
+    for &n in &nodes {
+        cfgs.push(SimConfig { nodes: n, ..base.clone() });
+        cfgs.push(SimConfig { nodes: n, batch: 32, ..base.clone() });
+        cfgs.push(SimConfig {
+            nodes: n,
+            instrumented: false,
+            ..base.clone()
+        });
+    }
+    for &p in &periods {
+        let c = SimConfig {
+            nodes: 8,
+            sampling_period_us: p * 1e3,
+            ..base.clone()
+        };
+        cfgs.push(c.clone());
+        cfgs.push(SimConfig { batch: 32, ..c });
+    }
+    let grid = run_grid(&cfgs, scale);
+    let (by_nodes, by_period) = grid.split_at(3 * nodes.len());
+    let series = |runs: &[SimMetrics]| {
         (
-            mean_of(&runs, |m| m.pd_cpu_util_per_node),
-            mean_of(&runs, |m| m.main_cpu_util),
-            mean_of(&runs, |m| m.app_cpu_util_per_node),
-            mean_of(&runs, |m| m.fwd_latency_mean_s),
+            mean_of(runs, |m| m.pd_cpu_util_per_node),
+            mean_of(runs, |m| m.main_cpu_util),
+            mean_of(runs, |m| m.app_cpu_util_per_node),
+            mean_of(runs, |m| m.fwd_latency_mean_s),
         )
     };
     println!("\n(a) sampling period = 40 ms, varying nodes");
@@ -195,14 +204,8 @@ pub fn run_fig18(scale: &Scale) {
         "latency ms CF",
         "latency ms BF",
     ]);
-    for &n in &[2usize, 4, 8, 16, 32] {
-        let cf = series(&SimConfig { nodes: n, ..base.clone() });
-        let bf = series(&SimConfig { nodes: n, batch: 32, ..base.clone() });
-        let un = series(&SimConfig {
-            nodes: n,
-            instrumented: false,
-            ..base.clone()
-        });
+    for (&n, point) in nodes.iter().zip(by_nodes.chunks(3)) {
+        let (cf, bf, un) = (series(&point[0]), series(&point[1]), series(&point[2]));
         t.row(vec![
             n.to_string(),
             pct(cf.0),
@@ -228,18 +231,8 @@ pub fn run_fig18(scale: &Scale) {
         "latency ms CF",
         "latency ms BF",
     ]);
-    for &p in &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0] {
-        let cf = series(&SimConfig {
-            nodes: 8,
-            sampling_period_us: p * 1e3,
-            ..base.clone()
-        });
-        let bf = series(&SimConfig {
-            nodes: 8,
-            sampling_period_us: p * 1e3,
-            batch: 32,
-            ..base.clone()
-        });
+    for (&p, pair) in periods.iter().zip(by_period.chunks(2)) {
+        let (cf, bf) = (series(&pair[0]), series(&pair[1]));
         t.row(vec![
             fnum(p, 0),
             pct(cf.0),
@@ -266,7 +259,20 @@ pub fn run_fig19(scale: &Scale) {
         seed: scale.seed,
         ..Default::default()
     };
-    for &p in &[1.0, 40.0, 64.0] {
+    let periods = [1.0, 40.0, 64.0];
+    let batches = [1usize, 2, 4, 8, 16, 32, 64];
+    let mut cfgs = vec![];
+    for &p in &periods {
+        for &b in &batches {
+            cfgs.push(SimConfig {
+                sampling_period_us: p * 1e3,
+                batch: b,
+                ..base.clone()
+            });
+        }
+    }
+    let grid = run_grid(&cfgs, scale);
+    for (&p, sweep) in periods.iter().zip(grid.chunks(batches.len())) {
         println!("\nsampling period = {p} ms");
         let mut t = TextTable::new(vec![
             "batch",
@@ -276,22 +282,14 @@ pub fn run_fig19(scale: &Scale) {
             "fwd latency ms",
             "full latency ms",
         ]);
-        for &b in &[1usize, 2, 4, 8, 16, 32, 64] {
-            let runs = replicate(
-                &SimConfig {
-                    sampling_period_us: p * 1e3,
-                    batch: b,
-                    ..base.clone()
-                },
-                scale,
-            );
+        for (&b, runs) in batches.iter().zip(sweep) {
             t.row(vec![
                 b.to_string(),
-                pct(mean_of(&runs, |m| m.pd_cpu_util_per_node)),
-                pct(mean_of(&runs, |m| m.main_cpu_util)),
-                pct(mean_of(&runs, |m| m.app_cpu_util_per_node)),
-                ms(mean_of(&runs, |m| m.fwd_latency_mean_s)),
-                ms(mean_of(&runs, |m| m.latency_mean_s)),
+                pct(mean_of(runs, |m| m.pd_cpu_util_per_node)),
+                pct(mean_of(runs, |m| m.main_cpu_util)),
+                pct(mean_of(runs, |m| m.app_cpu_util_per_node)),
+                ms(mean_of(runs, |m| m.fwd_latency_mean_s)),
+                ms(mean_of(runs, |m| m.latency_mean_s)),
             ]);
         }
         t.print();

@@ -1,14 +1,32 @@
-//! Shared helpers for the simulation-based experiments: replicated sweeps
+//! Shared helpers for the simulation-based experiments: replicated grids
 //! and 2^k·r factorial designs over [`SimConfig`]s.
 //!
 //! Every replication's seed is a pure function of `(scale.seed,
-//! replication index)`, so the sweeps fan out over
-//! [`paradyn_core::run_many`]'s scoped threads while staying bit-identical
-//! to a serial execution.
+//! replication index)`. A figure submits all of its configurations ×
+//! replications to [`run_grid`] in one call, so [`paradyn_core::run_many`]'s
+//! pool balances the whole figure over the CPUs (longest runs first) with
+//! one barrier at its end, while the results stay bit-identical to a
+//! serial execution.
 
 use crate::scale::Scale;
 use paradyn_core::{default_threads, replication_seed, run_many, SimConfig, SimMetrics};
 use paradyn_stats::Design2kr;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Runs and executed events simulated so far by this process.
+static RUNS: AtomicU64 = AtomicU64::new(0);
+static EVENTS: AtomicU64 = AtomicU64::new(0);
+
+/// Add `runs` to the process-wide totals that [`sim_totals`] reads.
+pub fn count(runs: &[SimMetrics]) {
+    RUNS.fetch_add(runs.len() as u64, Ordering::Relaxed);
+    EVENTS.fetch_add(runs.iter().map(|m| m.events).sum(), Ordering::Relaxed);
+}
+
+/// `(runs, executed events)` simulated so far by this process.
+pub fn sim_totals() -> (u64, u64) {
+    (RUNS.load(Ordering::Relaxed), EVENTS.load(Ordering::Relaxed))
+}
 
 /// The `scale.reps` seed-derived configurations for one base configuration.
 fn replica_cfgs(cfg: &SimConfig, scale: &Scale) -> Vec<SimConfig> {
@@ -21,10 +39,17 @@ fn replica_cfgs(cfg: &SimConfig, scale: &Scale) -> Vec<SimConfig> {
         .collect()
 }
 
-/// Run one configuration `scale.reps` times with derived seeds and return
-/// the per-replication metrics (in replication order; runs in parallel).
-pub fn replicate(cfg: &SimConfig, scale: &Scale) -> Vec<SimMetrics> {
-    run_many(&replica_cfgs(cfg, scale), default_threads())
+/// Run every configuration `scale.reps` times with derived seeds, all in
+/// one parallel call, and return each configuration's replications (in
+/// replication order), in input order.
+pub fn run_grid(cfgs: &[SimConfig], scale: &Scale) -> Vec<Vec<SimMetrics>> {
+    let all: Vec<SimConfig> = cfgs.iter().flat_map(|c| replica_cfgs(c, scale)).collect();
+    let runs = run_many(&all, default_threads());
+    count(&runs);
+    let mut runs = runs.into_iter();
+    cfgs.iter()
+        .map(|_| runs.by_ref().take(scale.reps).collect())
+        .collect()
 }
 
 /// Mean of a metric across replications (non-finite values dropped).
@@ -64,13 +89,8 @@ pub fn run_factorial(
     let mut overhead = Design2kr::new(factor_names.clone());
     let mut latency = Design2kr::new(factor_names);
     let mut rows = vec![];
-    // Fan the whole (configuration × replication) grid out at once so the
-    // sweep keeps every core busy even when `reps` is small.
-    let all_cfgs: Vec<SimConfig> = (0..(1usize << k))
-        .flat_map(|bits| replica_cfgs(&cfg_of(bits), scale))
-        .collect();
-    let all_runs = run_many(&all_cfgs, default_threads());
-    for (bits, runs) in all_runs.chunks(scale.reps).enumerate() {
+    let cfgs: Vec<SimConfig> = (0..(1usize << k)).map(cfg_of).collect();
+    for (bits, runs) in run_grid(&cfgs, scale).iter().enumerate() {
         let ov: Vec<f64> = runs.iter().map(&overhead_of).collect();
         let lat: Vec<f64> = runs
             .iter()
@@ -129,16 +149,21 @@ mod tests {
     }
 
     #[test]
-    fn replicate_uses_distinct_seeds() {
+    fn grid_replicates_each_config_with_distinct_seeds() {
         let cfg = SimConfig {
             arch: Arch::Now { contention_free: true },
             nodes: 1,
             duration_s: 1.0,
             ..Default::default()
         };
-        let runs = replicate(&cfg, &tiny());
-        assert_eq!(runs.len(), 2);
-        assert_ne!(runs[0].received_samples, runs[1].received_samples);
+        let two = SimConfig { nodes: 2, ..cfg.clone() };
+        let grid = run_grid(&[cfg, two], &tiny());
+        assert_eq!(grid.len(), 2);
+        for runs in &grid {
+            assert_eq!(runs.len(), 2);
+            assert_ne!(runs[0].received_samples, runs[1].received_samples);
+        }
+        assert_ne!(grid[0][0].received_samples, grid[1][0].received_samples);
     }
 
     #[test]

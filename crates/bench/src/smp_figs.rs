@@ -3,7 +3,7 @@
 
 use crate::fmt::{fnum, heading, ms, pct, TextTable};
 use crate::scale::Scale;
-use crate::simhelp::{mean_of, print_variation, replicate, run_factorial, FactorialRun};
+use crate::simhelp::{mean_of, print_variation, run_factorial, run_grid, FactorialRun};
 use paradyn_core::{Arch, SimConfig};
 use paradyn_workload::{comm_intensive, compute_intensive};
 
@@ -73,6 +73,9 @@ pub fn run_fig20(fr: &FactorialRun) {
     println!("       A and C (forwarding policy), 23% each");
 }
 
+/// The two forwarding policies every SMP figure compares, CF first.
+const POLICIES: [(&str, usize); 2] = [("CF", 1), ("BF(32)", 32)];
+
 fn smp_base(scale: &Scale) -> SimConfig {
     SimConfig {
         arch: Arch::Smp,
@@ -88,7 +91,23 @@ fn smp_base(scale: &Scale) -> SimConfig {
 /// 1–4 daemons, CF vs BF(32) (each CPU runs one application process).
 pub fn run_fig21(scale: &Scale) {
     heading("Figure 21: SMP daemon throughput vs CPUs, 1-4 Pds (40 ms)");
-    for (label, batch) in [("CF", 1usize), ("BF(32)", 32)] {
+    let cpu_counts = [2usize, 4, 8, 12, 16];
+    let mut cfgs = vec![];
+    for (_, batch) in POLICIES {
+        for &cpus in &cpu_counts {
+            for pds in 1..=4usize {
+                cfgs.push(SimConfig {
+                    nodes: cpus,
+                    apps_per_node: cpus,
+                    pds: pds.min(cpus),
+                    batch,
+                    ..smp_base(scale)
+                });
+            }
+        }
+    }
+    let grid = run_grid(&cfgs, scale);
+    for ((label, _), panel) in POLICIES.into_iter().zip(grid.chunks(4 * cpu_counts.len())) {
         println!("\n{label}");
         let mut t = TextTable::new(vec![
             "CPUs",
@@ -97,18 +116,10 @@ pub fn run_fig21(scale: &Scale) {
             "tput/s 3 Pds",
             "tput/s 4 Pds",
         ]);
-        for &cpus in &[2usize, 4, 8, 12, 16] {
+        for (&cpus, point) in cpu_counts.iter().zip(panel.chunks(4)) {
             let mut cells = vec![cpus.to_string()];
-            for pds in 1..=4usize {
-                let cfg = SimConfig {
-                    nodes: cpus,
-                    apps_per_node: cpus,
-                    pds: pds.min(cpus),
-                    batch,
-                    ..smp_base(scale)
-                };
-                let runs = replicate(&cfg, scale);
-                cells.push(fnum(mean_of(&runs, |m| m.throughput_per_s), 0));
+            for runs in point {
+                cells.push(fnum(mean_of(runs, |m| m.throughput_per_s), 0));
             }
             t.row(cells);
         }
@@ -122,7 +133,24 @@ pub fn run_fig21(scale: &Scale) {
 /// daemons (40 ms, 32 apps).
 pub fn run_fig22(scale: &Scale) {
     heading("Figure 22: SMP metrics vs nodes, 1-4 Pds (40 ms, 32 apps)");
-    for (label, batch) in [("CF", 1usize), ("BF(32)", 32)] {
+    let node_counts = [2usize, 4, 8, 16, 24, 32];
+    // Per point: 1 Pd, 4 Pds, and the uninstrumented 1-Pd reference.
+    let mut cfgs = vec![];
+    for (_, batch) in POLICIES {
+        for &n in &node_counts {
+            for (pds, instrumented) in [(1, true), (4, true), (1, false)] {
+                cfgs.push(SimConfig {
+                    nodes: n,
+                    pds,
+                    batch,
+                    instrumented,
+                    ..smp_base(scale)
+                });
+            }
+        }
+    }
+    let grid = run_grid(&cfgs, scale);
+    for ((label, _), panel) in POLICIES.into_iter().zip(grid.chunks(3 * node_counts.len())) {
         println!("\n{label}");
         let mut t = TextTable::new(vec![
             "nodes",
@@ -133,28 +161,16 @@ pub fn run_fig22(scale: &Scale) {
             "app CPU %/node 1Pd",
             "app CPU % uninst",
         ]);
-        for &n in &[2usize, 4, 8, 16, 24, 32] {
-            let run_with = |pds: usize, instrumented: bool| {
-                let cfg = SimConfig {
-                    nodes: n,
-                    pds,
-                    batch,
-                    instrumented,
-                    ..smp_base(scale)
-                };
-                replicate(&cfg, scale)
-            };
-            let p1 = run_with(1, true);
-            let p4 = run_with(4, true);
-            let un = run_with(1, false);
+        for (&n, point) in node_counts.iter().zip(panel.chunks(3)) {
+            let (p1, p4, un) = (&point[0], &point[1], &point[2]);
             t.row(vec![
                 n.to_string(),
-                pct(mean_of(&p1, |m| m.is_cpu_util_per_node)),
-                pct(mean_of(&p4, |m| m.is_cpu_util_per_node)),
-                ms(mean_of(&p1, |m| m.fwd_latency_mean_s)),
-                ms(mean_of(&p4, |m| m.fwd_latency_mean_s)),
-                pct(mean_of(&p1, |m| m.app_cpu_util_per_node)),
-                pct(mean_of(&un, |m| m.app_cpu_util_per_node)),
+                pct(mean_of(p1, |m| m.is_cpu_util_per_node)),
+                pct(mean_of(p4, |m| m.is_cpu_util_per_node)),
+                ms(mean_of(p1, |m| m.fwd_latency_mean_s)),
+                ms(mean_of(p4, |m| m.fwd_latency_mean_s)),
+                pct(mean_of(p1, |m| m.app_cpu_util_per_node)),
+                pct(mean_of(un, |m| m.app_cpu_util_per_node)),
             ]);
         }
         t.print();
@@ -168,7 +184,22 @@ pub fn run_fig22(scale: &Scale) {
 /// small periods.
 pub fn run_fig23(scale: &Scale) {
     heading("Figure 23: SMP metrics vs sampling period, 1-4 Pds (16 nodes, 32 apps)");
-    for (label, batch) in [("CF", 1usize), ("BF(32)", 32)] {
+    let periods = [2.0, 5.0, 10.0, 20.0, 40.0, 64.0];
+    let mut cfgs = vec![];
+    for (_, batch) in POLICIES {
+        for &p in &periods {
+            for pds in [1, 4] {
+                cfgs.push(SimConfig {
+                    sampling_period_us: p * 1e3,
+                    pds,
+                    batch,
+                    ..smp_base(scale)
+                });
+            }
+        }
+    }
+    let grid = run_grid(&cfgs, scale);
+    for ((label, _), panel) in POLICIES.into_iter().zip(grid.chunks(2 * periods.len())) {
         println!("\n{label}");
         let mut t = TextTable::new(vec![
             "period ms",
@@ -179,28 +210,16 @@ pub fn run_fig23(scale: &Scale) {
             "app CPU % 4Pd",
             "blocked 1Pd",
         ]);
-        for &p in &[2.0, 5.0, 10.0, 20.0, 40.0, 64.0] {
-            let run_with = |pds: usize| {
-                replicate(
-                    &SimConfig {
-                        sampling_period_us: p * 1e3,
-                        pds,
-                        batch,
-                        ..smp_base(scale)
-                    },
-                    scale,
-                )
-            };
-            let p1 = run_with(1);
-            let p4 = run_with(4);
+        for (&p, point) in periods.iter().zip(panel.chunks(2)) {
+            let (p1, p4) = (&point[0], &point[1]);
             t.row(vec![
                 fnum(p, 0),
-                pct(mean_of(&p1, |m| m.is_cpu_util_per_node)),
-                pct(mean_of(&p4, |m| m.is_cpu_util_per_node)),
-                ms(mean_of(&p1, |m| m.fwd_latency_mean_s)),
-                pct(mean_of(&p1, |m| m.app_cpu_util_per_node)),
-                pct(mean_of(&p4, |m| m.app_cpu_util_per_node)),
-                fnum(mean_of(&p1, |m| m.blocked_deposits as f64), 0),
+                pct(mean_of(p1, |m| m.is_cpu_util_per_node)),
+                pct(mean_of(p4, |m| m.is_cpu_util_per_node)),
+                ms(mean_of(p1, |m| m.fwd_latency_mean_s)),
+                pct(mean_of(p1, |m| m.app_cpu_util_per_node)),
+                pct(mean_of(p4, |m| m.app_cpu_util_per_node)),
+                fnum(mean_of(p1, |m| m.blocked_deposits as f64), 0),
             ]);
         }
         t.print();
@@ -213,7 +232,22 @@ pub fn run_fig23(scale: &Scale) {
 /// 1–4 daemons (40 ms, 16 nodes).
 pub fn run_fig24(scale: &Scale) {
     heading("Figure 24: SMP metrics vs app processes, 1-4 Pds (40 ms, 16 nodes)");
-    for (label, batch) in [("CF", 1usize), ("BF(32)", 32)] {
+    let app_counts = [4usize, 8, 16, 32, 48, 64];
+    let mut cfgs = vec![];
+    for (_, batch) in POLICIES {
+        for &apps in &app_counts {
+            for pds in [1, 4] {
+                cfgs.push(SimConfig {
+                    apps_per_node: apps,
+                    pds,
+                    batch,
+                    ..smp_base(scale)
+                });
+            }
+        }
+    }
+    let grid = run_grid(&cfgs, scale);
+    for ((label, _), panel) in POLICIES.into_iter().zip(grid.chunks(2 * app_counts.len())) {
         println!("\n{label}");
         let mut t = TextTable::new(vec![
             "apps",
@@ -222,26 +256,14 @@ pub fn run_fig24(scale: &Scale) {
             "latency ms 1Pd",
             "app CPU % 1Pd",
         ]);
-        for &apps in &[4usize, 8, 16, 32, 48, 64] {
-            let run_with = |pds: usize| {
-                replicate(
-                    &SimConfig {
-                        apps_per_node: apps,
-                        pds,
-                        batch,
-                        ..smp_base(scale)
-                    },
-                    scale,
-                )
-            };
-            let p1 = run_with(1);
-            let p4 = run_with(4);
+        for (&apps, point) in app_counts.iter().zip(panel.chunks(2)) {
+            let (p1, p4) = (&point[0], &point[1]);
             t.row(vec![
                 apps.to_string(),
-                pct(mean_of(&p1, |m| m.is_cpu_util_per_node)),
-                pct(mean_of(&p4, |m| m.is_cpu_util_per_node)),
-                ms(mean_of(&p1, |m| m.fwd_latency_mean_s)),
-                pct(mean_of(&p1, |m| m.app_cpu_util_per_node)),
+                pct(mean_of(p1, |m| m.is_cpu_util_per_node)),
+                pct(mean_of(p4, |m| m.is_cpu_util_per_node)),
+                ms(mean_of(p1, |m| m.fwd_latency_mean_s)),
+                pct(mean_of(p1, |m| m.app_cpu_util_per_node)),
             ]);
         }
         t.print();

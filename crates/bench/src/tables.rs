@@ -113,6 +113,7 @@ pub fn run_table2(scale: &Scale) {
 pub fn run_table3(_scale: &Scale) {
     heading("Table 3: measurement vs simulation (pvmbt, CF, 40 ms, 100 s)");
     let v = validate();
+    crate::simhelp::count(std::slice::from_ref(&v.metrics));
     let mut t = TextTable::new(vec![
         "Type of experiment",
         "Application CPU time (s)",

@@ -5,17 +5,22 @@
 //! Replications are embarrassingly parallel: each draws its seed from its
 //! own [`paradyn_des::Streams`] stream (one stream id per replication
 //! index), so a replication's randomness is a pure function of
-//! `(master seed, index)` and never of execution order. [`run_many`]
-//! exploits that with `std::thread::scope`, statically partitioning the
-//! index space across worker threads — the results are **bit-identical**
-//! to the serial path at any thread count, which `tests/` asserts.
+//! `(master seed, index)` and never of execution order. [`run_many`] and
+//! [`run_forked`] share one work pool: items are claimed longest-first by
+//! [`predicted_events`] from an atomic counter, the calling thread works
+//! alongside `threads - 1` scoped threads, and each result is stored at
+//! its input index. Which thread runs what changes from run to run; the
+//! results are **bit-identical** to the serial path at any thread count,
+//! which `tests/` asserts.
 
-use crate::config::SimConfig;
+use crate::config::{Arch, SimConfig};
 use crate::metrics::SimMetrics;
 use crate::model::snapshot::warm_snapshot;
 use crate::model::{build, RoccModel};
 use paradyn_des::{CalendarKind, Sim, SimTime, SnapError, Streams};
 use paradyn_stats::{mean_ci, MeanCi};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// Run one simulation to its configured horizon.
 ///
@@ -77,29 +82,73 @@ pub fn default_threads() -> usize {
         })
 }
 
-/// Run many independent configurations across `threads` scoped threads,
+/// Events a run of `cfg` is expected to execute: the offered event rates
+/// of its sources times the simulated duration (the operational laws'
+/// arrival rates, before any queueing). The sources are the sampling
+/// timers (apps / period), the forwards (samples / batch), each
+/// application's compute/communicate loop (two events per mean cycle) and
+/// the three background sources per node. Only the order it puts runs in
+/// matters: the pool starts the longest runs first.
+pub fn predicted_events(cfg: &SimConfig) -> f64 {
+    let apps = cfg.total_apps() as f64;
+    let cycle_us = cfg.app.cpu_req.mean() + cfg.app.net_req.mean();
+    let mut per_us = 2.0 * apps / cycle_us;
+    if cfg.instrumented {
+        let samples = apps / cfg.sampling_period_us;
+        per_us += samples + samples / cfg.batch as f64;
+    }
+    if cfg.background {
+        let p = &cfg.params;
+        // An SMP runs one set of background sources, like one node.
+        let nodes = match cfg.arch {
+            Arch::Smp => 1.0,
+            _ => cfg.nodes as f64,
+        };
+        per_us += nodes
+            * (1.0 / p.pvmd_interarrival.mean()
+                + 1.0 / p.other_cpu_interarrival.mean()
+                + 1.0 / p.other_net_interarrival.mean());
+    }
+    per_us * cfg.duration_s * 1e6
+}
+
+/// Run `work(i)` for every `i < costs.len()` on `threads` workers, the
+/// calling thread among them, and return the results in index order.
+/// Workers claim indices from one atomic counter in descending `costs`
+/// order (ties in index order), so the longest items start first and no
+/// worker idles while another holds a queue of work; each result is
+/// stored at its own index, so the output never depends on which worker
+/// ran what.
+fn pool<R: Send + Sync>(costs: &[f64], threads: usize, work: impl Fn(usize) -> R + Sync) -> Vec<R> {
+    let mut order: Vec<usize> = (0..costs.len()).collect();
+    order.sort_by(|&a, &b| costs[b].total_cmp(&costs[a]));
+    let slots: Vec<OnceLock<R>> = costs.iter().map(|_| OnceLock::new()).collect();
+    let next = AtomicUsize::new(0);
+    let worker = || loop {
+        let k = next.fetch_add(1, Ordering::Relaxed);
+        let Some(&i) = order.get(k) else { break };
+        let _ = slots[i].set(work(i));
+    };
+    std::thread::scope(|s| {
+        for _ in 1..threads.clamp(1, costs.len().max(1)) {
+            s.spawn(worker);
+        }
+        worker();
+    });
+    slots
+        .into_iter()
+        .map(|slot| slot.into_inner().expect("every index is claimed once"))
+        .collect()
+}
+
+/// Run many independent configurations on `threads` workers (the caller
+/// and `threads - 1` scoped threads), longest predicted run first,
 /// returning metrics in input order. Each run's outcome depends only on
 /// its own configuration, so the output is bit-identical to running the
 /// slice serially, at any thread count.
 pub fn run_many(cfgs: &[SimConfig], threads: usize) -> Vec<SimMetrics> {
-    let threads = threads.max(1).min(cfgs.len().max(1));
-    if threads == 1 {
-        return cfgs.iter().map(run).collect();
-    }
-    let mut out: Vec<Option<SimMetrics>> = vec![None; cfgs.len()];
-    let chunk = cfgs.len().div_ceil(threads);
-    std::thread::scope(|s| {
-        for (cfg_chunk, out_chunk) in cfgs.chunks(chunk).zip(out.chunks_mut(chunk)) {
-            s.spawn(move || {
-                for (c, slot) in cfg_chunk.iter().zip(out_chunk.iter_mut()) {
-                    *slot = Some(run(c));
-                }
-            });
-        }
-    });
-    out.into_iter()
-        .map(|m| m.expect("scoped worker completed"))
-        .collect()
+    let costs: Vec<f64> = cfgs.iter().map(predicted_events).collect();
+    pool(&costs, threads, |i| run(&cfgs[i]))
 }
 
 /// Run `reps` forked replications of `cfg`: warm one simulation to
@@ -124,33 +173,16 @@ pub fn run_forked(
     let kind = CalendarKind::Wheel;
     let snap = warm_snapshot(cfg, SimTime::from_secs_f64(warmup_s), kind)?;
     let horizon = SimTime::from_secs_f64(cfg.duration_s);
-    let salts: Vec<u64> = (0..reps).map(|r| replication_seed(cfg.seed, r)).collect();
-    let work = |salt: u64| -> Result<SimMetrics, SnapError> {
+    let work = |rep: usize| -> Result<SimMetrics, SnapError> {
         let mut sim = Sim::restore(RoccModel::new(cfg.clone()), kind, &snap)?;
-        sim.model.perturb_streams(salt);
+        sim.model.perturb_streams(replication_seed(cfg.seed, rep));
         sim.run_until(horizon);
         let events = sim.executed_events();
         Ok(sim.model.metrics(horizon - SimTime::ZERO, events))
     };
-    let threads = threads.max(1).min(reps.max(1));
-    if threads == 1 {
-        return salts.iter().map(|&s| work(s)).collect();
-    }
-    let mut out: Vec<Option<Result<SimMetrics, SnapError>>> = (0..reps).map(|_| None).collect();
-    let chunk = reps.div_ceil(threads);
-    let work = &work;
-    std::thread::scope(|s| {
-        for (salt_chunk, out_chunk) in salts.chunks(chunk).zip(out.chunks_mut(chunk)) {
-            s.spawn(move || {
-                for (&salt, slot) in salt_chunk.iter().zip(out_chunk.iter_mut()) {
-                    *slot = Some(work(salt));
-                }
-            });
-        }
-    });
-    out.into_iter()
-        .map(|m| m.expect("scoped worker completed"))
-        .collect()
+    // Every fork runs the same configuration: equal costs, claimed in
+    // replication order.
+    pool(&vec![0.0; reps], threads, work).into_iter().collect()
 }
 
 /// Reference oracle for [`run_forked`]: build `cfg` from zero, run to the
@@ -278,22 +310,6 @@ mod tests {
         uniq.dedup();
         assert_eq!(uniq.len(), seeds.len());
         assert_eq!(replication_seed(42, 7), seeds[7]);
-    }
-
-    #[test]
-    fn run_many_preserves_input_order() {
-        let cfgs: Vec<SimConfig> = (0..5)
-            .map(|i| SimConfig {
-                seed: 1000 + i,
-                ..quick_cfg()
-            })
-            .collect();
-        let serial = run_many(&cfgs, 1);
-        let parallel = run_many(&cfgs, 3);
-        for (a, b) in serial.iter().zip(&parallel) {
-            assert_eq!(a.events, b.events);
-            assert_eq!(a.received_samples, b.received_samples);
-        }
     }
 
     #[test]

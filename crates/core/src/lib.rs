@@ -43,8 +43,8 @@ pub use config::{
     Forwarding, LinkFaults, OverloadRamp, SampleTiming, SimConfig,
 };
 pub use experiment::{
-    default_threads, replication_seed, run, run_forked, run_many, run_perturbed_from_zero,
-    run_replicated, run_replicated_threads, Replicated,
+    default_threads, predicted_events, replication_seed, run, run_forked, run_many,
+    run_perturbed_from_zero, run_replicated, run_replicated_threads, Replicated,
 };
 pub use metrics::SimMetrics;
 pub use model::snapshot::{fork_n, warm_snapshot};

@@ -42,7 +42,8 @@ ratchet_dir="$(mktemp -d)"
 token_dir="$(mktemp -d)"
 rewind_dir="$(mktemp -d)"
 roster_dir="$(mktemp -d)"
-trap 'rm -rf "$mut_dir" "$chaos_dir" "$ratchet_dir" "$token_dir" "$rewind_dir" "$roster_dir"' EXIT
+pool_dir="$(mktemp -d)"
+trap 'rm -rf "$mut_dir" "$chaos_dir" "$ratchet_dir" "$token_dir" "$rewind_dir" "$roster_dir" "$pool_dir"' EXIT
 # The workspace passes read the whole tree (Acc lives in crates/core, the
 # conservation identity in src/chaos.rs), so the scratch copy carries the
 # root package sources too.
@@ -222,6 +223,32 @@ if [ "$roster_rc" -eq 0 ] || ! grep -q "^    model::tests::$token_test\$" "$rost
 fi
 echo "roster-drain mutation self-check: $token_test correctly failed"
 
+echo "== replication-pool mutation self-check (results stored by claim order must go red) =="
+# Scratch copy where the pool stores each result at its claim position
+# instead of its input index: runs claimed longest-first then come back
+# permuted, and the thread-invariance test must fail by name.
+pool_test="run_many_and_run_forked_match_serial_at_any_thread_count"
+cp Cargo.toml Cargo.lock "$pool_dir"/
+cp -r crates src tests examples "$pool_dir"/
+pool_rs="$pool_dir/crates/core/src/experiment.rs"
+sed -i 's/let _ = slots\[i\]\.set(work(i));/let _ = slots[k].set(work(i));/' "$pool_rs"
+grep -q 'slots\[k\]\.set(work(i))' "$pool_rs" || {
+  echo "verify: FAIL — could not seed the claim-position store" >&2
+  exit 1
+}
+pool_out="$pool_dir/pool-out.txt"
+set +e
+( cd "$pool_dir" && CARGO_TARGET_DIR="$pool_dir/target" \
+    cargo test -q --offline --release --test determinism "$pool_test" ) > "$pool_out" 2>&1
+pool_rc=$?
+set -e
+if [ "$pool_rc" -eq 0 ] || ! grep -q "^    $pool_test\$" "$pool_out"; then
+  echo "verify: FAIL — $pool_test did not go red with claim-position stores:" >&2
+  tail -n 40 "$pool_out" >&2
+  exit 1
+fi
+echo "replication-pool mutation self-check: $pool_test correctly failed"
+
 echo "== zero-allocation gate (debug and release, default test threads) =="
 # The allocation counters are per thread, so the window stays exact while
 # the harness runs other tests in parallel; both profiles must pass.
@@ -254,11 +281,15 @@ if [ "$rewind_rc" -eq 0 ] || ! grep -q "^    $rewind_test\$" "$rewind_out"; then
 fi
 echo "calendar rewind mutation self-check: $rewind_test correctly failed"
 
-echo "== fault-sweep smoke (repro faults, quick scale) =="
-cargo run --release --offline -p paradyn-bench --bin repro -- --scale quick faults
-
-echo "== degradation smoke (repro degradation, quick scale) =="
-cargo run --release --offline -p paradyn-bench --bin repro -- --scale quick degradation
+echo "== repro all at quick scale (simulated work gated against BENCH_repro.json) =="
+# Every artifact runs (the fault sweep and degradation among them); the
+# runs and events of each must equal the committed file's exactly.
+repro_json="$(mktemp)"
+cargo run --release --offline -q -p paradyn-bench --bin repro -- \
+  --scale quick --bench-json "$repro_json" all > /dev/null
+cargo run --release --offline -q -p paradyn-bench --bin check_bench_json -- \
+  "$repro_json" BENCH_repro.json
+rm -f "$repro_json"
 
 echo "== bench smoke (every bench once, short mode) =="
 smoke_json="$(mktemp)"

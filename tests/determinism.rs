@@ -2,11 +2,15 @@
 //! on every architecture, and the common-random-numbers discipline keeps
 //! configuration changes from perturbing unrelated stochastic elements.
 
+use paradyn_bench::simhelp::run_grid;
+use paradyn_bench::Scale;
 use paradyn_core::{
-    build_with_calendar, run, run_replicated_threads, shardable, Arch, DegradationConfig,
+    build_with_calendar, predicted_events, replication_seed, run, run_forked, run_many,
+    run_perturbed_from_zero, run_replicated_threads, shardable, Arch, DegradationConfig,
     Forwarding, OverloadRamp, SimConfig, SimMetrics,
 };
 use paradyn_des::{rewind_bisect, CalendarKind, SimTime};
+use paradyn_workload::{comm_intensive, compute_intensive};
 
 fn all_arch_configs() -> Vec<SimConfig> {
     vec![
@@ -124,6 +128,139 @@ fn parallel_replication_is_bit_identical_to_serial() {
             }
         }
     }
+}
+
+/// The replication pool claims runs longest-predicted-first and stores
+/// each result at its input index: at 1, 2, 3 and 8 threads (8 is more
+/// threads than items) `run_many` must return exactly the serial runs in
+/// input order, here for inputs whose predicted-cost order is the reverse
+/// of the input order, and `run_forked` exactly the from-zero oracle of
+/// every replication.
+#[test]
+fn run_many_and_run_forked_match_serial_at_any_thread_count() {
+    let cfgs: Vec<SimConfig> = (1..=5)
+        .map(|nodes| SimConfig {
+            arch: Arch::Now {
+                contention_free: true,
+            },
+            nodes,
+            duration_s: 1.0,
+            seed: 100 + nodes as u64,
+            ..Default::default()
+        })
+        .collect();
+    let costs: Vec<f64> = cfgs.iter().map(predicted_events).collect();
+    assert!(
+        costs.windows(2).all(|w| w[0] < w[1]),
+        "fixture must be claimed in reverse input order: {costs:?}"
+    );
+    let serial: Vec<SimMetrics> = cfgs.iter().map(run).collect();
+    let mut forked_cfg = cfgs[1].clone();
+    forked_cfg.duration_s = 0.5;
+    let (warmup_s, reps) = (0.1, 4);
+    let oracle: Vec<SimMetrics> = (0..reps)
+        .map(|rep| run_perturbed_from_zero(&forked_cfg, warmup_s, rep))
+        .collect();
+    for threads in [1usize, 2, 3, 8] {
+        let many = run_many(&cfgs, threads);
+        assert_eq!(many.len(), serial.len());
+        for (i, (a, b)) in serial.iter().zip(&many).enumerate() {
+            assert_metrics_bit_identical(a, b, &format!("run_many item {i} threads {threads}"));
+            assert_eq!(format!("{a:?}"), format!("{b:?}"), "item {i} threads {threads}");
+        }
+        let forked = run_forked(&forked_cfg, warmup_s, reps, threads).expect("fork");
+        assert_eq!(forked.len(), reps);
+        for (rep, (a, b)) in oracle.iter().zip(&forked).enumerate() {
+            assert_metrics_bit_identical(a, b, &format!("run_forked rep {rep} threads {threads}"));
+            assert_eq!(format!("{a:?}"), format!("{b:?}"), "rep {rep} threads {threads}");
+        }
+    }
+}
+
+/// A figure's one grid call returns, per configuration, exactly what a
+/// per-point `run_many` over that configuration's replications returns.
+#[test]
+fn grid_matches_per_point_run_many() {
+    let scale = Scale {
+        reps: 3,
+        seed: 7,
+        ..Scale::quick()
+    };
+    let base = SimConfig {
+        arch: Arch::Now {
+            contention_free: true,
+        },
+        nodes: 2,
+        duration_s: 1.0,
+        ..Default::default()
+    };
+    let cfgs = vec![
+        base.clone(),
+        SimConfig {
+            batch: 32,
+            ..base.clone()
+        },
+        SimConfig {
+            nodes: 6,
+            sampling_period_us: 5_000.0,
+            ..base.clone()
+        },
+    ];
+    let grid = run_grid(&cfgs, &scale);
+    assert_eq!(grid.len(), cfgs.len());
+    for (c, (cfg, runs)) in cfgs.iter().zip(&grid).enumerate() {
+        let point: Vec<SimConfig> = (0..scale.reps)
+            .map(|r| SimConfig {
+                seed: replication_seed(scale.seed, r),
+                ..cfg.clone()
+            })
+            .collect();
+        let want = run_many(&point, 1);
+        assert_eq!(runs.len(), want.len());
+        for (r, (a, b)) in want.iter().zip(runs).enumerate() {
+            assert_eq!(format!("{a:?}"), format!("{b:?}"), "config {c} rep {r}");
+        }
+    }
+}
+
+/// The pool's cost predictor, checked against exact event counts: on the
+/// Table 4 design (NOW, shared Ethernet; nodes {5, 50} × period {2, 32 ms}
+/// × batch {1, 128} × compute/comm application) at seed 1, the four cells
+/// that execute the most events are the four it predicts to be largest.
+#[test]
+fn predicted_events_rank_the_heaviest_table4_cells_first() {
+    let cells: Vec<SimConfig> = (0..16usize)
+        .map(|bits| SimConfig {
+            arch: Arch::Now {
+                contention_free: false,
+            },
+            nodes: if bits & 1 != 0 { 50 } else { 5 },
+            sampling_period_us: if bits & 2 != 0 { 32_000.0 } else { 2_000.0 },
+            batch: if bits & 4 != 0 { 128 } else { 1 },
+            app: if bits & 8 != 0 {
+                comm_intensive()
+            } else {
+                compute_intensive()
+            },
+            duration_s: 2.0,
+            seed: 1,
+            ..Default::default()
+        })
+        .collect();
+    let top4 = |key: &dyn Fn(usize) -> f64| {
+        let mut idx: Vec<usize> = (0..cells.len()).collect();
+        idx.sort_by(|&a, &b| key(b).total_cmp(&key(a)));
+        let mut top = idx[..4].to_vec();
+        top.sort_unstable();
+        top
+    };
+    let events: Vec<u64> = run_many(&cells, 2).iter().map(|m| m.events).collect();
+    let predicted = top4(&|i| predicted_events(&cells[i]));
+    assert_eq!(
+        top4(&|i| events[i] as f64),
+        predicted,
+        "executed events {events:?}"
+    );
 }
 
 /// Same-time ties fire in `(time, seq)` order, so the sequence numbering
