@@ -490,7 +490,7 @@ impl SimConfig {
             }
         }
         if self.total_pds() > (1 << 20) {
-            return Err("daemon count exceeds the token namespace (2^20)".into());
+            return Err("daemon count exceeds 2^20".into());
         }
         if self.params.min_forward_us <= 0.0 {
             return Err("min_forward_us must be positive".into());

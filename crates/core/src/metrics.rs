@@ -217,7 +217,7 @@ impl SimMetrics {
             shed_by_tier: acc.shed_by_tier,
             throttle_events: acc.throttle_events,
             backpressure_events: acc.backpressure_events,
-            samples_in_flight: m.samples_in_flight(),
+            samples_in_flight: m.samples_unbatched() + acc.in_batches,
             rejected_deposits: m.total_rejected_deposits(),
             writer_block_time_s: (acc.writer_block_us + open_block_us) * 1e-6,
             daemon_crashes: crashes,

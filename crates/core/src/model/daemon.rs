@@ -2,7 +2,7 @@
 //! pipe draining with writer wake-up, direct or binary-tree forwarding
 //! with en-route merging, and injected crash/link faults.
 
-use super::types::{tree_parent, Batch, CpuJob, CpuKind, Dest, Ev, NetJob, PdId, Token};
+use super::types::{tree_parent, Batch, CpuJob, CpuKind, Dest, Ev, NetJob, PdId};
 use super::{RoccModel, Step};
 use crate::config::{Arch, Forwarding};
 use paradyn_des::{Ctx, SimDur};
@@ -55,17 +55,17 @@ impl RoccModel {
         let demand = p.pd.cpu_req.sample(&mut d.cpu_rng)
             + p.pd_cpu_per_extra_sample_us * (k as f64 - 1.0);
         let node = d.node;
-        let token = self.alloc_token(pd, Batch {
+        let batch = Batch {
             count,
             sum_gen_ns,
             ready_ns: ctx.now().as_nanos(),
-            attempts: 0,
-        });
+        };
+        self.acc.in_batches += k as u64;
         self.submit_cpu(
             ctx,
             self.bank_of(node),
             CpuJob {
-                kind: CpuKind::PdCollect { pd, token },
+                kind: CpuKind::PdCollect { pd, batch },
             },
             demand,
         );
@@ -152,7 +152,7 @@ impl RoccModel {
     /// The collect CPU work finished: the pipe reads have happened, so
     /// drain the pipes (admitting parked samples and resuming blocked
     /// writers), then put the batch on the network.
-    pub(crate) fn pd_collect_done(&mut self, ctx: &mut Ctx<Ev>, pd: PdId, token: Token) {
+    pub(crate) fn pd_collect_done(&mut self, ctx: &mut Ctx<Ev>, pd: PdId, batch: Batch) {
         // The roster lists one app per sample of the batch. It is taken
         // out for the loop and put back, keeping its capacity.
         let mut roster = std::mem::take(&mut self.daemons.roster[pd as usize]);
@@ -172,7 +172,7 @@ impl RoccModel {
             // pipe slots were still freed above — the samples are gone,
             // not stuck.
             self.daemons.hot[pd as usize].doomed = false;
-            self.tokens.remove(token);
+            self.acc.in_batches -= count as u64;
             self.acc.lost_crash += count as u64;
             self.daemons.cold[pd as usize]
                 .fault_mon
@@ -188,7 +188,7 @@ impl RoccModel {
         let p = &self.cfg.params;
         let demand = p.pd.net_req.sample(&mut d.net_rng)
             + p.pd_net_per_extra_sample_us * (count as f64 - 1.0);
-        self.submit_forward(ctx, pd, token, demand);
+        self.submit_forward(ctx, pd, batch, demand, 0);
         // The daemon is free again; more samples may already be buffered.
         self.maybe_collect(ctx, pd);
     }
@@ -196,26 +196,25 @@ impl RoccModel {
     /// Put one forwarding hop on the network, subject to injected link
     /// faults: a failed attempt backs off exponentially and retries from
     /// the same daemon; once the retry budget is exhausted the whole batch
-    /// is dropped. The network demand is drawn once per hop and reused
-    /// across retries, so link faults perturb no other random stream.
+    /// is dropped. `attempts` counts this hop's failures so far (the retry
+    /// budget is per hop). The network demand is drawn once per hop and
+    /// reused across retries, so link faults perturb no other random
+    /// stream.
     pub(crate) fn submit_forward(
         &mut self,
         ctx: &mut Ctx<Ev>,
         pd: PdId,
-        token: Token,
+        batch: Batch,
         demand_us: f64,
+        attempts: u8,
     ) {
         if let Some(link) = self.cfg.faults.link {
             let failed = self.daemons.cold[pd as usize].link_rng.next_f64() < link.fail_prob;
             if failed {
-                let attempts = {
-                    let b = self.tokens.get_mut(token).expect("forward token live");
-                    b.attempts += 1;
-                    b.attempts
-                };
-                if attempts > link.max_retries {
-                    let batch = self.tokens.remove(token).expect("forward token live");
+                let attempts = attempts + 1;
+                if u32::from(attempts) > link.max_retries {
                     let count = u64::from(batch.count.get());
+                    self.acc.in_batches -= count;
                     self.acc.lost_link += count;
                     self.daemons.cold[pd as usize].fault_mon.add_lost(count);
                     return;
@@ -227,20 +226,16 @@ impl RoccModel {
                     SimDur::from_micros_f64(backoff_us),
                     Ev::RetryForward {
                         pd,
-                        token,
+                        batch,
                         demand_us,
+                        attempts,
                     },
                 );
                 return;
             }
-            // Hop succeeded: the retry budget is per hop.
-            self.tokens
-                .get_mut(token)
-                .expect("forward token live")
-                .attempts = 0;
         }
         let dest = self.forward_dest(self.daemons.hot[pd as usize].node);
-        self.submit_net(ctx, NetJob::Forward { token, dest }, demand_us);
+        self.submit_net(ctx, NetJob::Forward { batch, dest }, demand_us);
     }
 
     /// Injected daemon crash: the daemon dies, taking its pipe backlog and
@@ -340,7 +335,7 @@ impl RoccModel {
 
     /// A forwarded message arrived at a non-leaf tree node: charge the merge
     /// CPU work (`D_Pdm,CPU`).
-    pub(crate) fn pd_merge_start(&mut self, ctx: &mut Ctx<Ev>, node: u32, token: Token) {
+    pub(crate) fn pd_merge_start(&mut self, ctx: &mut Ctx<Ev>, node: u32, batch: Batch) {
         let demand = self
             .cfg
             .params
@@ -350,7 +345,7 @@ impl RoccModel {
             ctx,
             self.bank_of(node),
             CpuJob {
-                kind: CpuKind::PdMerge { node, token },
+                kind: CpuKind::PdMerge { node, batch },
             },
             demand,
         );
@@ -359,7 +354,7 @@ impl RoccModel {
     /// Merge work done: relay the merged message one hop up. Per the paper,
     /// "the network occupancy needed for forwarding a merged sample is the
     /// same as for forwarding a local sample" — no batch marginal here.
-    pub(crate) fn pd_merge_done(&mut self, ctx: &mut Ctx<Ev>, node: u32, token: Token) {
+    pub(crate) fn pd_merge_done(&mut self, ctx: &mut Ctx<Ev>, node: u32, batch: Batch) {
         let demand = self
             .cfg
             .params
@@ -370,6 +365,6 @@ impl RoccModel {
         // `submit_forward`'s destination lookup is the same Main-or-parent
         // hop this relay needs — and the relay hop is subject to the same
         // injected link faults as a leaf forward.
-        self.submit_forward(ctx, node, token, demand);
+        self.submit_forward(ctx, node, batch, demand, 0);
     }
 }

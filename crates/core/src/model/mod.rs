@@ -33,7 +33,7 @@ use paradyn_des::{
     StreamRng, Streams, Submit,
 };
 use std::collections::VecDeque;
-use types::{class_idx, AppId, Batch, CpuJob, CpuKind, Dest, Ev, NetJob, PdId, Token, TokenTable};
+use types::{class_idx, AppId, Batch, CpuJob, CpuKind, Dest, Ev, NetJob};
 
 /// Stream-id kinds for reproducible per-element randomness.
 ///
@@ -117,6 +117,12 @@ pub(crate) struct Acc {
     pub lost_crash: u64,
     /// Samples lost to exhausted forwarding-link retries.
     pub lost_link: u64,
+    /// Samples riding in-flight batches: collected from a daemon FIFO and
+    /// not yet received or lost. Batches travel by value inside jobs and
+    /// events, so this running count is what `samples_in_flight` reports
+    /// for them (the model tests check it against a walk over every
+    /// holder).
+    pub in_batches: u64,
     /// Total time application writers spent blocked on full pipes (µs),
     /// for intervals closed before the horizon.
     pub writer_block_us: f64,
@@ -141,7 +147,6 @@ pub struct RoccModel {
     pub(crate) shared_net: Option<FcfsServer<NetJob>>,
     pub(crate) apps: Apps,
     pub(crate) daemons: Daemons,
-    pub(crate) tokens: TokenTable,
     pub(crate) barrier_waiting: Vec<AppId>,
     /// Recycled storage for the barrier-release roster, so a release cycle
     /// allocates nothing in the steady state.
@@ -301,7 +306,6 @@ impl RoccModel {
             shared_net,
             apps,
             daemons,
-            tokens: TokenTable::with_pds(total_pds),
             barrier_waiting: Vec::with_capacity(total_apps),
             barrier_scratch: Vec::with_capacity(total_apps),
             overload_on: false,
@@ -376,19 +380,13 @@ impl RoccModel {
         }
     }
 
-    /// Allocate a batch token for collecting daemon `pd` (the token value
-    /// is a pure function of `pd`'s own allocation history).
-    pub(crate) fn alloc_token(&mut self, pd: PdId, batch: Batch) -> Token {
-        self.tokens.insert(pd, batch)
-    }
-
     /// A CPU request finished; run its continuation.
     fn cpu_completed(&mut self, ctx: &mut Ctx<Ev>, job: CpuJob) {
         match job.kind {
             CpuKind::AppCompute { app } => self.app_compute_done(ctx, app),
-            CpuKind::PdCollect { pd, token } => self.pd_collect_done(ctx, pd, token),
-            CpuKind::PdMerge { node, token } => self.pd_merge_done(ctx, node, token),
-            CpuKind::MainRecv { token } => self.main_recv_done(ctx, token),
+            CpuKind::PdCollect { pd, batch } => self.pd_collect_done(ctx, pd, batch),
+            CpuKind::PdMerge { node, batch } => self.pd_merge_done(ctx, node, batch),
+            CpuKind::MainRecv { batch } => self.main_recv_done(ctx, batch),
             CpuKind::PvmdCpu { node } => {
                 let d = self.cfg.params.pvmd.net_req.sample(&mut self.pvmd_rngs[node as usize]);
                 self.submit_net(ctx, NetJob::PvmdNet { node }, d);
@@ -401,9 +399,9 @@ impl RoccModel {
     fn delivered(&mut self, ctx: &mut Ctx<Ev>, job: NetJob) {
         match job {
             NetJob::AppComm { app } => self.app_comm_done(ctx, app),
-            NetJob::Forward { token, dest } => match dest {
-                Dest::Main => self.main_receive(ctx, token),
-                Dest::Node(node) => self.pd_merge_start(ctx, node, token),
+            NetJob::Forward { batch, dest } => match dest {
+                Dest::Main => self.main_receive(ctx, batch),
+                Dest::Node(node) => self.pd_merge_start(ctx, node, batch),
             },
             NetJob::PvmdNet { .. } | NetJob::OtherNet { .. } => {}
         }
@@ -413,8 +411,8 @@ impl RoccModel {
     /// CPU work on the host bank. Receipt (for latency/throughput) counts
     /// when that processing completes — the sample has then truly reached
     /// the "logically central collection facility".
-    fn main_receive(&mut self, ctx: &mut Ctx<Ev>, token: Token) {
-        let count = self.tokens.get(token).expect("received token must be live").count.get();
+    fn main_receive(&mut self, ctx: &mut Ctx<Ev>, batch: Batch) {
+        let count = batch.count.get();
         let p = &self.cfg.params;
         let demand = p.main_cpu_per_msg.sample(&mut self.main_rng)
             + p.main_cpu_per_extra_sample_us * (count as f64 - 1.0);
@@ -422,19 +420,16 @@ impl RoccModel {
             ctx,
             self.bank_of(0),
             CpuJob {
-                kind: CpuKind::MainRecv { token },
+                kind: CpuKind::MainRecv { batch },
             },
             demand,
         );
     }
 
     /// Main-process handling finished: the batch is consumed.
-    fn main_recv_done(&mut self, ctx: &mut Ctx<Ev>, token: Token) {
-        let batch = self
-            .tokens
-            .remove(token)
-            .expect("consumed token must be live");
+    fn main_recv_done(&mut self, ctx: &mut Ctx<Ev>, batch: Batch) {
         let count = batch.count.get();
+        self.acc.in_batches -= u64::from(count);
         self.acc.latency_sum_s += batch.mean_latency_s(ctx.now()) * count as f64;
         self.acc.fwd_latency_sum_s += batch.forwarding_latency_s(ctx.now());
         self.acc.received_samples += count as u64;
@@ -491,9 +486,10 @@ impl RoccModel {
             .fold(SimDur::ZERO, |acc, d| acc + d.fault_mon.downtime_at(end))
     }
 
-    /// Samples emitted but neither received nor lost yet: parked on a full
-    /// pipe, buffered in a daemon FIFO, or riding an in-flight batch.
-    pub(crate) fn samples_in_flight(&self) -> u64 {
+    /// Samples emitted but not yet in a batch: parked on a full pipe or
+    /// buffered in a daemon FIFO. With [`Acc::in_batches`] these are the
+    /// samples in flight (neither received nor lost).
+    pub(crate) fn samples_unbatched(&self) -> u64 {
         let parked: u64 = self
             .apps
             .pipe
@@ -501,8 +497,46 @@ impl RoccModel {
             .map(|p| u64::from(p.writer_blocked()))
             .sum();
         let buffered: u64 = self.daemons.fifo.iter().map(|f| f.len() as u64).sum();
-        let in_batches: u64 = self.tokens.values().map(|b| u64::from(b.count.get())).sum();
-        parked + buffered + in_batches
+        parked + buffered
+    }
+
+    /// Every batch in flight, found by walking each holder: CPU jobs
+    /// running or ready, the shared network's jobs in service or queued,
+    /// and pending `Deliver` and `RetryForward` events. Test-only: the
+    /// model tests check [`Acc::in_batches`] against it, as they check
+    /// the pipe-slot books.
+    #[cfg(test)]
+    pub(crate) fn batches_held(sim: &mut Sim<RoccModel>) -> Vec<Batch> {
+        let mut held = vec![];
+        sim.ctx().for_each_pending(|ev| match *ev {
+            Ev::Deliver(NetJob::Forward { batch, .. }) | Ev::RetryForward { batch, .. } => {
+                held.push(batch)
+            }
+            _ => {}
+        });
+        let m = &sim.model;
+        let cpu = m.banks.iter().flat_map(|b| b.jobs()).filter_map(|j| match j.kind {
+            CpuKind::PdCollect { batch, .. }
+            | CpuKind::PdMerge { batch, .. }
+            | CpuKind::MainRecv { batch } => Some(batch),
+            _ => None,
+        });
+        let net = m.shared_net.iter().flat_map(|s| s.jobs()).filter_map(|j| match j {
+            NetJob::Forward { batch, .. } => Some(batch),
+            _ => None,
+        });
+        held.extend(cpu.chain(net));
+        held
+    }
+
+    /// The in-batch books: [`Acc::in_batches`] must equal the samples of
+    /// the batches [`RoccModel::batches_held`] finds. Describes a mismatch,
+    /// or returns `None`.
+    #[cfg(test)]
+    pub(crate) fn in_batch_violation(sim: &mut Sim<RoccModel>) -> Option<String> {
+        let held: u64 = Self::batches_held(sim).iter().map(|b| u64::from(b.count.get())).sum();
+        let counted = sim.model.acc.in_batches;
+        (held != counted).then(|| format!("in-batch count {counted} but batches hold {held}"))
     }
 
     /// Pipe-slot accounting: each app's pipe occupancy must equal its
@@ -582,9 +616,10 @@ impl Model for RoccModel {
             Ev::DaemonRecover { pd } => self.daemon_recover(ctx, pd),
             Ev::RetryForward {
                 pd,
-                token,
+                batch,
                 demand_us,
-            } => self.submit_forward(ctx, pd, token, demand_us),
+                attempts,
+            } => self.submit_forward(ctx, pd, batch, demand_us, attempts),
             Ev::MainStall => self.main_stall(ctx),
             Ev::ThrottleTick { app } => self.throttle_tick(ctx, app),
             Ev::Backpressure { pd, on } => self.backpressure_signal(ctx, pd, on),

@@ -230,6 +230,7 @@ impl Persist for Acc {
         w.put_u64(self.lost_blocked);
         w.put_u64(self.lost_crash);
         w.put_u64(self.lost_link);
+        w.put_u64(self.in_batches);
         w.put_f64(self.writer_block_us);
         w.put_f64(self.stall_injected_us);
         for v in &self.shed_by_tier {
@@ -256,6 +257,7 @@ impl Persist for Acc {
         acc.lost_blocked = r.take_u64()?;
         acc.lost_crash = r.take_u64()?;
         acc.lost_link = r.take_u64()?;
+        acc.in_batches = r.take_u64()?;
         acc.writer_block_us = r.take_f64()?;
         acc.stall_injected_us = r.take_f64()?;
         for v in &mut acc.shed_by_tier {
@@ -280,7 +282,6 @@ impl PersistState for RoccModel {
         self.shared_net.save(w);
         self.apps.save(w);
         self.daemons.save(w);
-        self.tokens.save(w);
         self.barrier_waiting.save(w);
         self.main_rng.save(w);
         self.pvmd_rngs.save(w);
@@ -319,10 +320,6 @@ impl PersistState for RoccModel {
         {
             return Err(SnapError::Malformed("daemon queue names an unknown app"));
         }
-        let tokens: super::types::TokenTable = Persist::load(r)?;
-        if tokens.pds() != self.tokens.pds() {
-            return Err(SnapError::Malformed("token table shape differs from config"));
-        }
         let barrier_waiting: Vec<u32> = Persist::load(r)?;
         if barrier_waiting.len() > apps.len()
             || barrier_waiting.iter().any(|&a| a as usize >= apps.len())
@@ -345,7 +342,6 @@ impl PersistState for RoccModel {
         self.shared_net = shared_net;
         self.apps = apps;
         self.daemons = daemons;
-        self.tokens = tokens;
         self.barrier_waiting = barrier_waiting;
         self.main_rng = main_rng;
         self.pvmd_rngs = pvmd_rngs;

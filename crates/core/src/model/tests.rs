@@ -3,6 +3,7 @@
 
 use super::*;
 use crate::config::{Arch, Forwarding, SimConfig};
+use paradyn_des::fifo::{MAX_BLOCK, MIN_BLOCK};
 use paradyn_workload::ProcessClass;
 
 fn quick(arch: Arch, nodes: usize) -> SimConfig {
@@ -57,36 +58,40 @@ fn smp_pools_cpus_and_round_robins_apps_over_daemons() {
 }
 
 #[test]
-fn tokens_do_not_leak() {
-    // Every allocated batch token must be consumed by the main process;
-    // at most a handful remain in flight at the horizon.
+fn batches_do_not_leak() {
+    // Every collected batch must be consumed by the main process; at most
+    // a handful remain in flight at the horizon, and the running count of
+    // their samples matches a walk over every holder.
     for arch in [
         Arch::Now { contention_free: true },
         Arch::Mpp {
             forwarding: Forwarding::BinaryTree,
         },
     ] {
-        let (model, _) = run_model(SimConfig {
+        let cfg = SimConfig {
             batch: 4,
             ..quick(arch, 8)
-        });
-        let in_flight = model.tokens.len();
+        };
+        let mut sim = build(&cfg);
+        sim.run_until(SimTime::from_secs_f64(cfg.duration_s));
+        let in_flight = RoccModel::batches_held(&mut sim).len();
         assert!(
-            in_flight <= 2 * model.daemons.len(),
-            "{arch:?}: {in_flight} tokens still live"
+            in_flight <= 2 * sim.model.daemons.len(),
+            "{arch:?}: {in_flight} batches still in flight"
         );
-        assert_eq!(model.pipe_slot_violation(), None, "{arch:?}");
+        assert_eq!(RoccModel::in_batch_violation(&mut sim), None, "{arch:?}");
+        assert_eq!(sim.model.pipe_slot_violation(), None, "{arch:?}");
     }
 }
 
 #[test]
 fn saturated_main_keeps_pipe_books_past_4096_live_batches() {
     // CF NOW with a 100 µs sampling period: seven remote daemons each
-    // forward far more batches than the main process consumes, so their
-    // live-batch backlogs grow linearly with time (the saturated queue of
-    // Table 4's 50-node, 2 ms CF cells, compressed onto eight nodes). A
-    // 12-bit token counter would wrap onto live batches here, aliasing two
-    // of them and leaking the younger one's pipe slots.
+    // forward far more batches than the main process consumes, so the
+    // live-batch backlog grows linearly with time (the saturated queue of
+    // Table 4's 50-node, 2 ms CF cells, compressed onto eight nodes).
+    // Thousands of batches wait by value in the network and CPU queues;
+    // the pipe-slot books and the in-batch count must hold throughout.
     let cfg = SimConfig {
         nodes: 8,
         sampling_period_us: 100.0,
@@ -99,19 +104,45 @@ fn saturated_main_keeps_pipe_books_past_4096_live_batches() {
     for step in 1..=8 {
         let t = 0.25 * step as f64;
         sim.run_until(SimTime::from_secs_f64(t));
-        let tokens = &sim.model.tokens;
-        peak = (0..cfg.nodes)
-            .map(|pd| tokens.live_on(pd))
-            .max()
-            .unwrap_or(0)
-            .max(peak);
+        peak = peak.max(RoccModel::batches_held(&mut sim).len());
         if let Some(v) = sim.model.pipe_slot_violation() {
             panic!("pipe slots at {t} s: {v}");
         }
+        if let Some(v) = RoccModel::in_batch_violation(&mut sim) {
+            panic!("in-flight batches at {t} s: {v}");
+        }
     }
+    assert!(peak > 4096, "the backlog peaked at {peak} live batches");
+}
+
+#[test]
+fn saturated_queues_store_little_beyond_their_entries() {
+    // Table 4's saturating cell (50 nodes, CF, 2 ms sampling), cut to
+    // 1.5 s: tens of thousands of forwards wait on the shared Ethernet
+    // and on node 0's CPU. Each queue keeps its slack bound, and all 51
+    // together hold no more than their entries plus one block each.
+    let cfg = SimConfig {
+        nodes: 50,
+        sampling_period_us: 2_000.0,
+        duration_s: 1.5,
+        ..Default::default()
+    };
+    let mut sim = build(&cfg);
+    sim.run_until(SimTime::from_secs_f64(cfg.duration_s));
+    let m = &sim.model;
+    let net = m.shared_net.as_ref().expect("shared Ethernet");
+    let mut queues = vec![(net.queue_len(), net.queue_allocated())];
+    queues.extend(m.banks.iter().map(|b| (b.ready_len(), b.ready_allocated())));
+    for &(len, allocated) in &queues {
+        assert!(allocated <= 2 * len.max(MIN_BLOCK) + MAX_BLOCK, "{allocated} for {len}");
+    }
+    let (len, allocated) = queues
+        .iter()
+        .fold((0, 0), |(l, a), &(len, alloc)| (l + len, a + alloc));
+    assert!(net.queue_len() > 10_000, "Ethernet backlog {}", net.queue_len());
     assert!(
-        peak > 4096,
-        "one daemon's backlog peaked at {peak} live batches"
+        allocated <= len + queues.len() * MAX_BLOCK,
+        "{allocated} entries allocated for {len} queued"
     );
 }
 
@@ -140,8 +171,7 @@ fn conservation_generated_equals_buffered_plus_forwarded() {
     // counted as forwarded; its roster lists one app per sample. Every
     // other live batch is in the network or awaiting main-process handling.
     let collecting = model.daemons.roster.iter().map(|r| r.len() as u64).sum::<u64>();
-    let live: u64 = model.tokens.values().map(|b| u64::from(b.count.get())).sum();
-    let post_forward = live - collecting;
+    let post_forward = model.acc.in_batches - collecting;
     assert_eq!(
         model.acc.generated_samples,
         forwarded + buffered as u64 + collecting,
@@ -288,7 +318,12 @@ fn exec_cell_maps_app_events_to_their_node() {
             }
         }
     }
-    let fwd = |dest| Ev::Deliver(NetJob::Forward { token: 0, dest });
+    let batch = types::Batch {
+        count: std::num::NonZeroU32::MIN,
+        sum_gen_ns: 0,
+        ready_ns: 0,
+    };
+    let fwd = |dest| Ev::Deliver(NetJob::Forward { batch, dest });
     assert_eq!(exec_cell(&fwd(Dest::Main), 2), 0);
     assert_eq!(exec_cell(&fwd(Dest::Node(5)), 2), 5);
     assert_eq!(exec_cell(&Ev::Slice { bank: 7, cpu: 0 }, 2), 7);

@@ -47,8 +47,10 @@
 //! below nb/2, so a population must change by 2× to resize twice. Each
 //! resize re-estimates the width as about 3× the mean gap of the earliest
 //! [`WIDTH_SAMPLE`] entries and relinks every entry in `(at, seq)` order.
-//! The walk path also re-estimates a width that leaves walks crossing
-//! many empty buckets, which no population change would otherwise fix.
+//! Two checks re-estimate a width that no population change would fix:
+//! the walk path's, when walks cross many empty buckets (too narrow), and,
+//! on a small wheel, the insert path's, when inserts step past many
+//! entries of one bucket (too wide); that one uses the median gap.
 //!
 //! ## The reference calendar
 //!
@@ -77,6 +79,14 @@ const WIDTH_SAMPLE: usize = 64;
 const RETUNE_WALKS: u64 = 64;
 /// Mean empty buckets per walk above which the width is re-estimated.
 const RETUNE_STEPS: u64 = 2;
+/// Inserts between checks of the bucket width from the insert side.
+const RETUNE_INSERTS: u64 = 64;
+/// Mean entries an insert steps past, above which the width is
+/// re-estimated.
+const RETUNE_PASSED: u64 = 2;
+/// Largest bucket count (so at most 2× that many entries) at which long
+/// insert walks retune the width.
+const SMALL_WHEEL: usize = 64;
 
 /// Which calendar implementation a [`crate::Sim`] uses.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -97,6 +107,14 @@ pub struct CalendarStats {
     pub live: usize,
     /// Non-empty wheel buckets (0 for the reference calendar).
     pub occupied_buckets: usize,
+}
+
+/// Which gap of the earliest entries sets the width at a resize.
+#[derive(Clone, Copy)]
+enum Spacing {
+    Mean,
+    /// Robust to a few far-future entries (see [`Wheel::check_insert_walks`]).
+    Median,
 }
 
 /// One arena slot of the hashed wheel.
@@ -136,6 +154,14 @@ pub(crate) struct Wheel<E> {
     /// search count as 2·nb).
     walks: u64,
     steps: u64,
+    /// Inserts since the width was last checked from the insert side, and
+    /// the bucket-list entries they stepped past.
+    inserts: u64,
+    passed: u64,
+    /// Whether long insert walks may still retune: cleared when such a
+    /// retune left the width as it was (same-instant ties, which no width
+    /// separates), set again by the next population resize.
+    insert_retune: bool,
 }
 
 impl<E> Wheel<E> {
@@ -153,6 +179,9 @@ impl<E> Wheel<E> {
             scratch: Vec::new(),
             walks: 0,
             steps: 0,
+            inserts: 0,
+            passed: 0,
+            insert_retune: true,
         }
     }
 
@@ -192,11 +221,13 @@ impl<E> Wheel<E> {
         let b = v as usize & self.mask();
         let mut prev = NIL;
         let mut next = self.heads[b];
+        let mut passed = 0;
         while next != NIL {
             let c = &self.nodes[next as usize];
             if (c.at, c.seq) > (at, seq) {
                 break;
             }
+            passed += 1;
             prev = next;
             next = c.next;
         }
@@ -222,9 +253,36 @@ impl<E> Wheel<E> {
             p => self.nodes[p as usize].next = i,
         }
         self.len += 1;
+        self.inserts += 1;
+        self.passed += passed;
         if self.len > 2 * self.heads.len() {
-            self.resize(2 * self.heads.len());
+            self.resize(2 * self.heads.len(), Spacing::Mean);
+            self.insert_retune = true;
+        } else if self.inserts >= RETUNE_INSERTS {
+            self.check_insert_walks();
         }
+    }
+
+    /// Re-estimate the width of a small wheel when the last
+    /// [`RETUNE_INSERTS`] inserts stepped past more than [`RETUNE_PASSED`]
+    /// entries each: buckets so wide that most pending entries share one.
+    /// The walk path cannot see this while the cursor's bucket always holds
+    /// an in-window head, since then no pop walks. A small population is
+    /// where a few far entries (seconds-long timers among µs-spaced work)
+    /// inflate the mean gap, so this retune takes the median gap; on large
+    /// wheels the earliest 64 entries are dense and the mean serves.
+    #[cold]
+    #[inline(never)]
+    fn check_insert_walks(&mut self) {
+        if self.insert_retune
+            && self.heads.len() <= SMALL_WHEEL
+            && self.passed > RETUNE_PASSED * self.inserts
+        {
+            let shift = self.shift;
+            self.resize(self.heads.len(), Spacing::Median);
+            self.insert_retune = self.shift != shift;
+        }
+        (self.inserts, self.passed) = (0, 0);
     }
 
     /// Remove the head of bucket `b`, returning its `(at, event)` and
@@ -290,10 +348,11 @@ impl<E> Wheel<E> {
         }
         let nb = self.heads.len();
         if self.len < nb / 2 && nb > MIN_BUCKETS {
-            self.resize(nb / 2);
+            self.resize(nb / 2, Spacing::Mean);
+            self.insert_retune = true;
         } else if self.walks >= RETUNE_WALKS {
             if self.steps > RETUNE_STEPS * self.walks {
-                self.resize(nb);
+                self.resize(nb, Spacing::Mean);
             }
             (self.walks, self.steps) = (0, 0);
         }
@@ -336,13 +395,14 @@ impl<E> Wheel<E> {
         (v, v <= limit)
     }
 
-    /// Rebuild with `nb` buckets and a re-estimated width: about 3× the mean
-    /// gap of the earliest [`WIDTH_SAMPLE`] entries (over all entries when
-    /// those all tie; unchanged when everything ties). Every entry is
-    /// relinked in `(at, seq)` order, so bucket lists stay sorted.
+    /// Rebuild with `nb` buckets and a re-estimated width: about 3× the
+    /// `spacing` gap of the earliest [`WIDTH_SAMPLE`] entries (3× the mean
+    /// gap over all entries when those all tie; unchanged when everything
+    /// ties). Every entry is relinked in `(at, seq)` order, so bucket lists
+    /// stay sorted.
     #[cold]
     #[inline(never)]
-    fn resize(&mut self, nb: usize) {
+    fn resize(&mut self, nb: usize, spacing: Spacing) {
         let mut scratch = std::mem::take(&mut self.scratch);
         scratch.clear();
         for &head in &self.heads {
@@ -362,7 +422,23 @@ impl<E> Wheel<E> {
                 s => (s, k),
             };
             if span > 0 {
-                let width = (span / gaps as u64).saturating_mul(3).max(1);
+                let mean = span / gaps as u64;
+                let sep = match spacing {
+                    Spacing::Mean => mean,
+                    Spacing::Median => {
+                        let mut sample = [0u64; WIDTH_SAMPLE];
+                        for (g, w) in sample.iter_mut().zip(scratch[..=k].windows(2)) {
+                            *g = w[1].0 - w[0].0;
+                        }
+                        let sample = &mut sample[..k];
+                        sample.sort_unstable();
+                        match sample[k / 2] {
+                            0 => mean,
+                            median => median,
+                        }
+                    }
+                };
+                let width = sep.saturating_mul(3).max(1);
                 self.shift = 63 - width.leading_zeros();
             }
             v = first >> self.shift;
@@ -371,6 +447,7 @@ impl<E> Wheel<E> {
         self.heads.resize(nb, NIL);
         self.set_cursor(v);
         (self.walks, self.steps) = (0, 0);
+        (self.inserts, self.passed) = (0, 0);
         // Prepend in descending order: each bucket ends up ascending.
         let mask = nb - 1;
         for &(at, _, i) in scratch.iter().rev() {
@@ -463,7 +540,7 @@ impl<E> Calendar<E> {
     }
 
     /// Visit every pending entry as `(at_ns, seq, event)`, in storage order.
-    fn for_each<'a>(&'a self, mut f: impl FnMut(u64, u64, &'a E)) {
+    pub(crate) fn for_each<'a>(&'a self, mut f: impl FnMut(u64, u64, &'a E)) {
         match self {
             Calendar::Wheel(w) => {
                 for n in &w.nodes {
@@ -596,6 +673,40 @@ mod tests {
         let w = wheel(&c);
         assert_eq!((w.heads.len(), w.len), (32, 64));
         assert!(w.shift >= 4, "width still 2^{} ns", w.shift);
+    }
+
+    #[test]
+    fn long_insert_walks_retune_a_width_set_by_far_entries() {
+        // Ten entries 1 s apart set a width of seconds; twenty timers then
+        // cycle a few µs apart, all inside the cursor's bucket. Every pop
+        // finds an in-window head there, so the walk path never runs, and
+        // each insert steps past most of the other timers. The insert-side
+        // check must re-estimate the width from the running front.
+        let mut c: Calendar<u32> = Calendar::new(CalendarKind::Wheel);
+        for i in 0..10u64 {
+            c.insert(SimTime::from_nanos(10_000_000_000 + i * 1_000_000_000), i, u32::MAX);
+        }
+        for id in 0..20u32 {
+            c.insert(SimTime::from_nanos(1_000 * id as u64), 10 + id as u64, id);
+        }
+        let wide = wheel(&c).shift;
+        assert!(wide >= 30, "width 2^{wide} ns after the fill");
+        let mut seq = 30;
+        let mut cycles = 0;
+        while wheel(&c).shift == wide {
+            assert_eq!(wheel(&c).walks, 0, "the walk path ran");
+            assert!(cycles < 64, "no retune after {cycles} inserts");
+            let Some((t, id)) = c.pop_next_before(SimTime::MAX) else {
+                unreachable!("timers keep the wheel populated")
+            };
+            let gap = 2_000 + (id as u64).wrapping_mul(2_654_435_761) % 6_000;
+            c.insert(SimTime::from_nanos(t.as_nanos() + gap), seq, id);
+            seq += 1;
+            cycles += 1;
+        }
+        let w = wheel(&c);
+        assert!(w.shift <= 14, "width 2^{} ns after the retune", w.shift);
+        assert_eq!((w.heads.len(), w.len), (16, 30));
     }
 
     #[test]

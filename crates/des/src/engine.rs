@@ -155,6 +155,13 @@ impl<E> Ctx<E> {
         self.calendar.live()
     }
 
+    /// Visit every pending event, in storage order: an O(pending) walk for
+    /// tests that audit what the calendar holds.
+    // lint:allow(dead-pub): the in-flight walk in paradyn-core's model tests
+    pub fn for_each_pending(&self, mut f: impl FnMut(&E)) {
+        self.calendar.for_each(|_, _, ev| f(ev));
+    }
+
     /// Occupancy counters of the calendar (pending events, bucket
     /// occupancy). Cheap enough for test assertions and bench reporting.
     pub fn calendar_stats(&self) -> CalendarStats {

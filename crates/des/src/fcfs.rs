@@ -5,10 +5,10 @@
 //! one completion event for it is pending. This keeps the component directly
 //! unit- and property-testable without an event loop.
 
+use crate::fifo::Fifo;
 use crate::monitor::BusyTime;
 use crate::snapshot::{Dec, Enc, Persist, SnapError};
 use crate::time::SimDur;
-use std::collections::VecDeque;
 
 /// Result of offering a job to the server.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -22,6 +22,7 @@ pub enum Offer {
 }
 
 /// A job with its service demand, in service or waiting.
+#[derive(Clone, Copy)]
 struct Entry<J> {
     job: J,
     service: SimDur,
@@ -30,23 +31,23 @@ struct Entry<J> {
 /// FCFS single server with unbounded queue.
 pub struct FcfsServer<J> {
     current: Option<Entry<J>>,
-    queue: VecDeque<Entry<J>>,
+    queue: Fifo<Entry<J>>,
     busy: BusyTime,
     served: u64,
 }
 
-impl<J> Default for FcfsServer<J> {
+impl<J: Copy> Default for FcfsServer<J> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<J> FcfsServer<J> {
+impl<J: Copy> FcfsServer<J> {
     /// An idle server with an empty queue.
     pub fn new() -> Self {
         FcfsServer {
             current: None,
-            queue: VecDeque::new(),
+            queue: Fifo::new(),
             busy: BusyTime::new(),
             served: 0,
         }
@@ -101,6 +102,19 @@ impl<J> FcfsServer<J> {
         self.queue.len()
     }
 
+    /// Queue entries allocated, waiting or not (see [`Fifo::allocated`]).
+    // lint:allow(dead-pub): the queue-storage bound in paradyn-core's model tests
+    pub fn queue_allocated(&self) -> usize {
+        self.queue.allocated()
+    }
+
+    /// Every job held, in service first, then waiting in queue order.
+    // lint:allow(dead-pub): the in-flight walk in paradyn-core's model tests
+    pub fn jobs(&self) -> impl Iterator<Item = J> + '_ {
+        let current = self.current.iter().map(|e| e.job);
+        current.chain(self.queue.iter().map(|e| e.job))
+    }
+
     /// Total busy time credited so far (includes the in-progress service in
     /// full at its start).
     // lint:allow(dead-pub): the FCFS property in tests/properties.rs
@@ -132,7 +146,7 @@ impl<J: Persist> Persist for Entry<J> {
     }
 }
 
-impl<J: Persist> Persist for FcfsServer<J> {
+impl<J: Copy + Persist> Persist for FcfsServer<J> {
     fn save(&self, w: &mut Enc) {
         self.current.save(w);
         self.queue.save(w);
@@ -141,7 +155,7 @@ impl<J: Persist> Persist for FcfsServer<J> {
     }
     fn load(r: &mut Dec<'_>) -> Result<Self, SnapError> {
         let current: Option<Entry<J>> = Persist::load(r)?;
-        let queue: VecDeque<Entry<J>> = Persist::load(r)?;
+        let queue: Fifo<Entry<J>> = Persist::load(r)?;
         if current.is_none() && !queue.is_empty() {
             return Err(SnapError::Malformed("FcfsServer idle with waiting queue"));
         }
@@ -236,8 +250,8 @@ mod tests {
 
     #[test]
     fn waiting_entry_is_job_plus_service() {
-        // A 16-byte job (the model's `NetJob`) waits in a 24-byte entry.
-        assert_eq!(std::mem::size_of::<Entry<[u64; 2]>>(), 24);
+        // A 32-byte job (the model's `NetJob`) waits in a 40-byte entry.
+        assert_eq!(std::mem::size_of::<Entry<[u64; 4]>>(), 40);
     }
 
     #[test]

@@ -5,9 +5,10 @@
 //! a deterministic, monomorphic event calendar ([`engine`], backed by the
 //! one-level hashed timing wheel in [`calendar`]), an integer nanosecond clock
 //! ([`time`]), reproducible independent random streams ([`rng`]),
-//! run monitors of busy time and fault cost ([`monitor`]), and reusable
+//! run monitors of busy time and fault cost ([`monitor`]), reusable
 //! resource state machines — an FCFS single server ([`fcfs`]) and a
-//! round-robin quantum CPU bank ([`rr`]).
+//! round-robin quantum CPU bank ([`rr`]) — and the block-chained queue
+//! both keep their waiting jobs in ([`fifo`]).
 //!
 //! Design choices (see DESIGN.md §5):
 //! * **Integer time** — exact event ordering, bit-reproducible runs.
@@ -51,6 +52,7 @@ pub mod calendar;
 pub mod engine;
 pub mod fault;
 pub mod fcfs;
+pub mod fifo;
 pub mod monitor;
 pub mod rng;
 pub mod rr;
@@ -61,6 +63,7 @@ pub use calendar::{CalendarKind, CalendarStats};
 pub use engine::{Ctx, Model, Sim};
 pub use fault::FaultSchedule;
 pub use fcfs::{FcfsServer, Offer};
+pub use fifo::Fifo;
 pub use monitor::{BusyTime, FaultMonitor};
 pub use rng::{StreamRng, Streams};
 pub use rr::{RrCpuBank, SliceEnd, Submit};

@@ -11,9 +11,9 @@
 //! preempt a running slice, a slice-end event is never stale — the invariant
 //! is one pending slice event per busy CPU.
 
+use crate::fifo::Fifo;
 use crate::monitor::BusyTime;
 use crate::time::SimDur;
-use std::collections::VecDeque;
 
 /// Result of submitting a job to the bank.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -54,7 +54,7 @@ struct Running<J> {
 pub struct RrCpuBank<J> {
     quantum: SimDur,
     running: Vec<Option<Running<J>>>,
-    ready: VecDeque<(J, SimDur)>,
+    ready: Fifo<(J, SimDur)>,
     busy: BusyTime,
     completed: u64,
 }
@@ -70,7 +70,7 @@ impl<J: Copy> RrCpuBank<J> {
         RrCpuBank {
             quantum,
             running: (0..cpus).map(|_| None).collect(),
-            ready: VecDeque::new(),
+            ready: Fifo::new(),
             busy: BusyTime::new(),
             completed: 0,
         }
@@ -127,10 +127,15 @@ impl<J: Copy> RrCpuBank<J> {
                 next_slice,
             }
         } else {
-            // Preempted: requeue at the tail, dispatch the head (which may be
-            // this very job if the queue was empty).
-            self.ready.push_back((r.job, remaining));
-            let (j, rem) = self.ready.pop_front().expect("just pushed");
+            // Preempted: requeue at the tail, dispatch the head — this very
+            // job if the queue was empty, which then never enters it.
+            let (j, rem) = match self.ready.pop_front() {
+                Some(head) => {
+                    self.ready.push_back((r.job, remaining));
+                    head
+                }
+                None => (r.job, remaining),
+            };
             let slice = self.dispatch(cpu, j, rem);
             SliceEnd {
                 job: r.job,
@@ -145,6 +150,21 @@ impl<J: Copy> RrCpuBank<J> {
     // lint:allow(dead-pub): the round-robin property in tests/properties.rs
     pub fn ready_len(&self) -> usize {
         self.ready.len()
+    }
+
+    /// Ready-queue entries allocated, waiting or not (see
+    /// [`Fifo::allocated`]).
+    // lint:allow(dead-pub): the queue-storage bound in paradyn-core's model tests
+    pub fn ready_allocated(&self) -> usize {
+        self.ready.allocated()
+    }
+
+    /// Every job held, running ones first (by CPU), then the ready queue
+    /// in order.
+    // lint:allow(dead-pub): the in-flight walk in paradyn-core's model tests
+    pub fn jobs(&self) -> impl Iterator<Item = J> + '_ {
+        let running = self.running.iter().flatten().map(|r| r.job);
+        running.chain(self.ready.iter().map(|(j, _)| j))
     }
 
     /// Total CPU time dispensed (all CPUs combined).
@@ -170,7 +190,7 @@ impl<J: Copy> RrCpuBank<J> {
     }
 }
 
-impl<J: crate::snapshot::Persist> crate::snapshot::Persist for RrCpuBank<J> {
+impl<J: Copy + crate::snapshot::Persist> crate::snapshot::Persist for RrCpuBank<J> {
     fn save(&self, w: &mut crate::snapshot::Enc) {
         self.quantum.save(w);
         w.put_usize(self.running.len());

@@ -25,7 +25,7 @@
 //! regression (through machine noise); this test pins the mechanism.
 
 use paradyn_allocguard::{checkpoint, CountingAlloc};
-use paradyn_des::{Ctx, Model, Sim, SimDur, SimTime};
+use paradyn_des::{Ctx, Fifo, Model, Sim, SimDur, SimTime};
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -80,4 +80,29 @@ fn steady_state_is_allocation_free() {
         "{traffic} heap operation(s) across {events} steady-state events — a \
          delivery-loop buffer is being reallocated per event"
     );
+}
+
+/// A FIFO cycling at a constant length — one push, one pop — reuses its
+/// spare block each time a block empties, so after warm-up it allocates
+/// nothing, at a length inside one block and at one spanning many.
+#[test]
+fn fifo_cycling_at_constant_length_is_allocation_free() {
+    for len in [1usize, 3, 100, 1_000] {
+        let mut q = Fifo::new();
+        for i in 0..len {
+            q.push_back((i as u64, [0u64; 3]));
+        }
+        let cycle = |q: &mut Fifo<(u64, [u64; 3])>, n: usize| {
+            for i in 0..n {
+                q.push_back((i as u64, [0u64; 3]));
+                assert!(q.pop_front().is_some());
+            }
+        };
+        cycle(&mut q, 4 * len + 1_000);
+        let mark = checkpoint();
+        cycle(&mut q, 100_000);
+        let traffic = mark.heap_traffic_since();
+        assert_eq!(traffic, 0, "{traffic} heap operation(s) cycling at length {len}");
+        assert_eq!(q.len(), len);
+    }
 }

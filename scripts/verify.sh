@@ -5,16 +5,24 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# The root manifest's `default-members` takes in every crate, so these two
+# build every binary below and run every crate's tests (debug profile).
 echo "== cargo build --release --offline =="
 cargo build --release --offline
 
 echo "== cargo test -q --offline =="
 cargo test -q --offline
 
+# The release binaries the build above just made.
+lint=target/release/paradyn-lint
+check_lint_json=target/release/check_lint_json
+check_bench_json=target/release/check_bench_json
+repro=target/release/repro
+
 echo "== paradyn-lint (determinism / no-panic / hermeticity gate) =="
 lint_json="$(mktemp)"
 lint_t0="$(date +%s%N)"
-cargo run --release --offline -q -p paradyn-lint -- --format json > "$lint_json"
+"$lint" --format json > "$lint_json"
 lint_t1="$(date +%s%N)"
 lint_ms="$(( (lint_t1 - lint_t0) / 1000000 ))"
 echo "lint pass took ${lint_ms} ms"
@@ -28,22 +36,23 @@ grep -q '"clean": true' "$lint_json" || {
 }
 # Schema + registry validation: the embedded rules/markers tables must
 # match the compiled-in registries.
-cargo run --release --offline -q -p paradyn-bench --bin check_lint_json -- "$lint_json"
+"$check_lint_json" "$lint_json"
 rm -f "$lint_json"
 # The rule registry is reachable from the CLI.
-cargo run --release --offline -q -p paradyn-lint -- --explain snapshot-completeness > /dev/null
-cargo run --release --offline -q -p paradyn-lint -- --explain snapshot-exempt > /dev/null
-cargo run --release --offline -q -p paradyn-lint -- --explain dead-pub > /dev/null
+"$lint" --explain snapshot-completeness > /dev/null
+"$lint" --explain snapshot-exempt > /dev/null
+"$lint" --explain dead-pub > /dev/null
 
 echo "== paradyn-lint mutation self-checks (seeded violations must go red) =="
 mut_dir="$(mktemp -d)"
 chaos_dir="$(mktemp -d)"
 ratchet_dir="$(mktemp -d)"
-token_dir="$(mktemp -d)"
+batch_dir="$(mktemp -d)"
+fifo_dir="$(mktemp -d)"
 rewind_dir="$(mktemp -d)"
 roster_dir="$(mktemp -d)"
 pool_dir="$(mktemp -d)"
-trap 'rm -rf "$mut_dir" "$chaos_dir" "$ratchet_dir" "$token_dir" "$rewind_dir" "$roster_dir" "$pool_dir"' EXIT
+trap 'rm -rf "$mut_dir" "$chaos_dir" "$ratchet_dir" "$batch_dir" "$fifo_dir" "$rewind_dir" "$roster_dir" "$pool_dir"' EXIT
 # The workspace passes read the whole tree (Acc lives in crates/core, the
 # conservation identity in src/chaos.rs), so the scratch copy carries the
 # root package sources too.
@@ -59,8 +68,7 @@ run_lint_mutation() { # <label> <rule> <mutated-file (repo-relative)> [<marker t
   local label="$1" rule="$2" file="$3" needle="${4:-}"
   local out="$mut_dir/mutation.json"
   set +e
-  cargo run --release --offline -q -p paradyn-lint -- \
-    --root "$mut_dir" --format json > "$out" 2>&1
+  "$lint" --root "$mut_dir" --format json > "$out" 2>&1
   local rc=$?
   set -e
   if [ "$rc" -ne 1 ]; then
@@ -75,7 +83,7 @@ run_lint_mutation() { # <label> <rule> <mutated-file (repo-relative)> [<marker t
     echo "verify: FAIL — $label mutation's findings do not name $needle" >&2
     exit 1
   fi
-  cargo run --release --offline -q -p paradyn-bench --bin check_lint_json -- "$out" > /dev/null
+  "$check_lint_json" "$out" > /dev/null
   cp "$file" "$mut_dir/$file"
   rm -f "$out"
   echo "mutation self-check ($label): seeded violation correctly rejected"
@@ -171,31 +179,59 @@ grep -q "shrunk input tape" "$chaos_out" || {
 }
 echo "chaos mutation self-check: seeded bug found and shrunk"
 
-echo "== token-counter mutation self-check (a 12-bit counter must go red) =="
-# Scratch copy with the per-daemon batch counter masked back to 12 bits:
-# the overloaded CF regression drives one daemon past 4096 live batches,
-# so the counter wraps onto a live one and that test must fail by name.
-token_test="saturated_main_keeps_pipe_books_past_4096_live_batches"
-cp Cargo.toml Cargo.lock "$token_dir"/
-cp -r crates src tests examples "$token_dir"/
-sed -i 's/ctr\.checked_add(1)\.expect("token counter exhausted")/(ctr + 1) \& 0xfff/' \
-  "$token_dir/crates/core/src/model/types.rs"
-grep -q '(ctr + 1) & 0xfff' "$token_dir/crates/core/src/model/types.rs" || {
-  echo "verify: FAIL — could not mask the token counter" >&2
-  exit 1
-}
-token_out="$token_dir/token-out.txt"
-set +e
-( cd "$token_dir" && CARGO_TARGET_DIR="$token_dir/target" \
-    cargo test -q --offline -p paradyn-core --lib "$token_test" ) > "$token_out" 2>&1
-token_rc=$?
-set -e
-if [ "$token_rc" -eq 0 ] || ! grep -q "^    model::tests::$token_test\$" "$token_out"; then
-  echo "verify: FAIL — $token_test did not go red with a 12-bit counter:" >&2
-  tail -n 40 "$token_out" >&2
+echo "== in-batch mutation self-check (a skipped retirement must go red) =="
+# Scratch copy where the main process consumes a batch without taking its
+# samples off the running in-batch count: samples_in_flight then overstates
+# the backlog, and the saturated-main test, which checks the count against
+# a walk over every job and event holding a batch, must fail by name.
+sat_test="saturated_main_keeps_pipe_books_past_4096_live_batches"
+cp Cargo.toml Cargo.lock "$batch_dir"/
+cp -r crates src tests examples "$batch_dir"/
+batch_rs="$batch_dir/crates/core/src/model/mod.rs"
+sed -i '/fn main_recv_done/,/^    }$/{/self\.acc\.in_batches -= u64::from(count);/d}' "$batch_rs"
+if grep -q 'self\.acc\.in_batches -= u64::from(count);' "$batch_rs"; then
+  echo "verify: FAIL — could not delete the in-batch decrement" >&2
   exit 1
 fi
-echo "token-counter mutation self-check: $token_test correctly failed"
+batch_out="$batch_dir/batch-out.txt"
+set +e
+( cd "$batch_dir" && CARGO_TARGET_DIR="$batch_dir/target" \
+    cargo test -q --offline -p paradyn-core --lib "$sat_test" ) > "$batch_out" 2>&1
+batch_rc=$?
+set -e
+if [ "$batch_rc" -eq 0 ] || ! grep -q "^    model::tests::$sat_test\$" "$batch_out" \
+    || ! grep -q "in-flight batches at" "$batch_out"; then
+  echo "verify: FAIL — $sat_test did not go red with a skipped retirement:" >&2
+  tail -n 40 "$batch_out" >&2
+  exit 1
+fi
+echo "in-batch mutation self-check: $sat_test correctly failed"
+
+echo "== FIFO mutation self-check (an off-by-one at a block boundary must go red) =="
+# Scratch copy where a pop retires the front block one entry early: that
+# entry is lost (or read past its block), and the property test against a
+# VecDeque oracle must fail by name.
+fifo_test="fifo_matches_vecdeque_model"
+cp Cargo.toml Cargo.lock "$fifo_dir"/
+cp -r crates src tests examples "$fifo_dir"/
+fifo_rs="$fifo_dir/crates/des/src/fifo.rs"
+sed -i 's/if self\.head == self\.front\.len() {/if self.head + 1 == self.front.len() {/' "$fifo_rs"
+grep -q 'if self\.head + 1 == self\.front\.len() {' "$fifo_rs" || {
+  echo "verify: FAIL — could not seed the block-boundary off-by-one" >&2
+  exit 1
+}
+fifo_out="$fifo_dir/fifo-out.txt"
+set +e
+( cd "$fifo_dir" && CARGO_TARGET_DIR="$fifo_dir/target" \
+    cargo test -q --offline -p paradyn-des --lib "$fifo_test" ) > "$fifo_out" 2>&1
+fifo_rc=$?
+set -e
+if [ "$fifo_rc" -eq 0 ] || ! grep -q "^    fifo::tests::$fifo_test\$" "$fifo_out"; then
+  echo "verify: FAIL — $fifo_test did not go red with an off-by-one block boundary:" >&2
+  tail -n 40 "$fifo_out" >&2
+  exit 1
+fi
+echo "FIFO mutation self-check: $fifo_test correctly failed"
 
 echo "== roster-drain mutation self-check (an undrained collect roster must go red) =="
 # Scratch copy where a finished collect cycle clears its daemon's roster
@@ -212,16 +248,16 @@ fi
 roster_out="$roster_dir/roster-out.txt"
 set +e
 ( cd "$roster_dir" && CARGO_TARGET_DIR="$roster_dir/target" \
-    cargo test -q --offline -p paradyn-core --lib "$token_test" ) > "$roster_out" 2>&1
+    cargo test -q --offline -p paradyn-core --lib "$sat_test" ) > "$roster_out" 2>&1
 roster_rc=$?
 set -e
-if [ "$roster_rc" -eq 0 ] || ! grep -q "^    model::tests::$token_test\$" "$roster_out" \
+if [ "$roster_rc" -eq 0 ] || ! grep -q "^    model::tests::$sat_test\$" "$roster_out" \
     || ! grep -q "pipe slots at" "$roster_out"; then
-  echo "verify: FAIL — $token_test did not go red with an undrained roster:" >&2
+  echo "verify: FAIL — $sat_test did not go red with an undrained roster:" >&2
   tail -n 40 "$roster_out" >&2
   exit 1
 fi
-echo "roster-drain mutation self-check: $token_test correctly failed"
+echo "roster-drain mutation self-check: $sat_test correctly failed"
 
 echo "== replication-pool mutation self-check (results stored by claim order must go red) =="
 # Scratch copy where the pool stores each result at its claim position
@@ -249,10 +285,9 @@ if [ "$pool_rc" -eq 0 ] || ! grep -q "^    $pool_test\$" "$pool_out"; then
 fi
 echo "replication-pool mutation self-check: $pool_test correctly failed"
 
-echo "== zero-allocation gate (debug and release, default test threads) =="
+echo "== zero-allocation gate (release; the debug run is part of cargo test above) =="
 # The allocation counters are per thread, so the window stays exact while
 # the harness runs other tests in parallel; both profiles must pass.
-cargo test -q --offline -p paradyn-des --test zero_alloc
 cargo test -q --offline --release -p paradyn-des --test zero_alloc
 
 echo "== calendar cursor-rewind mutation self-check (deleted rewind must go red) =="
@@ -285,10 +320,8 @@ echo "== repro all at quick scale (simulated work gated against BENCH_repro.json
 # Every artifact runs (the fault sweep and degradation among them); the
 # runs and events of each must equal the committed file's exactly.
 repro_json="$(mktemp)"
-cargo run --release --offline -q -p paradyn-bench --bin repro -- \
-  --scale quick --bench-json "$repro_json" all > /dev/null
-cargo run --release --offline -q -p paradyn-bench --bin check_bench_json -- \
-  "$repro_json" BENCH_repro.json
+"$repro" --scale quick --bench-json "$repro_json" all > /dev/null
+"$check_bench_json" "$repro_json" BENCH_repro.json
 rm -f "$repro_json"
 
 echo "== bench smoke (every bench once, short mode) =="
@@ -300,13 +333,13 @@ for b in des_engine rocc_model policies stats_kernels; do
 done
 
 echo "== bench JSON schema check (smoke output + committed baseline) =="
-cargo run --release --offline -q -p paradyn-bench --bin check_bench_json -- "$smoke_json"
+"$check_bench_json" "$smoke_json"
 rm -f "$smoke_json"
 if [ -f BENCH_des.json ]; then
   # Non-smoke baseline: check_bench_json also enforces the throughput
   # ratchet in BENCH_floor.json (fails on regression below any floor,
   # prints a ratchet hint on sustained improvement).
-  cargo run --release --offline -q -p paradyn-bench --bin check_bench_json
+  "$check_bench_json"
 fi
 
 echo "== perf-ratchet self-check (inflated floor must go red) =="
@@ -316,8 +349,7 @@ cp BENCH_des.json BENCH_floor.json "$ratchet_dir"/
 sed -i 's/"min_events_per_sec": 2600000\.0/"min_events_per_sec": 99000000000000.0/' \
   "$ratchet_dir/BENCH_floor.json"
 set +e
-cargo run --release --offline -q -p paradyn-bench --bin check_bench_json -- \
-  "$ratchet_dir/BENCH_des.json" > /dev/null 2>&1
+"$check_bench_json" "$ratchet_dir/BENCH_des.json" > /dev/null 2>&1
 ratchet_rc=$?
 set -e
 if [ "$ratchet_rc" -ne 1 ]; then

@@ -3,14 +3,11 @@
 //! (hermetic build: no proptest). Rerun a reported failure with
 //! `PARADYN_PROP_SEED=<seed> cargo test <property name>`.
 
-use paradyn_core::model::types::{Batch, Token, TokenTable};
 use paradyn_core::pipe::{Deposit, OverflowPolicy, Pipe};
-use paradyn_des::{Dec, Enc, FcfsServer, Offer, Persist, RrCpuBank, SimDur, SimTime, Submit};
-use paradyn_stats::{check, Design2kr, Gen, Rv, SplitMix64};
+use paradyn_des::{FcfsServer, Offer, RrCpuBank, SimDur, SimTime, Submit};
+use paradyn_stats::{check, Design2kr, Rv, SplitMix64};
 use paradyn_stats::{prop_assert, prop_assert_eq, prop_assume};
 use paradyn_workload::{ProcessClass, Resource, Trace, TraceRecord};
-use std::collections::BTreeMap;
-use std::num::NonZeroU32;
 
 /// SimTime arithmetic: (t + d) - t == d, ordering is consistent.
 #[test]
@@ -344,165 +341,6 @@ fn trace_codec_roundtrip() {
             prop_assert_eq!(a.pid, b.pid);
             prop_assert!((a.t_us - b.t_us).abs() < 5e-4);
             prop_assert!((a.occupancy_us - b.occupancy_us).abs() < 5e-4);
-        }
-        Ok(())
-    });
-}
-
-/// A batch identified by its `count` (`id + 1`, as a count is never zero).
-fn tagged(id: u32) -> Batch {
-    Batch {
-        count: NonZeroU32::new(id + 1).unwrap(),
-        sum_gen_ns: 0,
-        ready_ns: 0,
-        attempts: 0,
-    }
-}
-
-/// The fields a token-table test can tell batches apart by: the `count`
-/// tag and the `attempts` the test bumps in place.
-fn fingerprint(b: &Batch) -> (u32, u32) {
-    (b.count.get(), b.attempts)
-}
-
-fn token_of(pd: u64, ctr: u64) -> Token {
-    pd << 32 | ctr
-}
-
-/// Reference token table: live batches by `(pd, ctr)`.
-type LiveBatches = BTreeMap<(u64, u64), Batch>;
-
-/// A uniformly chosen live key, if any.
-fn pick_live(g: &mut Gen, live: &LiveBatches) -> Option<(u64, u64)> {
-    live.keys().nth(g.index(live.len())).copied()
-}
-
-/// Token table: `insert`, `get_mut` and out-of-order `remove` agree with a
-/// `BTreeMap<(pd, ctr), Batch>` reference at every step, including with
-/// more than 4096 batches live on one daemon (past any 12-bit counter).
-#[test]
-fn token_table_matches_btreemap_model() {
-    check("token_table_matches_btreemap_model", |g| {
-        let pds = g.usize_in(1, 3);
-        let mut table = TokenTable::with_pds(pds);
-        let mut live = LiveBatches::new();
-        let mut next = vec![0u64; pds];
-        let mut ids = 0u32;
-        let burst = if g.bool() {
-            g.usize_in(4097, 4600)
-        } else {
-            g.usize_in(0, 64)
-        };
-        let ops = (0..burst)
-            .map(|_| 0)
-            .chain(g.vec_of(1, 300, |g| g.usize_in(0, 3)));
-        for op in ops {
-            match op {
-                // Allocate (the burst always hits pd 0).
-                0 | 1 => {
-                    let pd = if op == 0 { 0 } else { g.index(pds) };
-                    let t = table.insert(pd as u32, tagged(ids));
-                    prop_assert_eq!(t, token_of(pd as u64, next[pd]));
-                    live.insert((pd as u64, next[pd]), tagged(ids));
-                    next[pd] += 1;
-                    ids += 1;
-                }
-                // Mutate a live batch in place.
-                2 => {
-                    let Some(k) = pick_live(g, &live) else {
-                        continue;
-                    };
-                    let t = token_of(k.0, k.1);
-                    let want = live.get_mut(&k).unwrap();
-                    let got = table.get_mut(t);
-                    prop_assert!(got.is_some(), "live {k:?} missing");
-                    let got = got.unwrap();
-                    prop_assert_eq!(fingerprint(got), fingerprint(want));
-                    got.attempts += 1;
-                    want.attempts += 1;
-                }
-                // Retire a live batch out of order; retiring it twice fails.
-                _ => {
-                    let Some(k) = pick_live(g, &live) else {
-                        continue;
-                    };
-                    let t = token_of(k.0, k.1);
-                    let want = live.remove(&k).unwrap();
-                    let got = table.remove(t);
-                    prop_assert!(got.is_some(), "live {k:?} missing");
-                    prop_assert_eq!(fingerprint(&got.unwrap()), fingerprint(&want));
-                    prop_assert!(table.remove(t).is_none());
-                    prop_assert!(table.get(t).is_none());
-                }
-            }
-            prop_assert_eq!(table.len(), live.len());
-        }
-        let got: Vec<_> = table.values().map(fingerprint).collect();
-        let want: Vec<_> = live.values().map(fingerprint).collect();
-        prop_assert_eq!(got, want);
-        for (pd, &ctr) in next.iter().enumerate() {
-            prop_assert_eq!(
-                table.insert(pd as u32, tagged(0)),
-                token_of(pd as u64, ctr)
-            );
-        }
-        Ok(())
-    });
-}
-
-/// Token-table snapshots round-trip with more than 2048 batches live on
-/// one daemon behind a few stragglers more than 4096 allocations older
-/// (a backlog spanning more than a 12-bit counter's range), retired out
-/// of order: same batches in the same order, and the next tokens each
-/// daemon allocates are unchanged.
-#[test]
-fn token_table_snapshot_roundtrip_past_2048_live() {
-    check("token_table_snapshot_roundtrip_past_2048_live", |g| {
-        let pds = g.usize_in(1, 3);
-        let mut tab = TokenTable::with_pds(pds);
-        let busy = g.index(pds) as u32;
-        let mut id = 0u32;
-        let mut alloc = |tab: &mut TokenTable, n: usize| -> Vec<(Token, u32)> {
-            (0..n)
-                .map(|_| {
-                    id += 1;
-                    (tab.insert(busy, tagged(id)), id)
-                })
-                .collect()
-        };
-        let mut live = alloc(&mut tab, g.usize_in(1, 8));
-        let mut retired = alloc(&mut tab, g.usize_in(4100, 4500));
-        while !retired.is_empty() {
-            let (t, _) = retired.swap_remove(g.index(retired.len()));
-            prop_assert!(tab.remove(t).is_some());
-        }
-        let mut backlog = alloc(&mut tab, g.usize_in(2100, 2600));
-        for _ in 0..g.usize_in(0, 50) {
-            let (t, _) = backlog.swap_remove(g.index(backlog.len()));
-            prop_assert!(tab.remove(t).is_some());
-        }
-        live.extend(backlog);
-        for pd in 0..pds as u32 {
-            for _ in 0..g.usize_in(0, 4) {
-                tab.insert(pd, tagged(0));
-            }
-        }
-        prop_assert!(tab.len() > 2048);
-        let mut w = Enc::new();
-        tab.save(&mut w);
-        let bytes = w.into_bytes();
-        let back = TokenTable::load(&mut Dec::new(&bytes));
-        prop_assert!(back.is_ok(), "load failed: {:?}", back.err());
-        let mut back = back.unwrap();
-        prop_assert_eq!(back.len(), tab.len());
-        let got: Vec<_> = back.values().map(fingerprint).collect();
-        let want: Vec<_> = tab.values().map(fingerprint).collect();
-        prop_assert_eq!(got, want);
-        for &(t, id) in &live {
-            prop_assert_eq!(back.get(t).map(|b| b.count.get()), Some(id + 1));
-        }
-        for pd in 0..pds as u32 {
-            prop_assert_eq!(back.insert(pd, tagged(0)), tab.insert(pd, tagged(0)));
         }
         Ok(())
     });

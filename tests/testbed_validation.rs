@@ -103,10 +103,19 @@ fn forward_op_counts_match_policy_arithmetic() {
 fn latency_includes_batch_accumulation() {
     let cf = run(&cfg(Policy::Cf, KernelKind::Bt)).expect("run");
     let bf = run(&cfg(Policy::Bf { batch: 32 }, KernelKind::Bt)).expect("run");
-    // With a 2 ms sampling period, a 32-batch takes ~64 ms to fill; mean
-    // accumulation wait ~32 ms. CF latency is sub-millisecond.
-    assert!(cf.latency_mean < Duration::from_millis(10), "{:?}", cf.latency_mean);
-    assert!(bf.latency_mean > cf.latency_mean);
+    // With a 2 ms sampling period, a 32-batch takes ~64 ms to fill; the
+    // mean sample waits (32 − 1)/2 · 2 ms = 31 ms before it is forwarded.
+    // Load only adds to that wait, so the floor holds on a busy host. CF
+    // latency is sub-millisecond on an idle host but is not bounded here:
+    // with three CF/BF pairs running at once on two CPUs it read 8–18 ms
+    // (BF 31–33 ms).
+    assert!(bf.latency_mean > Duration::from_millis(20), "{:?}", bf.latency_mean);
+    assert!(
+        bf.latency_mean > cf.latency_mean,
+        "BF {:?} vs CF {:?}",
+        bf.latency_mean,
+        cf.latency_mean
+    );
 }
 
 #[test]
