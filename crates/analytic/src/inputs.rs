@@ -16,8 +16,6 @@ pub struct Demands {
     pub main_cpu_s: f64,
     /// Application CPU burst mean (s).
     pub app_cpu_s: f64,
-    /// Application network occupancy mean (s).
-    pub app_net_s: f64,
 }
 
 impl Demands {
@@ -49,7 +47,6 @@ impl Demands {
             pdm_cpu_s: p.pdm_cpu.mean() * us,
             main_cpu_s: main_cpu * us,
             app_cpu_s: p.app.cpu_req.mean() * us,
-            app_net_s: p.app.net_req.mean() * us,
         }
     }
 }

@@ -29,6 +29,6 @@ pub mod smp;
 
 pub use inputs::{Demands, Knobs};
 pub use mpp::{mpp_metrics, Forwarding, MppMetrics};
-pub use mva::{app_cpu_utilization_mva, mva, Center, MvaSolution};
+pub use mva::{app_cpu_utilization_mva, mva, Center};
 pub use now::{now_metrics, NowMetrics};
 pub use smp::{smp_metrics, SmpMetrics};

@@ -25,8 +25,6 @@ pub struct SmpMetrics {
     pub is_cpu_util: f64,
     /// `µ_Application,CPU`, eq. (10).
     pub app_cpu_util: f64,
-    /// Bus utilization by daemon forwards, eq. (11).
-    pub bus_util: f64,
     /// Monitoring latency per sample, eq. (12) — seconds.
     pub latency_s: f64,
 }
@@ -55,7 +53,6 @@ pub fn smp_metrics(k: &Knobs, d: &Demands) -> SmpMetrics {
         main_cpu_util: clamp_util(main_cpu),
         is_cpu_util: clamp_util(is_cpu),
         app_cpu_util: clamp_util(1.0 - is_cpu),
-        bus_util: clamp_util(bus),
         latency_s: latency,
     }
 }
@@ -85,8 +82,6 @@ mod tests {
         assert!((m.lambda - 800.0).abs() < 1e-9);
         // µ_Pd = 800 * 267e-6/16 = 1.335%.
         assert!((m.pd_cpu_util - 0.01335).abs() < 1e-9);
-        // Bus = 800 * 71e-6 = 5.68%.
-        assert!((m.bus_util - 0.0568).abs() < 1e-9);
         assert!(m.app_cpu_util > 0.95);
     }
 
@@ -105,7 +100,7 @@ mod tests {
         let one = smp_metrics(&base(), &d);
         let four = smp_metrics(&Knobs { pds: 4, ..base() }, &d);
         assert!((four.lambda / one.lambda - 4.0).abs() < 1e-9);
-        assert!(four.bus_util > one.bus_util);
+        assert!(four.latency_s > one.latency_s);
     }
 
     #[test]
@@ -130,7 +125,6 @@ mod tests {
             },
             &d,
         );
-        assert_eq!(m.bus_util, 1.0);
         assert!(m.latency_s.is_infinite());
     }
 

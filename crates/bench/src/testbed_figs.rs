@@ -18,7 +18,6 @@ fn measure(policy: Policy, period: Duration, kernel: KernelKind, scale: &Scale) 
         nodes: 2,
         duration: scale.testbed,
         seed: scale.seed,
-        ..Default::default()
     })
     .expect("testbed run failed")
 }

@@ -38,16 +38,6 @@ pub enum Arch {
     },
 }
 
-/// When application processes emit instrumentation samples.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SampleTiming {
-    /// Poisson sampling: exponential inter-arrival with the sampling-period
-    /// mean (the paper's Table 2 approximation).
-    Exponential,
-    /// Strictly periodic sampling.
-    Periodic,
-}
-
 /// Adaptive batch-size regulation — the Section 6 extension ("the IS can
 /// use the model to adapt its behavior in order to regulate overheads",
 /// after Paradyn's dynamic cost model \[12\]).
@@ -277,11 +267,10 @@ pub struct SimConfig {
     pub apps_per_node: usize,
     /// Number of Paradyn daemons (SMP only; NOW/MPP have one per node).
     pub pds: usize,
-    /// Sampling period in microseconds (mean inter-sample time per
-    /// application process).
+    /// Sampling period in microseconds: the mean of each application
+    /// process's exponential inter-sample time (Poisson sampling, the
+    /// paper's Table 2 approximation).
     pub sampling_period_us: f64,
-    /// Sampling timing discipline.
-    pub sampling: SampleTiming,
     /// Batch size for data forwarding: 1 is the collect-and-forward (CF)
     /// policy, >1 is batch-and-forward (BF).
     pub batch: usize,
@@ -298,10 +287,8 @@ pub struct SimConfig {
     /// sampling `app`'s distributions (each process starts at a staggered
     /// offset). The fidelity end of the workload-modelling spectrum — see
     /// [`ReplaySchedule`].
+    // lint:allow(dead-field): tests/replay_ablation.rs, the §2.3.2 fit-vs-replay ablation
     pub replay: Option<Arc<ReplaySchedule>>,
-    /// Whether a barrier arrival also emits an event-trace sample
-    /// (Figure 6's "event of interest" path; drives Figure 28).
-    pub sample_on_barrier: bool,
     /// ROCC workload parameters.
     pub params: RoccParams,
     /// Simulated duration in seconds.
@@ -312,6 +299,7 @@ pub struct SimConfig {
     /// main process) for the "Uninstrumented" reference curves.
     pub instrumented: bool,
     /// Include the PVM daemon and other-process background load.
+    // lint:allow(dead-field): tests/simulation_vs_analytic.rs matches the background-free analytic model
     pub background: bool,
     /// Fault-injection plan (default: no faults, blocking pipes).
     pub faults: FaultPlan,
@@ -332,13 +320,11 @@ impl Default for SimConfig {
             apps_per_node: 1,
             pds: 1,
             sampling_period_us: 40_000.0,
-            sampling: SampleTiming::Exponential,
             batch: 1,
             batch_timeout_us: None,
             adaptive: None,
             app: paradyn_workload::pvmbt(),
             replay: None,
-            sample_on_barrier: true,
             params: RoccParams::default(),
             duration_s: 50.0,
             seed: 0x5EED_CAFE,
@@ -491,9 +477,6 @@ impl SimConfig {
         }
         if self.total_pds() > (1 << 20) {
             return Err("daemon count exceeds 2^20".into());
-        }
-        if self.params.min_forward_us <= 0.0 {
-            return Err("min_forward_us must be positive".into());
         }
         if let Some(o) = &self.overload {
             if o.at_s < 0.0 {

@@ -235,7 +235,6 @@ pub fn run_replicated_threads(
             MeanCi {
                 mean: f64::NAN,
                 half_width: f64::NAN,
-                confidence,
             }
         } else {
             mean_ci(&xs, confidence)

@@ -40,7 +40,7 @@ pub mod validate;
 
 pub use config::{
     AdaptiveBatch, Arch, ConsumerStallFaults, DaemonCrashFaults, DegradationConfig, FaultPlan,
-    Forwarding, LinkFaults, OverloadRamp, SampleTiming, SimConfig,
+    Forwarding, LinkFaults, OverloadRamp, SimConfig,
 };
 pub use experiment::{
     default_threads, predicted_events, replication_seed, run, run_forked, run_many,

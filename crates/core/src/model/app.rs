@@ -78,7 +78,7 @@ impl RoccModel {
     }
 
     /// The process reaches the global barrier. The barrier operation is an
-    /// "event of interest" (Figure 6), so with `sample_on_barrier` it also
+    /// "event of interest" (Figure 6), so an instrumented process also
     /// emits an event-trace sample. When the last process arrives, everyone
     /// is released into their communication step.
     fn join_barrier(&mut self, ctx: &mut Ctx<Ev>, app: AppId) {
@@ -88,7 +88,7 @@ impl RoccModel {
             h.at_barrier = true;
         }
         self.barrier_waiting.push(app);
-        if self.cfg.sample_on_barrier && self.cfg.instrumented {
+        if self.cfg.instrumented {
             // A blocked writer cannot emit the event record;
             // `deposit_sample` counts that case as a lost emission.
             self.deposit_sample(ctx, app);

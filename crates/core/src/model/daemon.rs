@@ -6,6 +6,7 @@ use super::types::{tree_parent, Batch, CpuJob, CpuKind, Dest, Ev, NetJob, PdId};
 use super::{RoccModel, Step};
 use crate::config::{Arch, Forwarding};
 use paradyn_des::{Ctx, SimDur};
+use paradyn_workload::params::{PD_CPU_PER_EXTRA_SAMPLE_US, PD_NET_PER_EXTRA_SAMPLE_US};
 use std::num::NonZeroU32;
 
 impl RoccModel {
@@ -52,8 +53,8 @@ impl RoccModel {
         // Invalidate any armed flush timer; the buffer head changed.
         d.flush_gen = d.flush_gen.wrapping_add(1);
         let p = &self.cfg.params;
-        let demand = p.pd.cpu_req.sample(&mut d.cpu_rng)
-            + p.pd_cpu_per_extra_sample_us * (k as f64 - 1.0);
+        let demand =
+            p.pd.cpu_req.sample(&mut d.cpu_rng) + PD_CPU_PER_EXTRA_SAMPLE_US * (k as f64 - 1.0);
         let node = d.node;
         let batch = Batch {
             count,
@@ -186,8 +187,8 @@ impl RoccModel {
         d.forwarded_batches += 1;
         d.forwarded_samples += count as u64;
         let p = &self.cfg.params;
-        let demand = p.pd.net_req.sample(&mut d.net_rng)
-            + p.pd_net_per_extra_sample_us * (count as f64 - 1.0);
+        let demand =
+            p.pd.net_req.sample(&mut d.net_rng) + PD_NET_PER_EXTRA_SAMPLE_US * (count as f64 - 1.0);
         self.submit_forward(ctx, pd, batch, demand, 0);
         // The daemon is free again; more samples may already be buffered.
         self.maybe_collect(ctx, pd);

@@ -24,13 +24,16 @@ pub mod snapshot;
 mod tests;
 pub mod types;
 
-use crate::config::{Arch, SampleTiming, SimConfig};
+use crate::config::{Arch, SimConfig};
 use crate::metrics::SimMetrics;
 use crate::pipe::Pipe;
 use arena::{AppCold, AppHot, Apps, DaemonCold, DaemonHot, Daemons};
 use paradyn_des::{
     Ctx, FaultMonitor, FaultSchedule, FcfsServer, Model, Offer, RrCpuBank, Sim, SimDur, SimTime,
     StreamRng, Streams, Submit,
+};
+use paradyn_workload::params::{
+    MAIN_CPU_PER_EXTRA_SAMPLE_US, MIN_FORWARD_US, QUANTUM_US, SMP_BUS_SPEEDUP,
 };
 use std::collections::VecDeque;
 use types::{class_idx, AppId, Batch, CpuJob, CpuKind, Dest, Ev, NetJob};
@@ -178,7 +181,7 @@ impl RoccModel {
         }
         let cells_on = shardable(&cfg);
         let streams = Streams::new(cfg.seed);
-        let quantum = SimDur::from_micros_f64(cfg.params.quantum_us);
+        let quantum = SimDur::from_micros_f64(QUANTUM_US);
         let banks = match cfg.arch {
             Arch::Smp => vec![RrCpuBank::new(cfg.nodes, quantum)],
             _ => (0..cfg.nodes)
@@ -353,17 +356,17 @@ impl RoccModel {
 
     /// Submit a network occupancy request. On a shared medium it queues
     /// FCFS; on a contention-free interconnect it is a pure delay. The SMP
-    /// bus serves occupancies `smp_bus_speedup` times faster than the
+    /// bus serves occupancies `SMP_BUS_SPEEDUP` times faster than the
     /// Ethernet the demands were measured on.
     pub(crate) fn submit_net(&mut self, ctx: &mut Ctx<Ev>, job: NetJob, demand_us: f64) {
         let demand_us = match self.cfg.arch {
-            Arch::Smp => demand_us / self.cfg.params.smp_bus_speedup,
+            Arch::Smp => demand_us / SMP_BUS_SPEEDUP,
             _ => demand_us,
         };
         // On contention-free interconnects a forwarding hop takes at least
-        // `min_forward_us` of wire time.
+        // `MIN_FORWARD_US` of wire time.
         let demand_us = match (&self.shared_net, &job) {
-            (None, NetJob::Forward { .. }) => demand_us.max(self.cfg.params.min_forward_us),
+            (None, NetJob::Forward { .. }) => demand_us.max(MIN_FORWARD_US),
             _ => demand_us,
         };
         self.acc.net_busy_us[class_idx(job.class())] += demand_us;
@@ -415,7 +418,7 @@ impl RoccModel {
         let count = batch.count.get();
         let p = &self.cfg.params;
         let demand = p.main_cpu_per_msg.sample(&mut self.main_rng)
-            + p.main_cpu_per_extra_sample_us * (count as f64 - 1.0);
+            + MAIN_CPU_PER_EXTRA_SAMPLE_US * (count as f64 - 1.0);
         self.submit_cpu(
             ctx,
             self.bank_of(0),
@@ -703,12 +706,7 @@ impl RoccModel {
         }
         let c = &mut self.apps.cold[app as usize];
         let period = period * c.throttle_mult;
-        let gap = match self.cfg.sampling {
-            SampleTiming::Exponential => {
-                paradyn_stats::Rv::exp(period).sample(&mut c.sample_rng)
-            }
-            SampleTiming::Periodic => period,
-        };
+        let gap = paradyn_stats::Rv::exp(period).sample(&mut c.sample_rng);
         c.sampling_active = true;
         ctx.post_in(SimDur::from_micros_f64(gap), Ev::Sample { app });
     }

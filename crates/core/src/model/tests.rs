@@ -242,18 +242,6 @@ fn sampling_timers_stay_alive_for_run_duration() {
 }
 
 #[test]
-fn periodic_sampling_is_exact() {
-    let (model, _) = run_model(SimConfig {
-        sampling: crate::config::SampleTiming::Periodic,
-        apps_per_node: 1,
-        ..quick(Arch::Now { contention_free: true }, 2)
-    });
-    // 2 s / 40 ms = 50 samples per app, ±1 boundary sample.
-    let per_app = model.acc.generated_samples as f64 / 2.0;
-    assert!((per_app - 50.0).abs() <= 1.0, "per-app {per_app}");
-}
-
-#[test]
 fn main_process_work_lands_on_node_zero_bank() {
     let (model, _) = run_model(quick(Arch::Now { contention_free: true }, 4));
     // Node 0's bank served main-process work; other banks did not. Verify

@@ -98,6 +98,7 @@ impl<J: Copy> FcfsServer<J> {
     }
 
     /// Number of jobs waiting (excludes the one in service).
+    // lint:allow(dead-pub): the Ethernet-backlog bound in paradyn-core's model tests
     pub fn queue_len(&self) -> usize {
         self.queue.len()
     }

@@ -564,6 +564,20 @@ mod tests {
     }
 
     #[test]
+    fn justified_dead_field_allow_suppresses_the_finding() {
+        let bare = "pub struct S {\n    pub kept: u8,\n}\nfn mk() -> S { S { kept: 1 } }\n";
+        assert_eq!(
+            workspace_findings(&[("crates/a/src/lib.rs", bare)], "dead-field"),
+            [("crates/a/src/lib.rs".to_string(), 2)]
+        );
+        let allowed = "pub struct S {\n    // lint:allow(dead-field): tests/t.rs reads it\n    \
+                       pub kept: u8,\n}\nfn mk() -> S { S { kept: 1 } }\n";
+        let specs = [("crates/a/src/lib.rs", allowed)];
+        assert!(workspace_findings(&specs, "dead-field").is_empty());
+        assert!(workspace_findings(&specs, "suppression").is_empty());
+    }
+
+    #[test]
     fn stale_dead_pub_allow_is_flagged() {
         let src = "// lint:allow(dead-pub): once kept for a test\npub fn live() {}\n\
                    fn main() { live(); }\n";

@@ -46,6 +46,8 @@ pub enum ItemKind {
 pub struct FieldDef {
     /// Field name.
     pub name: String,
+    /// Declared with a visibility (`pub`, `pub(crate)`, …).
+    pub is_pub: bool,
     /// 1-based line of the field name.
     pub line: u32,
     /// 1-based column of the field name.
@@ -489,6 +491,7 @@ impl<'a> Parser<'a> {
         self.n = open;
         while self.n < close {
             self.skip_attrs(close);
+            let is_pub = self.is_ident(self.n, "pub");
             self.skip_visibility(close);
             let at_field = self
                 .ident_text(self.n)
@@ -499,6 +502,7 @@ impl<'a> Parser<'a> {
                 if let (Some(t), Some(name)) = (self.tok(self.n), self.ident_text(self.n)) {
                     out.push(FieldDef {
                         name: name.to_string(),
+                        is_pub,
                         line: t.line,
                         col: t.col,
                     });

@@ -9,7 +9,10 @@
 //!   ledger-class `SimMetrics` field must appear in the conservation
 //!   identity (`conservation_violation`);
 //! * **dead-pub** — every `pub` fn, type, trait, const or static must be
-//!   named by some non-test code outside its own declaration.
+//!   named by some non-test code outside its own declaration;
+//! * **dead-field** — every `pub` struct field must be read by some
+//!   non-test code, and, on a struct with a `Default`, set by some
+//!   non-test code outside that `Default`.
 //!
 //! Each pass reports which marker allows it consumed, so the engine's
 //! suppression hygiene can flag stale `snapshot-exempt`/`merge-exempt`
@@ -66,7 +69,9 @@ pub fn run_workspace_passes(ws: &Workspace<'_>, strict: bool) -> PassResult {
     snapshot_completeness(ws, &mut out);
     metrics_merge_completeness(ws, strict, &mut out);
     if strict {
-        dead_pub(ws, &mut out);
+        let uses = ident_index(ws);
+        dead_pub(ws, &uses, &mut out);
+        dead_field(ws, &uses, &mut out);
     }
     out
 }
@@ -335,7 +340,7 @@ fn metrics_merge_completeness(ws: &Workspace<'_>, strict: bool, out: &mut PassRe
 }
 
 // ---------------------------------------------------------------------
-// dead-pub
+// dead-pub and dead-field
 // ---------------------------------------------------------------------
 
 /// Cargo workspaces of their own that the walk also lints. They build
@@ -344,21 +349,21 @@ fn metrics_merge_completeness(ws: &Workspace<'_>, strict: bool, out: &mut PassRe
 /// own items answer to rustc's dead-code lint, not to this pass.
 const OTHER_WORKSPACES: &[&str] = &["simbench/"];
 
-/// Does `sites` hold a position outside every `(file, start, end)` span?
-fn used_outside(sites: &[(usize, usize)], own: &[(usize, usize, usize)]) -> bool {
-    sites
-        .iter()
-        .any(|&(fi, b)| !own.iter().any(|&(of, s, e)| of == fi && b >= s && b < e))
+/// Is file `fi` in the scope of the dead-code passes: neither a test file
+/// nor part of another workspace?
+fn in_scope(ws: &Workspace<'_>, fi: usize) -> bool {
+    let f = &ws.files[fi];
+    !f.is_test_file && !OTHER_WORKSPACES.iter().any(|p| f.rel.starts_with(p))
 }
 
-fn dead_pub(ws: &Workspace<'_>, out: &mut PassResult) {
-    let in_scope = |fi: usize| {
-        let f = &ws.files[fi];
-        !f.is_test_file && !OTHER_WORKSPACES.iter().any(|p| f.rel.starts_with(p))
-    };
-    // Tokens that name an item without using it: whole `pub use`
-    // re-exports, and the name in every declaration (so two same-named
-    // dead fns in different modules do not keep each other alive).
+/// Every identifier token of in-scope non-test code, by name, as
+/// `(file, sig position)`. Comments and strings are not identifier tokens.
+/// Tokens that name an item without using it are left out: whole `pub
+/// use` re-exports, and the name in every declaration (so two same-named
+/// dead fns in different modules do not keep each other alive).
+type IdentIndex<'a> = BTreeMap<&'a str, Vec<(usize, usize)>>;
+
+fn ident_index<'a>(ws: &Workspace<'a>) -> IdentIndex<'a> {
     let mut not_uses: Vec<Vec<(usize, usize)>> = vec![vec![]; ws.files.len()];
     ws.for_each_item(|r| {
         let f = &ws.files[r.file];
@@ -373,42 +378,68 @@ fn dead_pub(ws: &Workspace<'_>, out: &mut PassResult) {
             }
         }
     });
-    // Every identifier token of non-test code, by name, as (file, byte).
-    // Comments and strings are not identifier tokens.
-    let mut uses: BTreeMap<&str, Vec<(usize, usize)>> = BTreeMap::new();
+    let mut uses: IdentIndex<'a> = BTreeMap::new();
     for (fi, f) in ws.files.iter().enumerate() {
-        if !in_scope(fi) {
+        if !in_scope(ws, fi) {
             continue;
         }
-        for (_, t) in f.sig_tokens() {
+        for (n, t) in f.sig_tokens() {
             if t.kind == TokKind::Ident
                 && !f.in_test_code(t.start)
                 && !not_uses[fi].iter().any(|&(s, e)| t.start >= s && t.start < e)
             {
-                uses.entry(t.text(&f.text)).or_default().push((fi, t.start));
+                uses.entry(t.text(&f.text)).or_default().push((fi, n));
             }
         }
     }
-    // A type's impls (`impl Pipe`, `impl Persist for Pipe`) belong to its
-    // declaration — but only when its name is unique in its crate, so a
-    // name collision never discounts another type's uses.
-    let is_type = |k: ItemKind| {
-        matches!(k, ItemKind::Struct | ItemKind::Enum | ItemKind::Union | ItemKind::Trait)
-    };
-    let mut types_per_crate: BTreeMap<(&str, &str), usize> = BTreeMap::new();
+    uses
+}
+
+/// Byte offset of the significant token at `(file, sig position)`.
+fn site_byte(ws: &Workspace<'_>, (fi, n): (usize, usize)) -> usize {
+    ws.files[fi].sig_tok(n).map_or(0, |t| t.start)
+}
+
+/// Is a `(file, byte)` position inside one of the `(file, start, end)` spans?
+fn inside(spans: &[(usize, usize, usize)], fi: usize, byte: usize) -> bool {
+    spans
+        .iter()
+        .any(|&(of, s, e)| of == fi && byte >= s && byte < e)
+}
+
+/// How many types (struct, enum, union, trait) of each name each crate
+/// declares outside test code. A type's impls are told apart from another
+/// type's only when its name is unique in its crate.
+fn types_per_crate<'s>(ws: &'s Workspace<'_>) -> BTreeMap<(&'s str, &'s str), usize> {
+    let mut out = BTreeMap::new();
     ws.for_each_item(|r| {
         if is_type(r.item.kind) && !ws.files[r.file].in_test_code(r.item.start) {
             let key = (crate_key(&ws.files[r.file].rel), r.item.name.as_str());
-            *types_per_crate.entry(key).or_default() += 1;
+            *out.entry(key).or_default() += 1;
         }
     });
+    out
+}
+
+fn is_type(k: ItemKind) -> bool {
+    matches!(
+        k,
+        ItemKind::Struct | ItemKind::Enum | ItemKind::Union | ItemKind::Trait
+    )
+}
+
+fn dead_pub(ws: &Workspace<'_>, uses: &IdentIndex<'_>, out: &mut PassResult) {
+    // A type's impls (`impl Pipe`, `impl Persist for Pipe`) belong to its
+    // declaration — but only when its name is unique in its crate, so a
+    // name collision never discounts another type's uses.
+    let types_per_crate = types_per_crate(ws);
     let impls = ws.impls();
     ws.for_each_item(|r| {
         let kind = r.item.kind;
-        let enrolled = is_type(kind)
-            || matches!(kind, ItemKind::Fn | ItemKind::Const | ItemKind::TypeAlias);
+        let enrolled =
+            is_type(kind) || matches!(kind, ItemKind::Fn | ItemKind::Const | ItemKind::TypeAlias);
         let file = &ws.files[r.file];
-        if !enrolled || !r.item.is_pub || !in_scope(r.file) || file.in_test_code(r.item.start) {
+        if !enrolled || !r.item.is_pub || !in_scope(ws, r.file) || file.in_test_code(r.item.start) {
             return;
         }
         let name = r.item.name.as_str();
@@ -426,7 +457,10 @@ fn dead_pub(ws: &Workspace<'_>, out: &mut PassResult) {
                     .map(|i| (i.file, i.item.start, i.item.end)),
             );
         }
-        if uses.get(name).is_some_and(|sites| used_outside(sites, &own)) {
+        let used = uses
+            .get(name)
+            .is_some_and(|sites| sites.iter().any(|&s| !inside(&own, s.0, site_byte(ws, s))));
+        if used {
             return;
         }
         out.findings.push(Finding {
@@ -442,6 +476,195 @@ fn dead_pub(ws: &Workspace<'_>, out: &mut PassResult) {
             ),
         });
     });
+}
+
+/// What the code at one identifier token does with a field of that name:
+/// `(reads it, sets it)`.
+type Touch = (bool, bool);
+const NO_TOUCH: Touch = (false, false);
+const READ: Touch = (true, false);
+const SET: Touch = (false, true);
+
+/// The sig position of the bracket closing the one opened at `open`.
+fn close_of(f: &SourceFile, open: usize) -> usize {
+    let mut depth = 0usize;
+    let mut k = open;
+    while let Some(t) = f.sig_tok(k) {
+        match t.kind {
+            TokKind::Punct(b'(' | b'[' | b'{') => depth += 1,
+            TokKind::Punct(b')' | b']' | b'}') => {
+                depth = depth.saturating_sub(1);
+                if depth == 0 {
+                    break;
+                }
+            }
+            _ => {}
+        }
+        k += 1;
+    }
+    k
+}
+
+/// Classify the identifier at sig position `n` as a field access:
+/// * `.name` reads, unless a plain `=` follows (a set), also past an
+///   index (`.name[i] = v`); a compound assignment (`.name += 1`) does
+///   both, a guard's `.name =>` only reads, and `.name(` is a method
+///   call;
+/// * `name:` or the shorthand `name` right after the `{` or a `,` of a
+///   `Path { … }` group sets the field when the group is a struct literal
+///   and reads it when the group is a destructuring pattern.
+fn touch(f: &SourceFile, n: usize) -> Touch {
+    let p = |k: usize, c: u8| f.sig_is_punct(k, c);
+    let glued = |k: usize| match (f.sig_tok(k), f.sig_tok(k + 1)) {
+        (Some(a), Some(b)) => a.end == b.start,
+        _ => false,
+    };
+    if n >= 1 && p(n - 1, b'.') && !(n >= 2 && p(n - 2, b'.')) {
+        if p(n + 1, b'(') || (p(n + 1, b':') && p(n + 2, b':')) {
+            return NO_TOUCH;
+        }
+        let mut k = n + 1;
+        while p(k, b'[') {
+            k = close_of(f, k) + 1;
+        }
+        if p(k, b'=') && !p(k + 1, b'=') && !p(k + 1, b'>') {
+            return SET;
+        }
+        let shift = (p(k, b'<') && p(k + 1, b'<')) || (p(k, b'>') && p(k + 1, b'>'));
+        let compound = (b"+-*/%^&|".iter().any(|&c| p(k, c)) && p(k + 1, b'=') && glued(k))
+            || (shift && p(k + 2, b'=') && glued(k) && glued(k + 1));
+        return if compound { (true, true) } else { READ };
+    }
+    let after_open = n >= 1 && (p(n - 1, b'{') || p(n - 1, b','));
+    let field_like = (p(n + 1, b':') && !p(n + 2, b':')) || p(n + 1, b',') || p(n + 1, b'}');
+    if !after_open || !field_like {
+        return NO_TOUCH;
+    }
+    // The innermost open bracket around `n` must be the `{` of a group
+    // that follows a path.
+    let mut depth = 0usize;
+    let mut k = n;
+    let open = loop {
+        if k == 0 {
+            return NO_TOUCH;
+        }
+        k -= 1;
+        match f.sig_tok(k).map(|t| t.kind) {
+            Some(TokKind::Punct(b')' | b']' | b'}')) => depth += 1,
+            Some(TokKind::Punct(c @ (b'(' | b'[' | b'{'))) => {
+                if depth > 0 {
+                    depth -= 1;
+                } else if c == b'{' {
+                    break k;
+                } else {
+                    return NO_TOUCH;
+                }
+            }
+            _ => {}
+        }
+    };
+    if open == 0 || f.sig_tok(open - 1).map(|t| t.kind) != Some(TokKind::Ident) {
+        return NO_TOUCH;
+    }
+    // A pattern ends in a rest `..}`, or is followed (past any closing
+    // brackets of an enclosing pattern) by `=`/`=>` (let, if let, match
+    // arm), `:` (fn parameter), `in` (for) or `if` (match guard).
+    let close = close_of(f, open);
+    let rest = p(close - 1, b'.') && p(close - 2, b'.');
+    let mut k = close + 1;
+    while p(k, b')') || p(k, b']') {
+        k += 1;
+    }
+    let pattern = rest
+        || (p(k, b'=') && !p(k + 1, b'='))
+        || (p(k, b':') && !p(k + 1, b':'))
+        || f.sig_is_ident(k, "in")
+        || f.sig_is_ident(k, "if");
+    if pattern {
+        READ
+    } else {
+        SET
+    }
+}
+
+/// Does a struct's attribute list derive `Default`?
+fn derives_default(f: &SourceFile, item: &Item) -> bool {
+    let first = f.sig.partition_point(|&ti| f.tokens[ti].start < item.start);
+    (first..)
+        .take_while(|&n| {
+            f.sig_tok(n).is_some() && !f.sig_is_ident(n, "struct") && !f.sig_is_ident(n, "union")
+        })
+        .any(|n| f.sig_is_ident(n, "Default"))
+}
+
+fn dead_field(ws: &Workspace<'_>, uses: &IdentIndex<'_>, out: &mut PassResult) {
+    // A field's name inside any type declaration is neither a read nor a
+    // set.
+    let mut decls = vec![];
+    ws.for_each_item(|r| {
+        if matches!(
+            r.item.kind,
+            ItemKind::Struct | ItemKind::Union | ItemKind::Enum
+        ) {
+            decls.push((r.file, r.item.start, r.item.end));
+        }
+    });
+    let types_per_crate = types_per_crate(ws);
+    let impls = ws.impls();
+    for s in ws.structs() {
+        if !in_scope(ws, s.file) {
+            continue;
+        }
+        let file = &ws.files[s.file];
+        let (name, krate) = (s.item.name.as_str(), crate_key(&file.rel));
+        let defaults: Vec<(usize, usize, usize)> = impls
+            .iter()
+            .filter(|i| crate_key(&ws.files[i.file].rel) == krate)
+            .filter(|i| {
+                i.item.impl_trait.as_deref() == Some("Default")
+                    && i.item.impl_self.as_deref() == Some(name)
+            })
+            .map(|i| (i.file, i.item.start, i.item.end))
+            .collect();
+        let has_default = !defaults.is_empty() || derives_default(file, s.item);
+        // What the Default impl sets is the default, not a setting — but
+        // only a uniquely named type's impl is surely its own.
+        let unique = types_per_crate.get(&(krate, name)) == Some(&1);
+        for field in s.item.fields.iter().filter(|f| f.is_pub) {
+            let (mut read, mut set) = (false, false);
+            for &site in uses.get(field.name.as_str()).into_iter().flatten() {
+                let byte = site_byte(ws, site);
+                if inside(&decls, site.0, byte) {
+                    continue;
+                }
+                let (r, s) = touch(&ws.files[site.0], site.1);
+                read |= r;
+                set |= s && !(unique && inside(&defaults, site.0, byte));
+            }
+            let what = if !read {
+                "is read by no non-test code (a read is `.name` not followed by `=`, \
+                 or a destructuring pattern)"
+            } else if has_default && !set {
+                "of a `Default` struct is set by no non-test code outside the \
+                 `Default` impl (a struct literal `name:` or `name`, or `.name =`), \
+                 so it is a knob with one value"
+            } else {
+                continue;
+            };
+            out.findings.push(Finding {
+                rule: "dead-field",
+                path: file.rel.clone(),
+                line: field.line,
+                col: field.col,
+                message: format!(
+                    "`pub` field `{name}.{}` {what}; tests, comments and strings do not \
+                     count — delete it or, if an integration test or artifact needs it, \
+                     mark it `lint:allow(dead-field): <that user>`",
+                    field.name
+                ),
+            });
+        }
+    }
 }
 
 #[cfg(test)]
@@ -552,11 +775,108 @@ mod tests {
             findings: vec![],
             consumed: vec![],
         };
-        dead_pub(&ws, &mut out);
+        dead_pub(&ws, &ident_index(&ws), &mut out);
         out.findings
             .iter()
             .map(|f| f.message.split('`').nth(3).unwrap_or_default().to_string())
             .collect()
+    }
+
+    /// `Struct.field` of every dead-field finding, with ` R` (never read)
+    /// or ` S` (never set) appended.
+    fn dead_fields(specs: &[(&str, &str)]) -> Vec<String> {
+        let files: Vec<SourceFile> = specs
+            .iter()
+            .map(|(rel, src)| SourceFile::parse(rel, src.to_string()))
+            .collect();
+        let ws = Workspace::build(&files);
+        let mut out = PassResult {
+            findings: vec![],
+            consumed: vec![],
+        };
+        dead_field(&ws, &ident_index(&ws), &mut out);
+        out.findings
+            .iter()
+            .map(|f| {
+                let kind = if f.message.contains("is read by no") {
+                    "R"
+                } else {
+                    "S"
+                };
+                format!("{} {kind}", f.message.split('`').nth(3).unwrap_or_default())
+            })
+            .collect()
+    }
+
+    #[test]
+    fn dead_field_flags_a_field_no_code_reads() {
+        let def = "pub struct M { pub used: u64, pub unused: u64, hidden: u64 }\n";
+        let user = "fn mk() -> M { M { used: 1, unused: 2, hidden: 3 } }\n\
+                    fn get(m: &M) -> u64 { m.used }\n";
+        // A literal sets `unused` but nothing reads it; private fields are
+        // rustc's business.
+        let specs = [("crates/a/src/def.rs", def), ("crates/a/src/user.rs", user)];
+        assert_eq!(dead_fields(&specs), ["M.unused R"]);
+        // A plain `.unused =` is a set, not a read, and a test's read does
+        // not count.
+        let user2 = "fn f(m: &mut M) { m.unused = 4; }\n\
+                     #[cfg(test)]\nmod tests { fn t(m: &super::M) -> u64 { m.unused } }\n";
+        let specs = [
+            ("crates/a/src/def.rs", def),
+            ("crates/a/src/user.rs", user),
+            ("crates/a/src/u2.rs", user2),
+        ];
+        assert_eq!(dead_fields(&specs), ["M.unused R"]);
+    }
+
+    #[test]
+    fn dead_field_reads_comparisons_compound_sets_guards_and_patterns() {
+        let def = "pub struct M { pub a: u64, pub b: u64, pub c: u64, pub d: u64, pub e: u64 }\n";
+        let user = "fn f(m: &mut M, x: Option<M>) -> bool {\n\
+                    m.a += 1;\n\
+                    let M { b, .. } = m;\n\
+                    if let Some(M { c: _c, d: _, e: _ }) = x { return true; }\n\
+                    m.d == 0\n\
+                    }\n";
+        let specs = [("crates/a/src/def.rs", def), ("crates/a/src/u.rs", user)];
+        assert!(dead_fields(&specs).is_empty(), "{:?}", dead_fields(&specs));
+        let def = "pub struct G { pub on: bool }\n";
+        let guard = "fn g(x: &G) -> u8 { match 0 { _ if x.on => 1, _ => 0 } }\n";
+        let specs = [("crates/a/src/def.rs", def), ("crates/a/src/g.rs", guard)];
+        assert!(dead_fields(&specs).is_empty(), "{:?}", dead_fields(&specs));
+    }
+
+    #[test]
+    fn dead_field_flags_a_default_knob_nothing_sets() {
+        // `knob` is read, but only the derived Default ever gives it a
+        // value; a literal sets `set`, an indexed compound assignment
+        // sets `acc`.
+        let def = "#[derive(Clone, Default)]\n\
+                   pub struct Cfg { pub knob: u8, pub set: u8, pub acc: [u64; 2] }\n";
+        let user = "fn mk() -> Cfg { Cfg { set: 1, ..Default::default() } }\n\
+                    fn get(c: &mut Cfg) -> u8 { c.acc[0] += 1; c.knob + c.set + c.acc[1] as u8 }\n";
+        let specs = [("crates/a/src/def.rs", def), ("crates/a/src/u.rs", user)];
+        assert_eq!(dead_fields(&specs), ["Cfg.knob S"]);
+        // A manual Default's literal is the default, not a setting.
+        let manual = "pub struct K { pub knob: u8 }\n\
+                      impl Default for K { fn default() -> Self { K { knob: 3 } } }\n\
+                      fn read(k: &K) -> u8 { k.knob }\n";
+        assert_eq!(dead_fields(&[("crates/a/src/k.rs", manual)]), ["K.knob S"]);
+        // Without a Default, a read field needs no setter.
+        let plain = "pub struct P { pub x: u8 }\nfn read(p: &P) -> u8 { p.x }\n";
+        assert!(dead_fields(&[("crates/a/src/p.rs", plain)]).is_empty());
+    }
+
+    #[test]
+    fn dead_field_collisions_hide_findings_and_never_create_them() {
+        // `Other` sets and reads a field of the same name, which then
+        // counts for `K.knob` too.
+        let k = "pub struct K { pub knob: u8 }\n\
+                 impl Default for K { fn default() -> Self { K { knob: 3 } } }\n";
+        let other = "pub struct Other { pub knob: u8 }\n\
+                     fn mk() -> u8 { let o = Other { knob: 1 }; o.knob }\n";
+        let specs = [("crates/a/src/k.rs", k), ("crates/b/src/o.rs", other)];
+        assert!(dead_fields(&specs).is_empty(), "{:?}", dead_fields(&specs));
     }
 
     #[test]

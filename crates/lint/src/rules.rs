@@ -94,6 +94,17 @@ pub const RULES: &[(&str, &str)] = &[
          an integration test or simbench carries lint:allow(dead-pub) naming \
          that user",
     ),
+    (
+        "dead-field",
+        "every pub field of a non-test struct must be read by non-test code \
+         (`.name` not followed by `=`, or a destructuring pattern), and, when \
+         the struct has a Default impl (derived or manual), set by non-test \
+         code outside that impl (a struct literal or `.name =`): a field \
+         nothing reads is state to maintain for no reproduced result, and a \
+         field only its Default sets is a knob with one value — a field kept \
+         for an integration test or artifact carries lint:allow(dead-field) \
+         naming that user",
+    ),
 ];
 
 /// Directories whose crates may read the wall clock: the bench harness and

@@ -11,8 +11,6 @@ pub struct MeanCi {
     pub mean: f64,
     /// Half-width of the interval.
     pub half_width: f64,
-    /// Confidence level in (0, 1), e.g. 0.90.
-    pub confidence: f64,
 }
 
 impl MeanCi {
@@ -45,7 +43,6 @@ pub fn mean_ci(xs: &[f64], confidence: f64) -> MeanCi {
         return MeanCi {
             mean,
             half_width: 0.0,
-            confidence,
         };
     }
     let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (n - 1) as f64;
@@ -53,7 +50,6 @@ pub fn mean_ci(xs: &[f64], confidence: f64) -> MeanCi {
     MeanCi {
         mean,
         half_width: t * (var / n as f64).sqrt(),
-        confidence,
     }
 }
 

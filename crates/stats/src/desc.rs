@@ -14,8 +14,6 @@ pub struct Summary {
     pub min: f64,
     /// Largest observation.
     pub max: f64,
-    /// Median (linear-interpolated).
-    pub median: f64,
 }
 
 impl Summary {
@@ -40,7 +38,6 @@ impl Summary {
             std_dev: var.sqrt(),
             min: sorted[0],
             max: sorted[n - 1],
-            median: quantile_sorted(&sorted, 0.5),
         }
     }
 
@@ -176,7 +173,6 @@ mod tests {
         assert!((s.std_dev - (32.0f64 / 7.0).sqrt()).abs() < 1e-12);
         assert_eq!(s.min, 2.0);
         assert_eq!(s.max, 9.0);
-        assert!((s.median - 4.5).abs() < 1e-12);
     }
 
     #[test]
@@ -184,7 +180,6 @@ mod tests {
         let s = Summary::of(&[3.5]);
         assert_eq!(s.mean, 3.5);
         assert_eq!(s.std_dev, 0.0);
-        assert_eq!(s.median, 3.5);
     }
 
     #[test]
@@ -204,7 +199,6 @@ mod tests {
             std_dev: 100.0,
             min: 0.0,
             max: 500.0,
-            median: 69.0,
         };
         assert!((s.cv() - 1.0).abs() < 1e-12);
     }

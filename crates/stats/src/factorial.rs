@@ -14,10 +14,9 @@ pub struct Term {
     pub mask: u32,
     /// Label like `"A"`, `"B"`, `"AB"`, `"ABC"`.
     pub label: String,
-    /// The effect `q` (half the average change when the factors flip from
-    /// low to high).
-    pub effect: f64,
-    /// Sum of squares attributed to this term.
+    /// Sum of squares attributed to this term: `2^k · r · q²` for the
+    /// effect `q` (half the average change when the factors flip from low
+    /// to high).
     pub ss: f64,
     /// Percentage of total variation explained.
     pub pct: f64,
@@ -26,16 +25,10 @@ pub struct Term {
 /// Result of analysing a 2^k·r design.
 #[derive(Clone, Debug)]
 pub struct Variation {
-    /// Number of factors.
-    pub k: usize,
     /// Replications per configuration.
     pub r: usize,
-    /// Grand mean of all responses (`q0`).
-    pub grand_mean: f64,
     /// Effect terms sorted by decreasing explained percentage.
     pub terms: Vec<Term>,
-    /// Experimental-error sum of squares.
-    pub sse: f64,
     /// Percentage of variation unexplained (error).
     pub sse_pct: f64,
     /// Total sum of squares.
@@ -123,7 +116,6 @@ impl Design2kr {
             .iter()
             .map(|v| v.iter().sum::<f64>() / r as f64)
             .collect();
-        let grand_mean = means.iter().sum::<f64>() / n_cfg as f64;
 
         // Effects: q_c = (1/2^k) sum_i sign(i, c) * mean_i, where
         // sign(i, c) = prod over bits b of c of (+1 if bit b of i else -1)
@@ -141,7 +133,6 @@ impl Design2kr {
             terms.push(Term {
                 mask: c,
                 label: Self::label(c),
-                effect: q,
                 ss,
                 pct: 0.0,
             });
@@ -163,10 +154,7 @@ impl Design2kr {
         terms.sort_by(|a, b| b.pct.partial_cmp(&a.pct).expect("NaN pct"));
 
         Variation {
-            k,
             r,
-            grand_mean,
-            sse,
             sse_pct: if sst > 0.0 { 100.0 * sse / sst } else { 0.0 },
             sst,
             terms,
@@ -196,13 +184,11 @@ mod tests {
         d.set_responses(0b10, vec![25.0]); // B high
         d.set_responses(0b11, vec![75.0]);
         let v = d.analyze();
-        assert!((v.grand_mean - 40.0).abs() < 1e-9);
-        let qa = v.terms.iter().find(|t| t.label == "A").unwrap().effect;
-        let qb = v.terms.iter().find(|t| t.label == "B").unwrap().effect;
-        let qab = v.terms.iter().find(|t| t.label == "AB").unwrap().effect;
-        assert!((qa - 20.0).abs() < 1e-9);
-        assert!((qb - 10.0).abs() < 1e-9);
-        assert!((qab - 5.0).abs() < 1e-9);
+        // Effects 20, 10, 5: SS = 2^2 · q².
+        let ss = |l: &str| v.terms.iter().find(|t| t.label == l).unwrap().ss;
+        assert!((ss("A") - 1600.0).abs() < 1e-9);
+        assert!((ss("B") - 400.0).abs() < 1e-9);
+        assert!((ss("AB") - 100.0).abs() < 1e-9);
         // Allocation: SSA:SSB:SSAB = 400:100:25 => 76.2%, 19.0%, 4.8%.
         assert!((v.pct_of("A").unwrap() - 76.19).abs() < 0.01);
         assert!((v.pct_of("B").unwrap() - 19.05).abs() < 0.01);
@@ -220,14 +206,17 @@ mod tests {
         d.set_responses(0b10, vec![25.0, 28.0, 19.0]);
         d.set_responses(0b11, vec![75.0, 75.0, 81.0]);
         let v = d.analyze();
-        let qa = v.terms.iter().find(|t| t.label == "A").unwrap().effect;
-        let qb = v.terms.iter().find(|t| t.label == "B").unwrap().effect;
-        let qab = v.terms.iter().find(|t| t.label == "AB").unwrap().effect;
-        assert!((qa - 21.5).abs() < 1e-9, "qa={qa}");
-        assert!((qb - 9.5).abs() < 1e-9, "qb={qb}");
-        assert!((qab - 5.0).abs() < 1e-9, "qab={qab}");
-        assert!((v.sse - 102.0).abs() < 1e-9, "sse={}", v.sse);
+        // SS = 2^2 · 3 · q² for the effects 21.5, 9.5 and 5.
+        let ss = |l: &str| v.terms.iter().find(|t| t.label == l).unwrap().ss;
+        assert!((ss("A") - 5547.0).abs() < 1e-9, "ssa={}", ss("A"));
+        assert!((ss("B") - 1083.0).abs() < 1e-9, "ssb={}", ss("B"));
+        assert!((ss("AB") - 300.0).abs() < 1e-9, "ssab={}", ss("AB"));
         assert!((v.sst - 7032.0).abs() < 1e-9, "sst={}", v.sst);
+        assert!(
+            (v.sse_pct - 100.0 * 102.0 / 7032.0).abs() < 1e-9,
+            "sse%={}",
+            v.sse_pct
+        );
     }
 
     #[test]

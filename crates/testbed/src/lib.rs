@@ -27,9 +27,7 @@ pub mod kernels;
 pub mod pipes;
 
 pub use cputime::{self_check, CpuTimeSource, ThreadCpu};
-pub use harness::{
-    run, DaemonFault, Measurement, Policy, TestbedConfig, TestbedDegradation, MAX_TIERS,
-};
+pub use harness::{run, Measurement, Policy, TestbedConfig};
 pub use kernels::{BtLike, IsLike, Kernel, KernelKind};
 pub use pipes::{
     sample_pipe, BulkReader, SampleReader, SampleRecord, SampleWriter, TruncatedRecord,

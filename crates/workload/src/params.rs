@@ -5,6 +5,33 @@
 
 use paradyn_stats::Rv;
 
+/// Marginal Pd CPU cost per sample beyond the first in a batch (µs).
+/// Calibrated so a batch of 32 costs roughly a third of 32 CF forwards,
+/// matching the >60% overhead reduction measured in Section 5.
+pub const PD_CPU_PER_EXTRA_SAMPLE_US: f64 = 60.0;
+
+/// Marginal network occupancy per extra sample in a batch (µs).
+pub const PD_NET_PER_EXTRA_SAMPLE_US: f64 = 4.0;
+
+/// Marginal main-process CPU per extra sample in a received batch (µs).
+pub const MAIN_CPU_PER_EXTRA_SAMPLE_US: f64 = 50.0;
+
+/// CPU scheduling quantum (µs); Table 2: 10 000.
+pub const QUANTUM_US: f64 = 10_000.0;
+
+/// How much faster the SMP shared bus moves a message than the NOW
+/// Ethernet (all bus occupancies are divided by this). An SP-2-era SMP
+/// memory bus comfortably outruns 10 Mb/s Ethernet; 4x keeps the paper's
+/// Figure 22 bus-bottleneck onset near 32 CPUs.
+pub const SMP_BUS_SPEEDUP: f64 = 4.0;
+
+/// Minimum wire time of one forwarding hop on a contention-free
+/// interconnect (µs): the drawn occupancy is clamped up to this floor, so
+/// a cross-node forward never arrives sooner than this after it is sent.
+/// 5 µs is far below the exp(71) mean hop occupancy, so the clamp rarely
+/// binds — but it does bind, so it is part of every MPP result.
+pub const MIN_FORWARD_US: f64 = 5.0;
+
 /// Occupancy-request lengths of one process class.
 #[derive(Clone, Copy, Debug)]
 pub struct ProcessParams {
@@ -14,9 +41,10 @@ pub struct ProcessParams {
     pub net_req: Rv,
 }
 
-/// Full parameterization of the ROCC model for the Paradyn IS
-/// (Table 2 of the paper, plus the batch-cost marginals discussed with
-/// Figure 19: "more CPU time is also needed to forward a larger batch").
+/// The distributions and pipe capacity of the ROCC model for the Paradyn
+/// IS (Table 2 of the paper). Its fixed constants, among them the
+/// batch-cost marginals discussed with Figure 19 ("more CPU time is also
+/// needed to forward a larger batch"), are the module's `const`s.
 #[derive(Clone, Debug)]
 pub struct RoccParams {
     /// Application process: CPU bursts lognormal(2213, 3034),
@@ -25,14 +53,9 @@ pub struct RoccParams {
     /// Paradyn daemon per-forward costs: CPU exponential(267),
     /// network exponential(71). Under BF these are charged once per batch.
     pub pd: ProcessParams,
-    /// Marginal Pd CPU cost per sample beyond the first in a batch (µs).
-    /// Calibrated so a batch of 32 costs roughly a third of 32 CF forwards,
-    /// matching the >60% overhead reduction measured in Section 5.
-    pub pd_cpu_per_extra_sample_us: f64,
-    /// Marginal network occupancy per extra sample in a batch (µs).
-    pub pd_net_per_extra_sample_us: f64,
     /// CPU cost of merging one en-route child message at a non-leaf tree
     /// node (the `D_Pdm,CPU` of eq. 13).
+    // lint:allow(dead-field): simbench's draw_ns probe samples every distribution here
     pub pdm_cpu: Rv,
     /// PVM daemon request lengths: CPU lognormal(294, 206), net exp(58).
     pub pvmd: ProcessParams,
@@ -56,28 +79,13 @@ pub struct RoccParams {
     /// (`D_Paradyn,CPU` in the operational analysis). Calibrated so host
     /// utilization tracks the paper's Figures 9/18 (~0.5–30% over the node
     /// sweeps rather than saturating).
+    // lint:allow(dead-field): simbench's draw_ns probe samples every distribution here
     pub main_cpu_per_msg: Rv,
-    /// Marginal main-process CPU per extra sample in a received batch (µs).
-    pub main_cpu_per_extra_sample_us: f64,
-    /// CPU scheduling quantum (µs); Table 2: 10 000.
-    pub quantum_us: f64,
-    /// How much faster the SMP shared bus moves a message than the NOW
-    /// Ethernet (all bus occupancies are divided by this). An SP-2-era
-    /// SMP memory bus comfortably outruns 10 Mb/s Ethernet; 4x keeps the
-    /// paper's Figure 22 bus-bottleneck onset near 32 CPUs.
-    pub smp_bus_speedup: f64,
     /// Capacity of the per-application-process Unix pipe, in samples.
     /// When full, the generating application process blocks (Section
     /// 4.3.3). Default 170 ~ a classic 4 KiB pipe of 24-byte sample
     /// records.
     pub pipe_capacity: usize,
-    /// Minimum wire time of one forwarding hop on a contention-free
-    /// interconnect (µs): the drawn occupancy is clamped up to this floor,
-    /// so a cross-node forward never arrives sooner than `min_forward_us`
-    /// after it is sent. Default 5 µs, far below the exp(71) mean hop
-    /// occupancy, so the clamp rarely binds — but it does bind, so it is
-    /// part of every MPP result.
-    pub min_forward_us: f64,
 }
 
 impl Default for RoccParams {
@@ -91,8 +99,6 @@ impl Default for RoccParams {
                 cpu_req: Rv::exp(267.0),
                 net_req: Rv::exp(71.0),
             },
-            pd_cpu_per_extra_sample_us: 60.0,
-            pd_net_per_extra_sample_us: 4.0,
             pdm_cpu: Rv::exp(100.0),
             pvmd: ProcessParams {
                 cpu_req: Rv::lognormal_mean_std(294.0, 206.0),
@@ -108,11 +114,7 @@ impl Default for RoccParams {
             main_cpu: Rv::lognormal_mean_std(3_208.0, 3_287.0),
             main_net: Rv::lognormal_mean_std(214.0, 451.0),
             main_cpu_per_msg: Rv::exp(350.0),
-            main_cpu_per_extra_sample_us: 50.0,
-            quantum_us: 10_000.0,
-            smp_bus_speedup: 4.0,
             pipe_capacity: 170,
-            min_forward_us: 5.0,
         }
     }
 }
@@ -121,20 +123,20 @@ impl RoccParams {
     /// Expected Pd CPU demand of forwarding a batch of `k` samples (µs).
     pub fn pd_cpu_batch_mean_us(&self, k: usize) -> f64 {
         assert!(k >= 1);
-        self.pd.cpu_req.mean() + self.pd_cpu_per_extra_sample_us * (k as f64 - 1.0)
+        self.pd.cpu_req.mean() + PD_CPU_PER_EXTRA_SAMPLE_US * (k as f64 - 1.0)
     }
 
     /// Expected network occupancy of forwarding a batch of `k` samples (µs).
     pub fn pd_net_batch_mean_us(&self, k: usize) -> f64 {
         assert!(k >= 1);
-        self.pd.net_req.mean() + self.pd_net_per_extra_sample_us * (k as f64 - 1.0)
+        self.pd.net_req.mean() + PD_NET_PER_EXTRA_SAMPLE_US * (k as f64 - 1.0)
     }
 
     /// Expected main-process CPU demand of receiving a batch of `k`
     /// samples (µs).
     pub fn main_cpu_batch_mean_us(&self, k: usize) -> f64 {
         assert!(k >= 1);
-        self.main_cpu_per_msg.mean() + self.main_cpu_per_extra_sample_us * (k as f64 - 1.0)
+        self.main_cpu_per_msg.mean() + MAIN_CPU_PER_EXTRA_SAMPLE_US * (k as f64 - 1.0)
     }
 }
 
@@ -153,7 +155,6 @@ mod tests {
         assert!((p.pvmd.cpu_req.mean() - 294.0).abs() < 1e-6);
         assert!((p.pvmd_interarrival.mean() - 6485.0).abs() < 1e-9);
         assert!((p.other_net_interarrival.mean() - 5_598_903.0).abs() < 1e-6);
-        assert!((p.quantum_us - 10_000.0).abs() < 1e-12);
     }
 
     #[test]

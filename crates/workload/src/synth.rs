@@ -30,9 +30,11 @@ pub struct SynthConfig {
     /// Table 2 typical: 40 000.
     pub sampling_period_us: f64,
     /// Number of application processes on the traced node.
+    // lint:allow(dead-field): the unit test multiple_apps_scale_pd_rate varies it
     pub n_app: u32,
     /// Whether to also emit main-Paradyn-process records (the paper traces
     /// the host node separately).
+    // lint:allow(dead-field): the unit test no_main_records_when_disabled clears it
     pub include_main: bool,
     /// Ground-truth parameters.
     pub params: RoccParams,

@@ -13,6 +13,18 @@ cargo build --release --offline
 echo "== cargo test -q --offline =="
 cargo test -q --offline
 
+echo "== tier-1 test set (per-binary test counts must match test-counts.txt) =="
+# A test binary that drops out of tier-1, or loses or gains tests, fails
+# here until test-counts.txt changes with it (regenerate with
+# `scripts/test-counts.sh > test-counts.txt`).
+counts="$(mktemp)"
+scripts/test-counts.sh > "$counts"
+if ! diff -u test-counts.txt "$counts"; then
+  echo "verify: FAIL — the tier-1 test set differs from test-counts.txt" >&2
+  exit 1
+fi
+rm -f "$counts"
+
 # The release binaries the build above just made.
 lint=target/release/paradyn-lint
 check_lint_json=target/release/check_lint_json
@@ -42,6 +54,7 @@ rm -f "$lint_json"
 "$lint" --explain snapshot-completeness > /dev/null
 "$lint" --explain snapshot-exempt > /dev/null
 "$lint" --explain dead-pub > /dev/null
+"$lint" --explain dead-field > /dev/null
 
 echo "== paradyn-lint mutation self-checks (seeded violations must go red) =="
 mut_dir="$(mktemp -d)"
@@ -52,7 +65,8 @@ fifo_dir="$(mktemp -d)"
 rewind_dir="$(mktemp -d)"
 roster_dir="$(mktemp -d)"
 pool_dir="$(mktemp -d)"
-trap 'rm -rf "$mut_dir" "$chaos_dir" "$ratchet_dir" "$batch_dir" "$fifo_dir" "$rewind_dir" "$roster_dir" "$pool_dir"' EXIT
+members_dir="$(mktemp -d)"
+trap 'rm -rf "$mut_dir" "$chaos_dir" "$ratchet_dir" "$batch_dir" "$fifo_dir" "$rewind_dir" "$roster_dir" "$pool_dir" "$members_dir"' EXIT
 # The workspace passes read the whole tree (Acc lives in crates/core, the
 # conservation identity in src/chaos.rs), so the scratch copy carries the
 # root package sources too.
@@ -106,6 +120,45 @@ run_lint_mutation "metrics-merge" "metrics-merge-completeness" "crates/core/src/
 # 4. A pub fn that no code calls.
 printf '\npub fn seeded_dead_api() {}\n' >> "$mut_dir/crates/des/src/time.rs"
 run_lint_mutation "dead-pub" "dead-pub" "crates/des/src/time.rs" "seeded_dead_api"
+
+# 5. A pub field of a Default struct that only its Default sets: a knob
+#    with one value. The struct and the field are both read, so the
+#    never-set case alone must catch it.
+printf '
+#[derive(Default)]
+pub struct SeededKnobs {
+    pub seeded_dead_knob: u32,
+}
+fn seeded_reader(k: &SeededKnobs) -> u32 {
+    k.seeded_dead_knob
+}
+' \
+  >> "$mut_dir/crates/des/src/time.rs"
+run_lint_mutation "dead-field" "dead-field" "crates/des/src/time.rs" "SeededKnobs.seeded_dead_knob"
+
+echo "== test-set mutation self-check (dropping default-members must go red) =="
+# Scratch copy whose root manifest loses `default-members`: tier-1 then
+# builds and tests the root package alone, and the count gate must see
+# every crate's test binaries vanish.
+cp Cargo.toml Cargo.lock test-counts.txt "$members_dir"/
+cp -r crates src tests examples scripts "$members_dir"/
+sed -i '/^default-members = /d' "$members_dir/Cargo.toml"
+if grep -q '^default-members' "$members_dir/Cargo.toml"; then
+  echo "verify: FAIL — could not drop default-members" >&2
+  exit 1
+fi
+members_counts="$members_dir/counts.txt"
+CARGO_TARGET_DIR="$members_dir/target" "$members_dir/scripts/test-counts.sh" > "$members_counts"
+if diff -q "$members_dir/test-counts.txt" "$members_counts" > /dev/null; then
+  echo "verify: FAIL — the test-count gate passed without default-members" >&2
+  exit 1
+fi
+if ! grep -q "^paradyn_isim" "$members_counts" || grep -q "^paradyn_core" "$members_counts"; then
+  echo "verify: FAIL — the mutated tree went red for the wrong reason:" >&2
+  cat "$members_counts" >&2
+  exit 1
+fi
+echo "test-set mutation self-check: dropped crate binaries correctly detected"
 
 echo "== snapshot-equivalence suite (checkpoint/fork/rewind gate) =="
 snap_t0="$(date +%s%N)"
