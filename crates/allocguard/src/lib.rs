@@ -2,9 +2,9 @@
 //!
 //! The DES hot path is budgeted to **zero heap allocations per delivered
 //! event** in the steady state (DESIGN.md §10): every buffer the delivery
-//! loop touches — the calendar's entry arena and bucket array, the engine's
-//! batch buffer, the slot slab — reaches a stable capacity during warmup and is
-//! reused thereafter. Wall-clock benchmarks can only show the *symptom* of
+//! loop touches — the calendar's entry arena, bucket array and resize
+//! scratch — reaches a stable capacity during warmup and is reused
+//! thereafter. Wall-clock benchmarks can only show the *symptom* of
 //! a regression (throughput loss, often hidden inside machine noise); this
 //! crate makes the *cause* directly observable by counting every heap
 //! operation that reaches the system allocator.

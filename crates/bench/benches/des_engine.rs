@@ -95,16 +95,9 @@ fn main() {
     }
     let mut results: Vec<Json> = vec![];
 
-    // Pure calendar overhead: one self-rescheduling event.
-    //
-    // Known cost level: the batched same-timestamp delivery added with the
-    // SoA-arena hot-path work costs this no-tie microbench a resolved-early
-    // `at == now` comparison per event (~5 ns/ev here against the
-    // pre-batching level), in exchange for a large win on tie-heavy model
-    // workloads. Deliberately pinned at this level — the comparison
-    // resolves before the handler call and has no cheaper sound form — and
-    // held by the `event_chain` floor in BENCH_floor.json;
-    // `tests/batch_delivery.rs` keeps the batching honest.
+    // Pure calendar overhead: one self-rescheduling event through the
+    // pop, set clock, count, handle loop; held by the `event_chain` floor
+    // in BENCH_floor.json.
     let case = format!("event_chain_{n}");
     g.throughput(n);
     let chain = || {

@@ -48,6 +48,6 @@ pub use experiment::{
 };
 pub use metrics::SimMetrics;
 pub use model::snapshot::{fork_n, warm_snapshot};
-pub use model::{build, build_with_calendar, exec_cell, shardable, RoccModel};
+pub use model::{build, build_with_calendar, shardable, RoccModel};
 pub use pipe::{Deposit, OverflowPolicy, Pipe};
 pub use validate::{validate, validation_config, ValidationResult, TABLE3};

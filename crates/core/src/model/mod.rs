@@ -164,9 +164,6 @@ pub struct RoccModel {
     pub(crate) overload_on: bool,
     /// Metric accumulators.
     pub(crate) acc: Acc,
-    /// Whether scheduling cells are enabled (see [`shardable`]).
-    // lint:allow(snapshot-exempt): derived from the config the restored model is rebuilt from
-    pub(crate) cells_on: bool,
 }
 
 impl RoccModel {
@@ -179,7 +176,6 @@ impl RoccModel {
         if let Err(e) = cfg.validate() {
             panic!("invalid SimConfig: {e}");
         }
-        let cells_on = shardable(&cfg);
         let streams = Streams::new(cfg.seed);
         let quantum = SimDur::from_micros_f64(QUANTUM_US);
         let banks = match cfg.arch {
@@ -313,17 +309,6 @@ impl RoccModel {
             barrier_scratch: Vec::with_capacity(total_apps),
             overload_on: false,
             acc: Acc::default(),
-            cells_on,
-        }
-    }
-
-    /// Attribute subsequent event-sequence allocations to `cell` (the boot
-    /// path calls this per seeded entity, so each entity's first events
-    /// take their numbers from its own cell's counter).
-    #[inline]
-    pub(crate) fn enter_cell(&mut self, ctx: &mut Ctx<Ev>, cell: u32) {
-        if self.cells_on {
-            ctx.set_cell(cell);
         }
     }
 
@@ -573,11 +558,6 @@ impl Model for RoccModel {
     type Event = Ev;
 
     fn handle(&mut self, ctx: &mut Ctx<Ev>, ev: Ev) {
-        if self.cells_on {
-            // Number everything this event schedules from its execution
-            // cell's own counter.
-            ctx.set_cell(exec_cell(&ev, self.cfg.apps_per_node as u32));
-        }
         match ev {
             Ev::Init => self.init(ctx),
             Ev::Slice { bank, cpu } => {
@@ -633,12 +613,9 @@ impl Model for RoccModel {
 
 impl RoccModel {
     /// Seed the time-zero activity: application loops, sampling timers,
-    /// and background sources. Each per-entity seed enters its entity's
-    /// cell first.
+    /// and background sources.
     fn init(&mut self, ctx: &mut Ctx<Ev>) {
         for app in 0..self.apps.len() as u32 {
-            let cell = self.apps.hot[app as usize].node;
-            self.enter_cell(ctx, cell);
             self.app_start_step(ctx, app, Step::Compute);
             if self.cfg.instrumented {
                 self.schedule_next_sample(ctx, app);
@@ -648,8 +625,6 @@ impl RoccModel {
             if let Some(a) = self.cfg.adaptive {
                 let interval = SimDur::from_micros_f64(a.interval_us);
                 for pd in 0..self.daemons.len() as u32 {
-                    let cell = self.daemons.hot[pd as usize].node;
-                    self.enter_cell(ctx, cell);
                     ctx.post_in(interval, Ev::AdaptTick { pd });
                 }
             }
@@ -657,15 +632,12 @@ impl RoccModel {
             // scheduled (and no random draws happen) when the plan is off,
             // so fault-free runs are bit-identical to the fault-free model.
             for pd in 0..self.daemons.len() as u32 {
-                let cell = self.daemons.hot[pd as usize].node;
                 if let Some(crash) = &mut self.daemons.cold[pd as usize].crash {
                     let ttf = crash.time_to_failure();
-                    self.enter_cell(ctx, cell);
                     ctx.post_in(ttf, Ev::DaemonCrash { pd });
                 }
             }
             if self.cfg.faults.stall.is_some() {
-                self.enter_cell(ctx, 0);
                 let gap = self.draw_stall_gap();
                 ctx.post_in(gap, Ev::MainStall);
             }
@@ -673,14 +645,12 @@ impl RoccModel {
             // it is inert (factor 1), so such configs stay bit-identical.
             if let Some(o) = self.cfg.overload {
                 if o.factor > 1.0 {
-                    self.enter_cell(ctx, 0);
                     ctx.post_at(SimTime::from_secs_f64(o.at_s), Ev::OverloadRamp);
                 }
             }
         }
         if self.cfg.background {
             for node in 0..self.pvmd_rngs.len() as u32 {
-                self.enter_cell(ctx, node);
                 let d = self.draw_interarrival(node, BgKind::Pvmd);
                 ctx.post_in(d, Ev::PvmdArrival { node });
                 let d = self.draw_interarrival(node, BgKind::OtherCpu);
@@ -772,65 +742,13 @@ pub fn build(cfg: &SimConfig) -> Sim<RoccModel> {
 /// full model on the reference calendar as well as on the wheel).
 pub fn build_with_calendar(cfg: &SimConfig, kind: paradyn_des::CalendarKind) -> Sim<RoccModel> {
     let mut sim = Sim::with_calendar(RoccModel::new(cfg.clone()), kind);
-    // Shardable configurations number events per cell; the rest keep the
-    // single global counter (see [`shardable`]).
-    if sim.model.cells_on {
-        let cells = sim.model.cfg.nodes as u32;
-        sim.ctx().enable_cells(cells);
-    }
     sim.ctx().post_at(SimTime::ZERO, Ev::Init);
     sim
 }
 
-/// Whether `cfg` numbers its events per scheduling cell (cell = node; see
-/// [`Ctx::enable_cells`]) instead of with one global counter.
-///
-/// These are the configurations whose nodes interact only through
-/// forwarding links: per-node CPU banks and a contention-free interconnect,
-/// no global barrier, no degradation controller, and an inert overload
-/// ramp. The numbering decides the `(at, seq)` order of same-time ties, so
-/// it is part of every such run's trace; switching it would change the
-/// reproduced MPP and contention-free NOW results.
-pub fn shardable(cfg: &SimConfig) -> bool {
-    let arch_ok = matches!(
-        cfg.arch,
-        Arch::Mpp { .. }
-            | Arch::Now {
-                contention_free: true
-            }
-    );
-    let overload_inert = cfg.overload.is_none_or(|o| o.factor <= 1.0);
-    arch_ok
-        && cfg.app.barrier_period_us.is_none()
-        && cfg.degradation.is_none()
-        && overload_inert
-}
-
-/// Execution cell of an event: the node whose state its handler touches.
-/// Only meaningful on [`shardable`] configurations (per-node banks, node ==
-/// daemon index); a pure function of the event and the static
-/// configuration.
-pub fn exec_cell(ev: &Ev, apps_per_node: u32) -> u32 {
-    match *ev {
-        Ev::Init | Ev::NetDone | Ev::MainStall | Ev::OverloadRamp => 0,
-        Ev::Slice { bank, .. } => bank,
-        Ev::Deliver(job) => match job {
-            NetJob::AppComm { app } => app / apps_per_node,
-            NetJob::Forward { dest, .. } => match dest {
-                Dest::Main => 0,
-                Dest::Node(n) => n,
-            },
-            NetJob::PvmdNet { node } | NetJob::OtherNet { node } => node,
-        },
-        Ev::Sample { app } | Ev::ThrottleTick { app } => app / apps_per_node,
-        Ev::PvmdArrival { node }
-        | Ev::OtherCpuArrival { node }
-        | Ev::OtherNetArrival { node } => node,
-        Ev::FlushTimeout { pd, .. }
-        | Ev::AdaptTick { pd }
-        | Ev::DaemonCrash { pd }
-        | Ev::DaemonRecover { pd }
-        | Ev::Backpressure { pd, .. }
-        | Ev::RetryForward { pd, .. } => pd,
-    }
+/// Always `false`: no configuration numbers its events per scheduling
+/// cell; every run fires same-time ties in schedule order.
+// lint:allow(dead-pub): simbench's ledger still calls it; it goes with ROADMAP's "Benchmark revision" item
+pub fn shardable(_cfg: &SimConfig) -> bool {
+    false
 }

@@ -1,8 +1,8 @@
 //! Checkpoint persistence for the full ROCC model: [`Persist`] codecs for
 //! every piece of per-run state, the [`PersistState`] wiring that lets
 //! [`Sim::snapshot`]/[`Sim::restore`] capture and rebuild a `RoccModel`,
-//! and the fork primitives ([`warm_snapshot`], [`fork_n`]) used by the
-//! factorial sweep driver to share one warmed-up transient across
+//! and the fork primitives ([`warm_snapshot`], [`fork_n`]) with which
+//! [`crate::run_forked`] shares one warmed-up transient across
 //! replications.
 //!
 //! The configuration itself is **not** serialized. A snapshot can only be

@@ -267,59 +267,6 @@ fn uninstrumented_run_schedules_no_is_events() {
     assert!(events > 0, "application still runs");
 }
 
-fn mpp_tree(nodes: usize) -> SimConfig {
-    quick(
-        Arch::Mpp {
-            forwarding: Forwarding::BinaryTree,
-        },
-        nodes,
-    )
-}
-
-#[test]
-fn shardable_excludes_coupling_features() {
-    assert!(!shardable(&SimConfig::default()), "shared Ethernet couples all nodes");
-    assert!(shardable(&mpp_tree(8)));
-    assert!(shardable(&quick(Arch::Now { contention_free: true }, 4)));
-    assert!(!shardable(&quick(Arch::Smp, 4)));
-    assert!(!shardable(&SimConfig {
-        degradation: Some(crate::config::DegradationConfig::default()),
-        ..mpp_tree(8)
-    }));
-    assert!(!shardable(&SimConfig {
-        overload: Some(crate::config::OverloadRamp::default()),
-        ..mpp_tree(8)
-    }));
-    let mut barrier = mpp_tree(8);
-    barrier.app.barrier_period_us = Some(1_000_000.0);
-    assert!(!shardable(&barrier));
-}
-
-#[test]
-fn exec_cell_maps_app_events_to_their_node() {
-    for apn in [1u32, 2, 3] {
-        for node in 0..16u32 {
-            for a in node * apn..(node + 1) * apn {
-                assert_eq!(exec_cell(&Ev::Sample { app: a }, apn), node);
-                assert_eq!(exec_cell(&Ev::ThrottleTick { app: a }, apn), node);
-                assert_eq!(exec_cell(&Ev::Deliver(NetJob::AppComm { app: a }), apn), node);
-            }
-        }
-    }
-    let batch = types::Batch {
-        count: std::num::NonZeroU32::MIN,
-        sum_gen_ns: 0,
-        ready_ns: 0,
-    };
-    let fwd = |dest| Ev::Deliver(NetJob::Forward { batch, dest });
-    assert_eq!(exec_cell(&fwd(Dest::Main), 2), 0);
-    assert_eq!(exec_cell(&fwd(Dest::Node(5)), 2), 5);
-    assert_eq!(exec_cell(&Ev::Slice { bank: 7, cpu: 0 }, 2), 7);
-    assert_eq!(exec_cell(&Ev::PvmdArrival { node: 3 }, 2), 3);
-    assert_eq!(exec_cell(&Ev::DaemonCrash { pd: 4 }, 2), 4);
-    assert_eq!(exec_cell(&Ev::NetDone, 2), 0);
-}
-
 #[test]
 fn snapshot_round_trips_a_daemon_mid_collect() {
     // BF with batch 8: a collect cycle holds eight pipe slots on its

@@ -33,9 +33,8 @@
 //! for bit identical to the reference. Here that order is structural: every
 //! bucket list is kept sorted by `(at, seq)` on insertion, and the invariant
 //! above makes the head in the cursor's window the global minimum. No
-//! delivery decision depends on bucket count, width or resize history, so a
-//! same-timestamp run is contiguous at the head of its bucket and drains in
-//! `seq` order.
+//! delivery decision depends on bucket count, width or resize history, so
+//! same-time ties pop in `seq` (schedule) order.
 //!
 //! **Cursor rewind.** A horizon-bounded pop may advance the cursor past the
 //! horizon (it walked there looking for the next event). An entry scheduled
@@ -54,12 +53,11 @@
 //!
 //! ## The reference calendar
 //!
-//! [`CalendarKind::Heap`] selects a `BTreeMap` keyed by `(at, seq)` that
-//! pops exactly one event at a time and never batches, so every
-//! differential suite (`tests/calendar_diff.rs`, `tests/batch_delivery.rs`,
-//! the snapshot and determinism suites, chaos's calendar oracle) compares
-//! the batched wheel against plain one-at-a-time delivery in key order.
-//! The variant keeps its historical name.
+//! [`CalendarKind::Heap`] selects a `BTreeMap` keyed by `(at, seq)`, so
+//! every differential suite (`tests/calendar_diff.rs`,
+//! `tests/batch_delivery.rs`, the snapshot and determinism suites, chaos's
+//! calendar oracle) compares the wheel against plain delivery in key
+//! order. The variant keeps its historical name.
 
 use crate::time::SimTime;
 
@@ -94,8 +92,8 @@ pub enum CalendarKind {
     /// One-level hashed timing wheel (calendar queue): amortized O(1)
     /// schedule/pop. The production calendar.
     Wheel,
-    /// The reference calendar: an ordered map that delivers one event per
-    /// pop. Exists to be the differential-testing oracle.
+    /// The reference calendar: an ordered map keyed by `(time, seq)`.
+    /// Exists to be the differential-testing oracle.
     Heap,
 }
 
@@ -318,19 +316,6 @@ impl<E> Wheel<E> {
         }
     }
 
-    /// Unlink the in-window heads of the cursor's bucket that fire exactly
-    /// at `at` (see [`Calendar::drain_batch_at`]).
-    fn drain_at(&mut self, at: u64, out: &mut Vec<E>) {
-        let b = self.cur;
-        loop {
-            let h = self.heads[b];
-            if !self.in_window(h, self.cur_last) || self.nodes[h as usize].at != at {
-                return;
-            }
-            out.push(self.unlink_head(b).1);
-        }
-    }
-
     /// Move the cursor to the first virtual bucket whose head falls inside
     /// its window. Returns `false`, leaving the cursor past the horizon, when
     /// every window up to the horizon is empty (or nothing is stored).
@@ -521,22 +506,6 @@ impl<E> Calendar<E> {
             }
         };
         Some((SimTime::from_nanos(at), ev))
-    }
-
-    /// Move front entries with time exactly `at` out of storage and append
-    /// them to `out`, in `(time, seq)` order.
-    ///
-    /// Only entries that are provably next in delivery order are drained:
-    /// the heads of the wheel cursor's bucket inside its window.
-    /// Same-timestamp entries anywhere else stay put — the driver falls back
-    /// to [`Calendar::pop_next_before`] and re-drains, so nothing is missed.
-    /// The reference drains nothing, so it always delivers one event per
-    /// pop.
-    #[inline(never)]
-    pub(crate) fn drain_batch_at(&mut self, at: SimTime, out: &mut Vec<E>) {
-        if let Calendar::Wheel(w) = self {
-            w.drain_at(at.as_nanos(), out);
-        }
     }
 
     /// Visit every pending entry as `(at_ns, seq, event)`, in storage order.
@@ -857,18 +826,6 @@ mod tests {
             c.insert(SimTime::from_nanos(5), 2, 2);
             assert_eq!(drain(&mut c), vec![(5, 1), (5, 2)], "{:?}", c.kind());
         }
-    }
-
-    #[test]
-    fn reference_never_drains_a_batch() {
-        let mut c: Calendar<u32> = Calendar::new(CalendarKind::Heap);
-        for i in 0..3u64 {
-            c.insert(SimTime::from_nanos(5), i, i as u32);
-        }
-        let mut out = vec![];
-        c.drain_batch_at(SimTime::from_nanos(5), &mut out);
-        assert!(out.is_empty());
-        assert_eq!(c.live(), 3);
     }
 
     #[test]

@@ -10,55 +10,6 @@ use crate::calendar::{Calendar, CalendarKind, CalendarStats};
 use crate::snapshot::{self, Dec, Enc, Persist, PersistState, SnapError};
 use crate::time::{SimDur, SimTime};
 
-/// Bit position of the scheduling-cell label inside a sequence number:
-/// `seq = (cell << CELL_SHIFT) | per-cell counter`. Comparing packed
-/// sequence numbers as plain `u64`s is lexicographic in `(cell, counter)`,
-/// so the calendar's `(time, seq)` order breaks same-time ties by cell
-/// first (see DESIGN.md §11). 2^40 events per cell and 2^24 cells are far
-/// beyond any configured workload.
-pub const CELL_SHIFT: u32 = 40;
-
-/// Mask of the per-cell counter bits of a packed sequence number.
-pub const CELL_SEQ_MASK: u64 = (1u64 << CELL_SHIFT) - 1;
-
-/// Per-cell sequence allocation: one monotone counter per scheduling cell,
-/// packed as `(cell << CELL_SHIFT) | counter`.
-///
-/// The default ("global") mode is a single cell with `cur` pinned to 0, so
-/// `seq == counter` — bit-identical to the historical global counter with
-/// no extra branch on the hot path (the pack is a shift/or against a
-/// constant-zero register). [`Ctx::enable_cells`] switches a fresh context
-/// to per-cell counters; the allocation then depends only on the scheduling
-/// cell's own history, never on how cells interleave. Which mode a model
-/// uses is part of its trace: it fixes the order of same-time ties.
-struct SeqAlloc {
-    cur: u32,
-    counters: Vec<u64>,
-}
-
-impl SeqAlloc {
-    fn new() -> Self {
-        SeqAlloc {
-            cur: 0,
-            counters: vec![0],
-        }
-    }
-
-    #[inline(always)]
-    fn alloc(&mut self) -> u64 {
-        let c = &mut self.counters[self.cur as usize];
-        let seq = ((self.cur as u64) << CELL_SHIFT) | *c;
-        debug_assert!(*c < CELL_SEQ_MASK, "per-cell sequence counter overflow");
-        *c += 1;
-        seq
-    }
-
-    /// Total allocations across all cells (equals `scheduled`).
-    fn total(&self) -> u64 {
-        self.counters.iter().sum()
-    }
-}
-
 /// A simulation model: owns all state and reacts to its own event type.
 pub trait Model {
     /// The model's event alphabet.
@@ -75,8 +26,9 @@ pub trait Model {
 pub struct Ctx<E> {
     now: SimTime,
     calendar: Calendar<E>,
-    seq: SeqAlloc,
     executed: u64,
+    /// Events scheduled so far; each takes the count before it as its
+    /// sequence number, so same-time ties fire in schedule order.
     scheduled: u64,
 }
 
@@ -85,39 +37,15 @@ impl<E> Ctx<E> {
         Ctx {
             now: SimTime::ZERO,
             calendar: Calendar::new(kind),
-            seq: SeqAlloc::new(),
             executed: 0,
             scheduled: 0,
         }
     }
 
-    /// Switch a fresh context from the single global sequence counter to
-    /// `cells` per-cell counters (see [`CELL_SHIFT`]). Must be called
-    /// before anything is scheduled; the current cell starts at 0.
-    ///
-    /// # Panics
-    /// Panics if events were already scheduled or `cells` exceeds the
-    /// packable range.
-    pub fn enable_cells(&mut self, cells: u32) {
-        assert_eq!(self.scheduled, 0, "enable_cells on a used context");
-        assert!(cells >= 1 && (cells as u64) <= (u64::MAX >> CELL_SHIFT));
-        self.seq.counters = vec![0; cells as usize];
-        self.seq.cur = 0;
-    }
-
-    /// Set the scheduling cell subsequent allocations are keyed by. A
-    /// model calls this at the top of its handler with the executing
-    /// event's own cell. No-op-safe in global mode only for cell 0.
-    #[inline]
-    pub fn set_cell(&mut self, cell: u32) {
-        debug_assert!((cell as usize) < self.seq.counters.len());
-        self.seq.cur = cell;
-    }
-
-    /// Number of scheduling cells (1 in global mode).
-    pub fn cells(&self) -> u32 {
-        self.seq.counters.len() as u32
-    }
+    /// Does nothing: every run numbers its events with one counter, in
+    /// schedule order.
+    // lint:allow(dead-pub): simbench's ledger still calls it; it goes with ROADMAP's "Benchmark revision" item
+    pub fn enable_cells(&mut self, _cells: u32) {}
 
     /// Current simulated time.
     #[inline]
@@ -133,9 +61,8 @@ impl<E> Ctx<E> {
     #[inline]
     pub fn post_at(&mut self, at: SimTime, ev: E) {
         assert!(at >= self.now, "cannot schedule into the past");
-        let seq = self.seq.alloc();
+        self.calendar.insert(at, self.scheduled, ev);
         self.scheduled += 1;
-        self.calendar.insert(at, seq, ev);
     }
 
     /// Schedule `ev` to fire after a delay of `d` (see [`Ctx::post_at`]).
@@ -173,13 +100,6 @@ impl<E> Ctx<E> {
         self.calendar.kind()
     }
 
-    /// Deliver the next event at or before `horizon`, advancing the
-    /// clock. `None` leaves the clock untouched.
-    #[inline(always)]
-    fn pop_next_before(&mut self, horizon: SimTime) -> Option<(SimTime, E)> {
-        self.calendar.pop_next_before(horizon)
-    }
-
     /// The earliest pending `(time, event)` without executing or
     /// disturbing anything (O(pending) scan — a diagnostic path).
     pub(crate) fn peek_next(&self) -> Option<(SimTime, E)>
@@ -192,20 +112,15 @@ impl<E> Ctx<E> {
             .map(|(at, _seq, ev)| (SimTime::from_nanos(at), ev.clone()))
     }
 
-    /// Append the kernel state — clock, sequence/event counters, and the
-    /// calendar in canonical sorted `(at, seq, event)` form — to `w`.
+    /// Append the kernel state — clock, event counters, and the calendar
+    /// in canonical sorted `(at, seq, event)` form — to `w`.
     pub(crate) fn save_state(&self, w: &mut Enc)
     where
         E: Persist + Clone,
     {
-        debug_assert_eq!(self.seq.total(), self.scheduled);
         w.put_u64(self.now.as_nanos());
         w.put_u64(self.executed);
         w.put_u64(self.scheduled);
-        w.put_usize(self.seq.counters.len());
-        for c in &self.seq.counters {
-            w.put_u64(*c);
-        }
         let entries = self.calendar.live_entries();
         w.put_usize(entries.len());
         for (at, seq, ev) in &entries {
@@ -226,17 +141,6 @@ impl<E> Ctx<E> {
         let now = SimTime::from_nanos(r.take_u64()?);
         let executed = r.take_u64()?;
         let scheduled = r.take_u64()?;
-        let ncells = r.take_usize()?;
-        if ncells == 0 || ncells as u64 > (u64::MAX >> CELL_SHIFT) {
-            return Err(SnapError::Malformed("cell count out of range"));
-        }
-        let mut counters = Vec::with_capacity(ncells);
-        for _ in 0..ncells {
-            counters.push(r.take_u64()?);
-        }
-        if counters.iter().sum::<u64>() != scheduled {
-            return Err(SnapError::Malformed("sum(cell counters) != scheduled"));
-        }
         let n = r.take_usize()?;
         let mut ctx = Ctx::new(kind);
         ctx.now = now;
@@ -248,9 +152,10 @@ impl<E> Ctx<E> {
             if at < now.as_nanos() {
                 return Err(SnapError::Malformed("calendar entry before the clock"));
             }
-            let cell = (seq >> CELL_SHIFT) as usize;
-            if cell >= ncells || (seq & CELL_SEQ_MASK) >= counters[cell] {
-                return Err(SnapError::Malformed("calendar seq beyond its cell counter"));
+            if seq >= scheduled {
+                return Err(SnapError::Malformed(
+                    "calendar seq not below the scheduled count",
+                ));
             }
             if prev.is_some_and(|p| (at, seq) <= p) {
                 return Err(SnapError::Malformed("calendar entries not strictly sorted"));
@@ -258,7 +163,6 @@ impl<E> Ctx<E> {
             prev = Some((at, seq));
             ctx.calendar.insert(SimTime::from_nanos(at), seq, ev);
         }
-        ctx.seq.counters = counters;
         ctx.executed = executed;
         ctx.scheduled = scheduled;
         Ok(ctx)
@@ -270,10 +174,6 @@ pub struct Sim<M: Model> {
     /// The model under simulation; accessible for inspection between runs.
     pub model: M,
     ctx: Ctx<M::Event>,
-    /// Reusable scratch for batched same-timestamp delivery in
-    /// [`Sim::run_until`]. Always empty between calls; kept here so the
-    /// steady state never reallocates it.
-    batch: Vec<M::Event>,
 }
 
 impl<M: Model> Sim<M> {
@@ -289,8 +189,6 @@ impl<M: Model> Sim<M> {
         Sim {
             model,
             ctx: Ctx::new(kind),
-            // lint:allow(hot-path-alloc): construction-time batch buffer
-            batch: Vec::new(),
         }
     }
 
@@ -307,14 +205,8 @@ impl<M: Model> Sim<M> {
     /// Execute the single next event, if any. Returns `false` when the
     /// calendar is empty.
     pub fn step(&mut self) -> bool {
-        self.step_bounded(SimTime::MAX)
-    }
-
-    #[inline]
-    fn step_bounded(&mut self, horizon: SimTime) -> bool {
-        match self.ctx.pop_next_before(horizon) {
+        match self.ctx.calendar.pop_next_before(SimTime::MAX) {
             Some((at, ev)) => {
-                debug_assert!(at >= self.ctx.now);
                 self.ctx.now = at;
                 self.ctx.executed += 1;
                 self.model.handle(&mut self.ctx, ev);
@@ -328,36 +220,12 @@ impl<M: Model> Sim<M> {
     ///
     /// Events scheduled exactly at the horizon still fire; the clock is left
     /// at the horizon (or at the last event if the calendar drained first).
-    ///
-    /// Delivery is **batched by timestamp**: after the first event of an
-    /// instant fires, the rest of the same-timestamp run is drained from
-    /// the calendar front in one call and dispatched as a slice in the
-    /// pinned `(time, seq)` order, amortizing the pop machinery across the
-    /// batch. Observable behavior is bit-identical to one-at-a-time
-    /// [`Sim::step`] delivery (`tests/batch_delivery.rs` proves it against
-    /// the reference calendar, which never batches): events scheduled *at*
-    /// the current instant by a batch member still fire within the same
-    /// instant, after the members already drained.
+    /// Delivery is the same as repeated [`Sim::step`]: one pop per event,
+    /// same-time ties in schedule order, including events a handler posts
+    /// at the current instant (`tests/batch_delivery.rs`).
     pub fn run_until(&mut self, horizon: SimTime) {
-        // Tie gate: the clock *before* it advances is the previous event's
-        // time, so `at == now` detects the second member of a tie run with
-        // no loop-carried register (nothing extra live across the handler
-        // call, hence no per-event spill). The comparison can fire
-        // spuriously — the first event of a run, or an event landing
-        // exactly on a previous horizon stop — but a spurious drain of an
-        // instant with no further events is a single outlined call that
-        // finds nothing; delivery order is identical either way. The
-        // *second* member of a real tie still arrives through an ordinary
-        // pop — identical either way — and from there the rest of the
-        // instant is drained as a batch.
-        while let Some((at, ev)) = self.ctx.pop_next_before(horizon) {
+        while let Some((at, ev)) = self.ctx.calendar.pop_next_before(horizon) {
             debug_assert!(at >= self.ctx.now);
-            if at == self.ctx.now {
-                // The branch resolves *before* the handler call, so the
-                // no-tie loop keeps nothing extra live across it.
-                self.step_tie(at, ev);
-                continue;
-            }
             self.ctx.now = at;
             self.ctx.executed += 1;
             self.model.handle(&mut self.ctx, ev);
@@ -365,53 +233,6 @@ impl<M: Model> Sim<M> {
         if self.ctx.now < horizon {
             self.ctx.now = horizon;
         }
-    }
-
-    /// Deliver the rest of the instant `at` as a batch (see
-    /// [`Sim::run_until`]); the caller has just dispatched the instant's
-    /// first event and proven a same-timestamp successor exists.
-    /// Dispatch an event that shares its timestamp with the previous one
-    /// (or lands exactly on the prior stop/start time — a spurious but
-    /// harmless match), then drain the rest of the instant as a batch.
-    /// Outlined as one cold unit so [`Sim::run_until`]'s no-tie loop pays
-    /// only the resolved-early comparison.
-    #[cold]
-    #[inline(never)]
-    fn step_tie(&mut self, at: SimTime, ev: M::Event) {
-        self.ctx.now = at;
-        self.ctx.executed += 1;
-        self.model.handle(&mut self.ctx, ev);
-        self.drain_instant(at);
-    }
-
-    #[cold]
-    #[inline(never)]
-    fn drain_instant(&mut self, at: SimTime) {
-        let mut buf = std::mem::take(&mut self.batch);
-        loop {
-            self.ctx.calendar.drain_batch_at(at, &mut buf);
-            if buf.is_empty() {
-                // Same-instant events can still lie beyond the drained
-                // bucket window (the wheel's cursor has not reached them,
-                // or the reference calendar, which never drains): one
-                // ordinary pop delivers the next, then draining resumes.
-                // `None` ends the instant.
-                match self.ctx.pop_next_before(at) {
-                    Some((t, ev)) => {
-                        debug_assert_eq!(t, at);
-                        self.ctx.executed += 1;
-                        self.model.handle(&mut self.ctx, ev);
-                        continue;
-                    }
-                    None => break,
-                }
-            }
-            for ev in buf.drain(..) {
-                self.ctx.executed += 1;
-                self.model.handle(&mut self.ctx, ev);
-            }
-        }
-        self.batch = buf;
     }
 
     /// Run until the calendar is empty or `max_events` more events have fired.
@@ -503,12 +324,7 @@ where
         if !r.is_empty() {
             return Err(SnapError::TrailingBytes);
         }
-        Ok(Sim {
-            model,
-            ctx,
-            // lint:allow(hot-path-alloc): construction-time batch buffer
-            batch: Vec::new(),
-        })
+        Ok(Sim { model, ctx })
     }
 }
 
@@ -619,6 +435,50 @@ mod tests {
             let n = sim.run_events(3);
             assert_eq!(n, 3);
             assert_eq!(sim.model.fired, vec![0, 1, 2]);
+        }
+    }
+
+    /// A kernel payload: clock 100 ns, `scheduled` events numbered so far,
+    /// and the calendar entries `(at, seq, event)` in the given order.
+    fn kernel_payload(scheduled: u64, entries: &[(u64, u64, u32)]) -> Vec<u8> {
+        let mut w = Enc::new();
+        w.put_u64(100);
+        w.put_u64(0);
+        w.put_u64(scheduled);
+        w.put_usize(entries.len());
+        for &(at, seq, ev) in entries {
+            w.put_u64(at);
+            w.put_u64(seq);
+            ev.save(&mut w);
+        }
+        w.into_bytes()
+    }
+
+    #[test]
+    fn load_state_rejects_malformed_calendars() {
+        const SEQ: Option<&str> = Some("calendar seq not below the scheduled count");
+        const EARLY: Option<&str> = Some("calendar entry before the clock");
+        const ORDER: Option<&str> = Some("calendar entries not strictly sorted");
+        // Three events scheduled so far (seq 0..3), clock at 100 ns.
+        let cases: [(&str, &[(u64, u64, u32)], Option<&str>); 6] = [
+            ("valid", &[(100, 0, 1), (100, 2, 2), (150, 1, 3)], None),
+            ("seq at scheduled", &[(120, 3, 1)], SEQ),
+            ("seq past scheduled", &[(120, 0, 1), (130, 9, 2)], SEQ),
+            ("entry before the clock", &[(99, 0, 1)], EARLY),
+            ("out of order", &[(150, 0, 1), (120, 1, 2)], ORDER),
+            ("duplicate key", &[(120, 1, 1), (120, 1, 2)], ORDER),
+        ];
+        for (name, entries, want) in cases {
+            let bytes = kernel_payload(3, entries);
+            let want = match want {
+                None => Ok((100, entries.len())),
+                Some(msg) => Err(SnapError::Malformed(msg)),
+            };
+            for kind in [CalendarKind::Wheel, CalendarKind::Heap] {
+                let got = Ctx::<u32>::load_state(kind, &mut Dec::new(&bytes))
+                    .map(|ctx| (ctx.now().as_nanos(), ctx.pending_events()));
+                assert_eq!(got, want, "{name} on {kind:?}");
+            }
         }
     }
 

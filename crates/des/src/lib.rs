@@ -16,9 +16,11 @@
 //!   the hot path.
 //! * **O(1) calendar** — a hashed timing wheel keyed on the nanosecond
 //!   clock. Events are fire-and-forget: there is one scheduling path
-//!   ([`Ctx::post_at`]/[`Ctx::post_in`]) and no cancellation. A minimal
-//!   reference calendar ([`CalendarKind::Heap`]) that delivers one event
-//!   per pop is the differential-testing oracle.
+//!   ([`Ctx::post_at`]/[`Ctx::post_in`]) and no cancellation. One pop
+//!   delivers one event, in `(time, schedule order)`: ties fire in the
+//!   order they were scheduled. A minimal reference calendar
+//!   ([`CalendarKind::Heap`]), an ordered map on the same key, is the
+//!   differential-testing oracle.
 //! * **Resources as pure state machines** — they own no events; the model
 //!   schedules exactly one completion/slice event per started service, which
 //!   makes the components independently testable.

@@ -2,7 +2,7 @@
 //!
 //! After a warmup long enough for every buffer on the delivery loop to
 //! reach its stable capacity — the wheel's entry arena, bucket array and
-//! resize scratch, and the engine's batch buffer — a steady-state window of
+//! resize scratch — a steady-state window of
 //! ~10^5 delivered events must produce **zero** heap operations on the
 //! timing wheel. The reference calendar is not gated: it runs only in the
 //! differential tests, and its `BTreeMap` allocates on inserts.
@@ -10,7 +10,7 @@
 //! The warmup argument is about population, not time: every one of those
 //! buffers grows only at a new peak — the arena at a new peak of stored
 //! entries, the bucket array and resize scratch at the resize that a new
-//! peak triggers, the batch buffer at a new longest same-timestamp run.
+//! peak triggers.
 //! The workload below
 //! holds a constant population once booted, so a warmup of hundreds of
 //! periods has seen every peak the window can reach; a buffer that grew

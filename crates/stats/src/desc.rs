@@ -20,24 +20,34 @@ impl Summary {
     /// Summarize a sample.
     ///
     /// # Panics
-    /// Panics on an empty sample.
+    /// Panics on an empty sample or one holding a NaN.
     pub fn of(xs: &[f64]) -> Summary {
         assert!(!xs.is_empty(), "Summary::of on empty sample");
         let n = xs.len();
+        let (mut min, mut max) = (xs[0], xs[0]);
+        for &x in xs {
+            assert!(!x.is_nan(), "NaN in sample");
+            // The first of equal minima and the last of equal maxima, as a
+            // stable sort leaves them (equal values differ only in ±0).
+            if x < min {
+                min = x;
+            }
+            if x >= max {
+                max = x;
+            }
+        }
         let mean = xs.iter().sum::<f64>() / n as f64;
         let var = if n < 2 {
             0.0
         } else {
             xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (n - 1) as f64
         };
-        let mut sorted = xs.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN in sample"));
         Summary {
             n,
             mean,
             std_dev: var.sqrt(),
-            min: sorted[0],
-            max: sorted[n - 1],
+            min,
+            max,
         }
     }
 
@@ -173,6 +183,12 @@ mod tests {
         assert!((s.std_dev - (32.0f64 / 7.0).sqrt()).abs() < 1e-12);
         assert_eq!(s.min, 2.0);
         assert_eq!(s.max, 9.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "NaN in sample")]
+    fn summary_of_rejects_nan() {
+        Summary::of(&[1.0, f64::NAN, 2.0]);
     }
 
     #[test]

@@ -20,8 +20,9 @@ use crate::params::RoccParams;
 use crate::trace::{ProcessClass, Resource, Trace, TraceRecord};
 use paradyn_stats::Rng;
 
-/// Configuration of a synthetic tracing run (one traced node, as in the
-/// paper's Figure 29 setup).
+/// Configuration of a synthetic tracing run (one traced node with one
+/// application process, as in the paper's Figure 29 setup; the host node's
+/// main-Paradyn-process records are included).
 #[derive(Clone, Debug)]
 pub struct SynthConfig {
     /// Trace duration in microseconds.
@@ -29,13 +30,6 @@ pub struct SynthConfig {
     /// Mean sampling inter-arrival per application process (µs);
     /// Table 2 typical: 40 000.
     pub sampling_period_us: f64,
-    /// Number of application processes on the traced node.
-    // lint:allow(dead-field): the unit test multiple_apps_scale_pd_rate varies it
-    pub n_app: u32,
-    /// Whether to also emit main-Paradyn-process records (the paper traces
-    /// the host node separately).
-    // lint:allow(dead-field): the unit test no_main_records_when_disabled clears it
-    pub include_main: bool,
     /// Ground-truth parameters.
     pub params: RoccParams,
 }
@@ -45,8 +39,6 @@ impl Default for SynthConfig {
         SynthConfig {
             duration_us: 100.0e6,
             sampling_period_us: 40_000.0,
-            n_app: 1,
-            include_main: true,
             params: RoccParams::default(),
         }
     }
@@ -57,37 +49,35 @@ pub fn synthesize<R: Rng>(cfg: &SynthConfig, rng: &mut R) -> Trace {
     let p = &cfg.params;
     let mut trace = Trace::new();
 
-    // Application processes: closed alternation of CPU and network bursts.
-    for pid in 0..cfg.n_app {
-        let mut t = 0.0;
-        while t < cfg.duration_us {
-            let cpu = p.app.cpu_req.sample(rng);
-            trace.push(TraceRecord {
-                t_us: t,
-                pid,
-                class: ProcessClass::Application,
-                resource: Resource::Cpu,
-                occupancy_us: cpu,
-            });
-            t += cpu;
-            if t >= cfg.duration_us {
-                break;
-            }
-            let net = p.app.net_req.sample(rng);
-            trace.push(TraceRecord {
-                t_us: t,
-                pid,
-                class: ProcessClass::Application,
-                resource: Resource::Network,
-                occupancy_us: net,
-            });
-            t += net;
+    // The application process: closed alternation of CPU and network
+    // bursts.
+    let mut t = 0.0;
+    while t < cfg.duration_us {
+        let cpu = p.app.cpu_req.sample(rng);
+        trace.push(TraceRecord {
+            t_us: t,
+            pid: 0,
+            class: ProcessClass::Application,
+            resource: Resource::Cpu,
+            occupancy_us: cpu,
+        });
+        t += cpu;
+        if t >= cfg.duration_us {
+            break;
         }
+        let net = p.app.net_req.sample(rng);
+        trace.push(TraceRecord {
+            t_us: t,
+            pid: 0,
+            class: ProcessClass::Application,
+            resource: Resource::Network,
+            occupancy_us: net,
+        });
+        t += net;
     }
 
     // Paradyn daemon: one collect-and-forward cycle per sample.
-    let pd_rate_period = cfg.sampling_period_us / cfg.n_app.max(1) as f64;
-    let mut t = exp_draw(rng, pd_rate_period);
+    let mut t = exp_draw(rng, cfg.sampling_period_us);
     while t < cfg.duration_us {
         let cpu = p.pd.cpu_req.sample(rng);
         trace.push(TraceRecord {
@@ -106,23 +96,21 @@ pub fn synthesize<R: Rng>(cfg: &SynthConfig, rng: &mut R) -> Trace {
             occupancy_us: net,
         });
         // A received sample costs the main process CPU on the host node.
-        if cfg.include_main {
-            trace.push(TraceRecord {
-                t_us: t + cpu + net,
-                pid: 0,
-                class: ProcessClass::MainParadyn,
-                resource: Resource::Cpu,
-                occupancy_us: p.main_cpu.sample(rng),
-            });
-            trace.push(TraceRecord {
-                t_us: t + cpu + net,
-                pid: 0,
-                class: ProcessClass::MainParadyn,
-                resource: Resource::Network,
-                occupancy_us: p.main_net.sample(rng),
-            });
-        }
-        t += exp_draw(rng, pd_rate_period);
+        trace.push(TraceRecord {
+            t_us: t + cpu + net,
+            pid: 0,
+            class: ProcessClass::MainParadyn,
+            resource: Resource::Cpu,
+            occupancy_us: p.main_cpu.sample(rng),
+        });
+        trace.push(TraceRecord {
+            t_us: t + cpu + net,
+            pid: 0,
+            class: ProcessClass::MainParadyn,
+            resource: Resource::Network,
+            occupancy_us: p.main_net.sample(rng),
+        });
+        t += exp_draw(rng, cfg.sampling_period_us);
     }
 
     // PVM daemon: Poisson arrivals; each arrival occupies CPU then network.
@@ -231,44 +219,10 @@ mod tests {
     }
 
     #[test]
-    fn multiple_apps_scale_pd_rate() {
-        let cfg = SynthConfig {
-            duration_us: 20.0e6,
-            n_app: 4,
-            ..Default::default()
-        };
-        let t = synthesize(&cfg, &mut SplitMix64(5));
-        let n = t.occupancies(ProcessClass::ParadynDaemon, Resource::Cpu).len();
-        assert!((1700..2400).contains(&n), "n={n}");
-        // Four distinct app pids.
-        let pids: std::collections::HashSet<u32> = t
-            .records()
-            .iter()
-            .filter(|r| r.class == ProcessClass::Application)
-            .map(|r| r.pid)
-            .collect();
-        assert_eq!(pids.len(), 4);
-    }
-
-    #[test]
     fn deterministic_under_seed() {
         let a = small_trace(7);
         let b = small_trace(7);
         assert_eq!(a.len(), b.len());
         assert_eq!(a.records()[10], b.records()[10]);
-    }
-
-    #[test]
-    fn no_main_records_when_disabled() {
-        let cfg = SynthConfig {
-            duration_us: 5.0e6,
-            include_main: false,
-            ..Default::default()
-        };
-        let t = synthesize(&cfg, &mut SplitMix64(8));
-        assert!(t
-            .records()
-            .iter()
-            .all(|r| r.class != ProcessClass::MainParadyn));
     }
 }

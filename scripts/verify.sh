@@ -66,7 +66,8 @@ rewind_dir="$(mktemp -d)"
 roster_dir="$(mktemp -d)"
 pool_dir="$(mktemp -d)"
 members_dir="$(mktemp -d)"
-trap 'rm -rf "$mut_dir" "$chaos_dir" "$ratchet_dir" "$batch_dir" "$fifo_dir" "$rewind_dir" "$roster_dir" "$pool_dir" "$members_dir"' EXIT
+tie_dir="$(mktemp -d)"
+trap 'rm -rf "$mut_dir" "$chaos_dir" "$ratchet_dir" "$batch_dir" "$fifo_dir" "$rewind_dir" "$roster_dir" "$pool_dir" "$members_dir" "$tie_dir"' EXIT
 # The workspace passes read the whole tree (Acc lives in crates/core, the
 # conservation identity in src/chaos.rs), so the scratch copy carries the
 # root package sources too.
@@ -368,6 +369,32 @@ if [ "$rewind_rc" -eq 0 ] || ! grep -q "^    $rewind_test\$" "$rewind_out"; then
   exit 1
 fi
 echo "calendar rewind mutation self-check: $rewind_test correctly failed"
+
+echo "== tie-order mutation self-check (ties linked newest-first must go red) =="
+# Scratch copy where the wheel links a new entry ahead of the entries
+# already at its instant: same-time ties then fire newest-first, and the
+# wheel-vs-reference tie-order test must fail by name.
+tie_test="wheel_ties_fire_in_reference_order"
+cp Cargo.toml Cargo.lock "$tie_dir"/
+cp -r crates src tests examples "$tie_dir"/
+tie_rs="$tie_dir/crates/des/src/calendar.rs"
+sed -i 's/if (c\.at, c\.seq) > (at, seq) {/if c.at >= at {/' "$tie_rs"
+grep -q 'if c\.at >= at {' "$tie_rs" || {
+  echo "verify: FAIL — could not seed the newest-first tie link" >&2
+  exit 1
+}
+tie_out="$tie_dir/tie-out.txt"
+set +e
+( cd "$tie_dir" && CARGO_TARGET_DIR="$tie_dir/target" \
+    cargo test -q --offline --test batch_delivery ) > "$tie_out" 2>&1
+tie_rc=$?
+set -e
+if [ "$tie_rc" -eq 0 ] || ! grep -q "^    $tie_test\$" "$tie_out"; then
+  echo "verify: FAIL — $tie_test did not go red with newest-first ties:" >&2
+  tail -n 40 "$tie_out" >&2
+  exit 1
+fi
+echo "tie-order mutation self-check: $tie_test correctly failed"
 
 echo "== repro all at quick scale (simulated work gated against BENCH_repro.json) =="
 # Every artifact runs (the fault sweep and degradation among them); the

@@ -1,12 +1,16 @@
-//! Differential property tests for batched same-timestamp delivery:
-//! `Sim::run_until` drains whole same-instant runs from the calendar front
-//! and dispatches them as a slice, and that must be observationally
-//! bit-identical to one-at-a-time `Sim::step` delivery — same `(time,
-//! event)` trace including tie order, same executed counts, no residue —
-//! across random tie-heavy schedules where handlers post new events at the
-//! instant that is being drained. The reference calendar never batches, so
-//! comparing the wheel against it compares batched against unbatched
-//! delivery.
+//! Tie-order gate for the event kernel: every run delivers events in
+//! `(time, schedule order)`, one pop per event. Three checks, each over
+//! random tie-heavy schedules where handlers post new events at the
+//! instant that is firing:
+//!
+//! * the hashed wheel fires same-time ties in the reference calendar's
+//!   `(time, seq)` order;
+//! * `Sim::run_until` delivers exactly what repeated `Sim::step` does —
+//!   same `(time, event)` trace, same executed count, no residue;
+//! * splitting a run at arbitrary horizons leaves the trace unchanged.
+//!
+//! `scripts/verify.sh` links new wheel entries ahead of their same-time
+//! peers in a scratch copy and requires the first check to fail by name.
 //!
 //! Runs on the in-tree `paradyn_stats::check` harness. Rerun a reported
 //! failure with `PARADYN_PROP_SEED=<seed> cargo test <property name>`.
@@ -16,8 +20,8 @@ use paradyn_stats::{check, prop_assert_eq};
 
 /// Scripted model: event `id` posts one follow-up per delay in `plan[id]`.
 /// All state that decides behavior is updated only through handler
-/// execution, so any divergence between delivery strategies shows up as a
-/// trace mismatch.
+/// execution, so any divergence in delivery order shows up as a trace
+/// mismatch.
 struct Scripted {
     plan: Vec<Vec<u64>>,
     trace: Vec<(u64, u32)>,
@@ -58,7 +62,7 @@ fn gen_plan(g: &mut paradyn_stats::Gen) -> Vec<Vec<u64>> {
 }
 
 /// Seed events: several ids scheduled at shared instants so the very first
-/// delivery is already a multi-event batch.
+/// delivery is already a tie.
 fn gen_seeds(g: &mut paradyn_stats::Gen, plan_len: usize) -> Vec<(u64, u32)> {
     let n = g.usize_in(1, 16);
     (0..n)
@@ -82,38 +86,62 @@ fn build(kind: CalendarKind, plan: &[Vec<u64>], seeds: &[(u64, u32)]) -> Sim<Scr
     sim
 }
 
-/// Batched `run_until` delivery equals one-at-a-time `step` delivery, bit
-/// for bit, on both calendars, and the batched wheel equals the unbatched
-/// reference.
+/// The wheel fires every schedule in the reference calendar's order, ties
+/// included. One case is pinned: four events share an instant and the
+/// third posts a child at that instant, which fires after all four.
 #[test]
-fn batched_delivery_matches_one_at_a_time() {
-    check("batched_delivery_matches_one_at_a_time", |g| {
+fn wheel_ties_fire_in_reference_order() {
+    // Event 2 posts id 0 (spawn 1 → (1·7 + 3) % 5) with zero delay.
+    let plan = vec![vec![], vec![], vec![0], vec![], vec![]];
+    for kind in [CalendarKind::Wheel, CalendarKind::Heap] {
+        let mut sim = build(kind, &plan, &[(10, 1), (10, 3), (10, 2), (10, 4)]);
+        sim.run_until(SimTime::MAX);
+        assert_eq!(
+            sim.model.trace,
+            vec![(10, 1), (10, 3), (10, 2), (10, 4), (10, 0)],
+            "{kind:?}"
+        );
+    }
+    check("wheel_ties_fire_in_reference_order", |g| {
         let plan = gen_plan(g);
         let seeds = gen_seeds(g, plan.len());
-        let mut traces = vec![];
+        let mut wheel = build(CalendarKind::Wheel, &plan, &seeds);
+        wheel.run_until(SimTime::MAX);
+        let mut reference = build(CalendarKind::Heap, &plan, &seeds);
+        reference.run_until(SimTime::MAX);
+        prop_assert_eq!(&wheel.model.trace, &reference.model.trace);
+        Ok(())
+    });
+}
+
+/// `run_until` equals repeated `step`, bit for bit, on both calendars, and
+/// leaves nothing behind.
+#[test]
+fn run_until_matches_repeated_step() {
+    check("run_until_matches_repeated_step", |g| {
+        let plan = gen_plan(g);
+        let seeds = gen_seeds(g, plan.len());
         for kind in [CalendarKind::Wheel, CalendarKind::Heap] {
-            let mut batched = build(kind, &plan, &seeds);
-            batched.run_until(SimTime::MAX);
+            let mut run = build(kind, &plan, &seeds);
+            run.run_until(SimTime::MAX);
             let mut stepped = build(kind, &plan, &seeds);
             while stepped.step() {}
-            prop_assert_eq!(&batched.model.trace, &stepped.model.trace);
-            prop_assert_eq!(batched.executed_events(), stepped.executed_events());
-            for sim in [&mut batched, &mut stepped] {
+            prop_assert_eq!(&run.model.trace, &stepped.model.trace);
+            prop_assert_eq!(run.executed_events(), stepped.executed_events());
+            for sim in [&mut run, &mut stepped] {
                 prop_assert_eq!(sim.ctx().pending_events(), 0);
                 prop_assert_eq!(sim.ctx().calendar_stats().occupied_buckets, 0);
             }
-            traces.push(batched.model.trace);
         }
-        prop_assert_eq!(&traces[0], &traces[1]);
         Ok(())
     });
 }
 
 /// Horizon stops inside tie runs do not change the trace: running the same
-/// schedule in many small slices equals one full-drain run.
+/// schedule in many small slices equals one full run.
 #[test]
-fn batched_delivery_is_horizon_split_invariant() {
-    check("batched_delivery_is_horizon_split_invariant", |g| {
+fn horizon_split_leaves_the_trace_unchanged() {
+    check("horizon_split_leaves_the_trace_unchanged", |g| {
         let plan = gen_plan(g);
         let seeds = gen_seeds(g, plan.len());
         for kind in [CalendarKind::Wheel, CalendarKind::Heap] {
@@ -130,25 +158,4 @@ fn batched_delivery_is_horizon_split_invariant() {
         }
         Ok(())
     });
-}
-
-/// The canonical in-batch post, pinned deterministically: four events
-/// share one instant. The first two arrive through ordinary pops and the
-/// rest of the instant is drained as a batch; its first member posts a
-/// child at the same instant while the last is still waiting in the batch.
-/// The child fires within the instant, after the batch.
-#[test]
-fn post_inside_batch_fires_after_the_drained_run() {
-    for kind in [CalendarKind::Wheel, CalendarKind::Heap] {
-        // Event 2 posts id 0 (spawn 1 → (1·7 + 3) % 5) with zero delay.
-        let plan = vec![vec![], vec![], vec![0], vec![], vec![]];
-        let mut sim = build(kind, &plan, &[(10, 1), (10, 3), (10, 2), (10, 4)]);
-        sim.run_until(SimTime::MAX);
-        assert_eq!(
-            sim.model.trace,
-            vec![(10, 1), (10, 3), (10, 2), (10, 4), (10, 0)],
-            "{kind:?}"
-        );
-        assert_eq!(sim.ctx().pending_events(), 0);
-    }
 }

@@ -6,7 +6,7 @@ use paradyn_bench::simhelp::run_grid;
 use paradyn_bench::Scale;
 use paradyn_core::{
     build_with_calendar, predicted_events, replication_seed, run, run_forked, run_many,
-    run_perturbed_from_zero, run_replicated_threads, shardable, Arch, DegradationConfig,
+    run_perturbed_from_zero, run_replicated_threads, Arch, DegradationConfig,
     Forwarding, OverloadRamp, SimConfig, SimMetrics,
 };
 use paradyn_des::{rewind_bisect, CalendarKind, SimTime};
@@ -261,43 +261,6 @@ fn predicted_events_rank_the_heaviest_table4_cells_first() {
         predicted,
         "executed events {events:?}"
     );
-}
-
-/// Same-time ties fire in `(time, seq)` order, so the sequence numbering
-/// is part of every trace: `build_with_calendar` must number events per
-/// node on exactly the `shardable` configurations and with one global
-/// counter everywhere else, on both calendar backends.
-#[test]
-fn cell_numbering_is_on_exactly_for_shardable_configs() {
-    let mut cfgs = all_arch_configs();
-    let tree = cfgs[3].clone();
-    cfgs.push(SimConfig {
-        arch: Arch::Mpp {
-            forwarding: Forwarding::Direct,
-        },
-        nodes: 9,
-        ..tree.clone()
-    });
-    cfgs.push(SimConfig {
-        degradation: Some(DegradationConfig::default()),
-        ..tree.clone()
-    });
-    cfgs.push(SimConfig {
-        overload: Some(OverloadRamp::default()),
-        ..tree.clone()
-    });
-    let mut barrier = tree;
-    barrier.app.barrier_period_us = Some(1_000_000.0);
-    cfgs.push(barrier);
-    let shardable_count = cfgs.iter().filter(|c| shardable(c)).count();
-    assert_eq!(shardable_count, 3, "fixture covers both sides of `shardable`");
-    for cfg in &cfgs {
-        for kind in [CalendarKind::Wheel, CalendarKind::Heap] {
-            let mut sim = build_with_calendar(cfg, kind);
-            let want = if shardable(cfg) { cfg.nodes as u32 } else { 1 };
-            assert_eq!(sim.ctx().cells(), want, "{:?} on {kind:?}", cfg.arch);
-        }
-    }
 }
 
 /// On a determinism failure, rerun the offending configuration through
