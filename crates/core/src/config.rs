@@ -2,6 +2,7 @@
 //! configuration, the experiment factors of Section 4.1, and the
 //! fault-injection plan for graceful-degradation studies.
 
+use crate::model::types::MAX_BATCH;
 use crate::pipe::OverflowPolicy;
 use paradyn_workload::{AppProfile, ReplaySchedule, RoccParams};
 use std::sync::Arc;
@@ -365,7 +366,7 @@ impl SimConfig {
         if self.batch == 0 {
             return Err("batch size must be >= 1".into());
         }
-        if self.batch > 4096 {
+        if self.batch > MAX_BATCH {
             return Err("batch size unreasonably large (> 4096)".into());
         }
         if self.sampling_period_us <= 0.0 {
@@ -404,7 +405,7 @@ impl SimConfig {
             if a.min_batch == 0 || a.min_batch > a.max_batch {
                 return Err("adaptive batch bounds must satisfy 1 <= min <= max".into());
             }
-            if a.max_batch > 4096 {
+            if a.max_batch > MAX_BATCH {
                 return Err("adaptive max batch unreasonably large".into());
             }
             if !(0.0..=1.0).contains(&a.target_pd_util) || a.target_pd_util == 0.0 {

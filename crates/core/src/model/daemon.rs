@@ -2,12 +2,12 @@
 //! pipe draining with writer wake-up, direct or binary-tree forwarding
 //! with en-route merging, and injected crash/link faults.
 
-use super::types::{tree_parent, Batch, CpuJob, CpuKind, Dest, Ev, NetJob, PdId};
+use super::types::{tree_parent, Batch, CpuJob, CpuKind, Dest, Ev, NetJob, PdId, Stage};
 use super::{RoccModel, Step};
 use crate::config::{Arch, Forwarding};
 use paradyn_des::{Ctx, SimDur};
 use paradyn_workload::params::{PD_CPU_PER_EXTRA_SAMPLE_US, PD_NET_PER_EXTRA_SAMPLE_US};
-use std::num::NonZeroU32;
+use std::num::NonZeroU16;
 
 impl RoccModel {
     /// Start a collection cycle if the daemon is idle and a full batch is
@@ -37,7 +37,9 @@ impl RoccModel {
         } else {
             0
         };
-        let Some(count) = NonZeroU32::new(k as u32) else {
+        // Validation caps every batch threshold at `MAX_BATCH`, so `k`
+        // fits the count.
+        let Some(count) = NonZeroU16::new(k as _) else {
             return false;
         };
         // The roster names the apps whose pipe slots this cycle holds until
@@ -58,6 +60,8 @@ impl RoccModel {
         let node = d.node;
         let batch = Batch {
             count,
+            stage: Stage::Collect,
+            holder: pd,
             sum_gen_ns,
             ready_ns: ctx.now().as_nanos(),
         };
@@ -66,7 +70,7 @@ impl RoccModel {
             ctx,
             self.bank_of(node),
             CpuJob {
-                kind: CpuKind::PdCollect { pd, batch },
+                kind: CpuKind::Batch(batch),
             },
             demand,
         );
@@ -153,7 +157,8 @@ impl RoccModel {
     /// The collect CPU work finished: the pipe reads have happened, so
     /// drain the pipes (admitting parked samples and resuming blocked
     /// writers), then put the batch on the network.
-    pub(crate) fn pd_collect_done(&mut self, ctx: &mut Ctx<Ev>, pd: PdId, batch: Batch) {
+    pub(crate) fn pd_collect_done(&mut self, ctx: &mut Ctx<Ev>, batch: Batch) {
+        let pd = batch.holder;
         // The roster lists one app per sample of the batch. It is taken
         // out for the loop and put back, keeping its capacity.
         let mut roster = std::mem::take(&mut self.daemons.roster[pd as usize]);
@@ -189,26 +194,26 @@ impl RoccModel {
         let p = &self.cfg.params;
         let demand =
             p.pd.net_req.sample(&mut d.net_rng) + PD_NET_PER_EXTRA_SAMPLE_US * (count as f64 - 1.0);
-        self.submit_forward(ctx, pd, batch, demand, 0);
+        self.submit_forward(ctx, batch, demand);
         // The daemon is free again; more samples may already be buffered.
         self.maybe_collect(ctx, pd);
     }
 
-    /// Put one forwarding hop on the network, subject to injected link
-    /// faults: a failed attempt backs off exponentially and retries from
-    /// the same daemon; once the retry budget is exhausted the whole batch
-    /// is dropped. `attempts` counts this hop's failures so far (the retry
-    /// budget is per hop). The network demand is drawn once per hop and
-    /// reused across retries, so link faults perturb no other random
+    /// Put one forwarding hop of the batch's holder on the network,
+    /// subject to injected link faults: a failed attempt backs off
+    /// exponentially and retries from the same holder; once the retry
+    /// budget is exhausted the whole batch is dropped. A batch arriving
+    /// from its collect or merge stage starts the hop; a retried one
+    /// carries the hop's failures so far in its [`Stage::Forward`] (the
+    /// retry budget is per hop). The network demand is drawn once per hop
+    /// and reused across retries, so link faults perturb no other random
     /// stream.
-    pub(crate) fn submit_forward(
-        &mut self,
-        ctx: &mut Ctx<Ev>,
-        pd: PdId,
-        batch: Batch,
-        demand_us: f64,
-        attempts: u8,
-    ) {
+    pub(crate) fn submit_forward(&mut self, ctx: &mut Ctx<Ev>, mut batch: Batch, demand_us: f64) {
+        let pd = batch.holder;
+        let attempts = match batch.stage {
+            Stage::Forward { attempts } => attempts,
+            _ => 0,
+        };
         if let Some(link) = self.cfg.faults.link {
             let failed = self.daemons.cold[pd as usize].link_rng.next_f64() < link.fail_prob;
             if failed {
@@ -223,20 +228,16 @@ impl RoccModel {
                 self.daemons.cold[pd as usize].fault_mon.add_retry();
                 let backoff_us =
                     link.backoff_base_us * (1u64 << (attempts - 1).min(20)) as f64;
+                batch.stage = Stage::Forward { attempts };
                 ctx.post_in(
                     SimDur::from_micros_f64(backoff_us),
-                    Ev::RetryForward {
-                        pd,
-                        batch,
-                        demand_us,
-                        attempts,
-                    },
+                    Ev::RetryForward { batch, demand_us },
                 );
                 return;
             }
         }
-        let dest = self.forward_dest(self.daemons.hot[pd as usize].node);
-        self.submit_net(ctx, NetJob::Forward { batch, dest }, demand_us);
+        batch.stage = Stage::Forward { attempts };
+        self.submit_net(ctx, NetJob::Forward(batch), demand_us);
     }
 
     /// Injected daemon crash: the daemon dies, taking its pipe backlog and
@@ -295,12 +296,13 @@ impl RoccModel {
         self.maybe_collect(ctx, pd);
     }
 
-    /// Where a daemon on `node` sends its next hop.
-    fn forward_dest(&self, node: u32) -> Dest {
+    /// Where a forward sent by `holder` lands: its parent on an MPP tree
+    /// (where daemon index == node index), the main process otherwise.
+    pub(crate) fn forward_dest(&self, holder: PdId) -> Dest {
         match self.cfg.arch {
             Arch::Mpp {
                 forwarding: Forwarding::BinaryTree,
-            } if node != 0 => Dest::Node(tree_parent(node)),
+            } if holder != 0 => Dest::Node(tree_parent(holder)),
             _ => Dest::Main,
         }
     }
@@ -334,8 +336,8 @@ impl RoccModel {
         }
     }
 
-    /// A forwarded message arrived at a non-leaf tree node: charge the merge
-    /// CPU work (`D_Pdm,CPU`).
+    /// A forwarded message arrived at a non-leaf tree node, which now holds
+    /// it: charge the merge CPU work (`D_Pdm,CPU`).
     pub(crate) fn pd_merge_start(&mut self, ctx: &mut Ctx<Ev>, node: u32, batch: Batch) {
         let demand = self
             .cfg
@@ -346,7 +348,11 @@ impl RoccModel {
             ctx,
             self.bank_of(node),
             CpuJob {
-                kind: CpuKind::PdMerge { node, batch },
+                kind: CpuKind::Batch(Batch {
+                    stage: Stage::Merge,
+                    holder: node,
+                    ..batch
+                }),
             },
             demand,
         );
@@ -355,7 +361,8 @@ impl RoccModel {
     /// Merge work done: relay the merged message one hop up. Per the paper,
     /// "the network occupancy needed for forwarding a merged sample is the
     /// same as for forwarding a local sample" — no batch marginal here.
-    pub(crate) fn pd_merge_done(&mut self, ctx: &mut Ctx<Ev>, node: u32, batch: Batch) {
+    pub(crate) fn pd_merge_done(&mut self, ctx: &mut Ctx<Ev>, batch: Batch) {
+        let node = batch.holder;
         let demand = self
             .cfg
             .params
@@ -363,9 +370,9 @@ impl RoccModel {
             .net_req
             .sample(&mut self.daemons.hot[node as usize].net_rng);
         // Merges only occur on MPP trees, where daemon index == node, so
-        // `submit_forward`'s destination lookup is the same Main-or-parent
-        // hop this relay needs — and the relay hop is subject to the same
-        // injected link faults as a leaf forward.
-        self.submit_forward(ctx, node, batch, demand, 0);
+        // the node holds the relay hop as a leaf daemon holds its own: the
+        // same Main-or-parent destination and the same injected link
+        // faults.
+        self.submit_forward(ctx, batch, demand);
     }
 }

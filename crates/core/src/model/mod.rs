@@ -36,7 +36,7 @@ use paradyn_workload::params::{
     MAIN_CPU_PER_EXTRA_SAMPLE_US, MIN_FORWARD_US, QUANTUM_US, SMP_BUS_SPEEDUP,
 };
 use std::collections::VecDeque;
-use types::{class_idx, AppId, Batch, CpuJob, CpuKind, Dest, Ev, NetJob};
+use types::{class_idx, AppId, Batch, CpuJob, CpuKind, Dest, Ev, NetJob, Stage};
 
 /// Stream-id kinds for reproducible per-element randomness.
 ///
@@ -351,7 +351,7 @@ impl RoccModel {
         // On contention-free interconnects a forwarding hop takes at least
         // `MIN_FORWARD_US` of wire time.
         let demand_us = match (&self.shared_net, &job) {
-            (None, NetJob::Forward { .. }) => demand_us.max(MIN_FORWARD_US),
+            (None, NetJob::Forward(_)) => demand_us.max(MIN_FORWARD_US),
             _ => demand_us,
         };
         self.acc.net_busy_us[class_idx(job.class())] += demand_us;
@@ -372,9 +372,12 @@ impl RoccModel {
     fn cpu_completed(&mut self, ctx: &mut Ctx<Ev>, job: CpuJob) {
         match job.kind {
             CpuKind::AppCompute { app } => self.app_compute_done(ctx, app),
-            CpuKind::PdCollect { pd, batch } => self.pd_collect_done(ctx, pd, batch),
-            CpuKind::PdMerge { node, batch } => self.pd_merge_done(ctx, node, batch),
-            CpuKind::MainRecv { batch } => self.main_recv_done(ctx, batch),
+            CpuKind::Batch(batch) => match batch.stage {
+                Stage::Collect => self.pd_collect_done(ctx, batch),
+                Stage::Merge => self.pd_merge_done(ctx, batch),
+                Stage::Receive => self.main_recv_done(ctx, batch),
+                Stage::Forward { .. } => unreachable!("a forwarding batch holds no CPU"),
+            },
             CpuKind::PvmdCpu { node } => {
                 let d = self.cfg.params.pvmd.net_req.sample(&mut self.pvmd_rngs[node as usize]);
                 self.submit_net(ctx, NetJob::PvmdNet { node }, d);
@@ -387,7 +390,7 @@ impl RoccModel {
     fn delivered(&mut self, ctx: &mut Ctx<Ev>, job: NetJob) {
         match job {
             NetJob::AppComm { app } => self.app_comm_done(ctx, app),
-            NetJob::Forward { batch, dest } => match dest {
+            NetJob::Forward(batch) => match self.forward_dest(batch.holder) {
                 Dest::Main => self.main_receive(ctx, batch),
                 Dest::Node(node) => self.pd_merge_start(ctx, node, batch),
             },
@@ -408,7 +411,10 @@ impl RoccModel {
             ctx,
             self.bank_of(0),
             CpuJob {
-                kind: CpuKind::MainRecv { batch },
+                kind: CpuKind::Batch(Batch {
+                    stage: Stage::Receive,
+                    ..batch
+                }),
             },
             demand,
         );
@@ -497,20 +503,18 @@ impl RoccModel {
     pub(crate) fn batches_held(sim: &mut Sim<RoccModel>) -> Vec<Batch> {
         let mut held = vec![];
         sim.ctx().for_each_pending(|ev| match *ev {
-            Ev::Deliver(NetJob::Forward { batch, .. }) | Ev::RetryForward { batch, .. } => {
+            Ev::Deliver(NetJob::Forward(batch)) | Ev::RetryForward { batch, .. } => {
                 held.push(batch)
             }
             _ => {}
         });
         let m = &sim.model;
         let cpu = m.banks.iter().flat_map(|b| b.jobs()).filter_map(|j| match j.kind {
-            CpuKind::PdCollect { batch, .. }
-            | CpuKind::PdMerge { batch, .. }
-            | CpuKind::MainRecv { batch } => Some(batch),
+            CpuKind::Batch(batch) => Some(batch),
             _ => None,
         });
         let net = m.shared_net.iter().flat_map(|s| s.jobs()).filter_map(|j| match j {
-            NetJob::Forward { batch, .. } => Some(batch),
+            NetJob::Forward(batch) => Some(batch),
             _ => None,
         });
         held.extend(cpu.chain(net));
@@ -563,15 +567,15 @@ impl Model for RoccModel {
             Ev::Slice { bank, cpu } => {
                 let end = self.banks[bank as usize].slice_end(cpu as usize);
                 self.acc.cpu_busy_us[class_idx(end.job.class())] += end.ran.as_micros_f64();
-                // Per-daemon attribution for adaptive regulation.
-                match end.job.kind {
-                    CpuKind::PdCollect { pd, .. } => {
-                        self.daemons.hot[pd as usize].cpu_used_us += end.ran.as_micros_f64();
-                    }
-                    CpuKind::PdMerge { node, .. } => {
-                        self.daemons.hot[node as usize].cpu_used_us += end.ran.as_micros_f64();
-                    }
-                    _ => {}
+                // Per-daemon attribution for adaptive regulation: the
+                // holder of a collect or merge.
+                if let CpuKind::Batch(Batch {
+                    stage: Stage::Collect | Stage::Merge,
+                    holder,
+                    ..
+                }) = end.job.kind
+                {
+                    self.daemons.hot[holder as usize].cpu_used_us += end.ran.as_micros_f64();
                 }
                 if let Some(slice) = end.next_slice {
                     ctx.post_in(slice, Ev::Slice { bank, cpu });
@@ -597,12 +601,7 @@ impl Model for RoccModel {
             Ev::OtherNetArrival { node } => self.other_net_arrival(ctx, node),
             Ev::DaemonCrash { pd } => self.daemon_crash(ctx, pd),
             Ev::DaemonRecover { pd } => self.daemon_recover(ctx, pd),
-            Ev::RetryForward {
-                pd,
-                batch,
-                demand_us,
-                attempts,
-            } => self.submit_forward(ctx, pd, batch, demand_us, attempts),
+            Ev::RetryForward { batch, demand_us } => self.submit_forward(ctx, batch, demand_us),
             Ev::MainStall => self.main_stall(ctx),
             Ev::ThrottleTick { app } => self.throttle_tick(ctx, app),
             Ev::Backpressure { pd, on } => self.backpressure_signal(ctx, pd, on),
@@ -699,8 +698,8 @@ impl RoccModel {
     }
 
     /// Injected slow-consumer stall: the main process's host CPU absorbs a
-    /// burst of competing (Other-class) work, delaying `MainRecv`
-    /// processing through round-robin sharing.
+    /// burst of competing (Other-class) work, delaying the receive of
+    /// each batch through round-robin sharing.
     fn main_stall(&mut self, ctx: &mut Ctx<Ev>) {
         let s = self.cfg.faults.stall.expect("MainStall only scheduled with stalls on");
         self.acc.stall_injected_us += s.stall_us;

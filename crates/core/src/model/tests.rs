@@ -2,9 +2,12 @@
 //! pipe draining, tree routing, SMP daemon assignment, and event plumbing.
 
 use super::*;
-use crate::config::{Arch, Forwarding, SimConfig};
+use crate::config::{Arch, FaultPlan, Forwarding, LinkFaults, SimConfig};
 use paradyn_des::fifo::{MAX_BLOCK, MIN_BLOCK};
+use paradyn_des::CalendarKind;
 use paradyn_workload::ProcessClass;
+use std::collections::HashMap;
+use std::num::NonZeroU16;
 
 fn quick(arch: Arch, nodes: usize) -> SimConfig {
     SimConfig {
@@ -304,5 +307,187 @@ fn snapshot_round_trips_a_daemon_mid_collect() {
         Some(paradyn_des::SnapError::Malformed(
             "daemon roster disagrees with its collect cycle"
         ))
+    );
+}
+
+fn held_batch(count: u8, stage: Stage, holder: u32) -> Batch {
+    Batch {
+        count: NonZeroU16::new(count.into()).unwrap(),
+        stage,
+        holder,
+        sum_gen_ns: 0,
+        ready_ns: 0,
+    }
+}
+
+/// A model with no `Init` posted: nothing runs but what a test injects.
+fn idle_sim(cfg: SimConfig) -> Sim<RoccModel> {
+    Sim::with_calendar(RoccModel::new(cfg), CalendarKind::Wheel)
+}
+
+/// The batches CPU bank `bank` holds, running or ready.
+fn cpu_batches(sim: &Sim<RoccModel>, bank: usize) -> Vec<Batch> {
+    let jobs = sim.model.banks[bank].jobs();
+    jobs.filter_map(|j| match j.kind {
+        CpuKind::Batch(b) => Some(b),
+        _ => None,
+    })
+    .collect()
+}
+
+#[test]
+fn a_forward_lands_where_its_holder_sends() {
+    let tree = quick(
+        Arch::Mpp {
+            forwarding: Forwarding::BinaryTree,
+        },
+        7,
+    );
+    let model = RoccModel::new(tree.clone());
+    assert_eq!(model.forward_dest(5), Dest::Node(2));
+    assert_eq!(model.forward_dest(2), Dest::Node(0));
+    assert_eq!(model.forward_dest(0), Dest::Main);
+    let flat = [
+        Arch::Now { contention_free: false },
+        Arch::Now { contention_free: true },
+        Arch::Mpp {
+            forwarding: Forwarding::Direct,
+        },
+    ];
+    for arch in flat {
+        let model = RoccModel::new(quick(arch, 7));
+        for pd in 0..7 {
+            assert_eq!(model.forward_dest(pd), Dest::Main, "{arch:?} daemon {pd}");
+        }
+    }
+
+    // On the tree, node 5's forward becomes a merge held by node 2, and
+    // node 0's becomes a receive on the main process's bank.
+    let mut sim = idle_sim(tree);
+    sim.model.acc.in_batches = 5;
+    let forward = Stage::Forward { attempts: 0 };
+    sim.ctx().post_at(SimTime::ZERO, Ev::Deliver(NetJob::Forward(held_batch(2, forward, 5))));
+    sim.ctx().post_at(SimTime::ZERO, Ev::Deliver(NetJob::Forward(held_batch(3, forward, 0))));
+    sim.run_until(SimTime::from_nanos(1));
+    let merge = cpu_batches(&sim, 2);
+    assert_eq!(merge.len(), 1);
+    assert_eq!((merge[0].stage, merge[0].holder, merge[0].count.get()), (Stage::Merge, 2, 2));
+    let receive = cpu_batches(&sim, 0);
+    assert_eq!(receive.len(), 1);
+    assert_eq!(
+        (receive[0].stage, receive[0].holder, receive[0].count.get()),
+        (Stage::Receive, 0, 3)
+    );
+    assert_eq!(RoccModel::in_batch_violation(&mut sim), None);
+}
+
+#[test]
+fn a_retried_forward_keeps_its_holder_until_its_retries_run_out() {
+    // Every forward attempt fails: each batch is retried `max_retries`
+    // times by the daemon that collected it, then dropped.
+    let max_retries = 3;
+    let cfg = SimConfig {
+        faults: FaultPlan {
+            link: Some(LinkFaults {
+                fail_prob: 1.0,
+                max_retries,
+                backoff_base_us: 200.0,
+            }),
+            ..Default::default()
+        },
+        duration_s: 0.5,
+        ..quick(Arch::Now { contention_free: true }, 4)
+    };
+    let horizon = SimTime::from_secs_f64(cfg.duration_s);
+    let mut sim = build(&cfg);
+    // Each retried batch, keyed by its generation stamps: its holder and
+    // the most attempts seen.
+    let mut seen: HashMap<(u64, u64), (u32, u8)> = HashMap::new();
+    let mut pending = vec![];
+    while sim.now() < horizon && sim.step() {
+        pending.clear();
+        sim.ctx().for_each_pending(|ev| {
+            if let Ev::RetryForward { batch, .. } = *ev {
+                pending.push(batch);
+            }
+        });
+        for b in &pending {
+            let Stage::Forward { attempts } = b.stage else {
+                panic!("a retry outside its forward stage: {b:?}");
+            };
+            assert!((1..=max_retries as u8).contains(&attempts), "{b:?}");
+            let key = (b.ready_ns, b.sum_gen_ns);
+            let entry = seen.entry(key).or_insert((b.holder, attempts));
+            assert_eq!(entry.0, b.holder, "a retry changed holder: {b:?}");
+            assert!(attempts >= entry.1, "attempts went down: {b:?}");
+            entry.1 = attempts;
+        }
+        if let Some(v) = RoccModel::in_batch_violation(&mut sim) {
+            panic!("at {:?}: {v}", sim.now());
+        }
+    }
+    let m = &sim.model;
+    let (forwarded, _) = m.total_forwarded();
+    let dropped = forwarded - pending.len() as u64;
+    let pending_attempts: u64 = pending
+        .iter()
+        .map(|b| match b.stage {
+            Stage::Forward { attempts } => u64::from(attempts),
+            _ => 0,
+        })
+        .sum();
+    assert!(dropped > 20, "only {dropped} batches dropped");
+    assert_eq!(m.total_retries(), u64::from(max_retries) * dropped + pending_attempts);
+    assert_eq!(m.acc.received_samples, 0);
+    let pending_samples: u64 = pending.iter().map(|b| u64::from(b.count.get())).sum();
+    assert_eq!(m.acc.in_batches, pending_samples);
+    let metrics = m.metrics(horizon - SimTime::ZERO, sim.executed_events());
+    assert!(metrics.lost_link > 0);
+    assert_eq!(
+        metrics.emitted_samples,
+        metrics.received_samples
+            + metrics.samples_lost
+            + metrics.shed_samples
+            + metrics.samples_in_flight,
+        "conservation"
+    );
+}
+
+#[test]
+fn batches_held_walks_every_carrier() {
+    // Shared Ethernet, so a forward can wait in the FCFS queue. Batches
+    // go into every carrier by hand (counts 1..=7); other jobs and events
+    // ride beside them and must be skipped.
+    let mut sim = idle_sim(quick(Arch::Now { contention_free: false }, 4));
+    let us = SimDur::from_micros_f64;
+    let cpu = |b| CpuJob {
+        kind: CpuKind::Batch(b),
+    };
+    let forward = Stage::Forward { attempts: 0 };
+    let m = &mut sim.model;
+    m.banks[0].submit(cpu(held_batch(1, Stage::Receive, 3)), us(100.0));
+    // Queued behind the receive, in node 0's ready queue.
+    m.banks[0].submit(cpu(held_batch(2, Stage::Collect, 0)), us(100.0));
+    m.banks[1].submit(CpuJob { kind: CpuKind::AppCompute { app: 0 } }, us(100.0));
+    m.banks[2].submit(cpu(held_batch(3, Stage::Merge, 2)), us(100.0));
+    let net = m.shared_net.as_mut().expect("shared Ethernet");
+    net.submit(NetJob::Forward(held_batch(4, forward, 1)), us(100.0));
+    net.submit(NetJob::AppComm { app: 1 }, us(100.0));
+    net.submit(NetJob::Forward(held_batch(5, forward, 2)), us(100.0));
+    m.acc.in_batches = (1..=7).sum();
+    let ctx = sim.ctx();
+    ctx.post_at(SimTime::ZERO, Ev::Deliver(NetJob::Forward(held_batch(6, forward, 3))));
+    let retry = held_batch(7, Stage::Forward { attempts: 2 }, 1);
+    ctx.post_at(SimTime::ZERO, Ev::RetryForward { batch: retry, demand_us: 1.0 });
+    ctx.post_at(SimTime::ZERO, Ev::Sample { app: 0 });
+    let mut counts: Vec<u64> =
+        RoccModel::batches_held(&mut sim).iter().map(|b| u64::from(b.count.get())).collect();
+    counts.sort_unstable();
+    assert_eq!(counts, (1..=7).collect::<Vec<u64>>());
+    assert_eq!(RoccModel::in_batch_violation(&mut sim), None);
+    sim.model.acc.in_batches += 1;
+    assert_eq!(
+        RoccModel::in_batch_violation(&mut sim).as_deref(),
+        Some("in-batch count 29 but batches hold 28")
     );
 }

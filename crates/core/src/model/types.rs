@@ -2,7 +2,7 @@
 
 use paradyn_des::SimTime;
 use paradyn_workload::ProcessClass;
-use std::num::NonZeroU32;
+use std::num::NonZeroU16;
 
 /// Global application-process index.
 pub type AppId = u32;
@@ -22,8 +22,8 @@ impl CpuJob {
     pub fn class(&self) -> ProcessClass {
         match self.kind {
             CpuKind::AppCompute { .. } => ProcessClass::Application,
-            CpuKind::PdCollect { .. } | CpuKind::PdMerge { .. } => ProcessClass::ParadynDaemon,
-            CpuKind::MainRecv { .. } => ProcessClass::MainParadyn,
+            CpuKind::Batch(b) if b.stage == Stage::Receive => ProcessClass::MainParadyn,
+            CpuKind::Batch(_) => ProcessClass::ParadynDaemon,
             CpuKind::PvmdCpu { .. } => ProcessClass::PvmDaemon,
             CpuKind::OtherCpu => ProcessClass::Other,
         }
@@ -38,26 +38,12 @@ pub enum CpuKind {
         /// The computing application process.
         app: AppId,
     },
-    /// Daemon work to collect and forward one batch.
-    PdCollect {
-        /// The daemon performing the cycle.
-        pd: PdId,
-        /// The batch being collected.
-        batch: Batch,
-    },
-    /// Merge work for an en-route child message at a tree node.
-    PdMerge {
-        /// The merging node.
-        node: u32,
-        /// The message being merged.
-        batch: Batch,
-    },
-    /// Main-process handling of one received message; latency is recorded
-    /// when this completes (receipt at the central collection facility).
-    MainRecv {
-        /// The message being consumed.
-        batch: Batch,
-    },
+    /// CPU work on a batch: its holder daemon collecting it
+    /// ([`Stage::Collect`]), its holder tree node merging it
+    /// ([`Stage::Merge`]), or the main process handling it
+    /// ([`Stage::Receive`]; latency is recorded when this completes, at
+    /// the central collection facility). Never [`Stage::Forward`].
+    Batch(Batch),
     /// A PVM daemon burst (its network request follows).
     PvmdCpu {
         /// Node of the PVM daemon instance.
@@ -67,7 +53,8 @@ pub enum CpuKind {
     OtherCpu,
 }
 
-/// Destination of a forwarded message.
+/// Destination of a forwarded message, derived from its sender
+/// (`RoccModel::forward_dest`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Dest {
     /// An intermediate tree node's daemon.
@@ -84,13 +71,9 @@ pub enum NetJob {
         /// The communicating application process.
         app: AppId,
     },
-    /// A daemon forward (one hop).
-    Forward {
-        /// The in-flight batch.
-        batch: Batch,
-        /// Where this hop lands.
-        dest: Dest,
-    },
+    /// A daemon forward: one hop of a [`Stage::Forward`] batch from its
+    /// holder to the holder's parent or the main process.
+    Forward(Batch),
     /// PVM daemon network activity.
     PvmdNet {
         /// Node of the PVM daemon instance.
@@ -108,7 +91,7 @@ impl NetJob {
     pub fn class(&self) -> ProcessClass {
         match self {
             NetJob::AppComm { .. } => ProcessClass::Application,
-            NetJob::Forward { .. } => ProcessClass::ParadynDaemon,
+            NetJob::Forward(_) => ProcessClass::ParadynDaemon,
             NetJob::PvmdNet { .. } => ProcessClass::PvmDaemon,
             NetJob::OtherNet { .. } => ProcessClass::Other,
         }
@@ -177,18 +160,14 @@ pub enum Ev {
         pd: PdId,
     },
     /// Retry a forward whose previous attempt hit an injected link
-    /// failure (fires after the exponential backoff).
+    /// failure (fires after the exponential backoff). The batch's holder
+    /// sends it again; its [`Stage::Forward`] counts the failed attempts.
     RetryForward {
-        /// Daemon (or merge node) performing the hop.
-        pd: PdId,
         /// The batch being forwarded.
         batch: Batch,
         /// Network occupancy demand of the hop (µs), reused across
         /// attempts so a retry costs no extra random draws.
         demand_us: f64,
-        /// Failed attempts on this hop so far (at most `max_retries`,
-        /// which validation caps at 64).
-        attempts: u8,
     },
     /// Injected fault: the main process's host CPU absorbs a burst of
     /// competing work, stalling message consumption.
@@ -213,17 +192,48 @@ pub enum Ev {
     OverloadRamp,
 }
 
-/// Payload of an in-flight batch of samples. A batch moves by value
-/// through the jobs and events that carry it (collect, forward, retry,
-/// merge, receive) and is gone once the last of them retires it, so no
-/// handle to it can outlive it. The pipe slots a batch holds while it is
-/// being collected are on its daemon's roster (`Daemons::roster`), not on
-/// the batch, so a batch is 24 bytes.
+/// Where a batch is in its life, and so what its holder does with it
+/// next. A batch goes collect → forward → (merge → forward)* → receive,
+/// one forward per hop of the forwarding tree.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Stage {
+    /// The holder daemon's CPU work is reading it out of the pipes.
+    Collect,
+    /// One network hop from the holder to the holder's parent in the
+    /// forwarding tree, or to the main process.
+    Forward {
+        /// Failed attempts on this hop so far (at most `max_retries`,
+        /// which validation caps at 64).
+        attempts: u8,
+    },
+    /// The holder tree node's CPU work is merging it into its own stream.
+    Merge,
+    /// The main process's CPU work is consuming it; the holder is the
+    /// daemon or tree node that sent it the last hop.
+    Receive,
+}
+
+/// An in-flight batch of samples. A batch moves by value through the
+/// jobs and events that carry it, and is gone once the last of them
+/// retires it, so no handle to it can outlive it. It carries its own
+/// `holder` and `stage`, so the carriers keep nothing beside it: the
+/// handler that receives a batch reads from it who holds it and what
+/// happens next. The pipe slots a batch holds while it is being
+/// collected are on its daemon's roster (`Daemons::roster`), not on the
+/// batch, so a batch is 24 bytes, and the spare tag values of `stage`
+/// give each enum that holds a batch its own tag for free.
 #[derive(Clone, Copy, Debug)]
 pub struct Batch {
     /// Number of samples in the batch (merging preserves the count for
-    /// latency accounting).
-    pub count: NonZeroU32,
+    /// latency accounting). Validation caps every batch threshold at
+    /// [`MAX_BATCH`].
+    pub count: NonZeroU16,
+    /// What the holder does with the batch next.
+    pub stage: Stage,
+    /// The daemon (collect, forward) or tree node (merge) that holds the
+    /// batch; for a receive, the sender of its last hop. On MPP trees a
+    /// node's daemon index is the node index.
+    pub holder: PdId,
     /// Sum of the samples' generation times (ns). The mean monitoring
     /// latency of the batch at receipt time `t` is
     /// `t − sum_gen/count`.
@@ -234,6 +244,11 @@ pub struct Batch {
     /// batches *arriving* as units; see EXPERIMENTS.md).
     pub ready_ns: u64,
 }
+
+/// Largest batch any daemon collects: validation caps the configured and
+/// the adaptive maximum batch here, and a snapshot batch above it is
+/// malformed.
+pub const MAX_BATCH: usize = 4096;
 
 impl Batch {
     /// Mean generation-to-receipt latency of the batch if received at
@@ -275,16 +290,49 @@ pub fn tree_parent(i: u32) -> u32 {
 
 use paradyn_des::{Dec, Enc, Persist, SnapError};
 
+impl Persist for Stage {
+    fn save(&self, w: &mut Enc) {
+        match *self {
+            Stage::Collect => w.put_u8(0),
+            Stage::Forward { attempts } => {
+                w.put_u8(1);
+                w.put_u8(attempts);
+            }
+            Stage::Merge => w.put_u8(2),
+            Stage::Receive => w.put_u8(3),
+        }
+    }
+    fn load(r: &mut Dec<'_>) -> Result<Self, SnapError> {
+        Ok(match r.take_u8()? {
+            0 => Stage::Collect,
+            1 => Stage::Forward {
+                attempts: r.take_u8()?,
+            },
+            2 => Stage::Merge,
+            3 => Stage::Receive,
+            _ => return Err(SnapError::Malformed("batch stage tag")),
+        })
+    }
+}
+
 impl Persist for Batch {
     fn save(&self, w: &mut Enc) {
-        w.put_u32(self.count.get());
+        w.put_u32(u32::from(self.count.get()));
+        self.stage.save(w);
+        w.put_u32(self.holder);
         w.put_u64(self.sum_gen_ns);
         w.put_u64(self.ready_ns);
     }
     fn load(r: &mut Dec<'_>) -> Result<Self, SnapError> {
+        let n = r.take_u32()?;
+        let count = (n as usize <= MAX_BATCH)
+            .then(|| NonZeroU16::new(n as _))
+            .flatten()
+            .ok_or(SnapError::Malformed("batch count outside 1..=4096"))?;
         Ok(Batch {
-            count: NonZeroU32::new(r.take_u32()?)
-                .ok_or(SnapError::Malformed("batch of zero samples"))?,
+            count,
+            stage: Persist::load(r)?,
+            holder: r.take_u32()?,
             sum_gen_ns: r.take_u64()?,
             ready_ns: r.take_u64()?,
         })
@@ -298,45 +346,41 @@ impl Persist for CpuKind {
                 w.put_u8(0);
                 w.put_u32(app);
             }
-            CpuKind::PdCollect { pd, batch } => {
+            CpuKind::Batch(batch) => {
                 w.put_u8(1);
-                w.put_u32(pd);
-                batch.save(w);
-            }
-            CpuKind::PdMerge { node, batch } => {
-                w.put_u8(2);
-                w.put_u32(node);
-                batch.save(w);
-            }
-            CpuKind::MainRecv { batch } => {
-                w.put_u8(3);
                 batch.save(w);
             }
             CpuKind::PvmdCpu { node } => {
-                w.put_u8(4);
+                w.put_u8(2);
                 w.put_u32(node);
             }
-            CpuKind::OtherCpu => w.put_u8(5),
+            CpuKind::OtherCpu => w.put_u8(3),
         }
     }
     fn load(r: &mut Dec<'_>) -> Result<Self, SnapError> {
         Ok(match r.take_u8()? {
             0 => CpuKind::AppCompute { app: r.take_u32()? },
-            1 => CpuKind::PdCollect {
-                pd: r.take_u32()?,
-                batch: Persist::load(r)?,
-            },
-            2 => CpuKind::PdMerge {
-                node: r.take_u32()?,
-                batch: Persist::load(r)?,
-            },
-            3 => CpuKind::MainRecv {
-                batch: Persist::load(r)?,
-            },
-            4 => CpuKind::PvmdCpu { node: r.take_u32()? },
-            5 => CpuKind::OtherCpu,
+            1 => {
+                let batch: Batch = Persist::load(r)?;
+                if matches!(batch.stage, Stage::Forward { .. }) {
+                    return Err(SnapError::Malformed("forwarding batch on a CPU"));
+                }
+                CpuKind::Batch(batch)
+            }
+            2 => CpuKind::PvmdCpu { node: r.take_u32()? },
+            3 => CpuKind::OtherCpu,
             _ => return Err(SnapError::Malformed("CpuKind tag")),
         })
+    }
+}
+
+/// Decode a batch that must be in its forward stage: the payload of a
+/// network forward or of a retry.
+fn load_forward(r: &mut Dec<'_>) -> Result<Batch, SnapError> {
+    let batch: Batch = Persist::load(r)?;
+    match batch.stage {
+        Stage::Forward { .. } => Ok(batch),
+        _ => Err(SnapError::Malformed("forward of a batch not in its forward stage")),
     }
 }
 
@@ -351,25 +395,6 @@ impl Persist for CpuJob {
     }
 }
 
-impl Persist for Dest {
-    fn save(&self, w: &mut Enc) {
-        match *self {
-            Dest::Node(n) => {
-                w.put_u8(0);
-                w.put_u32(n);
-            }
-            Dest::Main => w.put_u8(1),
-        }
-    }
-    fn load(r: &mut Dec<'_>) -> Result<Self, SnapError> {
-        Ok(match r.take_u8()? {
-            0 => Dest::Node(r.take_u32()?),
-            1 => Dest::Main,
-            _ => return Err(SnapError::Malformed("Dest tag")),
-        })
-    }
-}
-
 impl Persist for NetJob {
     fn save(&self, w: &mut Enc) {
         match *self {
@@ -377,10 +402,9 @@ impl Persist for NetJob {
                 w.put_u8(0);
                 w.put_u32(app);
             }
-            NetJob::Forward { batch, dest } => {
+            NetJob::Forward(batch) => {
                 w.put_u8(1);
                 batch.save(w);
-                dest.save(w);
             }
             NetJob::PvmdNet { node } => {
                 w.put_u8(2);
@@ -395,10 +419,7 @@ impl Persist for NetJob {
     fn load(r: &mut Dec<'_>) -> Result<Self, SnapError> {
         Ok(match r.take_u8()? {
             0 => NetJob::AppComm { app: r.take_u32()? },
-            1 => NetJob::Forward {
-                batch: Persist::load(r)?,
-                dest: Persist::load(r)?,
-            },
+            1 => NetJob::Forward(load_forward(r)?),
             2 => NetJob::PvmdNet { node: r.take_u32()? },
             3 => NetJob::OtherNet { node: r.take_u32()? },
             _ => return Err(SnapError::Malformed("NetJob tag")),
@@ -453,17 +474,10 @@ impl Persist for Ev {
                 w.put_u8(11);
                 w.put_u32(pd);
             }
-            Ev::RetryForward {
-                pd,
-                batch,
-                demand_us,
-                attempts,
-            } => {
+            Ev::RetryForward { batch, demand_us } => {
                 w.put_u8(12);
-                w.put_u32(pd);
                 batch.save(w);
                 w.put_f64(demand_us);
-                w.put_u8(attempts);
             }
             Ev::MainStall => w.put_u8(13),
             Ev::ThrottleTick { app } => {
@@ -499,10 +513,8 @@ impl Persist for Ev {
             10 => Ev::DaemonCrash { pd: r.take_u32()? },
             11 => Ev::DaemonRecover { pd: r.take_u32()? },
             12 => Ev::RetryForward {
-                pd: r.take_u32()?,
-                batch: Persist::load(r)?,
+                batch: load_forward(r)?,
                 demand_us: r.take_f64()?,
-                attempts: r.take_u8()?,
             },
             13 => Ev::MainStall,
             14 => Ev::ThrottleTick { app: r.take_u32()? },
@@ -519,10 +531,13 @@ impl Persist for Ev {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use paradyn_des::SimDur;
 
-    fn batch(count: u32) -> Batch {
+    fn batch(count: u8, stage: Stage) -> Batch {
         Batch {
-            count: NonZeroU32::new(count).unwrap(),
+            count: NonZeroU16::new(count.into()).unwrap(),
+            stage,
+            holder: 0,
             sum_gen_ns: 0,
             ready_ns: 0,
         }
@@ -532,37 +547,114 @@ mod tests {
     fn event_and_job_sizes() {
         use std::mem::size_of;
         // A saturated run holds batches by the tens of thousands, each
-        // inside the job or event that carries it: a CPU job (40 bytes
-        // with its demand in an RR ready queue), a network job (40 with
-        // its service in the FCFS queue), or a calendar entry. The retry
-        // event's `u8` attempt count fits beside its tag, so no event
-        // outgrows 40 bytes.
+        // inside the job or event that carries it: a CPU job in an RR
+        // ready queue or a network job in the FCFS queue (each queued with
+        // its demand), or a calendar entry. The batch carries its holder
+        // and stage, and the stage's spare tag values hold each carrier's
+        // tag, so a job is no larger than its batch and the retry event
+        // adds only its demand.
         assert_eq!(size_of::<Batch>(), 24);
-        assert!(size_of::<CpuJob>() <= 32, "{}", size_of::<CpuJob>());
-        assert!(size_of::<NetJob>() <= 32, "{}", size_of::<NetJob>());
-        assert!(size_of::<Ev>() <= 40, "{}", size_of::<Ev>());
+        assert_eq!(size_of::<CpuJob>(), 24);
+        assert_eq!(size_of::<NetJob>(), 24);
+        assert_eq!(size_of::<Ev>(), 32);
+        // A wheel node keeps its event as an `Option`; `None` fits the
+        // niche, so a node is the event plus 24 bytes.
+        assert_eq!(size_of::<Option<Ev>>(), 32);
+        assert_eq!(size_of::<(CpuJob, SimDur)>(), 32);
+        assert_eq!(size_of::<(NetJob, SimDur)>(), 32);
     }
 
     #[test]
     fn batch_decode_rejects_a_zero_count() {
         let mut w = Enc::new();
-        batch(3).save(&mut w);
+        batch(3, Stage::Collect).save(&mut w);
         let mut bytes = w.into_bytes();
         assert_eq!(Batch::load(&mut Dec::new(&bytes)).unwrap().count.get(), 3);
         bytes[..4].copy_from_slice(&0u32.to_le_bytes());
         assert_eq!(
             Batch::load(&mut Dec::new(&bytes)).unwrap_err(),
-            SnapError::Malformed("batch of zero samples")
+            SnapError::Malformed("batch count outside 1..=4096")
         );
+    }
+
+    #[test]
+    fn batch_decode_rejects_counts_outside_one_to_max_batch() {
+        let mut w = Enc::new();
+        batch(3, Stage::Collect).save(&mut w);
+        let mut bytes = w.into_bytes();
+        assert_eq!(Batch::load(&mut Dec::new(&bytes)).unwrap().count.get(), 3);
+        let max = MAX_BATCH as u32;
+        for (count, ok) in [(1, true), (max, true), (max + 1, false), (1 << 16, false)] {
+            bytes[..4].copy_from_slice(&count.to_le_bytes());
+            let got = Batch::load(&mut Dec::new(&bytes));
+            match got {
+                Ok(b) => assert!(ok && u32::from(b.count.get()) == count, "count {count}"),
+                Err(e) => {
+                    assert!(!ok, "count {count}: {e:?}");
+                    assert_eq!(e, SnapError::Malformed("batch count outside 1..=4096"));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn batch_decode_rejects_an_unknown_stage() {
+        let stages = [
+            Stage::Collect,
+            Stage::Forward { attempts: 7 },
+            Stage::Merge,
+            Stage::Receive,
+        ];
+        for stage in stages {
+            let mut w = Enc::new();
+            batch(1, stage).save(&mut w);
+            let back = Batch::load(&mut Dec::new(&w.into_bytes())).unwrap();
+            assert_eq!(back.stage, stage);
+        }
+        let mut w = Enc::new();
+        batch(1, Stage::Merge).save(&mut w);
+        let mut bytes = w.into_bytes();
+        // The stage tag follows the 4-byte count.
+        bytes[4] = 4;
+        assert_eq!(
+            Batch::load(&mut Dec::new(&bytes)).unwrap_err(),
+            SnapError::Malformed("batch stage tag")
+        );
+    }
+
+    #[test]
+    fn carriers_reject_a_batch_in_the_wrong_stage() {
+        let mut w = Enc::new();
+        CpuKind::Batch(batch(1, Stage::Forward { attempts: 0 })).save(&mut w);
+        assert_eq!(
+            CpuKind::load(&mut Dec::new(&w.into_bytes())).unwrap_err(),
+            SnapError::Malformed("forwarding batch on a CPU")
+        );
+        for stage in [Stage::Collect, Stage::Merge, Stage::Receive] {
+            let forward = NetJob::Forward(batch(1, stage));
+            let retry = Ev::RetryForward {
+                batch: batch(1, stage),
+                demand_us: 1.0,
+            };
+            let mut w = Enc::new();
+            forward.save(&mut w);
+            let got = NetJob::load(&mut Dec::new(&w.into_bytes())).map(|_| ());
+            let mut w = Enc::new();
+            retry.save(&mut w);
+            let got_retry = Ev::load(&mut Dec::new(&w.into_bytes())).map(|_| ());
+            let want = Err(SnapError::Malformed("forward of a batch not in its forward stage"));
+            assert_eq!(got, want, "{stage:?}");
+            assert_eq!(got_retry, want, "{stage:?}");
+        }
     }
 
     #[test]
     fn cpu_job_classes() {
         let cases = [
             (CpuKind::AppCompute { app: 0 }, ProcessClass::Application),
-            (CpuKind::PdCollect { pd: 0, batch: batch(1) }, ProcessClass::ParadynDaemon),
-            (CpuKind::PdMerge { node: 0, batch: batch(1) }, ProcessClass::ParadynDaemon),
-            (CpuKind::MainRecv { batch: batch(1) }, ProcessClass::MainParadyn),
+            (CpuKind::Batch(batch(1, Stage::Collect)), ProcessClass::ParadynDaemon),
+            (CpuKind::Batch(batch(1, Stage::Merge)), ProcessClass::ParadynDaemon),
+            (CpuKind::Batch(batch(1, Stage::Receive)), ProcessClass::MainParadyn),
             (CpuKind::PvmdCpu { node: 0 }, ProcessClass::PvmDaemon),
             (CpuKind::OtherCpu, ProcessClass::Other),
         ];
@@ -586,9 +678,9 @@ mod tests {
         // Two samples generated at 1s and 3s, received at 5s:
         // latencies 4s and 2s, mean 3s.
         let b = Batch {
-            count: NonZeroU32::new(2).unwrap(),
             sum_gen_ns: 4_000_000_000,
             ready_ns: 4_000_000_000,
+            ..batch(2, Stage::Receive)
         };
         let lat = b.mean_latency_s(SimTime::from_secs_f64(5.0));
         assert!((lat - 3.0).abs() < 1e-9);
@@ -611,11 +703,7 @@ mod tests {
             ProcessClass::Application
         );
         assert_eq!(
-            NetJob::Forward {
-                batch: batch(1),
-                dest: Dest::Main
-            }
-            .class(),
+            NetJob::Forward(batch(1, Stage::Forward { attempts: 0 })).class(),
             ProcessClass::ParadynDaemon
         );
         assert_eq!(

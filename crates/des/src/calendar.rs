@@ -590,6 +590,17 @@ mod tests {
     }
 
     #[test]
+    fn node_is_payload_plus_24_bytes() {
+        use std::mem::size_of;
+        use std::num::NonZeroU64;
+        // A 32-byte event with a spare bit pattern (the model's `Ev`)
+        // keeps the free-list `None` in that niche: 56-byte nodes. A
+        // payload without one pays 8 more bytes for the `Option` tag.
+        assert_eq!(size_of::<Node<(NonZeroU64, [u64; 3])>>(), 56);
+        assert_eq!(size_of::<Node<[u64; 4]>>(), 64);
+    }
+
+    #[test]
     fn resize_tracks_population_and_spacing() {
         // 1000 entries 1 µs apart: the bucket count doubles past 2·nb and
         // the width settles near 3× the 1 µs gap (2^11 ns ≤ 3 µs < 2^12).

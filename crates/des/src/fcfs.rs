@@ -251,8 +251,8 @@ mod tests {
 
     #[test]
     fn waiting_entry_is_job_plus_service() {
-        // A 32-byte job (the model's `NetJob`) waits in a 40-byte entry.
-        assert_eq!(std::mem::size_of::<Entry<[u64; 4]>>(), 40);
+        // A 24-byte job (the model's `NetJob`) waits in a 32-byte entry.
+        assert_eq!(std::mem::size_of::<Entry<[u64; 3]>>(), 32);
     }
 
     #[test]

@@ -28,7 +28,7 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"PDSN";
 
 /// Current snapshot format version. Bumped on any layout change; decoders
 /// reject every other version rather than guessing.
-pub const SNAPSHOT_VERSION: u32 = 6;
+pub const SNAPSHOT_VERSION: u32 = 7;
 
 /// Why a snapshot failed to decode. All decode paths return this — snapshot
 /// handling must never panic on untrusted bytes.

@@ -67,7 +67,8 @@ roster_dir="$(mktemp -d)"
 pool_dir="$(mktemp -d)"
 members_dir="$(mktemp -d)"
 tie_dir="$(mktemp -d)"
-trap 'rm -rf "$mut_dir" "$chaos_dir" "$ratchet_dir" "$batch_dir" "$fifo_dir" "$rewind_dir" "$roster_dir" "$pool_dir" "$members_dir" "$tie_dir"' EXIT
+size_dir="$(mktemp -d)"
+trap 'rm -rf "$mut_dir" "$chaos_dir" "$ratchet_dir" "$batch_dir" "$fifo_dir" "$rewind_dir" "$roster_dir" "$pool_dir" "$members_dir" "$tie_dir" "$size_dir"' EXIT
 # The workspace passes read the whole tree (Acc lives in crates/core, the
 # conservation identity in src/chaos.rs), so the scratch copy carries the
 # root package sources too.
@@ -260,6 +261,32 @@ if [ "$batch_rc" -eq 0 ] || ! grep -q "^    model::tests::$sat_test\$" "$batch_o
   exit 1
 fi
 echo "in-batch mutation self-check: $sat_test correctly failed"
+
+echo "== size-budget mutation self-check (a batch count widened to 32 bits must go red) =="
+# Scratch copy where a batch counts its samples in a NonZeroU32 again: the
+# batch, every job and event that carries it, and every queue entry grow
+# by 8 bytes, and the exact-size test must fail by name.
+size_test="event_and_job_sizes"
+cp Cargo.toml Cargo.lock "$size_dir"/
+cp -r crates src tests examples "$size_dir"/
+size_model="$size_dir/crates/core/src/model"
+sed -i 's/NonZeroU16/NonZeroU32/g' "$size_model"/types.rs "$size_model"/daemon.rs "$size_model"/tests.rs
+grep -q 'pub count: NonZeroU32,' "$size_model/types.rs" || {
+  echo "verify: FAIL — could not widen the batch count" >&2
+  exit 1
+}
+size_out="$size_dir/size-out.txt"
+set +e
+( cd "$size_dir" && CARGO_TARGET_DIR="$size_dir/target" \
+    cargo test -q --offline -p paradyn-core --lib "$size_test" ) > "$size_out" 2>&1
+size_rc=$?
+set -e
+if [ "$size_rc" -eq 0 ] || ! grep -q "^    model::types::tests::$size_test\$" "$size_out"; then
+  echo "verify: FAIL — $size_test did not go red with a 32-bit batch count:" >&2
+  tail -n 40 "$size_out" >&2
+  exit 1
+fi
+echo "size-budget mutation self-check: $size_test correctly failed"
 
 echo "== FIFO mutation self-check (an off-by-one at a block boundary must go red) =="
 # Scratch copy where a pop retires the front block one entry early: that
