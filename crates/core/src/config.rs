@@ -39,37 +39,6 @@ pub enum Arch {
     },
 }
 
-/// Adaptive batch-size regulation — the Section 6 extension ("the IS can
-/// use the model to adapt its behavior in order to regulate overheads",
-/// after Paradyn's dynamic cost model \[12\]).
-///
-/// Each daemon periodically compares its own CPU utilization over the last
-/// control interval against `target_pd_util` and doubles its batch size
-/// when over budget (cheaper per sample) or halves it when well under
-/// budget (lower latency), within `[min_batch, max_batch]`.
-#[derive(Clone, Copy, Debug)]
-pub struct AdaptiveBatch {
-    /// Daemon CPU-utilization budget (fraction of one CPU).
-    pub target_pd_util: f64,
-    /// Control interval in microseconds.
-    pub interval_us: f64,
-    /// Smallest allowed batch (1 = may fall back to CF).
-    pub min_batch: usize,
-    /// Largest allowed batch.
-    pub max_batch: usize,
-}
-
-impl Default for AdaptiveBatch {
-    fn default() -> Self {
-        AdaptiveBatch {
-            target_pd_util: 0.01,
-            interval_us: 500_000.0,
-            min_batch: 1,
-            max_batch: 128,
-        }
-    }
-}
-
 /// Daemon crash-and-restart fault injection: each daemon fails after an
 /// exponentially distributed uptime and comes back after a fixed recovery
 /// delay. A crash loses the daemon's buffered (not-yet-collected) samples
@@ -278,10 +247,8 @@ pub struct SimConfig {
     /// Maximum age (µs) a buffered sample may wait before the daemon
     /// force-flushes a partial batch — bounds BF's batch-accumulation
     /// latency. `None` = pure count-based batching (the paper's BF).
+    // lint:allow(dead-field): tests/flush_timeout.rs and simbench's mpp_degraded_forked workload
     pub batch_timeout_us: Option<f64>,
-    /// Adaptive per-daemon batch regulation; overrides `batch` as the
-    /// running batch size when set (Section 6 extension).
-    pub adaptive: Option<AdaptiveBatch>,
     /// The application's resource-demand profile (and optional barriers).
     pub app: AppProfile,
     /// Replay the application bursts from a traced schedule instead of
@@ -323,7 +290,6 @@ impl Default for SimConfig {
             sampling_period_us: 40_000.0,
             batch: 1,
             batch_timeout_us: None,
-            adaptive: None,
             app: paradyn_workload::pvmbt(),
             replay: None,
             params: RoccParams::default(),
@@ -399,25 +365,6 @@ impl SimConfig {
         if let Some(t) = self.batch_timeout_us {
             if t <= 0.0 {
                 return Err("batch timeout must be positive".into());
-            }
-        }
-        if let Some(a) = &self.adaptive {
-            if a.min_batch == 0 || a.min_batch > a.max_batch {
-                return Err("adaptive batch bounds must satisfy 1 <= min <= max".into());
-            }
-            if a.max_batch > MAX_BATCH {
-                return Err("adaptive max batch unreasonably large".into());
-            }
-            if !(0.0..=1.0).contains(&a.target_pd_util) || a.target_pd_util == 0.0 {
-                return Err("adaptive target utilization must be in (0, 1]".into());
-            }
-            if a.interval_us <= 0.0 {
-                return Err("adaptive interval must be positive".into());
-            }
-            if self.params.pipe_capacity < a.max_batch && self.batch_timeout_us.is_none() {
-                return Err(
-                    "adaptive max batch exceeds pipe capacity without a flush timeout".into(),
-                );
             }
         }
         if let Some(c) = &self.faults.daemon_crash {
@@ -555,6 +502,13 @@ mod tests {
                 "pipe < batch",
                 SimConfig {
                     batch: 4096,
+                    ..base.clone()
+                },
+            ),
+            (
+                "negative flush timeout",
+                SimConfig {
+                    batch_timeout_us: Some(-1.0),
                     ..base.clone()
                 },
             ),

@@ -39,7 +39,7 @@ pub mod pipe;
 pub mod validate;
 
 pub use config::{
-    AdaptiveBatch, Arch, ConsumerStallFaults, DaemonCrashFaults, DegradationConfig, FaultPlan,
+    Arch, ConsumerStallFaults, DaemonCrashFaults, DegradationConfig, FaultPlan,
     Forwarding, LinkFaults, OverloadRamp, SimConfig,
 };
 pub use experiment::{

@@ -64,11 +64,6 @@ pub struct SimMetrics {
     pub forwarded_batches: u64,
     /// Samples forwarded by daemons.
     pub forwarded_samples: u64,
-    /// Mean of the daemons' batch thresholds at end of run (equals the
-    /// configured batch unless adaptive regulation is active).
-    pub mean_daemon_batch: f64,
-    /// Total adaptive batch adjustments across daemons.
-    pub batch_adjustments: u64,
     /// Sample-emission attempts, including ones lost before entering a
     /// pipe. Conservation: `emitted == received + lost + in-flight`.
     pub emitted_samples: u64,
@@ -204,8 +199,6 @@ impl SimMetrics {
             barrier_ops: acc.barrier_ops,
             forwarded_batches: fw_batches,
             forwarded_samples: fw_samples,
-            mean_daemon_batch: m.mean_daemon_batch(),
-            batch_adjustments: m.total_batch_adjustments(),
             emitted_samples: acc.emitted_samples,
             samples_lost,
             lost_overflow,

@@ -128,28 +128,19 @@ pub(crate) struct DaemonHot {
     /// Whether an ancestor in the forwarding tree signalled pressure (shed
     /// on its behalf until the credit edge arrives).
     pub remote_pressure: bool,
-    /// Current batch threshold (fixed = config batch; adaptive regulation
-    /// adjusts it per daemon).
-    pub batch: usize,
     /// Flush-timer generation; timers with a stale generation are ignored.
     pub flush_gen: u32,
-    /// Cumulative CPU time consumed by this daemon (µs).
-    pub cpu_used_us: f64,
     /// Batches forwarded so far.
     pub forwarded_batches: u64,
     /// Samples forwarded so far.
     pub forwarded_samples: u64,
 }
 
-/// Per-daemon state touched per control tick, merge hop, or injected
-/// fault.
+/// Per-daemon state touched per merge hop, backpressure signal, or
+/// injected fault.
 pub(crate) struct DaemonCold {
     /// Randomness for merge work.
     pub merge_rng: StreamRng,
-    /// CPU reading at the last adaptive control tick (µs).
-    pub cpu_at_last_tick_us: f64,
-    /// Number of adaptive batch adjustments made.
-    pub batch_adjustments: u64,
     /// Crash/recovery event source (`None` = crash injection off).
     pub crash: Option<FaultSchedule>,
     /// Randomness for injected forwarding-link failures.

@@ -27,7 +27,7 @@ impl RoccModel {
         if d.collecting || d.down {
             return false;
         }
-        let threshold = d.batch;
+        let threshold = self.cfg.batch;
         let fifo = &mut self.daemons.fifo[pd as usize];
         let avail = fifo.len();
         let k = if avail >= threshold {
@@ -114,44 +114,6 @@ impl RoccModel {
             return;
         }
         self.try_collect(ctx, pd, true);
-    }
-
-    /// Adaptive regulation tick: compare this daemon's CPU utilization over
-    /// the interval against the budget and adjust its batch threshold
-    /// (Section 6 extension; see [`crate::config::AdaptiveBatch`]).
-    pub(crate) fn adapt_tick(&mut self, ctx: &mut Ctx<Ev>, pd: PdId) {
-        let a = self.cfg.adaptive.expect("AdaptTick only scheduled when adaptive");
-        let d = &mut self.daemons.hot[pd as usize];
-        let c = &mut self.daemons.cold[pd as usize];
-        if d.down {
-            // A crashed daemon does no work; skip the adjustment (its low
-            // utilization is an outage, not spare capacity) but keep the
-            // control loop ticking.
-            c.cpu_at_last_tick_us = d.cpu_used_us;
-            ctx.post_in(
-                paradyn_des::SimDur::from_micros_f64(a.interval_us),
-                Ev::AdaptTick { pd },
-            );
-            return;
-        }
-        let used = d.cpu_used_us - c.cpu_at_last_tick_us;
-        c.cpu_at_last_tick_us = d.cpu_used_us;
-        let util = used / a.interval_us;
-        let old = d.batch;
-        if util > a.target_pd_util {
-            d.batch = (d.batch * 2).min(a.max_batch);
-        } else if util < 0.5 * a.target_pd_util {
-            d.batch = (d.batch / 2).max(a.min_batch);
-        }
-        if d.batch != old {
-            c.batch_adjustments += 1;
-            // A lower threshold may make the buffered backlog collectable.
-            self.maybe_collect(ctx, pd);
-        }
-        ctx.post_in(
-            paradyn_des::SimDur::from_micros_f64(a.interval_us),
-            Ev::AdaptTick { pd },
-        );
     }
 
     /// The collect CPU work finished: the pipe reads have happened, so

@@ -253,12 +253,7 @@ impl RoccModel {
                     doomed: false,
                     shedding: false,
                     remote_pressure: false,
-                    batch: match &cfg.adaptive {
-                        Some(a) => cfg.batch.clamp(a.min_batch, a.max_batch),
-                        None => cfg.batch,
-                    },
                     flush_gen: 0,
-                    cpu_used_us: 0.0,
                     forwarded_batches: 0,
                     forwarded_samples: 0,
                 },
@@ -266,8 +261,6 @@ impl RoccModel {
                 Vec::new(),
                 DaemonCold {
                     merge_rng: streams.stream3(stream_kind::PD_MERGE, pd as u64, 0),
-                    cpu_at_last_tick_us: 0.0,
-                    batch_adjustments: 0,
                     crash: cfg.faults.daemon_crash.map(|c| {
                         FaultSchedule::new(
                             streams.stream3(stream_kind::FAULT_CRASH, pd as u64, 0),
@@ -440,14 +433,6 @@ impl RoccModel {
         self.apps.pipe.iter().map(|p| p.blocked_deposits()).sum()
     }
 
-    pub(crate) fn mean_daemon_batch(&self) -> f64 {
-        self.daemons.hot.iter().map(|d| d.batch as f64).sum::<f64>() / self.daemons.len() as f64
-    }
-
-    pub(crate) fn total_batch_adjustments(&self) -> u64 {
-        self.daemons.cold.iter().map(|d| d.batch_adjustments).sum()
-    }
-
     pub(crate) fn total_forwarded(&self) -> (u64, u64) {
         let b = self.daemons.hot.iter().map(|d| d.forwarded_batches).sum();
         let s = self.daemons.hot.iter().map(|d| d.forwarded_samples).sum();
@@ -567,16 +552,6 @@ impl Model for RoccModel {
             Ev::Slice { bank, cpu } => {
                 let end = self.banks[bank as usize].slice_end(cpu as usize);
                 self.acc.cpu_busy_us[class_idx(end.job.class())] += end.ran.as_micros_f64();
-                // Per-daemon attribution for adaptive regulation: the
-                // holder of a collect or merge.
-                if let CpuKind::Batch(Batch {
-                    stage: Stage::Collect | Stage::Merge,
-                    holder,
-                    ..
-                }) = end.job.kind
-                {
-                    self.daemons.hot[holder as usize].cpu_used_us += end.ran.as_micros_f64();
-                }
                 if let Some(slice) = end.next_slice {
                     ctx.post_in(slice, Ev::Slice { bank, cpu });
                 }
@@ -596,7 +571,8 @@ impl Model for RoccModel {
             Ev::Sample { app } => self.sample_timer_fired(ctx, app),
             Ev::PvmdArrival { node } => self.pvmd_arrival(ctx, node),
             Ev::FlushTimeout { pd, gen } => self.flush_timeout(ctx, pd, gen),
-            Ev::AdaptTick { pd } => self.adapt_tick(ctx, pd),
+            // Never scheduled (see `Ev::AdaptTick`).
+            Ev::AdaptTick { .. } => {}
             Ev::OtherCpuArrival { node } => self.other_cpu_arrival(ctx, node),
             Ev::OtherNetArrival { node } => self.other_net_arrival(ctx, node),
             Ev::DaemonCrash { pd } => self.daemon_crash(ctx, pd),
@@ -621,12 +597,6 @@ impl RoccModel {
             }
         }
         if self.cfg.instrumented {
-            if let Some(a) = self.cfg.adaptive {
-                let interval = SimDur::from_micros_f64(a.interval_us);
-                for pd in 0..self.daemons.len() as u32 {
-                    ctx.post_in(interval, Ev::AdaptTick { pd });
-                }
-            }
             // Fault injection only makes sense with a live IS; nothing is
             // scheduled (and no random draws happen) when the plan is off,
             // so fault-free runs are bit-identical to the fault-free model.

@@ -14,7 +14,7 @@
 //! the bytes.
 
 use super::arena::{AppCold, AppHot, Apps, DaemonCold, DaemonHot, Daemons};
-use super::types::{CpuJob, NetJob};
+use super::types::{AppId, CpuJob, CpuKind, Ev, NetJob, PdId};
 use super::{Acc, RoccModel, Step};
 use crate::config::SimConfig;
 use paradyn_des::{
@@ -131,11 +131,7 @@ impl Persist for Daemons {
             self.fifo[i].save(w);
             self.roster[i].save(w);
             w.put_bool(h.collecting);
-            w.put_usize(h.batch);
             w.put_u32(h.flush_gen);
-            w.put_f64(h.cpu_used_us);
-            w.put_f64(c.cpu_at_last_tick_us);
-            w.put_u64(c.batch_adjustments);
             w.put_u64(h.forwarded_batches);
             w.put_u64(h.forwarded_samples);
             w.put_bool(h.down);
@@ -159,11 +155,7 @@ impl Persist for Daemons {
             let fifo = Persist::load(r)?;
             let roster: Vec<u32> = Persist::load(r)?;
             let collecting = r.take_bool()?;
-            let batch = r.take_usize()?;
             let flush_gen = r.take_u32()?;
-            let cpu_used_us = r.take_f64()?;
-            let cpu_at_last_tick_us = r.take_f64()?;
-            let batch_adjustments = r.take_u64()?;
             let forwarded_batches = r.take_u64()?;
             let forwarded_samples = r.take_u64()?;
             let down = r.take_bool()?;
@@ -174,9 +166,6 @@ impl Persist for Daemons {
             let shedding = r.take_bool()?;
             let remote_pressure = r.take_bool()?;
             let shed_rng = Persist::load(r)?;
-            if batch == 0 {
-                return Err(SnapError::Malformed("daemon batch threshold of zero"));
-            }
             if roster.is_empty() == collecting {
                 return Err(SnapError::Malformed(
                     "daemon roster disagrees with its collect cycle",
@@ -191,16 +180,12 @@ impl Persist for Daemons {
                 doomed,
                 shedding,
                 remote_pressure,
-                batch,
                 flush_gen,
-                cpu_used_us,
                 forwarded_batches,
                 forwarded_samples,
             };
             let cold = DaemonCold {
                 merge_rng,
-                cpu_at_last_tick_us,
-                batch_adjustments,
                 crash,
                 link_rng,
                 fault_mon,
@@ -301,9 +286,15 @@ impl PersistState for RoccModel {
         {
             return Err(SnapError::Malformed("CPU bank shape differs from config"));
         }
+        if !banks.iter().flat_map(|b| b.jobs()).all(|j| self.cpu_job_in_range(j)) {
+            return Err(SnapError::Malformed("CPU job names an entity the config lacks"));
+        }
         let shared_net: Option<FcfsServer<NetJob>> = Persist::load(r)?;
         if shared_net.is_some() != self.shared_net.is_some() {
             return Err(SnapError::Malformed("network kind differs from config"));
+        }
+        if !shared_net.iter().flat_map(|s| s.jobs()).all(|j| self.net_job_in_range(j)) {
+            return Err(SnapError::Malformed("network job names an entity the config lacks"));
         }
         let apps: Apps = Persist::load(r)?;
         if apps.len() != self.apps.len() {
@@ -350,6 +341,75 @@ impl PersistState for RoccModel {
         self.overload_on = overload_on;
         self.acc = acc;
         Ok(())
+    }
+
+    fn check_pending(&self, ev: &Ev) -> Result<(), SnapError> {
+        if self.can_handle(ev) {
+            Ok(())
+        } else {
+            Err(SnapError::Malformed("pending event names an entity the config lacks"))
+        }
+    }
+}
+
+/// Bound checks for restored jobs and events. The counts come from the
+/// config (`load_state` rejects a frame whose shapes differ), so a job or
+/// event that passes is handled without an out-of-range index.
+impl RoccModel {
+    fn has_app(&self, app: AppId) -> bool {
+        (app as usize) < self.apps.len()
+    }
+
+    fn has_pd(&self, pd: PdId) -> bool {
+        (pd as usize) < self.daemons.len()
+    }
+
+    /// A node of the background sources (one on SMP, else every node).
+    fn has_node(&self, node: u32) -> bool {
+        (node as usize) < self.pvmd_rngs.len()
+    }
+
+    fn cpu_job_in_range(&self, job: CpuJob) -> bool {
+        match job.kind {
+            CpuKind::AppCompute { app } => self.has_app(app),
+            CpuKind::Batch(batch) => self.has_pd(batch.holder),
+            CpuKind::PvmdCpu { node } => self.has_node(node),
+            CpuKind::OtherCpu => true,
+        }
+    }
+
+    fn net_job_in_range(&self, job: NetJob) -> bool {
+        match job {
+            NetJob::AppComm { app } => self.has_app(app),
+            NetJob::Forward(batch) => self.has_pd(batch.holder),
+            NetJob::PvmdNet { node } | NetJob::OtherNet { node } => self.has_node(node),
+        }
+    }
+
+    /// Whether every index `ev` carries names an entity of this model and
+    /// the server or fault plan its handler needs exists.
+    fn can_handle(&self, ev: &Ev) -> bool {
+        match *ev {
+            Ev::Slice { bank, cpu } => {
+                let bank = self.banks.get(bank as usize);
+                bank.is_some_and(|b| (cpu as usize) < b.cpus())
+            }
+            Ev::NetDone => self.shared_net.is_some(),
+            Ev::Deliver(job) => self.net_job_in_range(job),
+            Ev::Sample { app } | Ev::ThrottleTick { app } => self.has_app(app),
+            Ev::PvmdArrival { node }
+            | Ev::OtherCpuArrival { node }
+            | Ev::OtherNetArrival { node } => self.has_node(node),
+            Ev::FlushTimeout { pd, .. } | Ev::Backpressure { pd, .. } => self.has_pd(pd),
+            Ev::DaemonCrash { pd } | Ev::DaemonRecover { pd } => {
+                let cold = self.daemons.cold.get(pd as usize);
+                cold.is_some_and(|c| c.crash.is_some())
+            }
+            Ev::RetryForward { batch, .. } => self.has_pd(batch.holder),
+            Ev::MainStall => self.cfg.faults.stall.is_some(),
+            // The other kinds carry no index.
+            _ => true,
+        }
     }
 }
 

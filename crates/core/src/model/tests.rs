@@ -491,3 +491,86 @@ fn batches_held_walks_every_carrier() {
         Some("in-batch count 29 but batches hold 28")
     );
 }
+
+#[test]
+fn restore_rejects_a_carrier_naming_what_the_config_lacks() {
+    // Each case puts one bad job or event on an idle 4-node model (so a
+    // holder, app, node or bank of 4 is out of range) and seals the model
+    // as it stands, so the frame's checksum is valid.
+    let ethernet = quick(Arch::Now { contention_free: false }, 4);
+    let free = quick(Arch::Now { contention_free: true }, 4);
+    let job = "CPU job names an entity the config lacks";
+    let net = "network job names an entity the config lacks";
+    let event = "pending event names an entity the config lacks";
+    let post = |sim: &mut Sim<RoccModel>, ev| sim.ctx().post_at(SimTime::ZERO, ev);
+    let cases: [(&str, &SimConfig, &dyn Fn(&mut Sim<RoccModel>), &str); 9] = [
+        (
+            "RR bank job",
+            &ethernet,
+            &|sim| {
+                let batch = CpuJob {
+                    kind: CpuKind::Batch(held_batch(1, Stage::Collect, 4)),
+                };
+                sim.model.banks[0].submit(batch, SimDur::from_micros_f64(100.0));
+            },
+            job,
+        ),
+        (
+            "FCFS job",
+            &ethernet,
+            &|sim| {
+                let server = sim.model.shared_net.as_mut().expect("shared Ethernet");
+                server.submit(NetJob::AppComm { app: 4 }, SimDur::from_micros_f64(100.0));
+            },
+            net,
+        ),
+        (
+            "pending Deliver",
+            &ethernet,
+            &|sim| {
+                let forward = held_batch(1, Stage::Forward { attempts: 0 }, 4);
+                post(sim, Ev::Deliver(NetJob::Forward(forward)));
+            },
+            event,
+        ),
+        (
+            "pending RetryForward",
+            &ethernet,
+            &|sim| {
+                let batch = held_batch(1, Stage::Forward { attempts: 1 }, 4);
+                post(sim, Ev::RetryForward { batch, demand_us: 1.0 });
+            },
+            event,
+        ),
+        ("pending Sample", &ethernet, &|sim| post(sim, Ev::Sample { app: 4 }), event),
+        ("pending Slice", &ethernet, &|sim| post(sim, Ev::Slice { bank: 4, cpu: 0 }), event),
+        ("NetDone without a shared network", &free, &|sim| post(sim, Ev::NetDone), event),
+        ("MainStall without stalls", &free, &|sim| post(sim, Ev::MainStall), event),
+        ("crash without a crash plan", &free, &|sim| post(sim, Ev::DaemonCrash { pd: 0 }), event),
+    ];
+    for (what, cfg, plant, expected) in cases {
+        let mut sim = idle_sim(cfg.clone());
+        plant(&mut sim);
+        assert_eq!(restore_err(&sim), malformed(expected), "{what}");
+    }
+}
+
+#[test]
+fn restore_rejects_an_adapt_tick() {
+    // Nothing schedules `AdaptTick`, so a frame that carries one (tag 9)
+    // was not written by this model.
+    let mut sim = idle_sim(quick(Arch::Now { contention_free: false }, 4));
+    sim.ctx().post_at(SimTime::ZERO, Ev::AdaptTick { pd: 0 });
+    assert_eq!(restore_err(&sim), malformed("Ev tag"));
+}
+
+/// Seal `sim` as it stands and restore the frame into a fresh model of
+/// the same config.
+fn restore_err(sim: &Sim<RoccModel>) -> Option<paradyn_des::SnapError> {
+    let fresh = RoccModel::new(sim.model.cfg.clone());
+    Sim::restore(fresh, CalendarKind::Wheel, &sim.snapshot_now()).err()
+}
+
+fn malformed(what: &'static str) -> Option<paradyn_des::SnapError> {
+    Some(paradyn_des::SnapError::Malformed(what))
+}

@@ -144,7 +144,9 @@ pub enum Ev {
         /// Flush generation the timer was armed for.
         gen: u32,
     },
-    /// Adaptive batch-regulation control tick for daemon `pd`.
+    /// Scheduled by nothing and handled as a no-op; a snapshot frame that
+    /// carries one is malformed. It stays only because simbench's ledger
+    /// names it, and goes with ROADMAP's "Benchmark revision" item.
     AdaptTick {
         /// The daemon.
         pd: PdId,
@@ -245,9 +247,8 @@ pub struct Batch {
     pub ready_ns: u64,
 }
 
-/// Largest batch any daemon collects: validation caps the configured and
-/// the adaptive maximum batch here, and a snapshot batch above it is
-/// malformed.
+/// Largest batch any daemon collects: validation caps the configured
+/// batch here, and a snapshot batch above it is malformed.
 pub const MAX_BATCH: usize = 4096;
 
 impl Batch {
@@ -509,7 +510,6 @@ impl Persist for Ev {
                 pd: r.take_u32()?,
                 gen: r.take_u32()?,
             },
-            9 => Ev::AdaptTick { pd: r.take_u32()? },
             10 => Ev::DaemonCrash { pd: r.take_u32()? },
             11 => Ev::DaemonRecover { pd: r.take_u32()? },
             12 => Ev::RetryForward {

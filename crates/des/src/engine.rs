@@ -83,8 +83,8 @@ impl<E> Ctx<E> {
     }
 
     /// Visit every pending event, in storage order: an O(pending) walk for
-    /// tests that audit what the calendar holds.
-    // lint:allow(dead-pub): the in-flight walk in paradyn-core's model tests
+    /// [`Sim::restore`]'s event check and for tests that audit what the
+    /// calendar holds.
     pub fn for_each_pending(&self, mut f: impl FnMut(&E)) {
         self.calendar.for_each(|_, _, ev| f(ev));
     }
@@ -324,6 +324,13 @@ where
         if !r.is_empty() {
             return Err(SnapError::TrailingBytes);
         }
+        let mut checked = Ok(());
+        ctx.for_each_pending(|ev| {
+            if checked.is_ok() {
+                checked = model.check_pending(ev);
+            }
+        });
+        checked?;
         Ok(Sim { model, ctx })
     }
 }

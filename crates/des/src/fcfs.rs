@@ -110,7 +110,6 @@ impl<J: Copy> FcfsServer<J> {
     }
 
     /// Every job held, in service first, then waiting in queue order.
-    // lint:allow(dead-pub): the in-flight walk in paradyn-core's model tests
     pub fn jobs(&self) -> impl Iterator<Item = J> + '_ {
         let current = self.current.iter().map(|e| e.job);
         current.chain(self.queue.iter().map(|e| e.job))

@@ -161,7 +161,6 @@ impl<J: Copy> RrCpuBank<J> {
 
     /// Every job held, running ones first (by CPU), then the ready queue
     /// in order.
-    // lint:allow(dead-pub): the in-flight walk in paradyn-core's model tests
     pub fn jobs(&self) -> impl Iterator<Item = J> + '_ {
         let running = self.running.iter().flatten().map(|r| r.job);
         running.chain(self.ready.iter().map(|(j, _)| j))

@@ -28,7 +28,7 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"PDSN";
 
 /// Current snapshot format version. Bumped on any layout change; decoders
 /// reject every other version rather than guessing.
-pub const SNAPSHOT_VERSION: u32 = 7;
+pub const SNAPSHOT_VERSION: u32 = 8;
 
 /// Why a snapshot failed to decode. All decode paths return this — snapshot
 /// handling must never panic on untrusted bytes.
@@ -374,6 +374,17 @@ pub trait PersistState {
     /// Overwrite this (freshly built) model's state from the decoder,
     /// validating structural invariants against the built shape.
     fn load_state(&mut self, r: &mut Dec<'_>) -> Result<(), SnapError>;
+    /// Check one pending event of a restored calendar against the state
+    /// [`load_state`](Self::load_state) rebuilt: an event this model could
+    /// not handle (one naming an entity it does not have, say) is
+    /// [`SnapError::Malformed`]. [`Sim::restore`] calls it for every
+    /// pending event once both are loaded; the default accepts them all.
+    fn check_pending(&self, _ev: &<Self as Model>::Event) -> Result<(), SnapError>
+    where
+        Self: Model,
+    {
+        Ok(())
+    }
 }
 
 /// Wrap `payload` in a sealed frame: magic, version, fingerprint, length,

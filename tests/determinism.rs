@@ -73,7 +73,6 @@ fn assert_metrics_bit_identical(a: &SimMetrics, b: &SimMetrics, ctx: &str) {
         ("fwd_latency_mean_s", a.fwd_latency_mean_s, b.fwd_latency_mean_s),
         ("throughput_per_s", a.throughput_per_s, b.throughput_per_s),
         ("net_util", a.net_util, b.net_util),
-        ("mean_daemon_batch", a.mean_daemon_batch, b.mean_daemon_batch),
     ] {
         assert_eq!(fa.to_bits(), fb.to_bits(), "{ctx}: {name} {fa} vs {fb}");
     }
