@@ -9,13 +9,14 @@
 //!
 //! With `--csv DIR`, every printed table is also written to
 //! `DIR/<artifact>_<n>.csv` for plotting. With `--bench-json FILE`, the
-//! runs, executed events and wall-clock seconds of every artifact are
-//! written to `FILE` (schema `paradyn.bench.repro.v1`, checked by
-//! `check_bench_json`); the committed `BENCH_repro.json` is
+//! runs, executed events, run digest (a hash of every run's full-precision
+//! metrics) and wall-clock seconds of every artifact are written to `FILE`
+//! (schema `paradyn.bench.repro.v2`, checked by `check_bench_json`); the
+//! committed `BENCH_repro.json` is
 //! `repro all --scale quick --bench-json BENCH_repro.json`.
 
 use paradyn_bench::json::Json;
-use paradyn_bench::simhelp::sim_totals;
+use paradyn_bench::simhelp::take_sim_totals;
 use paradyn_bench::{run_artifact, Scale, Shared, ARTIFACTS};
 use std::process::ExitCode;
 
@@ -123,7 +124,6 @@ fn main() -> ExitCode {
     let mut rows = vec![];
     for id in &ids {
         let t0 = std::time::Instant::now();
-        let (runs0, events0) = sim_totals();
         paradyn_bench::fmt::set_csv_output(csv_dir.clone(), id);
         let known = run_artifact(id, &mut shared);
         paradyn_bench::fmt::set_csv_output(None, "");
@@ -133,17 +133,18 @@ fn main() -> ExitCode {
         }
         let seconds = t0.elapsed().as_secs_f64();
         println!("[{} completed in {:.1}s]", id, seconds);
-        let (runs1, events1) = sim_totals();
+        let (runs, events, digest) = take_sim_totals();
         rows.push(Json::Obj(vec![
             ("name".into(), Json::str(id.as_str())),
-            ("runs".into(), Json::num((runs1 - runs0) as f64)),
-            ("events".into(), Json::num((events1 - events0) as f64)),
+            ("runs".into(), Json::num(runs as f64)),
+            ("events".into(), Json::num(events as f64)),
+            ("digest".into(), Json::str(format!("{digest:#018x}"))),
             ("seconds".into(), Json::num(seconds)),
         ]));
     }
     if let Some(path) = bench_json {
         let doc = Json::Obj(vec![
-            ("schema".into(), Json::str("paradyn.bench.repro.v1")),
+            ("schema".into(), Json::str("paradyn.bench.repro.v2")),
             (
                 "scale".into(),
                 Json::Obj(vec![

@@ -10,22 +10,38 @@
 
 use crate::scale::Scale;
 use paradyn_core::{default_threads, replication_seed, run_many, SimConfig, SimMetrics};
+use paradyn_des::fnv1a;
 use paradyn_stats::Design2kr;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Runs and executed events simulated so far by this process.
+/// Runs, executed events and the run digest simulated since the last
+/// [`take_sim_totals`].
 static RUNS: AtomicU64 = AtomicU64::new(0);
 static EVENTS: AtomicU64 = AtomicU64::new(0);
+static DIGEST: AtomicU64 = AtomicU64::new(0);
 
-/// Add `runs` to the process-wide totals that [`sim_totals`] reads.
+/// Add `runs` to the totals that [`take_sim_totals`] reads, folding an
+/// FNV-1a hash of each run's full-precision `{:?}` form into the digest in
+/// input order. `repro` runs its artifacts one after another, so each
+/// artifact's digest is a pure function of its simulated bits.
 pub fn count(runs: &[SimMetrics]) {
     RUNS.fetch_add(runs.len() as u64, Ordering::Relaxed);
     EVENTS.fetch_add(runs.iter().map(|m| m.events).sum(), Ordering::Relaxed);
+    let digest = runs.iter().fold(DIGEST.load(Ordering::Relaxed), |d, m| {
+        let run = fnv1a(format!("{m:?}").as_bytes());
+        fnv1a(&[d.to_le_bytes(), run.to_le_bytes()].concat())
+    });
+    DIGEST.store(digest, Ordering::Relaxed);
 }
 
-/// `(runs, executed events)` simulated so far by this process.
-pub fn sim_totals() -> (u64, u64) {
-    (RUNS.load(Ordering::Relaxed), EVENTS.load(Ordering::Relaxed))
+/// `(runs, executed events, digest)` simulated since the last call, which
+/// starts the next count from zero.
+pub fn take_sim_totals() -> (u64, u64, u64) {
+    (
+        RUNS.swap(0, Ordering::Relaxed),
+        EVENTS.swap(0, Ordering::Relaxed),
+        DIGEST.swap(0, Ordering::Relaxed),
+    )
 }
 
 /// The `scale.reps` seed-derived configurations for one base configuration.
