@@ -9,6 +9,11 @@ use crate::model::RoccModel;
 use paradyn_des::{SimDur, SimTime};
 use paradyn_workload::ProcessClass;
 
+/// Seconds in an exact nanosecond total, rounded once.
+fn secs(ns: u128) -> f64 {
+    ns as f64 / 1e9
+}
+
 /// Maximum number of priority tiers the degradation controller supports
 /// (fixed so per-tier counters are plain arrays with a stable snapshot
 /// layout).
@@ -107,9 +112,6 @@ pub struct SimMetrics {
     pub daemon_downtime_s: f64,
     /// Forward retries caused by injected link failures.
     pub forward_retries: u64,
-    /// Mean daemon recovery latency per crash (s); `NaN` with no crashes.
-    // lint:allow(dead-field): tests/fault_injection.rs checks it against the crash log
-    pub recovery_latency_mean_s: f64,
     /// CPU time injected by consumer-stall faults (s).
     // lint:allow(dead-field): tests/fault_injection.rs checks stalls inject CPU time
     pub consumer_stall_time_s: f64,
@@ -129,12 +131,7 @@ impl SimMetrics {
         let acc = &m.acc;
         let nodes = m.cfg.nodes;
         let n = nodes as f64;
-        let mut cpu = [0.0; 5];
-        let mut net = [0.0; 5];
-        for i in 0..5 {
-            cpu[i] = acc.cpu_busy_us[i] * 1e-6;
-            net[i] = acc.net_busy_us[i] * 1e-6;
-        }
+        let cpu = acc.cpu_busy_ns.map(|ns| secs(ns.into()));
         let pd = cpu[class_idx(ProcessClass::ParadynDaemon)];
         let main = cpu[class_idx(ProcessClass::MainParadyn)];
         let app = cpu[class_idx(ProcessClass::Application)];
@@ -145,28 +142,34 @@ impl SimMetrics {
             // overhead is averaged per node.
             _ => (main / dur, n),
         };
-        let net_total: f64 = net.iter().sum();
+        let net_total = secs(acc.net_busy_ns.iter().map(|&ns| u128::from(ns)).sum());
         let net_util = if m.shared_net.is_some() {
             net_total / dur
         } else {
             net_total / (n * dur)
         };
         let received = acc.received_samples;
-        let (fw_batches, fw_samples) = m.total_forwarded();
         // Runs start at time zero, so the horizon is also the end instant.
+        // Writer blocks and daemon outages still open there count up to it.
         let end = SimTime::ZERO + horizon;
-        let open_block_us: f64 = m
+        let open_block_ns: u64 = m
             .apps
             .cold
             .iter()
             .filter_map(|c| c.blocked_since)
-            .map(|since| (end - since).as_micros_f64())
+            .map(|since| (end - since).as_nanos())
+            .sum();
+        let open_down_ns: u64 = m
+            .daemons
+            .hot
+            .iter()
+            .zip(&m.daemons.cold)
+            .filter(|(h, _)| h.down)
+            .map(|(_, c)| (end - c.down_since).as_nanos())
             .sum();
         let lost_overflow = m.total_overflow_lost();
         let samples_lost =
             lost_overflow + acc.lost_blocked + acc.lost_crash + acc.lost_link;
-        let crashes = m.total_crashes();
-        let downtime_s = m.total_downtime_at(end).as_secs_f64();
         SimMetrics {
             duration_s: dur,
             nodes,
@@ -177,12 +180,12 @@ impl SimMetrics {
             is_cpu_util_per_node: (pd + main) / (n * dur),
             app_cpu_util_per_node: app / (n * dur),
             latency_mean_s: if received > 0 {
-                acc.latency_sum_s / received as f64
+                secs(acc.latency_sum_ns) / received as f64
             } else {
                 f64::NAN
             },
             fwd_latency_mean_s: if acc.received_msgs > 0 {
-                acc.fwd_latency_sum_s / acc.received_msgs as f64
+                secs(acc.fwd_latency_sum_ns) / acc.received_msgs as f64
             } else {
                 f64::NAN
             },
@@ -197,8 +200,8 @@ impl SimMetrics {
             net_util,
             blocked_deposits: m.total_blocked_deposits(),
             barrier_ops: acc.barrier_ops,
-            forwarded_batches: fw_batches,
-            forwarded_samples: fw_samples,
+            forwarded_batches: acc.forwarded_batches,
+            forwarded_samples: acc.forwarded_samples,
             emitted_samples: acc.emitted_samples,
             samples_lost,
             lost_overflow,
@@ -211,16 +214,11 @@ impl SimMetrics {
             backpressure_events: acc.backpressure_events,
             samples_in_flight: m.samples_unbatched() + acc.in_batches,
             rejected_deposits: m.total_rejected_deposits(),
-            writer_block_time_s: (acc.writer_block_us + open_block_us) * 1e-6,
-            daemon_crashes: crashes,
-            daemon_downtime_s: downtime_s,
-            forward_retries: m.total_retries(),
-            recovery_latency_mean_s: if crashes > 0 {
-                downtime_s / crashes as f64
-            } else {
-                f64::NAN
-            },
-            consumer_stall_time_s: acc.stall_injected_us * 1e-6,
+            writer_block_time_s: secs((acc.writer_block_ns + open_block_ns).into()),
+            daemon_crashes: acc.crashes,
+            daemon_downtime_s: secs((acc.downtime_ns + open_down_ns).into()),
+            forward_retries: acc.retries,
+            consumer_stall_time_s: secs(acc.stall_injected_ns.into()),
             events,
         }
     }

@@ -26,7 +26,7 @@
 use super::types::{AppId, PdId};
 use super::Step;
 use crate::pipe::Pipe;
-use paradyn_des::{FaultMonitor, FaultSchedule, SimTime, StreamRng};
+use paradyn_des::{FaultSchedule, SimTime, StreamRng};
 use std::collections::VecDeque;
 
 /// Per-app state touched on every computation/communication burst.
@@ -130,10 +130,6 @@ pub(crate) struct DaemonHot {
     pub remote_pressure: bool,
     /// Flush-timer generation; timers with a stale generation are ignored.
     pub flush_gen: u32,
-    /// Batches forwarded so far.
-    pub forwarded_batches: u64,
-    /// Samples forwarded so far.
-    pub forwarded_samples: u64,
 }
 
 /// Per-daemon state touched per merge hop, backpressure signal, or
@@ -145,8 +141,9 @@ pub(crate) struct DaemonCold {
     pub crash: Option<FaultSchedule>,
     /// Randomness for injected forwarding-link failures.
     pub link_rng: StreamRng,
-    /// Fault-cost bookkeeping (crashes, losses, retries, downtime).
-    pub fault_mon: FaultMonitor,
+    /// When the current outage began; meaningful only while
+    /// [`DaemonHot::down`] (metrics count an open outage up to the horizon).
+    pub down_since: SimTime,
     /// Randomness for backpressure signalling jitter (degradation
     /// controller; untouched unless degradation is configured).
     pub shed_rng: StreamRng,

@@ -142,17 +142,14 @@ impl RoccModel {
             self.daemons.hot[pd as usize].doomed = false;
             self.acc.in_batches -= count as u64;
             self.acc.lost_crash += count as u64;
-            self.daemons.cold[pd as usize]
-                .fault_mon
-                .add_lost(count as u64);
             if !self.daemons.hot[pd as usize].down {
                 self.maybe_collect(ctx, pd);
             }
             return;
         }
+        self.acc.forwarded_batches += 1;
+        self.acc.forwarded_samples += count as u64;
         let d = &mut self.daemons.hot[pd as usize];
-        d.forwarded_batches += 1;
-        d.forwarded_samples += count as u64;
         let p = &self.cfg.params;
         let demand =
             p.pd.net_req.sample(&mut d.net_rng) + PD_NET_PER_EXTRA_SAMPLE_US * (count as f64 - 1.0);
@@ -184,10 +181,9 @@ impl RoccModel {
                     let count = u64::from(batch.count.get());
                     self.acc.in_batches -= count;
                     self.acc.lost_link += count;
-                    self.daemons.cold[pd as usize].fault_mon.add_lost(count);
                     return;
                 }
-                self.daemons.cold[pd as usize].fault_mon.add_retry();
+                self.acc.retries += 1;
                 let backoff_us =
                     link.backoff_base_us * (1u64 << (attempts - 1).min(20)) as f64;
                 batch.stage = Stage::Forward { attempts };
@@ -208,7 +204,8 @@ impl RoccModel {
     /// slots are freed, and a blocked writer's parked sample is admitted
     /// to the fresh pipe (graceful degradation: the application continues).
     pub(crate) fn daemon_crash(&mut self, ctx: &mut Ctx<Ev>, pd: PdId) {
-        let now = ctx.now();
+        self.acc.crashes += 1;
+        self.daemons.cold[pd as usize].down_since = ctx.now();
         let entries = {
             let d = &mut self.daemons.hot[pd as usize];
             debug_assert!(!d.down, "crash scheduled while already down");
@@ -218,12 +215,10 @@ impl RoccModel {
             }
             // Invalidate any armed flush timer.
             d.flush_gen = d.flush_gen.wrapping_add(1);
-            self.daemons.cold[pd as usize].fault_mon.crash_at(now);
             std::mem::take(&mut self.daemons.fifo[pd as usize])
         };
         let n = entries.len() as u64;
         self.acc.lost_crash += n;
-        self.daemons.cold[pd as usize].fault_mon.add_lost(n);
         for (_gen, app) in entries {
             self.drain_one(ctx, app);
         }
@@ -244,11 +239,10 @@ impl RoccModel {
     /// The daemon finished restarting: resume collection and schedule its
     /// next failure.
     pub(crate) fn daemon_recover(&mut self, ctx: &mut Ctx<Ev>, pd: PdId) {
-        let now = ctx.now();
         self.daemons.hot[pd as usize].down = false;
         let ttf = {
             let c = &mut self.daemons.cold[pd as usize];
-            c.fault_mon.recover_at(now);
+            self.acc.downtime_ns += (ctx.now() - c.down_since).as_nanos();
             c.crash
                 .as_mut()
                 .expect("recover event only scheduled with a crash plan")
@@ -277,7 +271,7 @@ impl RoccModel {
             self.acc.generated_samples += 1;
             let c = &mut self.apps.cold[app as usize];
             if let Some(since) = c.blocked_since.take() {
-                self.acc.writer_block_us += (ctx.now() - since).as_micros_f64();
+                self.acc.writer_block_ns += (ctx.now() - since).as_nanos();
             }
             let resume = c.paused.take();
             let restart_timer = !c.sampling_active;

@@ -29,7 +29,7 @@ use crate::metrics::SimMetrics;
 use crate::pipe::Pipe;
 use arena::{AppCold, AppHot, Apps, DaemonCold, DaemonHot, Daemons};
 use paradyn_des::{
-    Ctx, FaultMonitor, FaultSchedule, FcfsServer, Model, Offer, RrCpuBank, Sim, SimDur, SimTime,
+    Ctx, FaultSchedule, FcfsServer, Model, Offer, RrCpuBank, Sim, SimDur, SimTime,
     StreamRng, Streams, Submit,
 };
 use paradyn_workload::params::{
@@ -91,17 +91,22 @@ pub(crate) enum Step {
     Comm,
 }
 
-/// Internal metric accumulators.
+/// The run's books: every total a run reports, kept here and nowhere
+/// else, in exact integers (durations in nanoseconds), so no addition
+/// order can move a bit. [`SimMetrics::from_model`] converts them to
+/// seconds once.
 #[derive(Default)]
 pub(crate) struct Acc {
-    /// CPU busy time by class (µs).
-    pub cpu_busy_us: [f64; 5],
-    /// Network occupancy by class (µs).
-    pub net_busy_us: [f64; 5],
-    /// Sum of per-sample monitoring latencies (s).
-    pub latency_sum_s: f64,
-    /// Sum of per-message forwarding latencies (batch-ready to receipt, s).
-    pub fwd_latency_sum_s: f64,
+    /// CPU time by class: the slices that ran (ns).
+    pub cpu_busy_ns: [u64; 5],
+    /// Network occupancy by class: the rounded spans submitted (ns).
+    pub net_busy_ns: [u64; 5],
+    /// Sum of per-sample monitoring latencies, generation to receipt:
+    /// `Σ (now·count − sum_gen_ns)` over received batches (ns).
+    pub latency_sum_ns: u128,
+    /// Sum of per-message forwarding latencies, batch-ready to receipt:
+    /// `Σ (now − ready_ns)` over received batches (ns).
+    pub fwd_latency_sum_ns: u128,
     /// Samples received at the main process.
     pub received_samples: u64,
     /// Messages received at the main process.
@@ -126,11 +131,22 @@ pub(crate) struct Acc {
     /// for them (the model tests check it against a walk over every
     /// holder).
     pub in_batches: u64,
-    /// Total time application writers spent blocked on full pipes (µs),
-    /// for intervals closed before the horizon.
-    pub writer_block_us: f64,
-    /// CPU time injected by consumer-stall faults (µs).
-    pub stall_injected_us: f64,
+    /// Batches daemons put on the network after a collect cycle.
+    pub forwarded_batches: u64,
+    /// Samples in those batches.
+    pub forwarded_samples: u64,
+    /// Total time application writers spent blocked on full pipes, for
+    /// intervals closed before the horizon (ns).
+    pub writer_block_ns: u64,
+    /// CPU time injected by consumer-stall faults: the spans submitted (ns).
+    pub stall_injected_ns: u64,
+    /// Injected daemon crashes.
+    pub crashes: u64,
+    /// Daemon downtime of the outages closed by a recovery (ns); an
+    /// outage still open at the horizon is added at metric time.
+    pub downtime_ns: u64,
+    /// Forward retries caused by injected link failures.
+    pub retries: u64,
     /// Samples deliberately shed by the degradation controller, by priority
     /// tier. Conservation: emitted == received + lost + shed + in-flight.
     pub shed_by_tier: [u64; crate::metrics::MAX_TIERS],
@@ -254,8 +270,6 @@ impl RoccModel {
                     shedding: false,
                     remote_pressure: false,
                     flush_gen: 0,
-                    forwarded_batches: 0,
-                    forwarded_samples: 0,
                 },
                 VecDeque::with_capacity(fifo_cap),
                 Vec::new(),
@@ -269,7 +283,7 @@ impl RoccModel {
                         )
                     }),
                     link_rng: streams.stream3(stream_kind::FAULT_LINK, pd as u64, 0),
-                    fault_mon: FaultMonitor::new(),
+                    down_since: SimTime::ZERO,
                     shed_rng: streams.stream3(stream_kind::CTRL_SHED, pd as u64, 0),
                 },
             );
@@ -347,8 +361,8 @@ impl RoccModel {
             (None, NetJob::Forward(_)) => demand_us.max(MIN_FORWARD_US),
             _ => demand_us,
         };
-        self.acc.net_busy_us[class_idx(job.class())] += demand_us;
         let demand = SimDur::from_micros_f64(demand_us);
+        self.acc.net_busy_ns[class_idx(job.class())] += demand.as_nanos();
         match &mut self.shared_net {
             Some(server) => {
                 if let Offer::Started(d) = server.submit(job, demand) {
@@ -416,9 +430,10 @@ impl RoccModel {
     /// Main-process handling finished: the batch is consumed.
     fn main_recv_done(&mut self, ctx: &mut Ctx<Ev>, batch: Batch) {
         let count = batch.count.get();
+        let now = u128::from(ctx.now().as_nanos());
         self.acc.in_batches -= u64::from(count);
-        self.acc.latency_sum_s += batch.mean_latency_s(ctx.now()) * count as f64;
-        self.acc.fwd_latency_sum_s += batch.forwarding_latency_s(ctx.now());
+        self.acc.latency_sum_ns += now * u128::from(count) - u128::from(batch.sum_gen_ns);
+        self.acc.fwd_latency_sum_ns += now - u128::from(batch.ready_ns);
         self.acc.received_samples += count as u64;
         self.acc.received_msgs += 1;
     }
@@ -433,12 +448,6 @@ impl RoccModel {
         self.apps.pipe.iter().map(|p| p.blocked_deposits()).sum()
     }
 
-    pub(crate) fn total_forwarded(&self) -> (u64, u64) {
-        let b = self.daemons.hot.iter().map(|d| d.forwarded_batches).sum();
-        let s = self.daemons.hot.iter().map(|d| d.forwarded_samples).sum();
-        (b, s)
-    }
-
     /// Samples dropped by lossy pipe overflow, across all pipes.
     pub(crate) fn total_overflow_lost(&self) -> u64 {
         self.apps.pipe.iter().map(|p| p.lost()).sum()
@@ -447,22 +456,6 @@ impl RoccModel {
     /// Deposits rejected because the writer was already blocked.
     pub(crate) fn total_rejected_deposits(&self) -> u64 {
         self.apps.pipe.iter().map(|p| p.rejected_deposits()).sum()
-    }
-
-    pub(crate) fn total_crashes(&self) -> u64 {
-        self.daemons.cold.iter().map(|d| d.fault_mon.crashes()).sum()
-    }
-
-    pub(crate) fn total_retries(&self) -> u64 {
-        self.daemons.cold.iter().map(|d| d.fault_mon.retries()).sum()
-    }
-
-    /// Total daemon downtime up to `end`, including still-open outages.
-    pub(crate) fn total_downtime_at(&self, end: SimTime) -> SimDur {
-        self.daemons
-            .cold
-            .iter()
-            .fold(SimDur::ZERO, |acc, d| acc + d.fault_mon.downtime_at(end))
     }
 
     /// Samples emitted but not yet in a batch: parked on a full pipe or
@@ -551,7 +544,7 @@ impl Model for RoccModel {
             Ev::Init => self.init(ctx),
             Ev::Slice { bank, cpu } => {
                 let end = self.banks[bank as usize].slice_end(cpu as usize);
-                self.acc.cpu_busy_us[class_idx(end.job.class())] += end.ran.as_micros_f64();
+                self.acc.cpu_busy_ns[class_idx(end.job.class())] += end.ran.as_nanos();
                 if let Some(slice) = end.next_slice {
                     ctx.post_in(slice, Ev::Slice { bank, cpu });
                 }
@@ -672,7 +665,7 @@ impl RoccModel {
     /// each batch through round-robin sharing.
     fn main_stall(&mut self, ctx: &mut Ctx<Ev>) {
         let s = self.cfg.faults.stall.expect("MainStall only scheduled with stalls on");
-        self.acc.stall_injected_us += s.stall_us;
+        self.acc.stall_injected_ns += SimDur::from_micros_f64(s.stall_us).as_nanos();
         self.submit_cpu(
             ctx,
             self.bank_of(0),

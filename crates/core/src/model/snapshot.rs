@@ -132,13 +132,11 @@ impl Persist for Daemons {
             self.roster[i].save(w);
             w.put_bool(h.collecting);
             w.put_u32(h.flush_gen);
-            w.put_u64(h.forwarded_batches);
-            w.put_u64(h.forwarded_samples);
             w.put_bool(h.down);
             w.put_bool(h.doomed);
             c.crash.save(w);
             c.link_rng.save(w);
-            c.fault_mon.save(w);
+            c.down_since.save(w);
             w.put_bool(h.shedding);
             w.put_bool(h.remote_pressure);
             c.shed_rng.save(w);
@@ -156,13 +154,11 @@ impl Persist for Daemons {
             let roster: Vec<u32> = Persist::load(r)?;
             let collecting = r.take_bool()?;
             let flush_gen = r.take_u32()?;
-            let forwarded_batches = r.take_u64()?;
-            let forwarded_samples = r.take_u64()?;
             let down = r.take_bool()?;
             let doomed = r.take_bool()?;
             let crash = Persist::load(r)?;
             let link_rng = Persist::load(r)?;
-            let fault_mon = Persist::load(r)?;
+            let down_since = Persist::load(r)?;
             let shedding = r.take_bool()?;
             let remote_pressure = r.take_bool()?;
             let shed_rng = Persist::load(r)?;
@@ -181,14 +177,12 @@ impl Persist for Daemons {
                 shedding,
                 remote_pressure,
                 flush_gen,
-                forwarded_batches,
-                forwarded_samples,
             };
             let cold = DaemonCold {
                 merge_rng,
                 crash,
                 link_rng,
-                fault_mon,
+                down_since,
                 shed_rng,
             };
             daemons.push(hot, fifo, roster, cold);
@@ -199,14 +193,14 @@ impl Persist for Daemons {
 
 impl Persist for Acc {
     fn save(&self, w: &mut Enc) {
-        for v in &self.cpu_busy_us {
-            w.put_f64(*v);
+        for v in &self.cpu_busy_ns {
+            w.put_u64(*v);
         }
-        for v in &self.net_busy_us {
-            w.put_f64(*v);
+        for v in &self.net_busy_ns {
+            w.put_u64(*v);
         }
-        w.put_f64(self.latency_sum_s);
-        w.put_f64(self.fwd_latency_sum_s);
+        w.put_u128(self.latency_sum_ns);
+        w.put_u128(self.fwd_latency_sum_ns);
         w.put_u64(self.received_samples);
         w.put_u64(self.received_msgs);
         w.put_u64(self.generated_samples);
@@ -216,8 +210,13 @@ impl Persist for Acc {
         w.put_u64(self.lost_crash);
         w.put_u64(self.lost_link);
         w.put_u64(self.in_batches);
-        w.put_f64(self.writer_block_us);
-        w.put_f64(self.stall_injected_us);
+        w.put_u64(self.forwarded_batches);
+        w.put_u64(self.forwarded_samples);
+        w.put_u64(self.writer_block_ns);
+        w.put_u64(self.stall_injected_ns);
+        w.put_u64(self.crashes);
+        w.put_u64(self.downtime_ns);
+        w.put_u64(self.retries);
         for v in &self.shed_by_tier {
             w.put_u64(*v);
         }
@@ -226,14 +225,14 @@ impl Persist for Acc {
     }
     fn load(r: &mut Dec<'_>) -> Result<Self, SnapError> {
         let mut acc = Acc::default();
-        for v in &mut acc.cpu_busy_us {
-            *v = r.take_f64()?;
+        for v in &mut acc.cpu_busy_ns {
+            *v = r.take_u64()?;
         }
-        for v in &mut acc.net_busy_us {
-            *v = r.take_f64()?;
+        for v in &mut acc.net_busy_ns {
+            *v = r.take_u64()?;
         }
-        acc.latency_sum_s = r.take_f64()?;
-        acc.fwd_latency_sum_s = r.take_f64()?;
+        acc.latency_sum_ns = r.take_u128()?;
+        acc.fwd_latency_sum_ns = r.take_u128()?;
         acc.received_samples = r.take_u64()?;
         acc.received_msgs = r.take_u64()?;
         acc.generated_samples = r.take_u64()?;
@@ -243,8 +242,13 @@ impl Persist for Acc {
         acc.lost_crash = r.take_u64()?;
         acc.lost_link = r.take_u64()?;
         acc.in_batches = r.take_u64()?;
-        acc.writer_block_us = r.take_f64()?;
-        acc.stall_injected_us = r.take_f64()?;
+        acc.forwarded_batches = r.take_u64()?;
+        acc.forwarded_samples = r.take_u64()?;
+        acc.writer_block_ns = r.take_u64()?;
+        acc.stall_injected_ns = r.take_u64()?;
+        acc.crashes = r.take_u64()?;
+        acc.downtime_ns = r.take_u64()?;
+        acc.retries = r.take_u64()?;
         for v in &mut acc.shed_by_tier {
             *v = r.take_u64()?;
         }

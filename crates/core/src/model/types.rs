@@ -1,6 +1,5 @@
 //! Job, message, and event types of the ROCC simulation.
 
-use paradyn_des::SimTime;
 use paradyn_workload::ProcessClass;
 use std::num::NonZeroU16;
 
@@ -250,20 +249,6 @@ pub struct Batch {
 /// Largest batch any daemon collects: validation caps the configured
 /// batch here, and a snapshot batch above it is malformed.
 pub const MAX_BATCH: usize = 4096;
-
-impl Batch {
-    /// Mean generation-to-receipt latency of the batch if received at
-    /// `now`, in seconds (includes batch-accumulation time).
-    pub fn mean_latency_s(&self, now: SimTime) -> f64 {
-        let count = self.count.get() as f64;
-        (now.as_nanos() as f64 * count - self.sum_gen_ns as f64) / count / 1e9
-    }
-
-    /// Forwarding latency (batch-ready to receipt) at `now`, in seconds.
-    pub fn forwarding_latency_s(&self, now: SimTime) -> f64 {
-        (now.as_nanos() as f64 - self.ready_ns as f64) / 1e9
-    }
-}
 
 /// Index of a process class in metric arrays.
 #[inline]
@@ -531,7 +516,7 @@ impl Persist for Ev {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use paradyn_des::SimDur;
+    use paradyn_des::{SimDur, SimTime};
 
     fn batch(count: u8, stage: Stage) -> Batch {
         Batch {
@@ -675,15 +660,36 @@ mod tests {
 
     #[test]
     fn batch_latency_accounting() {
-        // Two samples generated at 1s and 3s, received at 5s:
-        // latencies 4s and 2s, mean 3s.
+        // Two samples generated at 1s and 3s, ready at 4s and received at
+        // 5s: latencies 4s and 2s, mean 3s, and one 1s forwarding latency,
+        // booked in exact nanoseconds when the main process finishes the
+        // receive.
+        use crate::model::RoccModel;
+        use paradyn_des::Sim;
+        let cfg = crate::SimConfig {
+            background: false,
+            ..Default::default()
+        };
+        let mut sim = Sim::new(RoccModel::new(cfg));
         let b = Batch {
             sum_gen_ns: 4_000_000_000,
             ready_ns: 4_000_000_000,
             ..batch(2, Stage::Receive)
         };
-        let lat = b.mean_latency_s(SimTime::from_secs_f64(5.0));
-        assert!((lat - 3.0).abs() < 1e-9);
+        let job = CpuJob {
+            kind: CpuKind::Batch(b),
+        };
+        sim.model.acc.in_batches = 2;
+        sim.model.banks[0].submit(job, SimDur::from_nanos(1));
+        let end = SimTime::from_secs_f64(5.0);
+        sim.ctx().post_at(end, Ev::Slice { bank: 0, cpu: 0 });
+        sim.run_until(end);
+        let acc = &sim.model.acc;
+        assert_eq!((acc.received_samples, acc.received_msgs, acc.in_batches), (2, 1, 0));
+        assert_eq!(acc.latency_sum_ns, 6_000_000_000);
+        assert_eq!(acc.fwd_latency_sum_ns, 1_000_000_000);
+        let m = sim.model.metrics(end - SimTime::ZERO, 1);
+        assert_eq!((m.latency_mean_s, m.fwd_latency_mean_s), (3.0, 1.0));
     }
 
     #[test]

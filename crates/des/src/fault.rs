@@ -9,8 +9,8 @@
 //! perturbs another element's randomness, and replicated runs stay
 //! bit-identical at any worker-thread count.
 //!
-//! The companion [`crate::monitor::FaultMonitor`] records what the faults
-//! cost: crash count, samples lost, retries, and accumulated downtime.
+//! The schedule keeps no books: the model that posts its events counts
+//! what the faults cost (crashes, losses, retries, downtime).
 
 use crate::rng::StreamRng;
 use crate::time::SimDur;

@@ -6,7 +6,6 @@
 //! unit- and property-testable without an event loop.
 
 use crate::fifo::Fifo;
-use crate::monitor::BusyTime;
 use crate::snapshot::{Dec, Enc, Persist, SnapError};
 use crate::time::SimDur;
 
@@ -32,8 +31,6 @@ struct Entry<J> {
 pub struct FcfsServer<J> {
     current: Option<Entry<J>>,
     queue: Fifo<Entry<J>>,
-    busy: BusyTime,
-    served: u64,
 }
 
 impl<J: Copy> Default for FcfsServer<J> {
@@ -48,8 +45,6 @@ impl<J: Copy> FcfsServer<J> {
         FcfsServer {
             current: None,
             queue: Fifo::new(),
-            busy: BusyTime::new(),
-            served: 0,
         }
     }
 
@@ -57,17 +52,12 @@ impl<J: Copy> FcfsServer<J> {
     pub fn submit(&mut self, job: J, service: SimDur) -> Offer {
         let entry = Entry { job, service };
         if self.current.is_none() {
-            self.start(entry);
+            self.current = Some(entry);
             Offer::Started(service)
         } else {
             self.queue.push_back(entry);
             Offer::Queued(self.queue.len() - 1)
         }
-    }
-
-    fn start(&mut self, entry: Entry<J>) {
-        self.busy.add(entry.service);
-        self.current = Some(entry);
     }
 
     /// The pending service completed. Returns the finished job, its service
@@ -82,12 +72,8 @@ impl<J: Copy> FcfsServer<J> {
             .current
             .take()
             .expect("FcfsServer::complete called while idle");
-        self.served += 1;
-        let next = self.queue.pop_front().map(|entry| {
-            let svc = entry.service;
-            self.start(entry);
-            svc
-        });
+        self.current = self.queue.pop_front();
+        let next = self.current.map(|entry| entry.service);
         (finished.job, finished.service, next)
     }
 
@@ -114,23 +100,6 @@ impl<J: Copy> FcfsServer<J> {
         let current = self.current.iter().map(|e| e.job);
         current.chain(self.queue.iter().map(|e| e.job))
     }
-
-    /// Total busy time credited so far (includes the in-progress service in
-    /// full at its start).
-    // lint:allow(dead-pub): the FCFS property in tests/properties.rs
-    pub fn busy_total(&self) -> SimDur {
-        self.busy.total()
-    }
-
-    /// Busy fraction of `[0, horizon]`.
-    pub fn utilization(&self, horizon: SimDur) -> f64 {
-        self.busy.utilization(horizon)
-    }
-
-    /// Number of completed services.
-    pub fn served(&self) -> u64 {
-        self.served
-    }
 }
 
 impl<J: Persist> Persist for Entry<J> {
@@ -150,8 +119,6 @@ impl<J: Copy + Persist> Persist for FcfsServer<J> {
     fn save(&self, w: &mut Enc) {
         self.current.save(w);
         self.queue.save(w);
-        self.busy.save(w);
-        w.put_u64(self.served);
     }
     fn load(r: &mut Dec<'_>) -> Result<Self, SnapError> {
         let current: Option<Entry<J>> = Persist::load(r)?;
@@ -159,12 +126,7 @@ impl<J: Copy + Persist> Persist for FcfsServer<J> {
         if current.is_none() && !queue.is_empty() {
             return Err(SnapError::Malformed("FcfsServer idle with waiting queue"));
         }
-        Ok(FcfsServer {
-            current,
-            queue,
-            busy: Persist::load(r)?,
-            served: r.take_u64()?,
-        })
+        Ok(FcfsServer { current, queue })
     }
 }
 
@@ -200,18 +162,22 @@ mod tests {
         assert_eq!(j, 3);
         assert_eq!(next, None);
         assert!(!s.is_busy());
-        assert_eq!(s.served(), 3);
     }
 
     #[test]
     fn busy_time_accumulates_service() {
+        // The spans the server starts, which the model books as busy time,
+        // add up to the demands, as do the services its completions return.
         let mut s = FcfsServer::new();
-        s.submit(1u32, us(10.0));
+        let Offer::Started(mut started) = s.submit(1u32, us(10.0)) else {
+            panic!("idle server queued");
+        };
         s.submit(2, us(30.0));
-        s.complete();
-        s.complete();
-        assert_eq!(s.busy_total(), us(40.0));
-        assert!((s.utilization(us(80.0)) - 0.5).abs() < 1e-12);
+        let (_, first, next) = s.complete();
+        started += next.expect("a waiter starts");
+        let (_, second, next) = s.complete();
+        assert_eq!(next, None);
+        assert_eq!((started, first + second), (us(40.0), us(40.0)));
     }
 
     #[test]
@@ -225,10 +191,7 @@ mod tests {
         s.save(&mut w);
         let bytes = w.into_bytes();
         let mut t: FcfsServer<u32> = Persist::load(&mut Dec::new(&bytes)).unwrap();
-        assert_eq!(
-            (t.queue_len(), t.served(), t.busy_total()),
-            (1, 1, us(15.0))
-        );
+        assert_eq!((t.is_busy(), t.queue_len()), (true, 1));
         assert_eq!(t.complete(), (2, us(5.0), Some(us(7.0))));
         assert_eq!(t.complete(), (3, us(7.0), None));
     }

@@ -4,11 +4,11 @@
 //! The simulation substrate for the Paradyn instrumentation-system study:
 //! a deterministic, monomorphic event calendar ([`engine`], backed by the
 //! one-level hashed timing wheel in [`calendar`]), an integer nanosecond clock
-//! ([`time`]), reproducible independent random streams ([`rng`]),
-//! run monitors of busy time and fault cost ([`monitor`]), reusable
-//! resource state machines — an FCFS single server ([`fcfs`]) and a
-//! round-robin quantum CPU bank ([`rr`]) — and the block-chained queue
-//! both keep their waiting jobs in ([`fifo`]).
+//! ([`time`]), reproducible independent random streams ([`rng`]), a
+//! crash/recovery renewal process ([`fault`]), reusable resource state
+//! machines — an FCFS single server ([`fcfs`]) and a round-robin quantum
+//! CPU bank ([`rr`]) — and the block-chained queue both keep their waiting
+//! jobs in ([`fifo`]).
 //!
 //! Design choices (see DESIGN.md §5):
 //! * **Integer time** — exact event ordering, bit-reproducible runs.
@@ -23,7 +23,8 @@
 //!   differential-testing oracle.
 //! * **Resources as pure state machines** — they own no events; the model
 //!   schedules exactly one completion/slice event per started service, which
-//!   makes the components independently testable.
+//!   makes the components independently testable. They keep no run books
+//!   either: each hands back the span it serves, and the model books it.
 //!
 //! ## Example
 //!
@@ -55,7 +56,6 @@ pub mod engine;
 pub mod fault;
 pub mod fcfs;
 pub mod fifo;
-pub mod monitor;
 pub mod rng;
 pub mod rr;
 pub mod snapshot;
@@ -66,7 +66,6 @@ pub use engine::{Ctx, Model, Sim};
 pub use fault::FaultSchedule;
 pub use fcfs::{FcfsServer, Offer};
 pub use fifo::Fifo;
-pub use monitor::{BusyTime, FaultMonitor};
 pub use rng::{StreamRng, Streams};
 pub use rr::{RrCpuBank, SliceEnd, Submit};
 pub use snapshot::{

@@ -12,7 +12,6 @@
 //! is one pending slice event per busy CPU.
 
 use crate::fifo::Fifo;
-use crate::monitor::BusyTime;
 use crate::time::SimDur;
 
 /// Result of submitting a job to the bank.
@@ -55,8 +54,6 @@ pub struct RrCpuBank<J> {
     quantum: SimDur,
     running: Vec<Option<Running<J>>>,
     ready: Fifo<(J, SimDur)>,
-    busy: BusyTime,
-    completed: u64,
 }
 
 impl<J: Copy> RrCpuBank<J> {
@@ -71,8 +68,6 @@ impl<J: Copy> RrCpuBank<J> {
             quantum,
             running: (0..cpus).map(|_| None).collect(),
             ready: Fifo::new(),
-            busy: BusyTime::new(),
-            completed: 0,
         }
     }
 
@@ -94,7 +89,6 @@ impl<J: Copy> RrCpuBank<J> {
 
     fn dispatch(&mut self, cpu: usize, job: J, remaining: SimDur) -> SimDur {
         let slice = remaining.min(self.quantum);
-        self.busy.add(slice);
         self.running[cpu] = Some(Running {
             job,
             remaining,
@@ -115,7 +109,6 @@ impl<J: Copy> RrCpuBank<J> {
             .expect("RrCpuBank::slice_end on idle cpu");
         let remaining = r.remaining - r.slice;
         if remaining.is_zero() {
-            self.completed += 1;
             let next_slice = self
                 .ready
                 .pop_front()
@@ -165,28 +158,6 @@ impl<J: Copy> RrCpuBank<J> {
         let running = self.running.iter().flatten().map(|r| r.job);
         running.chain(self.ready.iter().map(|(j, _)| j))
     }
-
-    /// Total CPU time dispensed (all CPUs combined).
-    // lint:allow(dead-pub): the round-robin property in tests/properties.rs
-    pub fn busy_total(&self) -> SimDur {
-        self.busy.total()
-    }
-
-    /// Average per-CPU utilization over `[0, horizon]`.
-    pub fn utilization(&self, horizon: SimDur) -> f64 {
-        if horizon.is_zero() {
-            0.0
-        } else {
-            self.busy.total().as_nanos() as f64
-                / (horizon.as_nanos() as f64 * self.cpus() as f64)
-        }
-    }
-
-    /// Number of jobs fully served.
-    // lint:allow(dead-pub): the round-robin property in tests/properties.rs
-    pub fn completed_jobs(&self) -> u64 {
-        self.completed
-    }
 }
 
 impl<J: Copy + crate::snapshot::Persist> crate::snapshot::Persist for RrCpuBank<J> {
@@ -205,8 +176,6 @@ impl<J: Copy + crate::snapshot::Persist> crate::snapshot::Persist for RrCpuBank<
             }
         }
         self.ready.save(w);
-        self.busy.save(w);
-        w.put_u64(self.completed);
     }
     fn load(
         r: &mut crate::snapshot::Dec<'_>,
@@ -236,8 +205,6 @@ impl<J: Copy + crate::snapshot::Persist> crate::snapshot::Persist for RrCpuBank<
             quantum,
             running,
             ready: Persist::load(r)?,
-            busy: Persist::load(r)?,
-            completed: r.take_u64()?,
         })
     }
 }
@@ -265,7 +232,6 @@ mod tests {
         assert_eq!(e.job, 7);
         assert_eq!(e.ran, us(2_213.0));
         assert_eq!(e.next_slice, None);
-        assert_eq!(b.completed_jobs(), 1);
     }
 
     #[test]
@@ -281,7 +247,7 @@ mod tests {
         let e3 = b.slice_end(0);
         assert!(e3.completed);
         assert_eq!(e3.ran, us(5.0));
-        assert_eq!(b.busy_total(), us(25.0));
+        assert_eq!(e1.ran + e2.ran + e3.ran, us(25.0));
     }
 
     #[test]
@@ -313,15 +279,6 @@ mod tests {
     }
 
     #[test]
-    fn utilization_counts_all_cpus() {
-        let mut b = RrCpuBank::new(2, us(100.0));
-        b.submit(1u32, us(50.0));
-        b.slice_end(0);
-        // 50us of work over 2 CPUs * 100us horizon = 25%.
-        assert!((b.utilization(us(100.0)) - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
     fn zero_demand_job_completes_immediately() {
         let mut b = RrCpuBank::new(1, us(10.0));
         match b.submit(1u32, SimDur::ZERO) {
@@ -342,7 +299,8 @@ mod tests {
 
     #[test]
     fn conservation_of_demand() {
-        // Property-style check: total dispensed CPU equals total demand.
+        // Property-style check: the slices that ran add up to the total
+        // demand, with one completion per job.
         let mut b = RrCpuBank::new(3, us(7.0));
         let demands = [13.0, 1.0, 29.0, 7.0, 14.0, 3.5, 100.0];
         let mut pending: Vec<(usize, SimDur)> = vec![];
@@ -353,10 +311,11 @@ mod tests {
             }
         }
         // Drive slices to completion in a simple queue order.
-        let mut done = 0;
+        let (mut done, mut ran) = (0, SimDur::ZERO);
         while done < demands.len() {
             let (cpu, _) = pending.remove(0);
             let e = b.slice_end(cpu);
+            ran += e.ran;
             if e.completed {
                 done += 1;
             }
@@ -365,8 +324,8 @@ mod tests {
             }
         }
         let total: f64 = demands.iter().sum();
-        assert!((b.busy_total().as_micros_f64() - total).abs() < 1e-6);
-        assert_eq!(b.completed_jobs(), demands.len() as u64);
+        assert!((ran.as_micros_f64() - total).abs() < 1e-6);
+        assert!(pending.is_empty());
         assert_eq!(b.ready_len(), 0);
     }
 }

@@ -28,7 +28,7 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"PDSN";
 
 /// Current snapshot format version. Bumped on any layout change; decoders
 /// reject every other version rather than guessing.
-pub const SNAPSHOT_VERSION: u32 = 8;
+pub const SNAPSHOT_VERSION: u32 = 9;
 
 /// Why a snapshot failed to decode. All decode paths return this — snapshot
 /// handling must never panic on untrusted bytes.
@@ -118,6 +118,11 @@ impl Enc {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
+    /// Append a little-endian `u128`.
+    pub fn put_u128(&mut self, v: u128) {
+        self.buf.extend_from_slice(&v.to_le_bytes());
+    }
+
     /// Append an `f64` by its exact bit pattern (NaN-safe round trip).
     pub fn put_f64(&mut self, v: f64) {
         self.put_u64(v.to_bits());
@@ -187,6 +192,14 @@ impl<'a> Dec<'a> {
         let mut b = [0u8; 8];
         b.copy_from_slice(s);
         Ok(u64::from_le_bytes(b))
+    }
+
+    /// Read a little-endian `u128`.
+    pub fn take_u128(&mut self) -> Result<u128, SnapError> {
+        let s = self.take(16)?;
+        let mut b = [0u8; 16];
+        b.copy_from_slice(s);
+        Ok(u128::from_le_bytes(b))
     }
 
     /// Read an `f64` from its exact bit pattern.
@@ -633,6 +646,7 @@ mod tests {
         Some(7u64).save(&mut w);
         Option::<u64>::None.save(&mut w);
         vec![1u32, 2, 3].save(&mut w);
+        w.put_u128(u128::MAX - 1);
         let bytes = w.into_bytes();
         let mut r = Dec::new(&bytes);
         assert_eq!(u8::load(&mut r), Ok(0xAA));
@@ -643,6 +657,7 @@ mod tests {
         assert_eq!(Option::<u64>::load(&mut r), Ok(Some(7)));
         assert_eq!(Option::<u64>::load(&mut r), Ok(None));
         assert_eq!(Vec::<u32>::load(&mut r), Ok(vec![1, 2, 3]));
+        assert_eq!(r.take_u128(), Ok(u128::MAX - 1));
         assert!(r.is_empty());
     }
 

@@ -280,8 +280,6 @@ fn downtime_and_recovery_metrics_are_consistent() {
     assert!(m.daemon_downtime_s > 0.0);
     assert!(m.forward_retries > 0);
     assert!(m.consumer_stall_time_s > 0.0);
-    let mean_recovery = m.daemon_downtime_s / m.daemon_crashes as f64;
-    assert!((m.recovery_latency_mean_s - mean_recovery).abs() < 1e-12);
     // Downtime cannot exceed (crashes × recovery delay) + one open outage.
     assert!(m.daemon_downtime_s <= 0.2 * (m.daemon_crashes + 4) as f64);
 }
