@@ -22,8 +22,6 @@ fn controller() -> DegradationConfig {
         // batch arrival must not trip the high watermark on its own.
         daemon_hi: 24,
         daemon_lo: 8,
-        md_factor: 2.0,
-        max_slowdown: 8.0,
         recover_step: 0.5,
         recover_period_us: 20_000.0,
         hysteresis_us: 50_000.0,

@@ -113,9 +113,9 @@ impl Default for ConsumerStallFaults {
 /// * **Source throttling** — each application process runs a multiplicative
 ///   decrease / additive recovery controller on its sampling period. When
 ///   its pipe occupancy crosses `pipe_hi × capacity` (rising edge) the
-///   effective sampling period is multiplied by `md_factor` (bounded by
-///   `max_slowdown`); once occupancy has stayed below `pipe_lo × capacity`
-///   for `hysteresis_us`, a recovery tick every `recover_period_us`
+///   effective sampling period is doubled (bounded by an 8× slowdown);
+///   once occupancy has stayed below `pipe_lo × capacity` for
+///   `hysteresis_us`, a recovery tick every `recover_period_us`
 ///   (jittered on a dedicated RNG stream) subtracts `recover_step` from the
 ///   slowdown until it returns to 1.
 /// * **Daemon shedding with backpressure propagation** — each daemon sheds
@@ -148,10 +148,6 @@ pub struct DegradationConfig {
     pub daemon_hi: usize,
     /// Daemon fifo-length low watermark; shedding stops below it.
     pub daemon_lo: usize,
-    /// Sampling-period multiplier applied on each pressure rising edge.
-    pub md_factor: f64,
-    /// Upper bound on the accumulated sampling-period multiplier.
-    pub max_slowdown: f64,
     /// Additive decrement of the multiplier per recovery tick.
     pub recover_step: f64,
     /// Mean interval between recovery ticks (µs, jittered).
@@ -170,8 +166,6 @@ impl Default for DegradationConfig {
             pipe_lo: 0.25,
             daemon_hi: 64,
             daemon_lo: 16,
-            md_factor: 2.0,
-            max_slowdown: 8.0,
             recover_step: 0.25,
             recover_period_us: 50_000.0,
             hysteresis_us: 100_000.0,
@@ -406,12 +400,6 @@ impl SimConfig {
             }
             if d.daemon_lo >= d.daemon_hi {
                 return Err("degradation daemon watermarks must satisfy lo < hi".into());
-            }
-            if d.md_factor <= 1.0 {
-                return Err("degradation md_factor must be > 1".into());
-            }
-            if d.max_slowdown < d.md_factor {
-                return Err("degradation max_slowdown must be >= md_factor".into());
             }
             if d.recover_step <= 0.0 {
                 return Err("degradation recover_step must be positive".into());
@@ -654,15 +642,6 @@ mod tests {
                 DegradationConfig {
                     daemon_lo: 64,
                     daemon_hi: 64,
-                    ..d()
-                },
-            ),
-            ("md <= 1", DegradationConfig { md_factor: 1.0, ..d() }),
-            (
-                "max < md",
-                DegradationConfig {
-                    max_slowdown: 1.5,
-                    md_factor: 2.0,
                     ..d()
                 },
             ),

@@ -154,18 +154,15 @@ impl SimMetrics {
         let end = SimTime::ZERO + horizon;
         let open_block_ns: u64 = m
             .apps
-            .cold
             .iter()
-            .filter_map(|c| c.blocked_since)
+            .filter_map(|a| a.blocked_since)
             .map(|since| (end - since).as_nanos())
             .sum();
         let open_down_ns: u64 = m
             .daemons
-            .hot
             .iter()
-            .zip(&m.daemons.cold)
-            .filter(|(h, _)| h.down)
-            .map(|(_, c)| (end - c.down_since).as_nanos())
+            .filter_map(|d| d.down_since)
+            .map(|since| (end - since).as_nanos())
             .sum();
         let lost_overflow = m.total_overflow_lost();
         let samples_lost =

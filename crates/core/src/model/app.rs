@@ -2,35 +2,84 @@
 //! loop (Figure 7), instrumentation sampling with pipe blocking, and global
 //! synchronization barriers.
 
-use super::types::{AppId, CpuJob, CpuKind, Ev, NetJob};
+use super::types::{AppId, CpuJob, CpuKind, Ev, NetJob, PdId};
 use super::{RoccModel, Step};
-use crate::pipe::Deposit;
-use paradyn_des::Ctx;
+use crate::pipe::{Deposit, Pipe};
+use paradyn_des::{Ctx, SimTime, StreamRng};
+
+/// One application process, indexed by [`AppId`]. Records are built once
+/// by `RoccModel::new` and never added, removed or reused.
+pub(crate) struct App {
+    /// Home node.
+    // lint:allow(snapshot-exempt): placement is set by the config; restore keeps the built record's
+    pub node: u32,
+    /// Owning daemon.
+    // lint:allow(snapshot-exempt): placement is set by the config; restore keeps the built record's
+    pub pd: PdId,
+    /// Randomness for CPU bursts.
+    pub cpu_rng: StreamRng,
+    /// Randomness for communication bursts.
+    pub net_rng: StreamRng,
+    /// Demand of the burst currently on the CPU (µs), for barrier
+    /// accounting at completion.
+    pub current_burst_us: f64,
+    /// CPU work accumulated since the last barrier (µs).
+    pub work_since_barrier_us: f64,
+    /// Whether the process is waiting at the barrier.
+    pub at_barrier: bool,
+    /// The pipe to the owning daemon (occupancy; the payloads sit in the
+    /// daemon's FIFO).
+    pub pipe: Pipe,
+    /// Randomness for sample timing.
+    pub sample_rng: StreamRng,
+    /// When the writer entered its current blocked wait (for
+    /// writer-block-time accounting).
+    pub blocked_since: Option<SimTime>,
+    /// Step the process will resume with once its blocked pipe write
+    /// completes.
+    pub paused: Option<Step>,
+    /// Whether the sampling timer is currently scheduled.
+    pub sampling_active: bool,
+    /// Next replay position for CPU bursts (replay mode only).
+    pub replay_cpu_pos: u64,
+    /// Next replay position for network bursts (replay mode only).
+    pub replay_net_pos: u64,
+    /// Randomness for throttle recovery-tick jitter (degradation
+    /// controller; untouched unless degradation is configured).
+    pub throttle_rng: StreamRng,
+    /// Current sampling-period multiplier (>= 1; 1 = no throttling).
+    pub throttle_mult: f64,
+    /// Whether the pipe is above its high watermark (pressure condition).
+    pub pressured: bool,
+    /// When the pressure condition last cleared (for recovery hysteresis);
+    /// `None` while pressured or never pressured.
+    pub pressure_cleared_at: Option<SimTime>,
+    /// Whether a throttle recovery tick is currently scheduled.
+    pub throttle_tick_armed: bool,
+}
 
 impl RoccModel {
     /// Begin the given step for `app`, unless its pipe writer is blocked —
     /// in which case the process pauses and resumes when the daemon drains
     /// the pipe.
     pub(crate) fn app_start_step(&mut self, ctx: &mut Ctx<Ev>, app: AppId, step: Step) {
-        if self.apps.pipe[app as usize].writer_blocked() {
-            self.apps.cold[app as usize].paused = Some(step);
+        let a = &mut self.apps[app as usize];
+        if a.pipe.writer_blocked() {
+            a.paused = Some(step);
             return;
         }
         match step {
             Step::Compute => {
-                let h = &mut self.apps.hot[app as usize];
                 let demand = match &self.cfg.replay {
                     Some(r) => {
-                        let c = &mut self.apps.cold[app as usize];
-                        let d = r.cpu_at(c.replay_cpu_pos);
-                        c.replay_cpu_pos += 1;
+                        let d = r.cpu_at(a.replay_cpu_pos);
+                        a.replay_cpu_pos += 1;
                         d
                     }
-                    None => self.cfg.app.cpu_req.sample(&mut h.cpu_rng),
+                    None => self.cfg.app.cpu_req.sample(&mut a.cpu_rng),
                 };
-                let h = &mut self.apps.hot[app as usize];
-                h.current_burst_us = demand;
-                let node = h.node;
+                a.current_burst_us = demand;
+                let node = a.node;
                 self.submit_cpu(
                     ctx,
                     self.bank_of(node),
@@ -43,15 +92,11 @@ impl RoccModel {
             Step::Comm => {
                 let demand = match &self.cfg.replay {
                     Some(r) => {
-                        let c = &mut self.apps.cold[app as usize];
-                        let d = r.net_at(c.replay_net_pos);
-                        c.replay_net_pos += 1;
+                        let d = r.net_at(a.replay_net_pos);
+                        a.replay_net_pos += 1;
                         d
                     }
-                    None => {
-                        let h = &mut self.apps.hot[app as usize];
-                        self.cfg.app.net_req.sample(&mut h.net_rng)
-                    }
+                    None => self.cfg.app.net_req.sample(&mut a.net_rng),
                 };
                 self.submit_net(ctx, NetJob::AppComm { app }, demand);
             }
@@ -61,11 +106,11 @@ impl RoccModel {
     /// A computation burst finished: account barrier progress, then either
     /// join the barrier or start communicating.
     pub(crate) fn app_compute_done(&mut self, ctx: &mut Ctx<Ev>, app: AppId) {
-        let h = &mut self.apps.hot[app as usize];
-        h.work_since_barrier_us += h.current_burst_us;
-        h.current_burst_us = 0.0;
+        let a = &mut self.apps[app as usize];
+        a.work_since_barrier_us += a.current_burst_us;
+        a.current_burst_us = 0.0;
         match self.cfg.app.barrier_period_us {
-            Some(period) if h.work_since_barrier_us >= period => {
+            Some(period) if a.work_since_barrier_us >= period => {
                 self.join_barrier(ctx, app)
             }
             _ => self.app_start_step(ctx, app, Step::Comm),
@@ -83,9 +128,9 @@ impl RoccModel {
     /// is released into their communication step.
     fn join_barrier(&mut self, ctx: &mut Ctx<Ev>, app: AppId) {
         {
-            let h = &mut self.apps.hot[app as usize];
-            debug_assert!(!h.at_barrier, "double barrier join");
-            h.at_barrier = true;
+            let a = &mut self.apps[app as usize];
+            debug_assert!(!a.at_barrier, "double barrier join");
+            a.at_barrier = true;
         }
         self.barrier_waiting.push(app);
         if self.cfg.instrumented {
@@ -100,9 +145,9 @@ impl RoccModel {
             let mut released = std::mem::take(&mut self.barrier_scratch);
             std::mem::swap(&mut released, &mut self.barrier_waiting);
             for &w in &released {
-                let h = &mut self.apps.hot[w as usize];
-                h.at_barrier = false;
-                h.work_since_barrier_us = 0.0;
+                let a = &mut self.apps[w as usize];
+                a.at_barrier = false;
+                a.work_since_barrier_us = 0.0;
                 self.app_start_step(ctx, w, Step::Comm);
             }
             released.clear();
@@ -114,8 +159,9 @@ impl RoccModel {
     /// writer blocks — the timer stops until the daemon drains the pipe.
     pub(crate) fn sample_timer_fired(&mut self, ctx: &mut Ctx<Ev>, app: AppId) {
         self.deposit_sample(ctx, app);
-        if self.apps.pipe[app as usize].writer_blocked() {
-            self.apps.cold[app as usize].sampling_active = false;
+        let a = &mut self.apps[app as usize];
+        if a.pipe.writer_blocked() {
+            a.sampling_active = false;
         } else {
             self.schedule_next_sample(ctx, app);
         }
@@ -128,13 +174,13 @@ impl RoccModel {
     pub(crate) fn deposit_sample(&mut self, ctx: &mut Ctx<Ev>, app: AppId) {
         let now = ctx.now();
         self.acc.emitted_samples += 1;
-        if self.apps.pipe[app as usize].writer_blocked() {
+        if self.apps[app as usize].pipe.writer_blocked() {
             // Already blocked on an earlier sample; drop this event record
             // (the writer is stuck inside the earlier write).
             self.acc.lost_blocked += 1;
             return;
         }
-        let pd = self.apps.hot[app as usize].pd;
+        let pd = self.apps[app as usize].pd;
         // Source-side shedding: while the owning daemon is under pressure,
         // sheddable-tier samples are discarded before they enter the pipe.
         if let Some(deg) = self.cfg.degradation {
@@ -144,10 +190,10 @@ impl RoccModel {
                 return;
             }
         }
-        match self.apps.pipe[app as usize].deposit(now) {
+        match self.apps[app as usize].pipe.deposit(now) {
             Deposit::Accepted => {
                 self.acc.generated_samples += 1;
-                self.daemons.fifo[pd as usize].push_back((now, app));
+                self.daemons[pd as usize].fifo.push_back((now, app));
                 if self.cfg.degradation.is_some() {
                     // Occupancy and FIFO length both rose; check watermarks
                     // before the daemon starts a collection cycle.
@@ -159,7 +205,7 @@ impl RoccModel {
             Deposit::WouldBlock => {
                 // Writer blocks; the daemon's next drain will admit the
                 // parked sample and resume the process.
-                self.apps.cold[app as usize].blocked_since = Some(now);
+                self.apps[app as usize].blocked_since = Some(now);
             }
             Deposit::AlreadyBlocked => {
                 // Unreachable — guarded above — but keep the books straight
@@ -176,7 +222,7 @@ impl RoccModel {
                 // already inside a collecting batch (uncancellable), the
                 // newcomer is dropped instead — the pipe counted one loss
                 // and occupancy is unchanged either way.
-                let fifo = &mut self.daemons.fifo[pd as usize];
+                let fifo = &mut self.daemons[pd as usize].fifo;
                 if let Some(idx) = fifo.iter().position(|&(_, who)| who == app) {
                     fifo.remove(idx);
                     fifo.push_back((now, app));

@@ -2,12 +2,66 @@
 //! pipe draining with writer wake-up, direct or binary-tree forwarding
 //! with en-route merging, and injected crash/link faults.
 
-use super::types::{tree_parent, Batch, CpuJob, CpuKind, Dest, Ev, NetJob, PdId, Stage};
+use super::types::{tree_parent, AppId, Batch, CpuJob, CpuKind, Dest, Ev, NetJob, PdId, Stage};
 use super::{RoccModel, Step};
 use crate::config::{Arch, Forwarding};
-use paradyn_des::{Ctx, SimDur};
+use paradyn_des::{Ctx, FaultSchedule, SimDur, SimTime, StreamRng};
 use paradyn_workload::params::{PD_CPU_PER_EXTRA_SAMPLE_US, PD_NET_PER_EXTRA_SAMPLE_US};
+use std::collections::VecDeque;
 use std::num::NonZeroU16;
+
+/// One Paradyn daemon, indexed by [`PdId`]. Records are built once by
+/// `RoccModel::new` and never added, removed or reused. The daemon runs on
+/// CPU bank `bank_of(pd)`: its own node's, or the pooled bank on SMP.
+pub(crate) struct Daemon {
+    /// Randomness for collect/forward CPU demands.
+    pub cpu_rng: StreamRng,
+    /// Randomness for network occupancy demands.
+    pub net_rng: StreamRng,
+    /// Randomness for merge work.
+    pub merge_rng: StreamRng,
+    /// Deposited samples `(generation time, app)` awaiting collection.
+    pub fifo: VecDeque<(SimTime, AppId)>,
+    /// Apps whose pipe slots the collect cycle in flight holds, one entry
+    /// per sample of its batch; drained (and writers unblocked) when the
+    /// collect CPU work finishes. Non-empty exactly while the daemon is
+    /// collecting (see [`Daemon::collecting`]).
+    pub roster: Vec<AppId>,
+    /// Whether the in-flight collection cycle belongs to a crashed daemon
+    /// incarnation (its batch is lost when the CPU work completes).
+    pub doomed: bool,
+    /// Flush-timer generation; timers with a stale generation are ignored.
+    pub flush_gen: u32,
+    /// Crash/recovery event source (`None` = crash injection off).
+    pub crash: Option<FaultSchedule>,
+    /// Randomness for injected forwarding-link failures.
+    pub link_rng: StreamRng,
+    /// When the current outage began; `None` while the daemon is up
+    /// (metrics count an open outage up to the horizon).
+    pub down_since: Option<SimTime>,
+    /// Whether this daemon's own fifo is above its high watermark and the
+    /// daemon is shedding sheddable tiers.
+    pub shedding: bool,
+    /// Whether an ancestor in the forwarding tree signalled pressure (shed
+    /// on its behalf until the credit edge arrives).
+    pub remote_pressure: bool,
+    /// Randomness for backpressure signalling jitter (degradation
+    /// controller; untouched unless degradation is configured).
+    pub shed_rng: StreamRng,
+}
+
+impl Daemon {
+    /// Whether a collect CPU request is in flight (the daemon is a single
+    /// process: one cycle at a time).
+    pub fn collecting(&self) -> bool {
+        !self.roster.is_empty()
+    }
+
+    /// Whether the daemon is crashed.
+    pub fn down(&self) -> bool {
+        self.down_since.is_some()
+    }
+}
 
 impl RoccModel {
     /// Start a collection cycle if the daemon is idle and a full batch is
@@ -23,13 +77,12 @@ impl RoccModel {
     /// partial batch is collected (the flush-timeout path). Returns whether
     /// a cycle started.
     fn try_collect(&mut self, ctx: &mut Ctx<Ev>, pd: PdId, force: bool) -> bool {
-        let d = &mut self.daemons.hot[pd as usize];
-        if d.collecting || d.down {
+        let d = &mut self.daemons[pd as usize];
+        if d.collecting() || d.down() {
             return false;
         }
         let threshold = self.cfg.batch;
-        let fifo = &mut self.daemons.fifo[pd as usize];
-        let avail = fifo.len();
+        let avail = d.fifo.len();
         let k = if avail >= threshold {
             threshold
         } else if force {
@@ -43,21 +96,18 @@ impl RoccModel {
             return false;
         };
         // The roster names the apps whose pipe slots this cycle holds until
-        // its CPU work finishes (see `pd_collect_done`).
-        let roster = &mut self.daemons.roster[pd as usize];
-        debug_assert!(roster.is_empty(), "idle daemon holds a roster");
+        // its CPU work finishes (see `pd_collect_done`); filling it starts
+        // the cycle.
         let mut sum_gen_ns = 0u64;
-        for (gen, app) in fifo.drain(..k) {
+        for (gen, app) in d.fifo.drain(..k) {
             sum_gen_ns += gen.as_nanos();
-            roster.push(app);
+            d.roster.push(app);
         }
-        d.collecting = true;
         // Invalidate any armed flush timer; the buffer head changed.
         d.flush_gen = d.flush_gen.wrapping_add(1);
         let p = &self.cfg.params;
         let demand =
             p.pd.cpu_req.sample(&mut d.cpu_rng) + PD_CPU_PER_EXTRA_SAMPLE_US * (k as f64 - 1.0);
-        let node = d.node;
         let batch = Batch {
             count,
             stage: Stage::Collect,
@@ -68,7 +118,7 @@ impl RoccModel {
         self.acc.in_batches += k as u64;
         self.submit_cpu(
             ctx,
-            self.bank_of(node),
+            self.bank_of(pd),
             CpuJob {
                 kind: CpuKind::Batch(batch),
             },
@@ -88,11 +138,11 @@ impl RoccModel {
         let Some(timeout_us) = self.cfg.batch_timeout_us else {
             return;
         };
-        let d = &mut self.daemons.hot[pd as usize];
-        if d.collecting || d.down {
+        let d = &mut self.daemons[pd as usize];
+        if d.collecting() || d.down() {
             return;
         }
-        let Some(&(oldest, _)) = self.daemons.fifo[pd as usize].front() else {
+        let Some(&(oldest, _)) = d.fifo.front() else {
             return;
         };
         d.flush_gen = d.flush_gen.wrapping_add(1);
@@ -110,7 +160,7 @@ impl RoccModel {
     /// A flush timer fired: collect the waiting partial batch unless the
     /// timer is stale.
     pub(crate) fn flush_timeout(&mut self, ctx: &mut Ctx<Ev>, pd: PdId, gen: u32) {
-        if self.daemons.hot[pd as usize].flush_gen != gen {
+        if self.daemons[pd as usize].flush_gen != gen {
             return;
         }
         self.try_collect(ctx, pd, true);
@@ -121,35 +171,34 @@ impl RoccModel {
     /// writers), then put the batch on the network.
     pub(crate) fn pd_collect_done(&mut self, ctx: &mut Ctx<Ev>, batch: Batch) {
         let pd = batch.holder;
-        // The roster lists one app per sample of the batch. It is taken
-        // out for the loop and put back, keeping its capacity.
-        let mut roster = std::mem::take(&mut self.daemons.roster[pd as usize]);
-        let count = roster.len();
-        for &app in &roster {
+        // The roster lists one app per sample of the batch. It stays in
+        // place while the pipes drain, so the daemon counts as collecting
+        // until it is cleared, and keeps its capacity.
+        let count = self.daemons[pd as usize].roster.len();
+        for i in 0..count {
+            let app = self.daemons[pd as usize].roster[i];
             self.drain_one(ctx, app);
         }
-        roster.clear();
-        self.daemons.roster[pd as usize] = roster;
+        self.daemons[pd as usize].roster.clear();
         if self.cfg.degradation.is_some() {
             // Draining may have admitted parked samples into the FIFO.
             self.degradation_daemon_check(ctx, pd);
         }
-        self.daemons.hot[pd as usize].collecting = false;
-        if self.daemons.hot[pd as usize].doomed {
+        let d = &mut self.daemons[pd as usize];
+        if d.doomed {
             // The daemon crashed mid-cycle: the batch dies with it. The
             // pipe slots were still freed above — the samples are gone,
             // not stuck.
-            self.daemons.hot[pd as usize].doomed = false;
+            d.doomed = false;
             self.acc.in_batches -= count as u64;
             self.acc.lost_crash += count as u64;
-            if !self.daemons.hot[pd as usize].down {
+            if !d.down() {
                 self.maybe_collect(ctx, pd);
             }
             return;
         }
         self.acc.forwarded_batches += 1;
         self.acc.forwarded_samples += count as u64;
-        let d = &mut self.daemons.hot[pd as usize];
         let p = &self.cfg.params;
         let demand =
             p.pd.net_req.sample(&mut d.net_rng) + PD_NET_PER_EXTRA_SAMPLE_US * (count as f64 - 1.0);
@@ -174,7 +223,7 @@ impl RoccModel {
             _ => 0,
         };
         if let Some(link) = self.cfg.faults.link {
-            let failed = self.daemons.cold[pd as usize].link_rng.next_f64() < link.fail_prob;
+            let failed = self.daemons[pd as usize].link_rng.next_f64() < link.fail_prob;
             if failed {
                 let attempts = attempts + 1;
                 if u32::from(attempts) > link.max_retries {
@@ -205,17 +254,16 @@ impl RoccModel {
     /// to the fresh pipe (graceful degradation: the application continues).
     pub(crate) fn daemon_crash(&mut self, ctx: &mut Ctx<Ev>, pd: PdId) {
         self.acc.crashes += 1;
-        self.daemons.cold[pd as usize].down_since = ctx.now();
         let entries = {
-            let d = &mut self.daemons.hot[pd as usize];
-            debug_assert!(!d.down, "crash scheduled while already down");
-            d.down = true;
-            if d.collecting {
+            let d = &mut self.daemons[pd as usize];
+            debug_assert!(!d.down(), "crash scheduled while already down");
+            d.down_since = Some(ctx.now());
+            if d.collecting() {
                 d.doomed = true;
             }
             // Invalidate any armed flush timer.
             d.flush_gen = d.flush_gen.wrapping_add(1);
-            std::mem::take(&mut self.daemons.fifo[pd as usize])
+            std::mem::take(&mut d.fifo)
         };
         let n = entries.len() as u64;
         self.acc.lost_crash += n;
@@ -228,7 +276,7 @@ impl RoccModel {
             // pressure from an ancestor persists across the outage.
             self.degradation_daemon_check(ctx, pd);
         }
-        let delay = self.daemons.cold[pd as usize]
+        let delay = self.daemons[pd as usize]
             .crash
             .as_mut()
             .expect("crash event only scheduled with a crash plan")
@@ -239,11 +287,12 @@ impl RoccModel {
     /// The daemon finished restarting: resume collection and schedule its
     /// next failure.
     pub(crate) fn daemon_recover(&mut self, ctx: &mut Ctx<Ev>, pd: PdId) {
-        self.daemons.hot[pd as usize].down = false;
         let ttf = {
-            let c = &mut self.daemons.cold[pd as usize];
-            self.acc.downtime_ns += (ctx.now() - c.down_since).as_nanos();
-            c.crash
+            let d = &mut self.daemons[pd as usize];
+            if let Some(since) = d.down_since.take() {
+                self.acc.downtime_ns += (ctx.now() - since).as_nanos();
+            }
+            d.crash
                 .as_mut()
                 .expect("recover event only scheduled with a crash plan")
                 .time_to_failure()
@@ -266,16 +315,15 @@ impl RoccModel {
     /// Consume one pipe slot of `app`; if a parked sample was waiting, admit
     /// it and resume the blocked writer (timer and paused step).
     pub(crate) fn drain_one(&mut self, ctx: &mut Ctx<Ev>, app: u32) {
-        let pd = self.apps.hot[app as usize].pd;
-        if let Some(gen) = self.apps.pipe[app as usize].drain() {
+        let a = &mut self.apps[app as usize];
+        if let Some(gen) = a.pipe.drain() {
             self.acc.generated_samples += 1;
-            let c = &mut self.apps.cold[app as usize];
-            if let Some(since) = c.blocked_since.take() {
+            if let Some(since) = a.blocked_since.take() {
                 self.acc.writer_block_ns += (ctx.now() - since).as_nanos();
             }
-            let resume = c.paused.take();
-            let restart_timer = !c.sampling_active;
-            self.daemons.fifo[pd as usize].push_back((gen, app));
+            let resume = a.paused.take();
+            let restart_timer = !a.sampling_active;
+            self.daemons[a.pd as usize].fifo.push_back((gen, app));
             if restart_timer {
                 self.schedule_next_sample(ctx, app);
             }
@@ -299,7 +347,7 @@ impl RoccModel {
             .cfg
             .params
             .pdm_cpu
-            .sample(&mut self.daemons.cold[node as usize].merge_rng);
+            .sample(&mut self.daemons[node as usize].merge_rng);
         self.submit_cpu(
             ctx,
             self.bank_of(node),
@@ -324,7 +372,7 @@ impl RoccModel {
             .params
             .pd
             .net_req
-            .sample(&mut self.daemons.hot[node as usize].net_rng);
+            .sample(&mut self.daemons[node as usize].net_rng);
         // Merges only occur on MPP trees, where daemon index == node, so
         // the node holds the relay hop as a leaf daemon holds its own: the
         // same Main-or-parent destination and the same injected link

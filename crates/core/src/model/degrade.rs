@@ -12,8 +12,8 @@
 //!
 //! * Each app pipe has high/low occupancy watermarks. Crossing the high
 //!   watermark upward is a *pressure* edge: the app's sampling-period
-//!   multiplier is multiplied by `md_factor` (capped at `max_slowdown`)
-//!   and a jittered recovery tick is armed. Falling back below the low
+//!   multiplier is multiplied by [`MD_FACTOR`] (capped at
+//!   [`MAX_SLOWDOWN`]) and a jittered recovery tick is armed. Falling back below the low
 //!   watermark merely records when pressure cleared; only after
 //!   `hysteresis_us` of sustained clearance do recovery ticks subtract
 //!   `recover_step` from the multiplier.
@@ -40,6 +40,12 @@ use super::RoccModel;
 use crate::config::{Arch, DegradationConfig, Forwarding};
 use paradyn_des::{Ctx, SimDur};
 
+/// Sampling-period multiplier applied on each pressure rising edge.
+pub(crate) const MD_FACTOR: f64 = 2.0;
+
+/// Upper bound on the accumulated sampling-period multiplier.
+pub(crate) const MAX_SLOWDOWN: f64 = 8.0;
+
 /// Priority tier of an application process (tier 0 = highest priority).
 #[inline]
 pub(crate) fn app_tier(app: AppId, deg: &DegradationConfig) -> usize {
@@ -57,7 +63,7 @@ impl RoccModel {
     /// an ancestor signalled pressure).
     #[inline]
     pub(crate) fn daemon_pressure(&self, pd: PdId) -> bool {
-        let d = &self.daemons.hot[pd as usize];
+        let d = &self.daemons[pd as usize];
         d.shedding || d.remote_pressure
     }
 
@@ -70,17 +76,17 @@ impl RoccModel {
             return;
         };
         let now = ctx.now();
-        let fill = self.apps.pipe[app as usize].fill_frac();
-        let c = &mut self.apps.cold[app as usize];
-        if !c.pressured && fill >= deg.pipe_hi {
-            c.pressured = true;
-            c.pressure_cleared_at = None;
-            c.throttle_mult = (c.throttle_mult * deg.md_factor).min(deg.max_slowdown);
+        let a = &mut self.apps[app as usize];
+        let fill = a.pipe.fill_frac();
+        if !a.pressured && fill >= deg.pipe_hi {
+            a.pressured = true;
+            a.pressure_cleared_at = None;
+            a.throttle_mult = (a.throttle_mult * MD_FACTOR).min(MAX_SLOWDOWN);
             self.acc.throttle_events += 1;
             self.arm_throttle_tick(ctx, app);
-        } else if c.pressured && fill <= deg.pipe_lo {
-            c.pressured = false;
-            c.pressure_cleared_at = Some(now);
+        } else if a.pressured && fill <= deg.pipe_lo {
+            a.pressured = false;
+            a.pressure_cleared_at = Some(now);
         }
     }
 
@@ -91,12 +97,12 @@ impl RoccModel {
         let Some(deg) = self.cfg.degradation else {
             return;
         };
-        let c = &mut self.apps.cold[app as usize];
-        if c.throttle_tick_armed || c.throttle_mult <= 1.0 {
+        let a = &mut self.apps[app as usize];
+        if a.throttle_tick_armed || a.throttle_mult <= 1.0 {
             return;
         }
-        c.throttle_tick_armed = true;
-        let gap_us = deg.recover_period_us * (0.5 + c.throttle_rng.next_f64());
+        a.throttle_tick_armed = true;
+        let gap_us = deg.recover_period_us * (0.5 + a.throttle_rng.next_f64());
         ctx.post_in(SimDur::from_micros_f64(gap_us), Ev::ThrottleTick { app });
     }
 
@@ -108,16 +114,16 @@ impl RoccModel {
             return;
         };
         let now = ctx.now();
-        let c = &mut self.apps.cold[app as usize];
-        c.throttle_tick_armed = false;
-        if c.throttle_mult <= 1.0 {
+        let a = &mut self.apps[app as usize];
+        a.throttle_tick_armed = false;
+        if a.throttle_mult <= 1.0 {
             return;
         }
-        let recovered = !c.pressured
-            && c.pressure_cleared_at
+        let recovered = !a.pressured
+            && a.pressure_cleared_at
                 .is_some_and(|t| (now - t).as_micros_f64() >= deg.hysteresis_us);
         if recovered {
-            c.throttle_mult = (c.throttle_mult - deg.recover_step).max(1.0);
+            a.throttle_mult = (a.throttle_mult - deg.recover_step).max(1.0);
         }
         self.arm_throttle_tick(ctx, app);
     }
@@ -132,8 +138,8 @@ impl RoccModel {
         };
         let before = self.daemon_pressure(pd);
         {
-            let len = self.daemons.fifo[pd as usize].len();
-            let d = &mut self.daemons.hot[pd as usize];
+            let d = &mut self.daemons[pd as usize];
+            let len = d.fifo.len();
             if !d.shedding && len >= deg.daemon_hi {
                 d.shedding = true;
             } else if d.shedding && len <= deg.daemon_lo {
@@ -150,7 +156,7 @@ impl RoccModel {
             return;
         };
         let before = self.daemon_pressure(pd);
-        self.daemons.hot[pd as usize].remote_pressure = on;
+        self.daemons[pd as usize].remote_pressure = on;
         self.apply_pressure_edge(ctx, pd, before, deg);
     }
 
@@ -183,7 +189,7 @@ impl RoccModel {
             if !self.daemon_pressure(pd) {
                 break;
             }
-            let fifo = &mut self.daemons.fifo[pd as usize];
+            let fifo = &mut self.daemons[pd as usize].fifo;
             let Some(&(_gen, app)) = fifo.get(i) else {
                 break;
             };
@@ -216,11 +222,10 @@ impl RoccModel {
             return;
         }
         // On MPP, daemon index == node index (heap tree layout).
-        let node = self.daemons.hot[pd as usize].node;
         let nodes = self.cfg.nodes as u32;
-        for child in [2 * node + 1, 2 * node + 2] {
+        for child in [2 * pd + 1, 2 * pd + 2] {
             if child < nodes {
-                let jitter_us = self.daemons.cold[pd as usize].shed_rng.next_f64() * 1_000.0;
+                let jitter_us = self.daemons[pd as usize].shed_rng.next_f64() * 1_000.0;
                 self.acc.backpressure_events += 1;
                 ctx.post_in(
                     SimDur::from_micros_f64(jitter_us),

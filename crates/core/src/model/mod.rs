@@ -15,7 +15,6 @@
 //! * PVM-daemon and other-process background load.
 
 mod app;
-pub(crate) mod arena;
 mod background;
 mod daemon;
 mod degrade;
@@ -27,7 +26,8 @@ pub mod types;
 use crate::config::{Arch, SimConfig};
 use crate::metrics::SimMetrics;
 use crate::pipe::Pipe;
-use arena::{AppCold, AppHot, Apps, DaemonCold, DaemonHot, Daemons};
+use app::App;
+use daemon::Daemon;
 use paradyn_des::{
     Ctx, FaultSchedule, FcfsServer, Model, Offer, RrCpuBank, Sim, SimDur, SimTime,
     StreamRng, Streams, Submit,
@@ -164,8 +164,8 @@ pub struct RoccModel {
     /// Shared FCFS network (NOW shared Ethernet / SMP bus); `None` for
     /// contention-free interconnects.
     pub(crate) shared_net: Option<FcfsServer<NetJob>>,
-    pub(crate) apps: Apps,
-    pub(crate) daemons: Daemons,
+    pub(crate) apps: Vec<App>,
+    pub(crate) daemons: Vec<Daemon>,
     pub(crate) barrier_waiting: Vec<AppId>,
     /// Recycled storage for the barrier-release roster, so a release cycle
     /// allocates nothing in the steady state.
@@ -210,17 +210,16 @@ impl RoccModel {
 
         let total_apps = cfg.total_apps();
         let total_pds = cfg.total_pds();
-        let mut apps = Apps::with_capacity(total_apps);
-        for gi in 0..total_apps as u32 {
-            let (node, pd) = match cfg.arch {
-                Arch::Smp => (0, gi % total_pds as u32),
-                _ => {
-                    let node = gi / cfg.apps_per_node as u32;
-                    (node, node)
-                }
-            };
-            apps.push(
-                AppHot {
+        let apps = (0..total_apps as u32)
+            .map(|gi| {
+                let (node, pd) = match cfg.arch {
+                    Arch::Smp => (0, gi % total_pds as u32),
+                    _ => {
+                        let node = gi / cfg.apps_per_node as u32;
+                        (node, node)
+                    }
+                };
+                App {
                     node,
                     pd,
                     cpu_rng: streams.stream3(stream_kind::APP_CPU, gi as u64, 0),
@@ -228,9 +227,7 @@ impl RoccModel {
                     current_burst_us: 0.0,
                     work_since_barrier_us: 0.0,
                     at_barrier: false,
-                },
-                Pipe::with_policy(cfg.params.pipe_capacity, cfg.faults.overflow),
-                AppCold {
+                    pipe: Pipe::with_policy(cfg.params.pipe_capacity, cfg.faults.overflow),
                     sample_rng: streams.stream3(stream_kind::APP_SAMPLE, gi as u64, 0),
                     blocked_since: None,
                     paused: None,
@@ -244,9 +241,9 @@ impl RoccModel {
                     pressured: false,
                     pressure_cleared_at: None,
                     throttle_tick_armed: false,
-                },
-            );
-        }
+                }
+            })
+            .collect();
         // Pre-size hot-path buffers so the steady state allocates nothing:
         // a daemon's FIFO is bounded by its apps' combined pipe capacity
         // (each buffered sample holds a pipe slot). A collect roster is
@@ -254,40 +251,29 @@ impl RoccModel {
         // allocates only when a batch outgrows every earlier one.
         let apps_per_pd = total_apps.div_ceil(total_pds);
         let fifo_cap = apps_per_pd * cfg.params.pipe_capacity;
-        let mut daemons = Daemons::with_capacity(total_pds);
-        for pd in 0..total_pds as u32 {
-            daemons.push(
-                DaemonHot {
-                    node: match cfg.arch {
-                        Arch::Smp => 0,
-                        _ => pd,
-                    },
-                    cpu_rng: streams.stream3(stream_kind::PD_CPU, pd as u64, 0),
-                    net_rng: streams.stream3(stream_kind::PD_NET, pd as u64, 0),
-                    collecting: false,
-                    down: false,
-                    doomed: false,
-                    shedding: false,
-                    remote_pressure: false,
-                    flush_gen: 0,
-                },
-                VecDeque::with_capacity(fifo_cap),
-                Vec::new(),
-                DaemonCold {
-                    merge_rng: streams.stream3(stream_kind::PD_MERGE, pd as u64, 0),
-                    crash: cfg.faults.daemon_crash.map(|c| {
-                        FaultSchedule::new(
-                            streams.stream3(stream_kind::FAULT_CRASH, pd as u64, 0),
-                            c.mtbf_us,
-                            c.recovery_us,
-                        )
-                    }),
-                    link_rng: streams.stream3(stream_kind::FAULT_LINK, pd as u64, 0),
-                    down_since: SimTime::ZERO,
-                    shed_rng: streams.stream3(stream_kind::CTRL_SHED, pd as u64, 0),
-                },
-            );
-        }
+        let daemons = (0..total_pds as u64)
+            .map(|pd| Daemon {
+                cpu_rng: streams.stream3(stream_kind::PD_CPU, pd, 0),
+                net_rng: streams.stream3(stream_kind::PD_NET, pd, 0),
+                merge_rng: streams.stream3(stream_kind::PD_MERGE, pd, 0),
+                fifo: VecDeque::with_capacity(fifo_cap),
+                roster: Vec::new(),
+                doomed: false,
+                flush_gen: 0,
+                crash: cfg.faults.daemon_crash.map(|c| {
+                    FaultSchedule::new(
+                        streams.stream3(stream_kind::FAULT_CRASH, pd, 0),
+                        c.mtbf_us,
+                        c.recovery_us,
+                    )
+                }),
+                link_rng: streams.stream3(stream_kind::FAULT_LINK, pd, 0),
+                down_since: None,
+                shedding: false,
+                remote_pressure: false,
+                shed_rng: streams.stream3(stream_kind::CTRL_SHED, pd, 0),
+            })
+            .collect();
         let bg_nodes = match cfg.arch {
             Arch::Smp => 1,
             _ => cfg.nodes,
@@ -319,7 +305,8 @@ impl RoccModel {
         }
     }
 
-    /// Which CPU bank serves a node.
+    /// Which CPU bank serves a node. Daemon `pd` runs on node `pd` (the
+    /// pooled bank on SMP), so its bank is `bank_of(pd)`.
     #[inline]
     pub(crate) fn bank_of(&self, node: u32) -> u32 {
         match self.cfg.arch {
@@ -445,30 +432,25 @@ impl RoccModel {
     }
 
     pub(crate) fn total_blocked_deposits(&self) -> u64 {
-        self.apps.pipe.iter().map(|p| p.blocked_deposits()).sum()
+        self.apps.iter().map(|a| a.pipe.blocked_deposits()).sum()
     }
 
     /// Samples dropped by lossy pipe overflow, across all pipes.
     pub(crate) fn total_overflow_lost(&self) -> u64 {
-        self.apps.pipe.iter().map(|p| p.lost()).sum()
+        self.apps.iter().map(|a| a.pipe.lost()).sum()
     }
 
     /// Deposits rejected because the writer was already blocked.
     pub(crate) fn total_rejected_deposits(&self) -> u64 {
-        self.apps.pipe.iter().map(|p| p.rejected_deposits()).sum()
+        self.apps.iter().map(|a| a.pipe.rejected_deposits()).sum()
     }
 
     /// Samples emitted but not yet in a batch: parked on a full pipe or
     /// buffered in a daemon FIFO. With [`Acc::in_batches`] these are the
     /// samples in flight (neither received nor lost).
     pub(crate) fn samples_unbatched(&self) -> u64 {
-        let parked: u64 = self
-            .apps
-            .pipe
-            .iter()
-            .map(|p| u64::from(p.writer_blocked()))
-            .sum();
-        let buffered: u64 = self.daemons.fifo.iter().map(|f| f.len() as u64).sum();
+        let parked: u64 = self.apps.iter().map(|a| u64::from(a.pipe.writer_blocked())).sum();
+        let buffered: u64 = self.daemons.iter().map(|d| d.fifo.len() as u64).sum();
         parked + buffered
     }
 
@@ -517,20 +499,20 @@ impl RoccModel {
     #[cfg(test)]
     pub fn pipe_slot_violation(&self) -> Option<String> {
         let mut held = vec![0usize; self.apps.len()];
-        let fifos = self.daemons.fifo.iter().flatten().map(|&(_, app)| app);
-        for app in fifos.chain(self.daemons.roster.iter().flatten().copied()) {
-            held[app as usize] += 1;
+        for d in &self.daemons {
+            for app in d.fifo.iter().map(|&(_, app)| app).chain(d.roster.iter().copied()) {
+                held[app as usize] += 1;
+            }
         }
         self.apps
-            .pipe
             .iter()
             .zip(held)
             .enumerate()
-            .find(|(_, (pipe, h))| pipe.occupied() != *h)
-            .map(|(app, (pipe, h))| {
+            .find(|(_, (a, h))| a.pipe.occupied() != *h)
+            .map(|(app, (a, h))| {
                 format!(
                     "app {app}: pipe occupancy {} but FIFOs + rosters hold {h}",
-                    pipe.occupied()
+                    a.pipe.occupied()
                 )
             })
     }
@@ -554,7 +536,7 @@ impl Model for RoccModel {
             }
             Ev::NetDone => {
                 let server = self.shared_net.as_mut().expect("NetDone without server");
-                let (job, _svc, next) = server.complete();
+                let (job, next) = server.complete();
                 if let Some(d) = next {
                     ctx.post_in(d, Ev::NetDone);
                 }
@@ -593,8 +575,8 @@ impl RoccModel {
             // Fault injection only makes sense with a live IS; nothing is
             // scheduled (and no random draws happen) when the plan is off,
             // so fault-free runs are bit-identical to the fault-free model.
-            for pd in 0..self.daemons.len() as u32 {
-                if let Some(crash) = &mut self.daemons.cold[pd as usize].crash {
+            for (pd, d) in (0..).zip(&mut self.daemons) {
+                if let Some(crash) = &mut d.crash {
                     let ttf = crash.time_to_failure();
                     ctx.post_in(ttf, Ev::DaemonCrash { pd });
                 }
@@ -636,10 +618,10 @@ impl RoccModel {
                 period /= o.factor;
             }
         }
-        let c = &mut self.apps.cold[app as usize];
-        let period = period * c.throttle_mult;
-        let gap = paradyn_stats::Rv::exp(period).sample(&mut c.sample_rng);
-        c.sampling_active = true;
+        let a = &mut self.apps[app as usize];
+        let period = period * a.throttle_mult;
+        let gap = paradyn_stats::Rv::exp(period).sample(&mut a.sample_rng);
+        a.sampling_active = true;
         ctx.post_in(SimDur::from_micros_f64(gap), Ev::Sample { app });
     }
 }

@@ -8,18 +8,19 @@
 //! The configuration itself is **not** serialized. A snapshot can only be
 //! restored into a model freshly built from the *same* configuration; the
 //! frame carries a fingerprint (an FNV-1a hash of the config's debug form)
-//! and [`Sim::restore`] rejects any mismatch. This keeps derived topology
-//! (node/daemon placement, bank shapes) out of the payload and makes every
-//! load validate against by-construction invariants instead of trusting
-//! the bytes.
+//! and [`Sim::restore`] rejects any mismatch. Each app and daemon record
+//! restores into the one `RoccModel::new` built ([`PersistInto`]), so what
+//! the config fixes (placement, entity counts, pipe capacity and overflow
+//! policy, crash plans) stays out of the payload and is never taken from
+//! the bytes, and every load validates against by-construction invariants
+//! instead of trusting them.
 
-use super::arena::{AppCold, AppHot, Apps, DaemonCold, DaemonHot, Daemons};
 use super::types::{AppId, CpuJob, CpuKind, Ev, NetJob, PdId};
-use super::{Acc, RoccModel, Step};
+use super::{Acc, App, Daemon, RoccModel, Step};
 use crate::config::SimConfig;
 use paradyn_des::{
-    fnv1a, CalendarKind, Dec, Enc, FcfsServer, Persist, PersistState, RrCpuBank, Sim, SimTime,
-    SnapError, StreamRng,
+    fnv1a, CalendarKind, Dec, Enc, FcfsServer, Persist, PersistInto, PersistState, RrCpuBank, Sim,
+    SimTime, SnapError, StreamRng,
 };
 
 impl Persist for Step {
@@ -38,156 +39,82 @@ impl Persist for Step {
     }
 }
 
-/// The app arena serializes row-major — one complete record per process,
-/// reassembled from the hot/pipe/cold columns — so the frame stays
-/// per-entity even though the in-memory layout is struct-of-arrays.
-impl Persist for Apps {
+/// One record per process. Placement stays as built: the config fixes it.
+impl PersistInto for App {
     fn save(&self, w: &mut Enc) {
-        w.put_usize(self.len());
-        for i in 0..self.len() {
-            let (h, c) = (&self.hot[i], &self.cold[i]);
-            w.put_u32(h.node);
-            w.put_u32(h.pd);
-            h.cpu_rng.save(w);
-            h.net_rng.save(w);
-            c.sample_rng.save(w);
-            self.pipe[i].save(w);
-            c.blocked_since.save(w);
-            c.paused.save(w);
-            w.put_bool(c.sampling_active);
-            w.put_f64(h.work_since_barrier_us);
-            w.put_f64(h.current_burst_us);
-            w.put_bool(h.at_barrier);
-            w.put_u64(c.replay_cpu_pos);
-            w.put_u64(c.replay_net_pos);
-            c.throttle_rng.save(w);
-            w.put_f64(c.throttle_mult);
-            w.put_bool(c.pressured);
-            c.pressure_cleared_at.save(w);
-            w.put_bool(c.throttle_tick_armed);
-        }
+        self.cpu_rng.save(w);
+        self.net_rng.save(w);
+        self.sample_rng.save(w);
+        self.pipe.save(w);
+        self.blocked_since.save(w);
+        self.paused.save(w);
+        w.put_bool(self.sampling_active);
+        w.put_f64(self.work_since_barrier_us);
+        w.put_f64(self.current_burst_us);
+        w.put_bool(self.at_barrier);
+        w.put_u64(self.replay_cpu_pos);
+        w.put_u64(self.replay_net_pos);
+        self.throttle_rng.save(w);
+        w.put_f64(self.throttle_mult);
+        w.put_bool(self.pressured);
+        self.pressure_cleared_at.save(w);
+        w.put_bool(self.throttle_tick_armed);
     }
-    fn load(r: &mut Dec<'_>) -> Result<Self, SnapError> {
-        let n = r.take_usize()?;
-        let mut apps = Apps::with_capacity(n);
-        for _ in 0..n {
-            let node = r.take_u32()?;
-            let pd = r.take_u32()?;
-            let cpu_rng = Persist::load(r)?;
-            let net_rng = Persist::load(r)?;
-            let sample_rng = Persist::load(r)?;
-            let pipe = Persist::load(r)?;
-            let blocked_since = Persist::load(r)?;
-            let paused = Persist::load(r)?;
-            let sampling_active = r.take_bool()?;
-            let work_since_barrier_us = r.take_f64()?;
-            let current_burst_us = r.take_f64()?;
-            let at_barrier = r.take_bool()?;
-            let replay_cpu_pos = r.take_u64()?;
-            let replay_net_pos = r.take_u64()?;
-            let throttle_rng = Persist::load(r)?;
-            let throttle_mult = r.take_f64()?;
-            let pressured = r.take_bool()?;
-            let pressure_cleared_at = Persist::load(r)?;
-            let throttle_tick_armed = r.take_bool()?;
-            let hot = AppHot {
-                node,
-                pd,
-                cpu_rng,
-                net_rng,
-                current_burst_us,
-                work_since_barrier_us,
-                at_barrier,
-            };
-            let cold = AppCold {
-                sample_rng,
-                blocked_since,
-                paused,
-                sampling_active,
-                replay_cpu_pos,
-                replay_net_pos,
-                throttle_rng,
-                throttle_mult,
-                pressured,
-                pressure_cleared_at,
-                throttle_tick_armed,
-            };
-            apps.push(hot, pipe, cold);
-        }
-        Ok(apps)
+    fn load_into(&mut self, r: &mut Dec<'_>) -> Result<(), SnapError> {
+        self.cpu_rng = Persist::load(r)?;
+        self.net_rng = Persist::load(r)?;
+        self.sample_rng = Persist::load(r)?;
+        self.pipe.load_into(r)?;
+        self.blocked_since = Persist::load(r)?;
+        self.paused = Persist::load(r)?;
+        self.sampling_active = r.take_bool()?;
+        self.work_since_barrier_us = r.take_f64()?;
+        self.current_burst_us = r.take_f64()?;
+        self.at_barrier = r.take_bool()?;
+        self.replay_cpu_pos = r.take_u64()?;
+        self.replay_net_pos = r.take_u64()?;
+        self.throttle_rng = Persist::load(r)?;
+        self.throttle_mult = r.take_f64()?;
+        self.pressured = r.take_bool()?;
+        self.pressure_cleared_at = Persist::load(r)?;
+        self.throttle_tick_armed = r.take_bool()?;
+        Ok(())
     }
 }
 
-/// Row-major daemon records, mirroring [`Apps`].
-impl Persist for Daemons {
+/// One record per daemon. Whether it has a crash plan, and the plan's
+/// means, stay as built.
+impl PersistInto for Daemon {
     fn save(&self, w: &mut Enc) {
-        w.put_usize(self.len());
-        for i in 0..self.len() {
-            let (h, c) = (&self.hot[i], &self.cold[i]);
-            w.put_u32(h.node);
-            h.cpu_rng.save(w);
-            h.net_rng.save(w);
-            c.merge_rng.save(w);
-            self.fifo[i].save(w);
-            self.roster[i].save(w);
-            w.put_bool(h.collecting);
-            w.put_u32(h.flush_gen);
-            w.put_bool(h.down);
-            w.put_bool(h.doomed);
-            c.crash.save(w);
-            c.link_rng.save(w);
-            c.down_since.save(w);
-            w.put_bool(h.shedding);
-            w.put_bool(h.remote_pressure);
-            c.shed_rng.save(w);
-        }
+        self.cpu_rng.save(w);
+        self.net_rng.save(w);
+        self.merge_rng.save(w);
+        self.fifo.save(w);
+        self.roster.save(w);
+        w.put_u32(self.flush_gen);
+        w.put_bool(self.doomed);
+        self.crash.save(w);
+        self.link_rng.save(w);
+        self.down_since.save(w);
+        w.put_bool(self.shedding);
+        w.put_bool(self.remote_pressure);
+        self.shed_rng.save(w);
     }
-    fn load(r: &mut Dec<'_>) -> Result<Self, SnapError> {
-        let n = r.take_usize()?;
-        let mut daemons = Daemons::with_capacity(n);
-        for _ in 0..n {
-            let node = r.take_u32()?;
-            let cpu_rng = Persist::load(r)?;
-            let net_rng = Persist::load(r)?;
-            let merge_rng = Persist::load(r)?;
-            let fifo = Persist::load(r)?;
-            let roster: Vec<u32> = Persist::load(r)?;
-            let collecting = r.take_bool()?;
-            let flush_gen = r.take_u32()?;
-            let down = r.take_bool()?;
-            let doomed = r.take_bool()?;
-            let crash = Persist::load(r)?;
-            let link_rng = Persist::load(r)?;
-            let down_since = Persist::load(r)?;
-            let shedding = r.take_bool()?;
-            let remote_pressure = r.take_bool()?;
-            let shed_rng = Persist::load(r)?;
-            if roster.is_empty() == collecting {
-                return Err(SnapError::Malformed(
-                    "daemon roster disagrees with its collect cycle",
-                ));
-            }
-            let hot = DaemonHot {
-                node,
-                cpu_rng,
-                net_rng,
-                collecting,
-                down,
-                doomed,
-                shedding,
-                remote_pressure,
-                flush_gen,
-            };
-            let cold = DaemonCold {
-                merge_rng,
-                crash,
-                link_rng,
-                down_since,
-                shed_rng,
-            };
-            daemons.push(hot, fifo, roster, cold);
-        }
-        Ok(daemons)
+    fn load_into(&mut self, r: &mut Dec<'_>) -> Result<(), SnapError> {
+        self.cpu_rng = Persist::load(r)?;
+        self.net_rng = Persist::load(r)?;
+        self.merge_rng = Persist::load(r)?;
+        self.fifo = Persist::load(r)?;
+        self.roster = Persist::load(r)?;
+        self.flush_gen = r.take_u32()?;
+        self.doomed = r.take_bool()?;
+        self.crash.load_into(r)?;
+        self.link_rng = Persist::load(r)?;
+        self.down_since = Persist::load(r)?;
+        self.shedding = r.take_bool()?;
+        self.remote_pressure = r.take_bool()?;
+        self.shed_rng = Persist::load(r)?;
+        Ok(())
     }
 }
 
@@ -300,25 +227,20 @@ impl PersistState for RoccModel {
         if !shared_net.iter().flat_map(|s| s.jobs()).all(|j| self.net_job_in_range(j)) {
             return Err(SnapError::Malformed("network job names an entity the config lacks"));
         }
-        let apps: Apps = Persist::load(r)?;
-        if apps.len() != self.apps.len() {
-            return Err(SnapError::Malformed("app count differs from config"));
-        }
-        let daemons: Daemons = Persist::load(r)?;
-        if daemons.len() != self.daemons.len() {
-            return Err(SnapError::Malformed("daemon count differs from config"));
-        }
-        let fifos = daemons.fifo.iter().flatten().map(|&(_, app)| app);
-        if fifos
-            .chain(daemons.roster.iter().flatten().copied())
-            .any(|app| app as usize >= apps.len())
-        {
+        // The records restore into the ones `RoccModel::new` built, which
+        // keep the placement and shapes the config fixes.
+        self.apps.load_into(r)?;
+        self.daemons.load_into(r)?;
+        let apps = self.apps.len();
+        let unknown = self.daemons.iter().any(|d| {
+            let fifo = d.fifo.iter().map(|&(_, app)| app);
+            fifo.chain(d.roster.iter().copied()).any(|app| app as usize >= apps)
+        });
+        if unknown {
             return Err(SnapError::Malformed("daemon queue names an unknown app"));
         }
         let barrier_waiting: Vec<u32> = Persist::load(r)?;
-        if barrier_waiting.len() > apps.len()
-            || barrier_waiting.iter().any(|&a| a as usize >= apps.len())
-        {
+        if barrier_waiting.len() > apps || barrier_waiting.iter().any(|&a| a as usize >= apps) {
             return Err(SnapError::Malformed("barrier roster out of range"));
         }
         let main_rng: StreamRng = Persist::load(r)?;
@@ -335,8 +257,6 @@ impl PersistState for RoccModel {
         let acc = Acc::load(r)?;
         self.banks = banks;
         self.shared_net = shared_net;
-        self.apps = apps;
-        self.daemons = daemons;
         self.barrier_waiting = barrier_waiting;
         self.main_rng = main_rng;
         self.pvmd_rngs = pvmd_rngs;
@@ -353,6 +273,33 @@ impl PersistState for RoccModel {
         } else {
             Err(SnapError::Malformed("pending event names an entity the config lacks"))
         }
+    }
+
+    /// Every instant the records keep is when something began, so none
+    /// may lie after the restored clock: each is later subtracted from a
+    /// later clock.
+    fn check_clock(&self, now: SimTime) -> Result<(), SnapError> {
+        let late = |t: Option<SimTime>| t.is_some_and(|t| t > now);
+        for a in &self.apps {
+            if late(a.blocked_since) {
+                return Err(SnapError::Malformed("writer blocked after the snapshot time"));
+            }
+            if late(a.pipe.parked()) {
+                return Err(SnapError::Malformed("parked sample after the snapshot time"));
+            }
+            if late(a.pressure_cleared_at) {
+                return Err(SnapError::Malformed("pressure cleared after the snapshot time"));
+            }
+        }
+        for d in &self.daemons {
+            if late(d.down_since) {
+                return Err(SnapError::Malformed("outage starts after the snapshot time"));
+            }
+            if d.fifo.iter().any(|&(gen, _)| gen > now) {
+                return Err(SnapError::Malformed("buffered sample after the snapshot time"));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -406,8 +353,7 @@ impl RoccModel {
             | Ev::OtherNetArrival { node } => self.has_node(node),
             Ev::FlushTimeout { pd, .. } | Ev::Backpressure { pd, .. } => self.has_pd(pd),
             Ev::DaemonCrash { pd } | Ev::DaemonRecover { pd } => {
-                let cold = self.daemons.cold.get(pd as usize);
-                cold.is_some_and(|c| c.crash.is_some())
+                self.daemons.get(pd as usize).is_some_and(|d| d.crash.is_some())
             }
             Ev::RetryForward { batch, .. } => self.has_pd(batch.holder),
             Ev::MainStall => self.cfg.faults.stall.is_some(),
@@ -431,23 +377,19 @@ impl RoccModel {
             i += 1;
             salt.wrapping_add(i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
         };
-        for i in 0..self.apps.len() {
-            let h = &mut self.apps.hot[i];
-            h.cpu_rng.perturb(sub());
-            h.net_rng.perturb(sub());
-            let c = &mut self.apps.cold[i];
-            c.sample_rng.perturb(sub());
-            c.throttle_rng.perturb(sub());
+        for a in &mut self.apps {
+            a.cpu_rng.perturb(sub());
+            a.net_rng.perturb(sub());
+            a.sample_rng.perturb(sub());
+            a.throttle_rng.perturb(sub());
         }
-        for i in 0..self.daemons.len() {
-            let h = &mut self.daemons.hot[i];
-            h.cpu_rng.perturb(sub());
-            h.net_rng.perturb(sub());
-            let c = &mut self.daemons.cold[i];
-            c.merge_rng.perturb(sub());
-            c.link_rng.perturb(sub());
-            c.shed_rng.perturb(sub());
-            if let Some(crash) = &mut c.crash {
+        for d in &mut self.daemons {
+            d.cpu_rng.perturb(sub());
+            d.net_rng.perturb(sub());
+            d.merge_rng.perturb(sub());
+            d.link_rng.perturb(sub());
+            d.shed_rng.perturb(sub());
+            if let Some(crash) = &mut d.crash {
                 crash.perturb(sub());
             }
         }

@@ -33,7 +33,7 @@ fn apps_are_assigned_to_their_node_daemon_on_now() {
         ..quick(Arch::Now { contention_free: true }, 4)
     };
     let model = RoccModel::new(cfg);
-    for (gi, app) in model.apps.hot.iter().enumerate() {
+    for (gi, app) in model.apps.iter().enumerate() {
         assert_eq!(app.node, (gi / 3) as u32);
         assert_eq!(app.pd, app.node, "daemon co-located with its apps");
     }
@@ -54,10 +54,10 @@ fn smp_pools_cpus_and_round_robins_apps_over_daemons() {
     assert_eq!(model.banks.len(), 1);
     assert_eq!(model.banks[0].cpus(), 8);
     assert_eq!(model.daemons.len(), 2);
-    let pds: Vec<u32> = model.apps.hot.iter().map(|a| a.pd).collect();
+    let pds: Vec<u32> = model.apps.iter().map(|a| a.pd).collect();
     assert_eq!(pds, vec![0, 1, 0, 1, 0, 1]);
     // All SMP daemons run on the pooled bank.
-    assert!(model.daemons.hot.iter().all(|d| d.node == 0));
+    assert!((0..2).all(|pd| model.bank_of(pd) == 0));
 }
 
 #[test]
@@ -155,25 +155,25 @@ fn daemon_fifo_drains_to_batch_remainder() {
         batch: 8,
         ..quick(Arch::Now { contention_free: true }, 2)
     });
-    for (d, fifo) in model.daemons.hot.iter().zip(&model.daemons.fifo) {
+    for d in &model.daemons {
         assert!(
-            fifo.len() < 8,
+            d.fifo.len() < 8,
             "daemon buffered {} >= batch 8 at idle horizon",
-            fifo.len()
+            d.fifo.len()
         );
-        assert!(!d.collecting || fifo.len() < 8);
+        assert!(!d.collecting() || d.fifo.len() < 8);
     }
 }
 
 #[test]
 fn conservation_generated_equals_buffered_plus_forwarded() {
     let (model, _) = run_model(quick(Arch::Now { contention_free: true }, 4));
-    let buffered: usize = model.daemons.fifo.iter().map(|f| f.len()).sum();
+    let buffered: usize = model.daemons.iter().map(|d| d.fifo.len()).sum();
     let forwarded = model.acc.forwarded_samples;
     // A collecting daemon's batch has been popped from the FIFO but not yet
     // counted as forwarded; its roster lists one app per sample. Every
     // other live batch is in the network or awaiting main-process handling.
-    let collecting = model.daemons.roster.iter().map(|r| r.len() as u64).sum::<u64>();
+    let collecting = model.daemons.iter().map(|d| d.roster.len() as u64).sum::<u64>();
     let post_forward = model.acc.in_batches - collecting;
     assert_eq!(
         model.acc.generated_samples,
@@ -370,7 +370,7 @@ fn snapshot_round_trips_a_daemon_mid_collect() {
     let horizon = SimTime::from_secs_f64(cfg.duration_s);
     let mut sim = build(&cfg);
     let mut t = SimTime::ZERO;
-    while sim.model.daemons.roster.iter().all(Vec::is_empty) {
+    while !sim.model.daemons.iter().any(|d| d.collecting()) {
         t += SimDur::from_micros_f64(50.0);
         assert!(t < horizon, "no daemon was ever caught mid-collect");
         sim.run_until(t);
@@ -380,23 +380,77 @@ fn snapshot_round_trips_a_daemon_mid_collect() {
         Sim::restore(RoccModel::new(cfg.clone()), paradyn_des::CalendarKind::Wheel, bytes)
     };
     let mut back = restore(&bytes).expect("restore mid-collect");
-    assert_eq!(back.model.daemons.roster, sim.model.daemons.roster);
+    let rosters = |m: &RoccModel| m.daemons.iter().map(|d| d.roster.clone()).collect::<Vec<_>>();
+    assert_eq!(rosters(&back.model), rosters(&sim.model));
     assert_eq!(back.snapshot_now(), bytes, "restore is lossless");
     sim.run_until(horizon);
     back.run_until(horizon);
     assert_eq!(back.state_payload(), sim.state_payload());
     assert_eq!(back.model.pipe_slot_violation(), None);
+}
 
-    // A roster on a daemon that is not collecting would never be drained.
-    let mut idle = restore(&bytes).expect("restore mid-collect");
-    let pd = idle.model.daemons.roster.iter().position(|r| !r.is_empty()).unwrap();
-    idle.model.daemons.hot[pd].collecting = false;
-    assert_eq!(
-        restore(&idle.snapshot_now()).err(),
-        Some(paradyn_des::SnapError::Malformed(
-            "daemon roster disagrees with its collect cycle"
-        ))
-    );
+#[test]
+fn restore_takes_placement_from_the_config() {
+    // The frame carries no placement: an app whose owner and node were
+    // pushed out of range in memory (4 nodes, so 9 names nothing) seals
+    // and restores to the config's placement, and the restored run reaches
+    // the horizon. Daemons keep no node at all: each runs on `bank_of(pd)`.
+    let cfg = quick(Arch::Now { contention_free: false }, 4);
+    let horizon = SimTime::from_secs_f64(cfg.duration_s);
+    let mut sim = build(&cfg);
+    sim.run_until(SimTime::from_secs_f64(0.5));
+    let placement = |m: &RoccModel| m.apps.iter().map(|a| (a.node, a.pd)).collect::<Vec<_>>();
+    let built = placement(&sim.model);
+    for a in &mut sim.model.apps {
+        (a.node, a.pd) = (9, 9);
+    }
+    let bytes = sim.snapshot_now();
+    let mut back = Sim::restore(RoccModel::new(cfg.clone()), CalendarKind::Wheel, &bytes)
+        .expect("placement is not in the frame");
+    assert_eq!(placement(&back.model), built);
+    back.run_until(horizon);
+    assert!(back.model.acc.received_samples > 0);
+    assert_eq!(back.model.pipe_slot_violation(), None);
+}
+
+#[test]
+fn restore_rejects_an_instant_after_the_snapshot_time() {
+    // Each case stamps one recorded start instant 1 ns after the clock of
+    // an idle 4-node model and seals it as it stands, so the frame's
+    // checksum is valid; each such instant is later subtracted from the
+    // clock, so restoring it must fail at the door.
+    let cfg = SimConfig {
+        faults: FaultPlan {
+            daemon_crash: Some(DaemonCrashFaults::default()),
+            ..FaultPlan::default()
+        },
+        ..quick(Arch::Now { contention_free: true }, 4)
+    };
+    let late = SimTime::from_nanos(1);
+    let cases: [(&str, &dyn Fn(&mut RoccModel)); 5] = [
+        ("outage starts after the snapshot time", &|m| m.daemons[1].down_since = Some(late)),
+        ("writer blocked after the snapshot time", &|m| m.apps[2].blocked_since = Some(late)),
+        ("pressure cleared after the snapshot time", &|m| {
+            m.apps[3].pressure_cleared_at = Some(late)
+        }),
+        ("parked sample after the snapshot time", &|m| {
+            let pipe = &mut m.apps[0].pipe;
+            while !pipe.is_full() {
+                pipe.deposit(SimTime::ZERO);
+            }
+            assert_eq!(pipe.deposit(late), crate::pipe::Deposit::WouldBlock);
+            m.daemons[0].fifo.extend(vec![(SimTime::ZERO, 0); pipe.occupied()]);
+        }),
+        ("buffered sample after the snapshot time", &|m| {
+            m.apps[1].pipe.deposit(late);
+            m.daemons[1].fifo.push_back((late, 1));
+        }),
+    ];
+    for (expected, plant) in cases {
+        let mut sim = idle_sim(cfg.clone());
+        plant(&mut sim.model);
+        assert_eq!(restore_err(&sim), malformed(expected), "{expected}");
+    }
 }
 
 fn held_batch(count: u8, stage: Stage, holder: u32) -> Batch {

@@ -12,7 +12,7 @@
 //! perturbing the application; the pipe counts every dropped sample so
 //! conservation (delivered + lost + in-flight == generated) stays checkable.
 
-use paradyn_des::SimTime;
+use paradyn_des::{Dec, Enc, Persist, PersistInto, SimTime, SnapError};
 
 /// What a full pipe does with an incoming sample.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
@@ -56,8 +56,10 @@ pub enum Deposit {
 /// tracks capacity, writer blocking, and overflow losses.
 #[derive(Clone, Debug)]
 pub struct Pipe {
+    // lint:allow(snapshot-exempt): set by the config; restore keeps the built pipe's
     capacity: usize,
     occupied: usize,
+    // lint:allow(snapshot-exempt): set by the config; restore keeps the built pipe's
     policy: OverflowPolicy,
     /// Generation time of the sample waiting for space, if the writer is
     /// blocked on a full pipe.
@@ -158,6 +160,12 @@ impl Pipe {
         self.pending.is_some()
     }
 
+    /// Generation time of the sample parked on a full pipe, if the writer
+    /// is blocked.
+    pub fn parked(&self) -> Option<SimTime> {
+        self.pending
+    }
+
     /// Number of deposits that had to block.
     pub fn blocked_deposits(&self) -> u64 {
         self.blocked_deposits
@@ -196,45 +204,26 @@ impl Pipe {
     }
 }
 
-impl paradyn_des::Persist for Pipe {
-    fn save(&self, w: &mut paradyn_des::Enc) {
-        w.put_usize(self.capacity);
+/// Capacity and policy stay as built: the config fixes them.
+impl PersistInto for Pipe {
+    fn save(&self, w: &mut Enc) {
         w.put_usize(self.occupied);
-        w.put_u8(match self.policy {
-            OverflowPolicy::Block => 0,
-            OverflowPolicy::DropNewest => 1,
-            OverflowPolicy::DropOldest => 2,
-        });
         self.pending.save(w);
         w.put_u64(self.blocked_deposits);
         w.put_u64(self.lost);
         w.put_u64(self.rejected_deposits);
     }
-    fn load(r: &mut paradyn_des::Dec<'_>) -> Result<Self, paradyn_des::SnapError> {
-        use paradyn_des::{Persist, SnapError};
-        let capacity = r.take_usize()?;
+    fn load_into(&mut self, r: &mut Dec<'_>) -> Result<(), SnapError> {
         let occupied = r.take_usize()?;
-        let policy = match r.take_u8()? {
-            0 => OverflowPolicy::Block,
-            1 => OverflowPolicy::DropNewest,
-            2 => OverflowPolicy::DropOldest,
-            _ => return Err(SnapError::Malformed("pipe policy tag")),
-        };
-        if capacity == 0 {
-            return Err(SnapError::Malformed("pipe capacity zero"));
-        }
-        if occupied > capacity {
+        if occupied > self.capacity {
             return Err(SnapError::Malformed("pipe occupancy beyond capacity"));
         }
-        Ok(Pipe {
-            capacity,
-            occupied,
-            policy,
-            pending: Persist::load(r)?,
-            blocked_deposits: r.take_u64()?,
-            lost: r.take_u64()?,
-            rejected_deposits: r.take_u64()?,
-        })
+        self.occupied = occupied;
+        self.pending = Persist::load(r)?;
+        self.blocked_deposits = r.take_u64()?;
+        self.lost = r.take_u64()?;
+        self.rejected_deposits = r.take_u64()?;
+        Ok(())
     }
 }
 

@@ -324,6 +324,7 @@ where
         if !r.is_empty() {
             return Err(SnapError::TrailingBytes);
         }
+        model.check_clock(ctx.now)?;
         let mut checked = Ok(());
         ctx.for_each_pending(|ev| {
             if checked.is_ok() {

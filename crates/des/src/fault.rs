@@ -13,13 +13,16 @@
 //! what the faults cost (crashes, losses, retries, downtime).
 
 use crate::rng::StreamRng;
+use crate::snapshot::{Dec, Enc, Persist, PersistInto, SnapError};
 use crate::time::SimDur;
 
 /// Deterministic generator of one element's failure/recovery event stream.
 #[derive(Clone, Debug)]
 pub struct FaultSchedule {
     rng: StreamRng,
+    // lint:allow(snapshot-exempt): set by the config; restore keeps the built schedule's
     mtbf_us: f64,
+    // lint:allow(snapshot-exempt): set by the config; restore keeps the built schedule's
     recovery_us: f64,
 }
 
@@ -58,28 +61,14 @@ impl FaultSchedule {
     }
 }
 
-impl crate::snapshot::Persist for FaultSchedule {
-    fn save(&self, w: &mut crate::snapshot::Enc) {
+/// Only the stream moves during a run; the means stay as built.
+impl PersistInto for FaultSchedule {
+    fn save(&self, w: &mut Enc) {
         self.rng.save(w);
-        w.put_f64(self.mtbf_us);
-        w.put_f64(self.recovery_us);
     }
-    fn load(r: &mut crate::snapshot::Dec<'_>) -> Result<Self, crate::snapshot::SnapError> {
-        let rng = crate::snapshot::Persist::load(r)?;
-        let mtbf_us = r.take_f64()?;
-        let recovery_us = r.take_f64()?;
-        // Re-validate what `new` asserts, without panicking on bad bytes.
-        if !(mtbf_us.is_finite() && mtbf_us > 0.0 && recovery_us.is_finite() && recovery_us > 0.0)
-        {
-            return Err(crate::snapshot::SnapError::Malformed(
-                "fault schedule means must be positive and finite",
-            ));
-        }
-        Ok(FaultSchedule {
-            rng,
-            mtbf_us,
-            recovery_us,
-        })
+    fn load_into(&mut self, r: &mut Dec<'_>) -> Result<(), SnapError> {
+        self.rng = Persist::load(r)?;
+        Ok(())
     }
 }
 

@@ -60,21 +60,21 @@ impl<J: Copy> FcfsServer<J> {
         }
     }
 
-    /// The pending service completed. Returns the finished job, its service
-    /// time, and — if the queue was non-empty — the service span of the
-    /// next job, whose completion the model must schedule.
+    /// The pending service completed. Returns the finished job and — if
+    /// the queue was non-empty — the service span of the next job, whose
+    /// completion the model must schedule.
     ///
     /// # Panics
     /// Panics if the server was idle (a completion event without a started
     /// service is a model bug).
-    pub fn complete(&mut self) -> (J, SimDur, Option<SimDur>) {
+    pub fn complete(&mut self) -> (J, Option<SimDur>) {
         let finished = self
             .current
             .take()
             .expect("FcfsServer::complete called while idle");
         self.current = self.queue.pop_front();
         let next = self.current.map(|entry| entry.service);
-        (finished.job, finished.service, next)
+        (finished.job, next)
     }
 
     /// Whether a service is in progress.
@@ -149,51 +149,53 @@ mod tests {
     #[test]
     fn busy_server_queues_fifo() {
         let mut s = FcfsServer::new();
-        s.submit(1u32, us(10.0));
+        assert_eq!(s.submit(1u32, us(10.0)), Offer::Started(us(10.0)));
         assert_eq!(s.submit(2, us(5.0)), Offer::Queued(0));
         assert_eq!(s.submit(3, us(7.0)), Offer::Queued(1));
-        let (j, svc, next) = s.complete();
-        assert_eq!((j, svc), (1, us(10.0)));
-        assert_eq!(next, Some(us(5.0)));
-        let (j, _, next) = s.complete();
-        assert_eq!(j, 2);
-        assert_eq!(next, Some(us(7.0)));
-        let (j, _, next) = s.complete();
-        assert_eq!(j, 3);
-        assert_eq!(next, None);
+        // Each job starts with its own demand as its span, in order.
+        assert_eq!(s.complete(), (1, Some(us(5.0))));
+        assert_eq!(s.complete(), (2, Some(us(7.0))));
+        assert_eq!(s.complete(), (3, None));
         assert!(!s.is_busy());
     }
 
     #[test]
     fn busy_time_accumulates_service() {
-        // The spans the server starts, which the model books as busy time,
-        // add up to the demands, as do the services its completions return.
+        // The spans the server starts, from `submit` on an idle server and
+        // from each completion that starts a waiter, add up to the demands.
         let mut s = FcfsServer::new();
         let Offer::Started(mut started) = s.submit(1u32, us(10.0)) else {
             panic!("idle server queued");
         };
         s.submit(2, us(30.0));
-        let (_, first, next) = s.complete();
+        let (_, next) = s.complete();
         started += next.expect("a waiter starts");
-        let (_, second, next) = s.complete();
-        assert_eq!(next, None);
-        assert_eq!((started, first + second), (us(40.0), us(40.0)));
+        assert_eq!(s.complete(), (2, None));
+        assert_eq!(started, us(40.0));
     }
 
     #[test]
     fn snapshot_round_trips_a_busy_queue() {
+        // The spans started before and after the round trip add up to the
+        // demands: the waiter's demand survives it.
         let mut s = FcfsServer::new();
-        s.submit(1u32, us(10.0));
+        let Offer::Started(mut started) = s.submit(1u32, us(10.0)) else {
+            panic!("idle server queued");
+        };
         s.submit(2, us(5.0));
-        s.complete();
+        let (_, next) = s.complete();
+        started += next.expect("a waiter starts");
         s.submit(3, us(7.0));
         let mut w = Enc::new();
         s.save(&mut w);
         let bytes = w.into_bytes();
         let mut t: FcfsServer<u32> = Persist::load(&mut Dec::new(&bytes)).unwrap();
         assert_eq!((t.is_busy(), t.queue_len()), (true, 1));
-        assert_eq!(t.complete(), (2, us(5.0), Some(us(7.0))));
-        assert_eq!(t.complete(), (3, us(7.0), None));
+        let (job, next) = t.complete();
+        assert_eq!(job, 2);
+        started += next.expect("the restored waiter starts");
+        assert_eq!(t.complete(), (3, None));
+        assert_eq!(started, us(22.0));
     }
 
     #[test]

@@ -69,7 +69,7 @@ pub use fifo::Fifo;
 pub use rng::{StreamRng, Streams};
 pub use rr::{RrCpuBank, SliceEnd, Submit};
 pub use snapshot::{
-    fnv1a, open, rewind_bisect, seal, Dec, Divergence, Enc, Persist, PersistState, SnapError,
-    SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
+    fnv1a, open, rewind_bisect, seal, Dec, Divergence, Enc, Persist, PersistInto, PersistState,
+    SnapError, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
 };
 pub use time::{SimDur, SimTime};

@@ -28,7 +28,7 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"PDSN";
 
 /// Current snapshot format version. Bumped on any layout change; decoders
 /// reject every other version rather than guessing.
-pub const SNAPSHOT_VERSION: u32 = 9;
+pub const SNAPSHOT_VERSION: u32 = 10;
 
 /// Why a snapshot failed to decode. All decode paths return this — snapshot
 /// handling must never panic on untrusted bytes.
@@ -242,6 +242,46 @@ pub trait Persist: Sized {
     fn load(r: &mut Dec<'_>) -> Result<Self, SnapError>;
 }
 
+/// A value whose shape its configuration fixes: the frame carries only
+/// what changes during a run, and `load_into` overwrites that part of a
+/// value freshly built from the same configuration, keeping the rest as
+/// built. Like [`Persist::load`], it validates and never panics.
+pub trait PersistInto {
+    /// Append the run-time part of this value.
+    fn save(&self, w: &mut Enc);
+    /// Overwrite the run-time part of this (freshly built) value.
+    fn load_into(&mut self, r: &mut Dec<'_>) -> Result<(), SnapError>;
+}
+
+/// Element by element: the built length is the configuration's, so the
+/// frame carries no count.
+impl<T: PersistInto> PersistInto for Vec<T> {
+    fn save(&self, w: &mut Enc) {
+        for v in self {
+            v.save(w);
+        }
+    }
+    fn load_into(&mut self, r: &mut Dec<'_>) -> Result<(), SnapError> {
+        self.iter_mut().try_for_each(|v| v.load_into(r))
+    }
+}
+
+/// Whether the value exists is the configuration's, so the frame carries
+/// no tag.
+impl<T: PersistInto> PersistInto for Option<T> {
+    fn save(&self, w: &mut Enc) {
+        if let Some(v) = self {
+            v.save(w);
+        }
+    }
+    fn load_into(&mut self, r: &mut Dec<'_>) -> Result<(), SnapError> {
+        match self {
+            Some(v) => v.load_into(r),
+            None => Ok(()),
+        }
+    }
+}
+
 impl Persist for u8 {
     fn save(&self, w: &mut Enc) {
         w.put_u8(*self);
@@ -396,6 +436,14 @@ pub trait PersistState {
     where
         Self: Model,
     {
+        Ok(())
+    }
+    /// Check the state [`load_state`](Self::load_state) rebuilt against
+    /// the restored clock `now`: an instant the state records as past (when
+    /// a wait or an outage began, say) that lies after `now` is
+    /// [`SnapError::Malformed`]. [`Sim::restore`] calls it once both are
+    /// loaded; the default accepts.
+    fn check_clock(&self, _now: SimTime) -> Result<(), SnapError> {
         Ok(())
     }
 }

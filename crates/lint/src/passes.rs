@@ -1,8 +1,8 @@
 //! Workspace consistency passes over the item model ([`crate::model`]):
 //!
 //! * **snapshot-completeness** — every field of a type with a
-//!   `Persist`/`PersistState` impl must be referenced in both the save
-//!   and the load body, with `lint:allow(snapshot-exempt)` for deliberate
+//!   `Persist`/`PersistInto`/`PersistState` impl must be referenced in
+//!   both the save and the load body, with `lint:allow(snapshot-exempt)` for deliberate
 //!   exclusions (derived or config-owned state);
 //! * **metrics-merge-completeness** — every `Acc` counter must survive
 //!   the reporting projection (`SimMetrics::from_model`), and every
@@ -114,6 +114,7 @@ fn snapshot_completeness(ws: &Workspace<'_>, out: &mut PassResult) {
         };
         let (save_name, load_name) = match trait_name {
             "Persist" => ("save", "load"),
+            "PersistInto" => ("save", "load_into"),
             "PersistState" => ("save_state", "load_state"),
             _ => continue,
         };
@@ -136,8 +137,8 @@ fn snapshot_completeness(ws: &Workspace<'_>, out: &mut PassResult) {
             enrolled.push(sr);
         }
         // …plus same-crate helper structs the bodies construct inline
-        // (`AppHot { … }` in an arena codec): their fields ride in this
-        // frame, so drift in them is drift in this impl.
+        // (a record a codec assembles field by field): their fields ride
+        // in this frame, so drift in them is drift in this impl.
         let impl_crate = crate_key(&ws.files[r.file].rel);
         for s in &structs {
             let name = s.item.name.as_str();
@@ -189,7 +190,10 @@ fn snapshot_completeness(ws: &Workspace<'_>, out: &mut PassResult) {
 }
 
 fn is_persist_trait(item: &Item) -> bool {
-    matches!(item.impl_trait.as_deref(), Some("Persist") | Some("PersistState"))
+    matches!(
+        item.impl_trait.as_deref(),
+        Some("Persist") | Some("PersistInto") | Some("PersistState")
+    )
 }
 
 // ---------------------------------------------------------------------
@@ -693,6 +697,22 @@ mod tests {
         assert_eq!(f.rule, "snapshot-completeness");
         assert!(f.message.contains("`S.b`"));
         assert!(f.message.contains("`save`"));
+    }
+
+    #[test]
+    fn snapshot_load_into_impls_are_checked() {
+        // A value restored into its built self: a field the config fixes
+        // is exempt, a run-time field missing from `load_into` is not.
+        let src = "struct P {\n    // lint:allow(snapshot-exempt): set by the config\n    cap: u64,\n    a: u64,\n    b: u64,\n}\n\
+                   impl PersistInto for P {\n\
+                   fn save(&self, w: &mut Enc) { w.put_u64(self.a); w.put_u64(self.b); }\n\
+                   fn load_into(&mut self, r: &mut Dec) -> Result<(), E> { self.a = r.u64()?; Ok(()) }\n\
+                   }\n";
+        let out = run_on(&[("crates/des/src/x.rs", src)]);
+        assert_eq!(out.findings.len(), 1, "{:?}", out.findings);
+        assert!(out.findings[0].message.contains("`P.b`"));
+        assert!(out.findings[0].message.contains("`load_into`"));
+        assert_eq!(out.consumed.len(), 1);
     }
 
     #[test]

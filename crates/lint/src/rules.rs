@@ -69,8 +69,8 @@ pub const RULES: &[(&str, &str)] = &[
     ),
     (
         "snapshot-completeness",
-        "every field of a type with a Persist/PersistState impl must be \
-         referenced in both the save and the load body: a field missing from \
+        "every field of a type with a Persist/PersistInto/PersistState impl \
+         must be referenced in both the save and the load body: a field missing from \
          either silently drops state across checkpoint/fork/rewind, which the \
          equivalence suite only spot-checks per seed — deliberate exclusions \
          carry lint:allow(snapshot-exempt) on the field",

@@ -116,6 +116,13 @@ run_lint_mutation "wall-clock" "wall-clock" "crates/des/src/lib.rs"
 sed -i '/w\.put_u64(self\.emitted_samples);/d' "$mut_dir/crates/core/src/model/snapshot.rs"
 run_lint_mutation "snapshot" "snapshot-completeness" "crates/core/src/model/snapshot.rs"
 
+# 2b. One field write deleted from an entity record's frame (the app's
+#     throttle multiplier): the records restore into config-built ones
+#     through PersistInto, and the pass must still cover them by name.
+sed -i '/w\.put_f64(self\.throttle_mult);/d' "$mut_dir/crates/core/src/model/snapshot.rs"
+run_lint_mutation "entity-record" "snapshot-completeness" "crates/core/src/model/snapshot.rs" \
+  "App.throttle_mult"
+
 # 3. One counter dropped from the reporting projection SimMetrics::from_model.
 sed -i '/throttle_events: acc\.throttle_events,/d' "$mut_dir/crates/core/src/metrics.rs"
 run_lint_mutation "metrics-merge" "metrics-merge-completeness" "crates/core/src/metrics.rs"

@@ -22,8 +22,6 @@ fn tight_degradation() -> DegradationConfig {
         pipe_lo: 0.25,
         daemon_hi: 6,
         daemon_lo: 2,
-        md_factor: 2.0,
-        max_slowdown: 8.0,
         recover_step: 0.5,
         recover_period_us: 20_000.0,
         hysteresis_us: 50_000.0,

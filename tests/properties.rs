@@ -83,7 +83,7 @@ fn fcfs_is_fifo_and_conserves_service() {
         let mut order = vec![];
         while let Some(d) = next_end {
             clock += d;
-            let (job, _svc, next) = s.complete();
+            let (job, next) = s.complete();
             order.push(job);
             next_end = next;
         }
